@@ -2,14 +2,19 @@
 
 import doctest
 import random
+from itertools import count
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotcover import snf
+from knotcover.cosets import kernel_coset_table
+from knotcover.homcheck import phi_tables
+from knotcover.presentations import kj_presentation
 from knotcover.snf import smith_normal_form, smith_normal_form_sparse
+from knotcover.subgroups import abelianize, reidemeister_schreier
 
 
 def naive_snf(matrix):
@@ -82,6 +87,9 @@ def test_docstring_examples():
 
 def test_diagonal_merges_into_chain():
     assert smith_normal_form([[2, 0], [0, 3]]) == ([1, 6], 2)
+    # no unit entry at all: each entry is a divisor pivot
+    diag = [[6, 0, 0], [0, 10, 0], [0, 0, 15]]
+    assert smith_normal_form(diag) == ([1, 30, 30], 3)
 
 
 def test_zero_matrix():
@@ -101,6 +109,33 @@ def test_no_unit_entries_exercises_dense_stages():
     # all entries >= 2 so the unit-pivot stage finds nothing
     assert smith_normal_form([[6, 4], [4, 6]]) == ([2, 10], 2)
     assert smith_normal_form([[2, 4], [4, 2]]) == ([2, 6], 2)
+
+
+def test_divisor_stage_splits_off_each_pivot():
+    rows = {0: {0: 6}, 1: {1: 10}, 2: {2: 15}}
+    assert snf._divisor_stage(rows) == [6, 10, 15]
+    assert rows == {}
+    # 2 divides its row and column: subtracting 3 times row 0 leaves -4
+    rows = {0: {0: 2, 1: 4}, 1: {0: 6, 1: 8}}
+    assert snf._divisor_stage(rows) == [2, 4]
+    assert rows == {}
+
+
+def test_divisor_stage_skips_entries_that_do_not_divide_their_column():
+    # 2 divides its row but not the 3 below it; no other entry divides
+    # its row, so the whole matrix is left to the dense stages
+    rows = {0: {0: 2}, 1: {0: 3, 1: 5}}
+    assert snf._divisor_stage(rows) == []
+    assert rows == {0: {0: 2}, 1: {0: 3, 1: 5}}
+    assert smith_normal_form([[2, 0], [3, 5]]) == ([1, 10], 2)
+
+
+def test_modulo_det_stage_survives_a_split_factor():
+    # Reduction modulo 180 splits a factor into coprime pieces, so no
+    # literal copy of 180 is left among the column factors to drop.
+    residual = [[12, 10, 0], [-12, -48, 18], [-12, -48, 18]]
+    assert snf._mod_det_factors(residual, 3, 2, 180) == [2, 6]
+    assert naive_snf(residual) == ([2, 6], 2)
 
 
 def test_single_entry():
@@ -163,6 +198,7 @@ def test_factors_form_divisibility_chain(matrix):
 
 
 @given(matrices)
+@example([[2, 5, -1, -1], [8, 0, 2, 2], [8, 2, -10, 8], [8, 2, -10, 8]])
 @settings(deadline=None)
 def test_transpose_invariance(matrix):
     transposed = [list(col) for col in zip(*matrix)]
@@ -177,8 +213,13 @@ def test_large_entries_stay_exact():
     assert factors == [1, big * (big + 1)]
 
 
-def test_random_stress_against_oracle():
+def stress_matrices():
+    """Seeded small matrices in four families: sparse ones, some with a
+    doubled row; dense ones; low-rank products A B (whose modulo-det
+    stage once crashed); rows and columns scaled by 2, 3 or 6 (which
+    need divisor pivots)."""
     rng = random.Random(1207)
+    out = []
     for _ in range(300):
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
@@ -189,4 +230,113 @@ def test_random_stress_against_oracle():
         ]
         if nr > 1 and rng.random() < 0.3:
             matrix[-1] = [2 * v for v in matrix[0]]
-        assert smith_normal_form(matrix) == naive_snf(matrix)
+        out.append(matrix)
+    for _ in range(700):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        out.append([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
+    for _ in range(1200):
+        nr, nc = rng.randint(2, 7), rng.randint(2, 7)
+        inner = rng.randint(1, min(nr, nc) - 1)
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nr)]
+        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(inner)]
+        out.append([[sum(a[x][t] * b[t][y] for t in range(inner))
+                     for y in range(nc)] for x in range(nr)])
+    for _ in range(800):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rs = [rng.choice((1, 2, 3, 6)) for _ in range(nr)]
+        cs = [rng.choice((1, 2, 3, 6)) for _ in range(nc)]
+        out.append([[rs[x] * cs[y] * rng.randint(-3, 3) for y in range(nc)]
+                    for x in range(nr)])
+    return out
+
+
+STRESS = stress_matrices()
+
+
+def test_random_stress_against_oracle():
+    for matrix in STRESS:
+        assert smith_normal_form(matrix) == naive_snf(matrix), matrix
+
+
+# -- rank modulo p: a certificate independent of the SNF code ---------------
+
+def rank_mod_p(rows, p):
+    """Rank over F_p of the rows (mappings column -> value), by inserting
+    each row into a row echelon form keyed by leading column."""
+    echelon = {}
+    for r in rows:
+        row = {j: v % p for j, v in r.items() if v % p}
+        while row:
+            lead = min(row)
+            prow = echelon.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                echelon[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in prow.items():
+                new = (row.get(j, 0) - f * v) % p
+                if new:
+                    row[j] = new
+                else:
+                    row.pop(j, None)
+    return len(echelon)
+
+
+def primes_dividing(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def assert_rank_certificate(rows, ncols, free_rank, torsion):
+    """dim_Fp(H1 (x) F_p) = ncols - rank_p(M) must equal the free rank
+    plus the number of torsion factors divisible by p, for every prime
+    dividing the torsion and for one prime dividing none of it."""
+    primes = sorted({q for d in torsion for q in primes_dividing(d)})
+    spare = next(q for q in count(2)
+                 if primes_dividing(q) == [q] and q not in primes)
+    for p in primes + [spare]:
+        expected = free_rank + sum(1 for d in torsion if d % p == 0)
+        assert ncols - rank_mod_p(rows, p) == expected, p
+
+
+def test_rank_mod_p_on_hand_checked_matrices():
+    assert rank_mod_p([{0: 2}, {1: 3}], 2) == 1
+    assert rank_mod_p([{0: 2}, {1: 3}], 5) == 2
+    assert rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}], 7) == 1
+    assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == 1
+    assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 3) == 2
+
+
+def test_rank_mod_p_certificate_on_stress_matrices():
+    for matrix in STRESS:
+        factors, rank = smith_normal_form(matrix)
+        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+        ncols = len(matrix[0])
+        torsion = [d for d in factors if d > 1]
+        assert_rank_certificate(rows, ncols, ncols - rank, torsion)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_rank_mod_p_certificate_on_kernel_matrices(j):
+    p = kj_presentation(j)
+    derived = reidemeister_schreier(
+        p, kernel_coset_table(p, phi_tables(j))).presentation
+    index = derived.generator_index()
+    rows = []
+    for r in derived.relators:
+        entries = {}
+        for sym, sign in r:
+            entries[index[sym]] = entries.get(index[sym], 0) + sign
+        rows.append(entries)
+    inv = abelianize(derived)
+    assert_rank_certificate(
+        rows, len(derived.generators), inv.free_rank, inv.torsion)

@@ -1,6 +1,7 @@
 """Tests for subgroup rewriting, abelian invariants, boundary quotients,
 the frozen longitude, the rank bound, and kernel homology."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,18 @@ def test_kernel_homology_stage_three():
     assert inv.free_rank == 36
     assert inv.torsion == (3,) * 21 + (6,) * 39 + (18,) * 2 + (72,) * 4
     assert inv.min_generators == 102
+
+
+def test_kernel_homology_stage_five():
+    inv = kernel_homology(5)
+    assert inv.free_rank == 71
+    assert Counter(inv.torsion) == {3: 15, 6: 80, 30: 2, 360: 6, 720: 1, 3600: 3}
+
+
+def test_kernel_homology_stage_six():
+    inv = kernel_homology(6)
+    assert inv.free_rank == 86
+    assert Counter(inv.torsion) == {2: 31, 6: 90, 30: 7, 360: 6, 720: 1, 3600: 3}
 
 
 def test_kernel_homology_guard():
