@@ -56,8 +56,11 @@ SMALL_STAGE_NOTE = (
 
 
 def _load_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise KnotcoverError(f"cannot read {path}: {e}") from None
 
 
 def load_assignment_file(path: str) -> GenAssignment:

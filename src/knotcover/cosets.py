@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, InvalidHomomorphismError, TableIntegrityError
+from .errors import (
+    CapacityError,
+    InvalidArgumentError,
+    InvalidHomomorphismError,
+    TableIntegrityError,
+)
 from .perm import compose
 from .words import GenSym, Presentation, Word
 
@@ -154,7 +159,7 @@ def cyclic_cover_table(p: Presentation, k: int) -> CosetTable:
     generator-to-1 map really defines a homomorphism onto the integers.
     """
     if k < 1:
-        raise ValueError(f"fold count must be positive, got {k}")
+        raise InvalidArgumentError(f"fold count must be positive, got {k}")
     for i, r in enumerate(p.relators):
         e = r.total_exponent()
         if e != 0:
@@ -185,7 +190,7 @@ def todd_coxeter(
     defined; a partial table is never returned.
     """
     if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+        raise InvalidArgumentError(f"cap must be positive, got {cap}")
     gens = tuple(p.generators)
     gen_index = {g: i for i, g in enumerate(gens)}
     ngens = len(gens)

@@ -16,6 +16,11 @@ class ParseError(KnotcoverError, ValueError):
         super().__init__(message)
 
 
+class InvalidArgumentError(KnotcoverError, ValueError):
+    """A numeric argument outside the domain of a computation, such as a
+    stage count below 1."""
+
+
 class CapacityError(KnotcoverError, RuntimeError):
     """A computation exceeded its configured size cap."""
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import CapacityError, MissingAssignmentError
+from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import Perm, PermGroup, closure, compose, is_even, parse_cycles
 from .presentations import LINK_LETTERS, sternfeld_fragment
 from .words import GenSym, Presentation, Word
@@ -64,9 +64,14 @@ class GenAssignment:
 def eval_word(assignment: GenAssignment, w: Word) -> Perm:
     """Image of ``w``: the left-to-right product of the generator images."""
     out = Perm.identity()
+    inverses: dict[GenSym, Perm] = {}
     for sym, sign in w:
         img = assignment.value(sym)
-        out = compose(out, img if sign > 0 else img.inverse())
+        if sign < 0:
+            if sym not in inverses:
+                inverses[sym] = img.inverse()
+            img = inverses[sym]
+        out = compose(out, img)
     return out
 
 
@@ -144,7 +149,7 @@ _TABLE_CYCLE = (
 def stage_table(j: int, l: int) -> dict[str, Perm]:
     """Image table for stage ``l`` of a ``j``-stage presentation."""
     if not 1 <= l <= j:
-        raise ValueError(f"stage {l} outside 1..{j}")
+        raise InvalidArgumentError(f"stage {l} outside 1..{j}")
     if l == j:
         table = _TABLE_TOP
     else:
@@ -160,7 +165,7 @@ def phi_tables(j: int) -> GenAssignment:
     plain link presentation.
     """
     if j < 1:
-        raise ValueError(f"stage count must be positive, got {j}")
+        raise InvalidArgumentError(f"stage count must be positive, got {j}")
     mapping: dict[GenSym, Perm] = {}
     for l in range(1, j + 1):
         table = stage_table(j, l)

@@ -3,6 +3,14 @@
 Composition is left to right throughout the package: ``compose(p, q)`` is the
 permutation "apply p, then q".  Evaluating a word g1 g2 ... gk therefore means
 multiplying the images in the order written.
+
+Validation happens once, at the public constructor: ``Perm(images)`` checks
+that ``images`` permutes 1..n and that n is within ``DEGREE_CAP``, so every
+permutation read from text, files or callers is checked.  Products and
+inverses of existing permutations are permutations of no larger degree by
+construction; ``compose`` and ``Perm.inverse`` build them by tuple indexing
+through the trusted path ``Perm._trusted``, which only trims trailing fixed
+points.
 """
 
 from __future__ import annotations
@@ -17,6 +25,10 @@ from .errors import CapacityError, ParseError
 DEGREE_CAP = 12
 
 DEFAULT_CLOSURE_CAP = 10_000
+
+# The points 1..DEGREE_CAP; ``_POINTS[m:n]`` pads an image tuple of length m
+# to length n with fixed points.
+_POINTS = tuple(range(1, DEGREE_CAP + 1))
 
 
 @dataclass(frozen=True)
@@ -36,11 +48,22 @@ class Perm:
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
-        while images and images[-1] == len(images):
-            images = images[:-1]
+        images = Perm._trusted(images).images
         if len(images) > DEGREE_CAP:
             raise ValueError(f"degree {len(images)} exceeds cap {DEGREE_CAP}")
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """A permutation from ``images`` that are known to permute 1..n with
+        n <= DEGREE_CAP: trailing fixed points are trimmed, and nothing is
+        checked.  The public constructor trims through here after checking."""
+        n = len(images)
+        while n and images[n - 1] == n:
+            n -= 1
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images[:n])
+        return p
 
     @classmethod
     def identity(cls) -> "Perm":
@@ -62,9 +85,9 @@ class Perm:
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Perm(tuple(inv))
+        for i, img in enumerate(self.images, start=1):
+            inv[img - 1] = i
+        return Perm._trusted(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted by
@@ -102,12 +125,14 @@ class Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply ``p`` first, then ``q``."""
-    n = max(p.degree, q.degree)
-    return Perm(tuple(q(p(x)) for x in range(1, n + 1)))
-
-
-def inverse(p: Perm) -> Perm:
-    return p.inverse()
+    a, b = p.images, q.images
+    if len(a) < len(b):
+        a += _POINTS[len(a):len(b)]
+    elif len(b) < len(a):
+        b += _POINTS[len(b):len(a)]
+    # The leading 0 shifts b so that point x indexes its own image.
+    lookup = (0,) + b
+    return Perm._trusted(tuple(map(lookup.__getitem__, a)))
 
 
 def is_even(p: Perm) -> bool:
@@ -204,13 +229,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set
-
-    @property
-    def _element_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
-
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
@@ -219,9 +237,13 @@ def closure(gens: Iterable[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
     """Group generated by ``gens``, found by breadth-first multiplication.
 
     Element order: identity first, then products in discovery order scanning
-    generators in the order given.  Raises CapacityError past ``cap`` elements.
+    generators in the order given.  A repeated generator only reproduces
+    products already seen, so each distinct generator is multiplied once and
+    the order is the same as with the repeats.  Raises CapacityError past
+    ``cap`` elements.
     """
     gens = tuple(gens)
+    distinct = tuple(dict.fromkeys(gens))
     identity = Perm.identity()
     elements = [identity]
     seen = {identity}
@@ -229,7 +251,7 @@ def closure(gens: Iterable[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
     while frontier < len(elements):
         current = elements[frontier]
         frontier += 1
-        for g in gens:
+        for g in distinct:
             nxt = compose(current, g)
             if nxt not in seen:
                 if len(elements) >= cap:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import InvalidArgumentError
 from .perm import Perm, parse_cycles
 from .words import GenSym, Presentation, Word, word
 
@@ -47,7 +48,7 @@ def link_block(l: int) -> tuple[tuple[GenSym, ...], tuple[Word, ...], tuple[str,
     """Generators a_l..i_l, the nine conjugation relators of stage ``l``, and
     their diagnostic names."""
     if l < 1:
-        raise ValueError(f"stage index must be positive, got {l}")
+        raise InvalidArgumentError(f"stage index must be positive, got {l}")
     gens = tuple(GenSym(c, l) for c in LINK_LETTERS)
     relators = []
     names = []
@@ -70,7 +71,7 @@ class BoundaryWords(NamedTuple):
 
 def boundary_words(l: int) -> BoundaryWords:
     if l < 1:
-        raise ValueError(f"stage index must be positive, got {l}")
+        raise InvalidArgumentError(f"stage index must be positive, got {l}")
     return BoundaryWords(
         alpha=_stage_word("h", l),
         beta=_stage_word("f^-1 g", l),
@@ -84,7 +85,7 @@ def kj_presentation(j: int) -> Presentation:
     relators S_{l,1}: h_{l-1} = delta_l and S_{l,2}: f_{l-1}^-1 g_{l-1} = a_l,
     with the top meridian killed by h_j = 1."""
     if j < 1:
-        raise ValueError(f"stage count must be positive, got {j}")
+        raise InvalidArgumentError(f"stage count must be positive, got {j}")
     gens: list[GenSym] = []
     relators: list[Word] = []
     names: list[str] = []

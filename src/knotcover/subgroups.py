@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import ceil
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
-from .errors import CapacityError, TableIntegrityError
+from .errors import CapacityError, InvalidArgumentError, TableIntegrityError
 from .homcheck import phi_tables
 from .presentations import kj_presentation, trefoil_presentation
 from .snf import smith_normal_form_sparse
@@ -231,7 +231,7 @@ def schreier_rank_bound(m: int, i: int) -> RankBound:
     so a subgroup needing m generators forces r >= (m - 1)/i + 1.
     """
     if m < 0 or i < 1:
-        raise ValueError(f"need m >= 0 and i >= 1, got m={m}, i={i}")
+        raise InvalidArgumentError(f"need m >= 0 and i >= 1, got m={m}, i={i}")
     return RankBound(subgroup_rank=m, index=i, value=Fraction(m - 1, i) + 1)
 
 
@@ -248,7 +248,7 @@ def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:
     the relation matrix grows like 60 * 11j rows by 60 * 9j columns.
     """
     if j < 1:
-        raise ValueError(f"stage count must be positive, got {j}")
+        raise InvalidArgumentError(f"stage count must be positive, got {j}")
     if j > KERNEL_HOMOLOGY_MAX_STAGES and not force:
         raise CapacityError(
             f"stage count {j} exceeds default limit {KERNEL_HOMOLOGY_MAX_STAGES}; "

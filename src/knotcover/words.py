@@ -53,7 +53,7 @@ class GenSym:
         GenSym(stem='a', subscript=12)
         """
         if not _NAME_RE.match(name):
-            raise ValueError(f"bad generator name {name!r}")
+            raise ParseError(f"bad generator name {name!r}")
         stem = name.rstrip("0123456789")
         if stem == name:
             return cls(stem, None)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from knotcover.cli import main
 from knotcover.presentations import trefoil_presentation
 from knotcover.words import print_presentation
 
+GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
 GOOD_ASSIGNMENT = "a = (1,3,5,4,2)\nb = (1,2,3,4,5)\n"
 BAD_ASSIGNMENT = "a = (1,2,3)\nb = (1,2,3,4,5)\n"
 
@@ -204,6 +206,40 @@ def test_run_all_rejects_nonpositive_jmax(capsys):
     code, _, err = run_cli(capsys, "run-all", "--jmax", "0")
     assert code == 2
     assert "jmax" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-homology", "--j", "0"],
+        ["verify-tables", "--j", "0"],
+        ["cover-quotient", "--fold", "0"],
+        ["rank-bound", "--m", "3", "--i", "0"],
+        ["abelianize", "--pres", "{missing}"],
+        ["check-hom", "--pres", "{trefoil}", "--assign", "{bad_name}"],
+    ],
+    ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
+         "bad-generator-name"],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
+    bad_name = tmp_path / "assign.txt"
+    bad_name.write_text("A = (1,2)\n")
+    paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
+             "bad_name": str(bad_name)}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_run_all_json_matches_golden(capsys):
+    # the committed report of the default battery; any change to it must be
+    # a deliberate schema or claim change
+    code, out, _ = run_cli(capsys, "run-all", "--json")
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_RUN_ALL.read_bytes()
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):

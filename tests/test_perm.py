@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from knotcover.perm import (
     closure,
     compose,
     cycle_string,
-    inverse,
     is_even,
     parse_cycles,
 )
@@ -98,9 +99,65 @@ def test_compose_associative(p, q, r):
 
 @given(perms)
 def test_inverse_involution(p):
-    assert inverse(inverse(p)) == p
-    assert compose(p, inverse(p)) == Perm.identity()
-    assert compose(inverse(p), p) == Perm.identity()
+    assert p.inverse().inverse() == p
+    assert compose(p, p.inverse()) == Perm.identity()
+    assert compose(p.inverse(), p) == Perm.identity()
+
+
+# Every permutation of degree <= 4, and pairs of mixed degree up to the cap.
+ALL_UP_TO_4 = sorted(
+    {Perm(t) for n in range(5) for t in permutations(range(1, n + 1))},
+    key=lambda p: p.images,
+)
+MIXED_DEGREE_PAIRS = [
+    (parse_cycles("(1,12)"), parse_cycles("(1,2,3)")),
+    (parse_cycles("(1,2,3,4,5,6,7,8,9,10,11,12)"), parse_cycles("(2,5)")),
+    (parse_cycles("(3,4,5)"), parse_cycles("(1,12,2,11)(6,7)")),
+    (parse_cycles("(1,12)(2,11)"), parse_cycles("(1,12)(2,11)")),
+    (parse_cycles("(7,8)"), parse_cycles("(1,2)")),
+    (Perm.identity(), parse_cycles("(5,9,12)")),
+]
+
+
+def assert_same_as_validated(p: Perm, images):
+    # a product built by the trusted path must be indistinguishable from the
+    # same permutation built by the validating constructor
+    validated = Perm(tuple(images))
+    assert p.images == validated.images
+    assert p == validated
+    assert hash(p) == hash(validated)
+
+
+def test_compose_matches_oracle_on_all_small_pairs():
+    assert len(ALL_UP_TO_4) == 24
+    pairs = [(p, q) for p in ALL_UP_TO_4 for q in ALL_UP_TO_4]
+    for p, q in pairs + MIXED_DEGREE_PAIRS:
+        assert_same_as_validated(compose(p, q), slow_compose(p, q).images)
+
+
+def test_inverse_matches_oracle_on_small_and_mixed_perms():
+    for p in ALL_UP_TO_4 + [p for pair in MIXED_DEGREE_PAIRS for p in pair]:
+        n = p.degree
+        # the inverse sends p(x) back to x
+        images = [0] * n
+        for x in range(1, n + 1):
+            images[p(x) - 1] = x
+        assert_same_as_validated(p.inverse(), images)
+        assert compose(p, p.inverse()).images == ()
+
+
+def test_products_trim_trailing_fixed_points():
+    t = parse_cycles("(1,12)(2,11)")
+    assert compose(t, t).images == ()
+    assert compose(parse_cycles("(1,2)(5,9)"), parse_cycles("(5,9)")).images == (2, 1)
+    assert parse_cycles("(1,12)").inverse().degree == 12
+
+
+def test_public_constructor_rejects_non_permutations():
+    with pytest.raises(ValueError, match="not a permutation"):
+        Perm((1, 1, 3))
+    with pytest.raises(ValueError, match="not a permutation"):
+        Perm((0, 1))
 
 
 @given(perms, perms)
@@ -144,6 +201,30 @@ def test_closure_a4_and_small():
 def test_closure_discovery_order_deterministic():
     gens = [parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")]
     assert closure(gens).elements == closure(gens).elements
+
+
+# reference closure: multiply every element by every generator exactly as
+# passed, repeats included
+def closure_over_every_generator(gens) -> tuple[Perm, ...]:
+    elements = [Perm.identity()]
+    seen = set(elements)
+    for current in elements:
+        for g in gens:
+            nxt = compose(current, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                elements.append(nxt)
+    return tuple(elements)
+
+
+def test_closure_with_repeated_generators():
+    a, b, c = (parse_cycles(t) for t in ("(1,2,3)", "(3,4,5)", "(1,2)(3,4)"))
+    for gens in ([a, a, b], [b, a, b, a, a], [c, Perm.identity(), a, c, b, a],
+                 [a] * 20 + [c] * 5):
+        group = closure(gens)
+        assert group.elements == closure(dict.fromkeys(gens)).elements
+        assert group.elements == closure_over_every_generator(gens)
+        assert group.generators == tuple(gens)
 
 
 def test_closure_cap():
