@@ -64,14 +64,9 @@ class GenAssignment:
 def eval_word(assignment: GenAssignment, w: Word) -> Perm:
     """Image of ``w``: the left-to-right product of the generator images."""
     out = Perm.identity()
-    inverses: dict[GenSym, Perm] = {}
     for sym, sign in w:
         img = assignment.value(sym)
-        if sign < 0:
-            if sym not in inverses:
-                inverses[sym] = img.inverse()
-            img = inverses[sym]
-        out = compose(out, img)
+        out = compose(out, img if sign > 0 else img.inverse())
     return out
 
 

@@ -217,15 +217,20 @@ def test_run_all_rejects_nonpositive_jmax(capsys):
         ["rank-bound", "--m", "3", "--i", "0"],
         ["abelianize", "--pres", "{missing}"],
         ["check-hom", "--pres", "{trefoil}", "--assign", "{bad_name}"],
+        ["abelianize", "--pres", "{not_utf8}"],
+        ["presentation", "--kind", "kj", "--j", "0"],
+        ["--cap", "0", "cover-quotient", "--fold", "2"],
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
-         "bad-generator-name"],
+         "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
     bad_name = tmp_path / "assign.txt"
     bad_name.write_text("A = (1,2)\n")
+    not_utf8 = tmp_path / "binary.pres"
+    not_utf8.write_bytes(b"\xff")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
-             "bad_name": str(bad_name)}
+             "bad_name": str(bad_name), "not_utf8": str(not_utf8)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""

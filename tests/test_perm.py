@@ -158,6 +158,9 @@ def test_public_constructor_rejects_non_permutations():
         Perm((1, 1, 3))
     with pytest.raises(ValueError, match="not a permutation"):
         Perm((0, 1))
+    # the transposition (1,13): a permutation, but past DEGREE_CAP
+    with pytest.raises(ValueError, match="exceeds cap"):
+        Perm((13,) + tuple(range(2, 13)) + (1,))
 
 
 @given(perms, perms)
