@@ -12,6 +12,7 @@ from knotcover.presentations import trefoil_presentation
 from knotcover.words import print_presentation
 
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
+GOLDEN_RUN_ALL_TEXT = Path(__file__).parent / "data" / "run_all.txt"
 GOOD_ASSIGNMENT = "a = (1,3,5,4,2)\nb = (1,2,3,4,5)\n"
 BAD_ASSIGNMENT = "a = (1,2,3)\nb = (1,2,3,4,5)\n"
 
@@ -245,6 +246,12 @@ def test_run_all_json_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "run-all", "--json")
     assert code == 0
     assert out.encode("utf-8") == GOLDEN_RUN_ALL.read_bytes()
+
+
+def test_run_all_text_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "run-all")
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_RUN_ALL_TEXT.read_bytes()
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):
