@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from typing import Callable
 
 from . import homcheck
@@ -25,6 +26,7 @@ from .homcheck import GenAssignment, check_relators, phi_tables, search_surjecti
 from .presentations import kj_presentation, kjss_presentation, trefoil_presentation
 from .subgroups import (
     TREFOIL_LONGITUDE,
+    TREFOIL_MERIDIAN,
     abelianize,
     boundary_quotient,
     kernel_homology,
@@ -200,21 +202,25 @@ def cmd_search_hom(args) -> tuple[dict, list[str], int]:
     return report, lines, 0
 
 
-def cmd_reproduce_sternfeld_error(args) -> tuple[dict, list[str], int]:
-    result = homcheck.sternfeld_error_repro()
-    report = {
-        "schema": SCHEMA,
-        "command": "reproduce-sternfeld-error",
-        "got": str(result.got),
-        "expected": str(result.expected),
-        "mismatch": result.mismatch,
+def _fragment_entry() -> dict:
+    """Replay the historical sewing-word evaluation."""
+    repro = homcheck.sternfeld_error_repro()
+    return {
+        "got": str(repro.got),
+        "expected": str(repro.expected),
+        "mismatch": repro.mismatch,
     }
+
+
+def cmd_reproduce_sternfeld_error(args) -> tuple[dict, list[str], int]:
+    entry = _fragment_entry()
+    report = {"schema": SCHEMA, "command": "reproduce-sternfeld-error", **entry}
     lines = [
-        f"sewing word evaluates to {result.got}",
-        f"table requires          {result.expected}",
-        "mismatch reproduced" if result.mismatch else "FAIL: no mismatch",
+        f"sewing word evaluates to {entry['got']}",
+        f"table requires          {entry['expected']}",
+        "mismatch reproduced" if entry["mismatch"] else "FAIL: no mismatch",
     ]
-    return report, lines, 0 if result.mismatch else 1
+    return report, lines, 0 if entry["mismatch"] else 1
 
 
 def cmd_cosets(args) -> tuple[dict, list[str], int]:
@@ -244,49 +250,57 @@ def cmd_abelianize(args) -> tuple[dict, list[str], int]:
     return report, [str(inv)], 0
 
 
-def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
-    quotient = boundary_quotient(k=args.fold)
-    table = todd_coxeter(quotient, [], cap=args.cap)
+def _quotient_orders(k: int, cap: int) -> tuple:
+    """Order of the k-fold cover modulo its boundary by coset enumeration,
+    its abelianization, and the order that abelianization gives when it is
+    finite (None otherwise)."""
+    quotient = boundary_quotient(k=k)
+    order = todd_coxeter(quotient, [], cap=cap).index
     inv = abelianize(quotient)
-    order_from_abelianization = None
-    if inv.free_rank == 0:
-        order_from_abelianization = 1
-        for d in inv.torsion:
-            order_from_abelianization *= d
-    routes_agree = order_from_abelianization == table.index
+    return order, inv, prod(inv.torsion) if inv.free_rank == 0 else None
+
+
+def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
+    order, inv, order_from_abelianization = _quotient_orders(args.fold, args.cap)
+    routes_agree = order_from_abelianization == order
     report = {
         "schema": SCHEMA,
         "command": "cover-quotient",
         "fold": args.fold,
-        "order": table.index,
+        "order": order,
         "abelianization": inv.to_json_dict(),
         "order_from_abelianization": order_from_abelianization,
         "routes_agree": routes_agree,
     }
     lines = [
-        f"{args.fold}-fold cover modulo boundary: order {table.index} "
+        f"{args.fold}-fold cover modulo boundary: order {order} "
         f"by coset enumeration, abelianization {inv}",
         "routes agree" if routes_agree else "routes DISAGREE",
     ]
     return report, lines, 0 if routes_agree else 1
 
 
-def cmd_kernel_homology(args) -> tuple[dict, list[str], int]:
-    inv = kernel_homology(args.j, force=args.force)
+def _kernel_entry(j: int, force: bool = False) -> tuple:
+    """Kernel homology at stage count j with the rank bound it forces."""
+    inv = kernel_homology(j, force=force)
     bound = schreier_rank_bound(inv.min_generators, 60)
-    report = {
-        "schema": SCHEMA,
-        "command": "kernel-homology",
-        "j": args.j,
+    entry = {
+        "j": j,
         "homology": inv.to_json_dict(),
         "min_generators": inv.min_generators,
         "rank_bound": str(bound.value),
         "rank_bound_ceiling": bound.ceiling,
     }
+    return entry, inv
+
+
+def cmd_kernel_homology(args) -> tuple[dict, list[str], int]:
+    entry, inv = _kernel_entry(args.j, force=args.force)
+    report = {"schema": SCHEMA, "command": "kernel-homology", **entry}
     lines = [
         f"H1 of stage-{args.j} kernel: {inv} "
         f"(needs {inv.min_generators} generators; "
-        f"rank bound {bound.value} -> {bound.ceiling})"
+        f"rank bound {entry['rank_bound']} -> {entry['rank_bound_ceiling']})"
     ]
     return report, lines, 0
 
@@ -304,61 +318,70 @@ def cmd_rank_bound(args) -> tuple[dict, list[str], int]:
     return report, [f"rank >= {bound.value} (so at least {bound.ceiling})"], 0
 
 
-def run_all(
-    jmax: int = 5,
-    kernel_jmax: int = 4,
-    seed_order: str = "closure",
-    cap: int = DEFAULT_COSET_CAP,
-) -> dict:
-    """Run the whole verification battery and return the report dict."""
-    if jmax < 1:
-        raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
-    failed: list[str] = []
-    results: dict = {}
+# Run-all sections.  Each takes the run inputs and returns its results
+# fragment, the ids of its claims that failed, and its text lines.
 
-    tables = []
-    for j in range(1, jmax + 1):
-        entry, _, _ = _check_tables_at(j)
-        tables.append(entry)
-    results["tables"] = tables
+def _tables_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+    tables = [_check_tables_at(j)[0] for j in range(1, inputs["jmax"] + 1)]
+    failed = []
     if any(t["violations_identified"] or t["violations_plain"] for t in tables):
         failed.append(CLAIM_TABLES)
     if not all(t["image_order"] == t["expected_image_order"] for t in tables):
         failed.append(CLAIM_SMALL_STAGE_ORDERS)
+    lines = []
+    for t in tables:
+        names = t["violations_identified"] + t["violations_plain"]
+        lines.append(
+            f"{'ok' if t['ok'] else 'FAIL'} tables j={t['j']}: "
+            f"{len(names)} violations, image order {t['image_order']}"
+        )
+        lines += [f"  violated {name}" for name in names]
+    return {"tables": tables}, failed, lines
 
-    repro = homcheck.sternfeld_error_repro()
-    results["sternfeld"] = {
-        "got": str(repro.got),
-        "expected": str(repro.expected),
-        "mismatch": repro.mismatch,
-    }
-    if not repro.mismatch:
-        failed.append(CLAIM_FRAGMENT_MISMATCH)
 
+def _fragment_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+    entry = _fragment_entry()
+    line = (
+        ("ok" if entry["mismatch"] else "FAIL")
+        + f" historical fragment: {entry['got']} != required {entry['expected']}"
+    )
+    failed = [] if entry["mismatch"] else [CLAIM_FRAGMENT_MISMATCH]
+    return {"sternfeld": entry}, failed, [line]
+
+
+def _surjection_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
     trefoil = trefoil_presentation()
     pinned = GenAssignment.from_names(
         {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5"
     )
     pinned_report = check_relators(trefoil, pinned)
-    found = search_surjections(trefoil, limit=1000, pool_order=seed_order)
+    found = search_surjections(trefoil, limit=1000, pool_order=inputs["seed_order"])
     rediscovered = any(
         all(a.value(g) == pinned.value(g) for g in trefoil.generators)
         for a in found
     )
-    results["trefoil_surjection"] = {
+    entry = {
         "assignment": {g.name: str(pinned.value(g)) for g in trefoil.generators},
         "violations": [v.name for v in pinned_report.violations],
         "image_order": pinned_report.image_order,
         "search_found_pinned": rediscovered,
         "search_total": len(found),
     }
-    if not (pinned_report.ok and pinned_report.image_order == 60 and rediscovered):
-        failed.append(CLAIM_TREFOIL_SURJECTION)
+    ok = pinned_report.ok and pinned_report.image_order == 60 and rediscovered
+    line = (
+        f"trefoil onto A5: image order {entry['image_order']}, "
+        f"search found pinned assignment: {rediscovered} "
+        f"({len(found)} surjections total)"
+    )
+    failed = [] if ok else [CLAIM_TREFOIL_SURJECTION]
+    return {"trefoil_surjection": entry}, failed, [line]
 
-    cover_expect = {2: (1, [3]), 3: (1, [2, 2])}
+
+def _cover_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+    trefoil = trefoil_presentation()
     covers = []
-    covers_ok = True
-    for k, (free, torsion) in sorted(cover_expect.items()):
+    lines = []
+    for k, (free, torsion) in ((2, (1, [3])), (3, (1, [2, 2]))):
         sub = reidemeister_schreier(trefoil, cyclic_cover_table(trefoil, k))
         inv = abelianize(sub.presentation)
         ok = inv.free_rank == free and list(inv.torsion) == torsion
@@ -366,150 +389,136 @@ def run_all(
             {"fold": k, **inv.to_json_dict(),
              "expected": {"free_rank": free, "torsion": torsion}, "ok": ok}
         )
-        covers_ok = covers_ok and ok
-    results["cover_homology"] = covers
-    if not covers_ok:
-        failed.append(CLAIM_COVER_H1)
+        lines.append(
+            f"{'ok' if ok else 'FAIL'} {k}-fold cover H1: "
+            f"free rank {inv.free_rank}, torsion {list(inv.torsion)}"
+        )
+    failed = [] if all(c["ok"] for c in covers) else [CLAIM_COVER_H1]
+    return {"cover_homology": covers}, failed, lines
 
+
+def _quotient_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
     quotients = []
-    quotients_ok = True
+    lines = []
     for k, expected_order in ((1, 1), (2, 3)):
-        quotient = boundary_quotient(k=k)
-        order = todd_coxeter(quotient, [], cap=cap).index
-        inv = abelianize(quotient)
-        finite = inv.free_rank == 0
-        ab_order = 1 if finite else None
-        if finite:
-            for d in inv.torsion:
-                ab_order *= d
+        order, inv, ab_order = _quotient_orders(k, inputs["cap"])
         ok = order == expected_order and ab_order == expected_order
         quotients.append(
             {"fold": k, "order": order, "abelianization": inv.to_json_dict(),
              "expected_order": expected_order, "ok": ok}
         )
-        quotients_ok = quotients_ok and ok
-    results["boundary_quotient"] = quotients
-    if not quotients_ok:
-        failed.append(CLAIM_BOUNDARY_QUOTIENT)
-
-    meridian = word("a")
-    connectivity = []
-    for k in range(1, 9):
-        table = cyclic_cover_table(trefoil, k)
-        connectivity.append(
-            {"fold": k,
-             "transitive": orbit_transitive(table, [meridian, TREFOIL_LONGITUDE])}
+        lines.append(
+            f"{'ok' if ok else 'FAIL'} {k}-fold cover mod boundary: order {order}"
         )
-    results["boundary_connectivity"] = connectivity
-    if not all(c["transitive"] for c in connectivity):
-        failed.append(CLAIM_BOUNDARY_TRANSITIVE)
+    failed = [] if all(q["ok"] for q in quotients) else [CLAIM_BOUNDARY_QUOTIENT]
+    return {"boundary_quotient": quotients}, failed, lines
 
-    knot_h1 = []
-    for j in range(1, min(jmax, 6) + 1):
-        inv = abelianize(kj_presentation(j))
-        knot_h1.append({"j": j, **inv.to_json_dict()})
-    results["knot_group_h1"] = knot_h1
-    if not all(
-        e["free_rank"] == 1 and e["torsion"] == [] for e in knot_h1
-    ):
-        failed.append(CLAIM_KNOT_H1)
 
-    kernel = []
-    counts = []
-    for j in range(1, min(jmax, kernel_jmax) + 1):
-        inv = kernel_homology(j)
-        bound = schreier_rank_bound(inv.min_generators, 60)
-        kernel.append(
-            {"j": j, "homology": inv.to_json_dict(),
-             "min_generators": inv.min_generators,
-             "rank_bound": str(bound.value),
-             "rank_bound_ceiling": bound.ceiling}
-        )
-        counts.append(inv.min_generators)
-    results["kernel_homology"] = kernel
+def _connectivity_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+    trefoil = trefoil_presentation()
+    connectivity = [
+        {"fold": k,
+         "transitive": orbit_transitive(cyclic_cover_table(trefoil, k),
+                                        [TREFOIL_MERIDIAN, TREFOIL_LONGITUDE])}
+        for k in range(1, 9)
+    ]
+    ok = all(c["transitive"] for c in connectivity)
+    line = (
+        ("ok" if ok else "FAIL")
+        + f" boundary words transitive on covers 1..{len(connectivity)}"
+    )
+    failed = [] if ok else [CLAIM_BOUNDARY_TRANSITIVE]
+    return {"boundary_connectivity": connectivity}, failed, [line]
+
+
+def _knot_h1_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+    knot_h1 = [
+        {"j": j, **abelianize(kj_presentation(j)).to_json_dict()}
+        for j in range(1, min(inputs["jmax"], 6) + 1)
+    ]
+    ok = all(e["free_rank"] == 1 and e["torsion"] == [] for e in knot_h1)
+    line = (
+        "ok knot group H1 = Z at every computed stage count"
+        if ok else "FAIL knot group H1"
+    )
+    return {"knot_group_h1": knot_h1}, [] if ok else [CLAIM_KNOT_H1], [line]
+
+
+def _kernel_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+    kernel = [
+        _kernel_entry(j)[0]
+        for j in range(1, min(inputs["jmax"], inputs["kernel_jmax"]) + 1)
+    ]
+    counts = [k["min_generators"] for k in kernel]
     growth = [counts[i + 1] - counts[i] for i in range(len(counts) - 1)]
-    strict = all(d > 0 for d in growth[1:]) if len(counts) > 2 else True
     # growth from stage 2 on is the claim; stage 1 is the trefoil baseline
-    results["kernel_growth_strict_from_stage_2"] = strict
-    if counts and not strict:
-        failed.append(CLAIM_KERNEL_GROWTH)
+    strict = all(d > 0 for d in growth[1:]) if len(counts) > 2 else True
+    lines = [
+        f"kernel homology j={k['j']}: {k['min_generators']} generators "
+        f"needed, rank bound {k['rank_bound']} -> {k['rank_bound_ceiling']}"
+        for k in kernel
+    ]
+    fragment = {"kernel_homology": kernel,
+                "kernel_growth_strict_from_stage_2": strict}
+    failed = [] if strict else [CLAIM_KERNEL_GROWTH]
+    return fragment, failed, lines
 
-    return {
+
+# The claim registry: each section with the claim ids it can report.
+SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
+    ((CLAIM_TABLES, CLAIM_SMALL_STAGE_ORDERS), _tables_section),
+    ((CLAIM_FRAGMENT_MISMATCH,), _fragment_section),
+    ((CLAIM_TREFOIL_SURJECTION,), _surjection_section),
+    ((CLAIM_COVER_H1,), _cover_section),
+    ((CLAIM_BOUNDARY_QUOTIENT,), _quotient_section),
+    ((CLAIM_BOUNDARY_TRANSITIVE,), _connectivity_section),
+    ((CLAIM_KNOT_H1,), _knot_h1_section),
+    ((CLAIM_KERNEL_GROWTH,), _kernel_section),
+)
+
+
+def _run_sections(
+    jmax: int, kernel_jmax: int, seed_order: str, cap: int
+) -> tuple[dict, list[str]]:
+    if jmax < 1:
+        raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
+    inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax,
+              "seed_order": seed_order, "cap": cap}
+    results: dict = {}
+    failed: list[str] = []
+    lines: list[str] = []
+    for _, section in SECTIONS:
+        fragment, section_failed, section_lines = section(inputs)
+        results.update(fragment)
+        failed += section_failed
+        lines += section_lines
+    status = "pass" if not failed else "fail"
+    report = {
         "schema": SCHEMA,
         "command": "run-all",
-        "inputs": {
-            "jmax": jmax,
-            "kernel_jmax": kernel_jmax,
-            "seed_order": seed_order,
-            "cap": cap,
-        },
+        "inputs": inputs,
         "results": results,
         "failed": sorted(failed),
-        "status": "pass" if not failed else "fail",
+        "status": status,
     }
+    return report, lines + [f"status: {status}"]
 
 
-def _run_all_lines(report: dict) -> list[str]:
-    lines = []
-    results = report["results"]
-    for t in results["tables"]:
-        status = "ok" if t["ok"] else "FAIL"
-        lines.append(
-            f"{status} tables j={t['j']}: "
-            f"{len(t['violations_identified']) + len(t['violations_plain'])}"
-            f" violations, image order {t['image_order']}"
-        )
-        for name in t["violations_identified"] + t["violations_plain"]:
-            lines.append(f"  violated {name}")
-    s = results["sternfeld"]
-    lines.append(
-        ("ok" if s["mismatch"] else "FAIL")
-        + f" historical fragment: {s['got']} != required {s['expected']}"
-    )
-    ts = results["trefoil_surjection"]
-    lines.append(
-        f"trefoil onto A5: image order {ts['image_order']}, "
-        f"search found pinned assignment: {ts['search_found_pinned']} "
-        f"({ts['search_total']} surjections total)"
-    )
-    for c in results["cover_homology"]:
-        status = "ok" if c["ok"] else "FAIL"
-        lines.append(
-            f"{status} {c['fold']}-fold cover H1: free rank {c['free_rank']}, "
-            f"torsion {c['torsion']}"
-        )
-    for q in results["boundary_quotient"]:
-        status = "ok" if q["ok"] else "FAIL"
-        lines.append(
-            f"{status} {q['fold']}-fold cover mod boundary: order {q['order']}"
-        )
-    conn = results["boundary_connectivity"]
-    lines.append(
-        ("ok" if all(c["transitive"] for c in conn) else "FAIL")
-        + f" boundary words transitive on covers 1..{len(conn)}"
-    )
-    lines.append(
-        "ok knot group H1 = Z at every computed stage count"
-        if CLAIM_KNOT_H1 not in report["failed"]
-        else "FAIL knot group H1"
-    )
-    for k in results["kernel_homology"]:
-        lines.append(
-            f"kernel homology j={k['j']}: {k['min_generators']} generators "
-            f"needed, rank bound {k['rank_bound']} -> {k['rank_bound_ceiling']}"
-        )
-    lines.append(f"status: {report['status']}")
-    return lines
+def run_all(
+    jmax: int = 5,
+    kernel_jmax: int = 4,
+    seed_order: str = "closure",
+    cap: int = DEFAULT_COSET_CAP,
+) -> dict:
+    """Run the whole verification battery and return the report dict."""
+    return _run_sections(jmax, kernel_jmax, seed_order, cap)[0]
 
 
 def cmd_run_all(args) -> tuple[dict, list[str], int]:
-    report = run_all(
-        jmax=args.jmax,
-        kernel_jmax=args.kernel_jmax,
-        seed_order=args.seed_order,
-        cap=args.cap,
+    report, lines = _run_sections(
+        args.jmax, args.kernel_jmax, args.seed_order, args.cap
     )
-    return report, _run_all_lines(report), 0 if report["status"] == "pass" else 1
+    return report, lines, 0 if report["status"] == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
