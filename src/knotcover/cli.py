@@ -35,7 +35,7 @@ from .subgroups import (
 )
 from .words import Word, parse_presentation, print_presentation, word
 
-SCHEMA = "knotcover-report/1"
+SCHEMA = "knotcover-report/2"
 
 # Claim identifiers used in run-all reports.  Each names the mathematical
 # statement being machine-checked, so a failure localizes immediately.
@@ -184,9 +184,7 @@ def cmd_check_hom(args) -> tuple[dict, list[str], int]:
 
 def cmd_search_hom(args) -> tuple[dict, list[str], int]:
     p = parse_presentation(_load_text(args.pres))
-    found = search_surjections(
-        p, limit=args.limit, pool_order=args.seed_order
-    )
+    found = search_surjections(p, limit=args.limit)
     listed = [
         {g.name: str(a.value(g)) for g in p.generators} for a in found
     ]
@@ -355,7 +353,7 @@ def _surjection_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5"
     )
     pinned_report = check_relators(trefoil, pinned)
-    found = search_surjections(trefoil, limit=1000, pool_order=inputs["seed_order"])
+    found = search_surjections(trefoil, limit=1000)
     rediscovered = any(
         all(a.value(g) == pinned.value(g) for g in trefoil.generators)
         for a in found
@@ -477,13 +475,10 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
 )
 
 
-def _run_sections(
-    jmax: int, kernel_jmax: int, seed_order: str, cap: int
-) -> tuple[dict, list[str]]:
+def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str]]:
     if jmax < 1:
         raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
-    inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax,
-              "seed_order": seed_order, "cap": cap}
+    inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax, "cap": cap}
     results: dict = {}
     failed: list[str] = []
     lines: list[str] = []
@@ -505,19 +500,14 @@ def _run_sections(
 
 
 def run_all(
-    jmax: int = 5,
-    kernel_jmax: int = 4,
-    seed_order: str = "closure",
-    cap: int = DEFAULT_COSET_CAP,
+    jmax: int = 5, kernel_jmax: int = 4, cap: int = DEFAULT_COSET_CAP
 ) -> dict:
     """Run the whole verification battery and return the report dict."""
-    return _run_sections(jmax, kernel_jmax, seed_order, cap)[0]
+    return _run_sections(jmax, kernel_jmax, cap)[0]
 
 
 def cmd_run_all(args) -> tuple[dict, list[str], int]:
-    report, lines = _run_sections(
-        args.jmax, args.kernel_jmax, args.seed_order, args.cap
-    )
+    report, lines = _run_sections(args.jmax, args.kernel_jmax, args.cap)
     return report, lines, 0 if report["status"] == "pass" else 1
 
 
@@ -525,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotcover",
         description="verification toolkit for staged link groups and covers",
-    )
-    parser.add_argument(
-        "--seed-order",
-        choices=["closure", "lex"],
-        default="closure",
-        help="element order for search enumeration (default: closure)",
     )
     parser.add_argument(
         "--cap",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
-from .perm import Perm, PermGroup, closure, compose, is_even, parse_cycles
+from .perm import Perm, closure, compose, is_even, parse_cycles
 from .presentations import LINK_LETTERS, sternfeld_fragment
 from .words import GenSym, Presentation, Word
 
@@ -87,10 +87,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def image_group(p: Presentation, assignment: GenAssignment) -> PermGroup:
-    return closure(assignment.values_in_order(p.generators))
 
 
 def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
@@ -194,21 +190,14 @@ def sternfeld_error_repro() -> SternfeldRepro:
 SEARCH_MAX_GENERATORS = 3
 
 
-def search_surjections(
-    p: Presentation,
-    degree: int = 5,
-    even_only: bool = True,
-    limit: int = 100,
-    pool_order: str = "closure",
-) -> list[GenAssignment]:
-    """Brute-force assignments whose image is the full alternating (or
-    symmetric) group of the given degree.
+def search_surjections(p: Presentation, limit: int = 100) -> list[GenAssignment]:
+    """Brute-force assignments whose image is all of A5, at most ``limit``
+    of them.
 
-    Candidate images for degree 5 with even_only come from the closure of
-    the standard A5 generators ("closure" order) or from sorted image
-    tuples ("lex"), and assignment tuples are tried in lexicographic order
-    over that element order, so results are deterministic.  Presentations
-    with more than SEARCH_MAX_GENERATORS generators are refused.
+    Candidate images come from the closure of the standard A5 generators,
+    and assignment tuples are tried in lexicographic order over that
+    element order, so results are deterministic.  Presentations with more
+    than SEARCH_MAX_GENERATORS generators are refused.
     """
     ngens = len(p.generators)
     if ngens > SEARCH_MAX_GENERATORS:
@@ -216,17 +205,9 @@ def search_surjections(
             f"search supports at most {SEARCH_MAX_GENERATORS} generators, "
             f"got {ngens}"
         )
-    if pool_order not in ("closure", "lex"):
-        raise ValueError(f"pool_order must be 'closure' or 'lex', got {pool_order!r}")
-    if degree == 5 and even_only and pool_order == "closure":
-        pool = list(closure(A5_STANDARD_GENERATORS))
-    else:
-        pool = [
-            p_
-            for p_ in _symmetric_elements(degree)
-            if not even_only or is_even(p_)
-        ]
-    target = len(pool)
+    if limit < 1:
+        raise InvalidArgumentError(f"limit must be at least 1, got {limit}")
+    pool = list(closure(A5_STANDARD_GENERATORS))
     found: list[GenAssignment] = []
     for images in itertools.product(pool, repeat=ngens):
         assignment = GenAssignment(
@@ -234,13 +215,9 @@ def search_surjections(
         )
         if any(eval_word(assignment, r).degree != 0 for r in p.relators):
             continue
-        if closure(images).order != target:
+        if closure(images).order != A5_ORDER:
             continue
         found.append(assignment)
         if len(found) >= limit:
             break
     return found
-
-
-def _symmetric_elements(degree: int) -> list[Perm]:
-    return [Perm(images) for images in itertools.permutations(range(1, degree + 1))]

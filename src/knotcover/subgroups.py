@@ -40,15 +40,15 @@ class SubgroupPresentation:
     transversal: tuple[Word, ...]
     tree: frozenset[tuple[int, GenSym]]
 
-    def gen_name(self, pair: tuple[int, GenSym]) -> GenSym:
-        coset, g = pair
-        return GenSym(f"{g.name}x", coset)
-
     def rewrite_from(self, coset: int, w: Word) -> Word:
         """Rewrite rep(coset) * w * rep(trace(coset, w))^-1 in the Schreier
         generators.  With trace(coset, w) == coset this is the rewriting of
         a subgroup element conjugated by the transversal representative."""
         return _rewrite(self.table, self.tree, coset, w)
+
+
+def _schreier_name(coset: int, g: GenSym) -> GenSym:
+    return GenSym(f"{g.name}x", coset)
 
 
 def _rewrite(t: CosetTable, tree: frozenset, coset: int, w: Word) -> Word:
@@ -62,7 +62,7 @@ def _rewrite(t: CosetTable, tree: frozenset, coset: int, w: Word) -> Word:
             nxt = t.step(cur, sym, -1)
             pair = (nxt, sym)
         if pair not in tree:
-            out.append((GenSym(f"{sym.name}x", pair[0]), sign))
+            out.append((_schreier_name(*pair), sign))
         cur = nxt
     return reduce(out)
 
@@ -108,7 +108,7 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
             relators.append(_rewrite(t, frozen_tree, c, r))
             rel_names.append(f"{p.relator_name(i)}@{c}")
     derived = Presentation(
-        generators=tuple(GenSym(f"{g.name}x", c) for c, g in schreier),
+        generators=tuple(_schreier_name(c, g) for c, g in schreier),
         relators=tuple(relators),
         label=f"{p.label or 'base'}-index{n}",
         relator_names=tuple(rel_names),

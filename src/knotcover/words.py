@@ -138,10 +138,6 @@ class Word:
         return f"Word[{self}]" if self.syllables else "Word[]"
 
 
-def invert_word(w: Word) -> Word:
-    return w.inverse()
-
-
 def word(text: str) -> Word:
     """Parse a whitespace-separated syllable string, e.g. ``"b^-1 a"``."""
     return reduce(_parse_syllable(tok) for tok in text.split())

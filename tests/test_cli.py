@@ -45,7 +45,7 @@ def test_presentation_json_counts(capsys):
     report = json.loads(out)
     assert report["generators"] == 18
     assert report["relators"] == 21
-    assert report["schema"] == "knotcover-report/1"
+    assert report["schema"] == "knotcover-report/2"
 
 
 def test_verify_tables_passes_and_notes_small_stages(capsys):
@@ -221,9 +221,11 @@ def test_run_all_rejects_nonpositive_jmax(capsys):
         ["abelianize", "--pres", "{not_utf8}"],
         ["presentation", "--kind", "kj", "--j", "0"],
         ["--cap", "0", "cover-quotient", "--fold", "2"],
+        ["search-hom", "--pres", "{trefoil}", "--limit", "0"],
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
-         "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0"],
+         "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
+         "limit0"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
     bad_name = tmp_path / "assign.txt"

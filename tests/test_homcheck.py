@@ -10,7 +10,6 @@ from knotcover.homcheck import (
     GenAssignment,
     check_relators,
     eval_word,
-    image_group,
     phi_tables,
     search_surjections,
     stage_table,
@@ -198,7 +197,6 @@ def test_pinned_trefoil_assignment_passes():
     assert report.ok
     assert report.image_order == A5_ORDER
     assert report.surjective_onto_a5
-    assert image_group(p, pinned).order == A5_ORDER
 
 
 def test_search_count_matches_brute_force():
@@ -236,14 +234,6 @@ def test_search_rediscovers_pinned_assignment():
         for a in found
     }
     assert pinned in listed
-
-
-def test_search_pool_orders_agree_as_sets():
-    p = trefoil_presentation()
-    by_closure = search_surjections(p, limit=1000, pool_order="closure")
-    by_lex = search_surjections(p, limit=1000, pool_order="lex")
-    key = lambda a: (as_tuple(a.value(GenSym("a"))), as_tuple(a.value(GenSym("b"))))
-    assert {key(a) for a in by_closure} == {key(a) for a in by_lex}
 
 
 def test_search_respects_limit():

@@ -7,7 +7,6 @@ from knotcover.words import (
     GenSym,
     Presentation,
     Word,
-    invert_word,
     parse_presentation,
     print_presentation,
     reduce,
@@ -72,7 +71,7 @@ def test_reduce_idempotent(raw):
 def test_word_times_inverse_is_identity(raw):
     w = reduce(raw)
     assert w * w.inverse() == Word()
-    assert invert_word(invert_word(w)) == w
+    assert w.inverse().inverse() == w
 
 
 @given(raw_words, raw_words)
