@@ -13,7 +13,6 @@ import sys
 from math import prod
 from typing import Callable
 
-from . import homcheck
 from .cosets import (
     DEFAULT_COSET_CAP,
     cyclic_cover_table,
@@ -22,7 +21,13 @@ from .cosets import (
     todd_coxeter,
 )
 from .errors import KnotcoverError
-from .homcheck import GenAssignment, check_relators, phi_tables, search_surjections
+from .homcheck import (
+    GenAssignment,
+    check_relators,
+    phi_tables,
+    search_surjections,
+    sternfeld_error_repro,
+)
 from .presentations import kj_presentation, kjss_presentation, trefoil_presentation
 from .subgroups import (
     TREFOIL_LONGITUDE,
@@ -202,7 +207,7 @@ def cmd_search_hom(args) -> tuple[dict, list[str], int]:
 
 def _fragment_entry() -> dict:
     """Replay the historical sewing-word evaluation."""
-    repro = homcheck.sternfeld_error_repro()
+    repro = sternfeld_error_repro()
     return {
         "got": str(repro.got),
         "expected": str(repro.expected),

@@ -1,16 +1,22 @@
 """Tests for the command-line interface: exit codes, text and JSON output."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from knotcover import cli
 from knotcover.cli import main
+from knotcover.cosets import DEFAULT_COSET_CAP
+from knotcover.homcheck import GenAssignment, SternfeldRepro
+from knotcover.perm import Perm, parse_cycles
 from knotcover.presentations import trefoil_presentation
-from knotcover.words import print_presentation
+from knotcover.words import GenSym, Presentation, Word, print_presentation, word
 
+README = Path(__file__).parent.parent / "README.md"
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
 GOLDEN_RUN_ALL_TEXT = Path(__file__).parent / "data" / "run_all.txt"
 GOOD_ASSIGNMENT = "a = (1,3,5,4,2)\nb = (1,2,3,4,5)\n"
@@ -281,3 +287,83 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "rank >= 3" in result.stdout
+
+
+# -- the claim registry ------------------------------------------------------
+
+REGISTRY_IDS = [claim for claims, _ in cli.SECTIONS for claim in claims]
+
+
+def test_readme_claim_table_matches_the_registry():
+    section = README.read_text().split("## Claim registry", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([a-z0-9-]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(REGISTRY_IDS)
+
+
+def _kill_first_generator(kj_presentation):
+    def corrupted(j):
+        p = kj_presentation(j)
+        extra = Word(((p.generators[0], 1),))
+        return Presentation(p.generators, p.relators + (extra,))
+    return corrupted
+
+
+# For each claim id: a name its section reads in knotcover.cli, and a
+# function from the real object to a corrupted stand-in.
+CORRUPTIONS = {
+    # one table entry changed
+    cli.CLAIM_TABLES: ("phi_tables", lambda real: lambda j: real(j).with_value(
+        GenSym("e", j), parse_cycles("(1,2,3)"))),
+    # the trivial assignment satisfies every relator but has image order 1
+    cli.CLAIM_SMALL_STAGE_ORDERS: ("phi_tables", lambda real: lambda j: (
+        GenAssignment(dict.fromkeys(real(j).mapping, Perm.identity())))),
+    # the sewing word evaluates to the required image
+    cli.CLAIM_FRAGMENT_MISMATCH: ("sternfeld_error_repro", lambda real: lambda: (
+        SternfeldRepro(real().expected, real().expected))),
+    cli.CLAIM_TREFOIL_SURJECTION: ("search_surjections",
+                                   lambda real: lambda p, limit: []),
+    # the cover of the next fold
+    cli.CLAIM_COVER_H1: ("cyclic_cover_table",
+                         lambda real: lambda p, k: real(p, k + 1)),
+    # enumeration of the whole group: a table of index 1
+    cli.CLAIM_BOUNDARY_QUOTIENT: ("todd_coxeter", lambda real: lambda p, gens, cap: (
+        real(p, [Word(((g, 1),)) for g in p.generators], cap=cap))),
+    # a word off the boundary in place of the longitude
+    cli.CLAIM_BOUNDARY_TRANSITIVE: ("TREFOIL_LONGITUDE", lambda real: word("b")),
+    # one meridian killed, so H1 is trivial
+    cli.CLAIM_KNOT_H1: ("kj_presentation", _kill_first_generator),
+    # the stage-1 kernel at every stage count: no growth
+    cli.CLAIM_KERNEL_GROWTH: ("kernel_homology",
+                              lambda real: lambda j, force=False: real(1)),
+}
+VACUOUS = {
+    cli.CLAIM_BOUNDARY_TRANSITIVE: (
+        "cannot fail today: on every cyclic cover the meridian alone acts as "
+        "a k-cycle, so the longitude is never tested (ROADMAP item 1)"
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", [
+    pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=VACUOUS[c]))
+    if c in VACUOUS else c
+    for c in REGISTRY_IDS
+])
+def test_corrupted_input_fails_its_claim(monkeypatch, claim):
+    name, corrupt = CORRUPTIONS[claim]
+    monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
+    claims, section = next(s for s in cli.SECTIONS if claim in s[0])
+    _, failed, _ = section({"jmax": 3, "kernel_jmax": 3, "cap": DEFAULT_COSET_CAP})
+    assert claim in failed
+    assert set(failed) <= set(claims)
+
+
+def test_run_all_exits_1_when_a_claim_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "search_surjections", lambda p, limit: [])
+    code, out, _ = run_cli(
+        capsys, "run-all", "--jmax", "1", "--kernel-jmax", "1", "--json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["failed"] == [cli.CLAIM_TREFOIL_SURJECTION]
+    assert report["status"] == "fail"
