@@ -481,6 +481,7 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
 
 
 def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str]]:
+    """Run every registry section; return the report and its text lines."""
     if jmax < 1:
         raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax, "cap": cap}
