@@ -255,17 +255,20 @@ def cmd_abelianize(args) -> tuple[dict, list[str], int]:
 
 def _quotient_orders(k: int, cap: int) -> tuple:
     """Order of the k-fold cover modulo its boundary by coset enumeration,
-    its abelianization, and the order that abelianization gives when it is
-    finite (None otherwise)."""
+    its abelianization, and the order that abelianization gives.  A positive
+    free rank proves the quotient infinite: both orders are then None and
+    the enumeration, which could not finish, is skipped."""
     quotient = boundary_quotient(k=k)
-    order = todd_coxeter(quotient, [], cap=cap).index
     inv = abelianize(quotient)
-    return order, inv, prod(inv.torsion) if inv.free_rank == 0 else None
+    if inv.free_rank:
+        return None, inv, None
+    return todd_coxeter(quotient, [], cap=cap).index, inv, prod(inv.torsion)
 
 
 def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
     order, inv, order_from_abelianization = _quotient_orders(args.fold, args.cap)
-    routes_agree = order_from_abelianization == order
+    # an infinite quotient is known by one route only
+    routes_agree = None if order is None else order_from_abelianization == order
     report = {
         "schema": SCHEMA,
         "command": "cover-quotient",
@@ -275,12 +278,19 @@ def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
         "order_from_abelianization": order_from_abelianization,
         "routes_agree": routes_agree,
     }
-    lines = [
-        f"{args.fold}-fold cover modulo boundary: order {order} "
-        f"by coset enumeration, abelianization {inv}",
-        "routes agree" if routes_agree else "routes DISAGREE",
-    ]
-    return report, lines, 0 if routes_agree else 1
+    if order is None:
+        lines = [
+            f"{args.fold}-fold cover modulo boundary: order infinite "
+            f"by abelianization {inv}",
+            "coset enumeration skipped",
+        ]
+    else:
+        lines = [
+            f"{args.fold}-fold cover modulo boundary: order {order} "
+            f"by coset enumeration, abelianization {inv}",
+            "routes agree" if routes_agree else "routes DISAGREE",
+        ]
+    return report, lines, 1 if routes_agree is False else 0
 
 
 def _kernel_entry(j: int, force: bool = False) -> tuple:
@@ -376,8 +386,10 @@ def _surjection_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         f"search found pinned assignment: {rediscovered} "
         f"({len(found)} surjections total)"
     )
-    failed = [] if ok else [CLAIM_TREFOIL_SURJECTION]
-    return {"trefoil_surjection": entry}, failed, [line]
+    if ok:
+        return {"trefoil_surjection": entry}, [], [line]
+    return ({"trefoil_surjection": entry}, [CLAIM_TREFOIL_SURJECTION],
+            [line, f"FAIL {CLAIM_TREFOIL_SURJECTION}"])
 
 
 def _cover_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
@@ -463,8 +475,9 @@ def _kernel_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
     ]
     fragment = {"kernel_homology": kernel,
                 "kernel_growth_strict_from_stage_2": strict}
-    failed = [] if strict else [CLAIM_KERNEL_GROWTH]
-    return fragment, failed, lines
+    if strict:
+        return fragment, [], lines
+    return fragment, [CLAIM_KERNEL_GROWTH], lines + [f"FAIL {CLAIM_KERNEL_GROWTH}"]
 
 
 # The claim registry: each section with the claim ids it can report.

@@ -20,21 +20,38 @@ rule so results are deterministic:
    Every intermediate value is a true minor of the residual, which
    bounds coefficient size and yields the rank r plus the determinant D
    of a nonsingular r x r minor.
-3. Modulo-D elimination of the residual.  Because every invariant
-   factor divides D, rows D*e_j may be adjoined for each residual
-   column without changing the torsion, which licenses reducing every
-   entry into the balanced range (-D/2, D/2].  Extracted pivots v give
-   factors gcd(v, D) and columns exhausted mod D give factor D.  These
-   factors normalise to the chain of the adjoined matrix, d_1 | ... |
-   d_r followed by cols - r copies of D; the reduction may split a
-   factor into coprime pieces, so the factors are normalised to that
-   chain first and its last cols - r entries are then dropped.
+3. Local elimination of the residual, one prime at a time.  Every
+   invariant factor divides D, and so does their product, so when D
+   factors over the primes below 100 each p-part is found modulo p^k:
+   Z/p^k is local, so the first entry (row-major) not divisible by p is
+   a unit pivot and clears its column in one row operation per row;
+   when no unit is left everything is divided by p and later pivots
+   count one power of p more.  The rows of the residual plus p^k Z^cols
+   have invariant factors gcd(d_i, p^k) and copies of p^k, so r pivots
+   certify that every p-part is below p^k and exact.  With fewer, k
+   (started at the largest power below 2^30) doubles, capped at v_p(D),
+   where the missing p-parts can only be p^v_p(D).  The sorted exponent
+   lists of the primes zip into d_1 | ... | d_r.
+   If D has a prime factor of 100 or more, modulo-D elimination runs
+   instead.  Because every invariant factor divides D, rows D*e_j may
+   be adjoined for each residual column without changing the torsion,
+   which licenses reducing every entry into the balanced range
+   (-D/2, D/2].  Extracted pivots v give factors gcd(v, D) and columns
+   exhausted mod D give factor D.  These factors normalise to the chain
+   of the adjoined matrix, d_1 | ... | d_r followed by cols - r copies
+   of D; the reduction may split a factor into coprime pieces, so the
+   factors are normalised to that chain first and its last cols - r
+   entries are then dropped.
 
 The factors of all stages are merged into one divisibility chain.
 Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
-elimination.
+elimination.  On the kernel matrices the local stage works modulo
+prime powers below 2^30 instead of a determinant of 137 bits or more
+(stage count 5 on); it follows the local approach of Dumas, Saunders
+and Villard ("On efficient sparse integer matrix Smith normal forms",
+2001).
 """
 
 from __future__ import annotations
@@ -73,7 +90,11 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
     dense, ncols = _densify(work)
     rank_rest, det = _bareiss_rank_det([row[:] for row in dense])
     if rank_rest:
-        factors.extend(_mod_det_factors(dense, ncols, rank_rest, det))
+        valuations = _smooth_valuations(det)
+        if valuations is None:
+            factors.extend(_mod_det_factors(dense, ncols, rank_rest, det))
+        else:
+            factors.extend(_local_factors(dense, rank_rest, valuations))
     return _divisibility_chain(factors), len(factors)
 
 
@@ -217,6 +238,96 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
         prev = piv
         rank += 1
     return rank, abs(prev) if rank else 0
+
+
+_SMALL_PRIMES = tuple(p for p in range(2, 100)
+                      if all(p % q for q in range(2, p)))
+
+
+def _smooth_valuations(det: int) -> dict[int, int] | None:
+    """{p: v_p(det)} when det factors over the primes below 100, else None."""
+    valuations = {}
+    for p in _SMALL_PRIMES:
+        v = 0
+        while det % p == 0:
+            det //= p
+            v += 1
+        if v:
+            valuations[p] = v
+    return valuations if det == 1 else None
+
+
+def _local_factors(
+    dense: list[list[int]], rank: int, valuations: dict[int, int]
+) -> list[int]:
+    """Invariant factors of the dense residual from its p-parts.
+
+    ``valuations`` maps each prime p dividing the determinant D of a
+    nonsingular rank x rank minor to v_p(D); the product of the
+    invariant factors divides D, so no other prime occurs and no
+    p-part exceeds p^v_p(D).  Exponent lists are sorted, so zipping
+    them gives the chain d_1 | ... | d_rank.
+    """
+    factors = [1] * rank
+    for p, v in valuations.items():
+        k = 1
+        while p ** (k + 1) < 1 << 30:
+            k += 1
+        k = min(k, v)
+        while True:
+            exponents = _local_exponents(dense, p, k, rank)
+            # rank pivots certify every p-part; at k = v_p(D) the
+            # missing ones can only be p^k.
+            if len(exponents) == rank or k == v:
+                break
+            k = min(2 * k, v)
+        exponents += [k] * (rank - len(exponents))
+        factors = [d * p ** e for d, e in zip(factors, exponents)]
+    return factors
+
+
+def _local_exponents(dense: list[list[int]], p: int, k: int,
+                     limit: int) -> list[int]:
+    """Exponents below k of the invariant factors of the rows modulo p^k.
+
+    Z/p^k is local, so every entry not divisible by p is a unit and
+    clears its column in one row operation per row.  When no unit is
+    left, every entry is divisible by p: dividing by p lowers k by one
+    and raises the exponent of later pivots by one.  The result is
+    sorted and stops at ``limit`` pivots.
+    """
+    q = p ** k
+    rows = [row for row in ([x % q for x in r] for r in dense) if any(row)]
+    exponents: list[int] = []
+    shift = 0
+    while rows and len(exponents) < limit:
+        for i, row in enumerate(rows):
+            pc = next((j for j, x in enumerate(row) if x % p), None)
+            if pc is not None:
+                break
+        else:
+            q //= p
+            shift += 1
+            rows = [row for row in ([x // p for x in r] for r in rows)
+                    if any(row)]
+            continue
+        # Once the pivot column is cleared it is zero in every other row,
+        # so it is dropped; the rest of the pivot row would be cleared by
+        # column operations that touch no other row.
+        prow = rows.pop(i)
+        inv = pow(prow.pop(pc), -1, q)
+        prow = [x * inv % q for x in prow]
+        cleared = []
+        for row in rows:
+            f = row.pop(pc)
+            if f:
+                row = [(x - f * y) % q for x, y in zip(row, prow)]
+                if not any(row):
+                    continue
+            cleared.append(row)
+        rows = cleared
+        exponents.append(shift)
+    return exponents
 
 
 def _mod_det_factors(

@@ -14,6 +14,7 @@ from knotcover.cosets import DEFAULT_COSET_CAP
 from knotcover.homcheck import GenAssignment, SternfeldRepro
 from knotcover.perm import Perm, parse_cycles
 from knotcover.presentations import trefoil_presentation
+from knotcover.subgroups import KERNEL_HOMOLOGY_MAX_STAGES
 from knotcover.words import GenSym, Presentation, Word, print_presentation, word
 
 README = Path(__file__).parent.parent / "README.md"
@@ -185,9 +186,35 @@ def test_kernel_homology_command(capsys):
 
 
 def test_kernel_homology_guard_is_an_error_exit(capsys):
-    code, _, err = run_cli(capsys, "kernel-homology", "--j", "9")
+    past_cap = str(KERNEL_HOMOLOGY_MAX_STAGES + 1)
+    code, out, err = run_cli(capsys, "kernel-homology", "--j", past_cap)
     assert code == 2
-    assert "force" in err
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "force" in err
+
+
+@pytest.mark.parametrize("fold", range(1, 13))
+def test_cover_quotient_orders_repeat_with_period_six(capsys, fold):
+    expected = [1, 3, 4, 3, 1, None][(fold - 1) % 6]
+    code, out, _ = run_cli(capsys, "cover-quotient", "--fold", str(fold), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == report["order_from_abelianization"] == expected
+    assert (report["abelianization"]["free_rank"] > 0) == (expected is None)
+    assert report["routes_agree"] is (None if expected is None else True)
+
+
+def test_infinite_cover_quotient_skips_the_enumeration(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset enumeration of an infinite group")
+    monkeypatch.setattr(cli, "todd_coxeter", refuse)
+    code, out, _ = run_cli(capsys, "cover-quotient", "--fold", "6")
+    assert code == 0
+    assert out.splitlines() == [
+        "6-fold cover modulo boundary: order infinite by abelianization Z + Z",
+        "coset enumeration skipped",
+    ]
 
 
 def test_rank_bound_command(capsys):
@@ -353,9 +380,24 @@ def test_corrupted_input_fails_its_claim(monkeypatch, claim):
     name, corrupt = CORRUPTIONS[claim]
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
     claims, section = next(s for s in cli.SECTIONS if claim in s[0])
-    _, failed, _ = section({"jmax": 3, "kernel_jmax": 3, "cap": DEFAULT_COSET_CAP})
+    _, failed, lines = section({"jmax": 3, "kernel_jmax": 3, "cap": DEFAULT_COSET_CAP})
     assert claim in failed
     assert set(failed) <= set(claims)
+    assert any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("claim", [cli.CLAIM_TREFOIL_SURJECTION,
+                                   cli.CLAIM_KERNEL_GROWTH])
+def test_run_all_text_names_a_failed_claim(capsys, monkeypatch, claim):
+    # these sections print no ok/FAIL mark on their lines, so the claim
+    # id is named on a line of its own
+    name, corrupt = CORRUPTIONS[claim]
+    monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
+    code, out, _ = run_cli(capsys, "run-all", "--jmax", "3", "--kernel-jmax", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL {claim}"]
+    assert lines[-1] == "status: fail"
 
 
 def test_run_all_exits_1_when_a_claim_fails(capsys, monkeypatch):

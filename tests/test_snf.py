@@ -2,6 +2,7 @@
 
 import doctest
 import random
+from collections import Counter
 from itertools import count
 from math import gcd
 
@@ -253,9 +254,72 @@ def stress_matrices():
 STRESS = stress_matrices()
 
 
-def test_random_stress_against_oracle():
+# -- the torsion stage: local modulo p^k, or modulo D as the fallback --------
+
+@pytest.fixture
+def torsion_calls(monkeypatch):
+    """Record every call of the two torsion paths and check each result
+    against the oracle on the residual it was given: ("local", p, k) per
+    elimination modulo p^k, ("fallback",) per modulo-D run."""
+    calls = []
+
+    def checked(stage):
+        def run(dense, *args):
+            got = stage(dense, *args)
+            assert got == naive_snf(dense)[0], dense
+            return got
+        return run
+
+    def local_exponents(dense, p, k, limit):
+        calls.append(("local", p, k))
+        return real_exponents(dense, p, k, limit)
+
+    def mod_det(*args):
+        calls.append(("fallback",))
+        return real_mod_det(*args)
+
+    real_exponents, real_mod_det = snf._local_exponents, snf._mod_det_factors
+    monkeypatch.setattr(snf, "_local_exponents", local_exponents)
+    monkeypatch.setattr(snf, "_local_factors", checked(snf._local_factors))
+    monkeypatch.setattr(snf, "_mod_det_factors", checked(mod_det))
+    return calls
+
+
+def test_random_stress_against_oracle(torsion_calls):
+    # every residual's torsion stage is checked too, and both paths run
     for matrix in STRESS:
         assert smith_normal_form(matrix) == naive_snf(matrix), matrix
+    paths = Counter(call[0] for call in torsion_calls)
+    assert paths["local"] > 0 and paths["fallback"] > 0
+
+
+def test_large_prime_in_the_determinant_takes_the_fallback(torsion_calls):
+    # no entry divides its row and column; D = 3*5 - 7*101 = -4 * 173
+    matrix = [[101, 3], [5, 7]]
+    assert smith_normal_form(matrix) == naive_snf(matrix) == ([1, 692], 2)
+    assert torsion_calls == [("fallback",)]
+
+
+@pytest.mark.parametrize("matrix, factors, ks", [
+    # 2^30 * M with det M = 1: D = 2^60, nothing survives modulo 2^29,
+    # and both pivots appear modulo 2^58
+    ([[2**31, 3 * 2**30], [3 * 2**30, 5 * 2**30]], [2**30, 2**30], [29, 58]),
+    # D = 2^40 is the second factor: one pivot modulo 2^29 and modulo
+    # 2^40 = 2^v_2(D), where the missing one can only be 2^40
+    ([[3, 5], [7, (2**40 + 35) // 3]], [1, 2**40], [29, 40]),
+], ids=["doubled", "capped"])
+def test_two_adic_valuation_past_the_start_doubles_k(torsion_calls, matrix,
+                                                      factors, ks):
+    assert smith_normal_form(matrix) == naive_snf(matrix) == (factors, 2)
+    assert torsion_calls == [("local", 2, k) for k in ks]
+
+
+def test_local_stage_with_more_columns_than_rank(torsion_calls):
+    # rank 2 on 3 columns, the third row the sum of the first two;
+    # D = 132 = 2^2 * 3 * 11, each prime settled at its valuation
+    matrix = [[6, 10, 0], [14, 0, 22], [20, 10, 22]]
+    assert smith_normal_form(matrix) == naive_snf(matrix) == ([2, 2], 2)
+    assert torsion_calls == [("local", 2, 2), ("local", 3, 1), ("local", 11, 1)]
 
 
 # -- rank modulo p: a certificate independent of the SNF code ---------------

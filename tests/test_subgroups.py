@@ -17,6 +17,7 @@ from knotcover.homcheck import (
 from knotcover.perm import Perm
 from knotcover.presentations import kjss_presentation, trefoil_presentation
 from knotcover.subgroups import (
+    KERNEL_HOMOLOGY_MAX_STAGES,
     TREFOIL_LONGITUDE,
     TREFOIL_MERIDIAN,
     AbelianInvariants,
@@ -315,8 +316,17 @@ def test_kernel_homology_stage_six():
     assert Counter(inv.torsion) == {2: 31, 6: 90, 30: 7, 360: 6, 720: 1, 3600: 3}
 
 
+def test_kernel_homology_stage_seven():
+    inv = kernel_homology(7)
+    assert inv.free_rank == 106
+    assert Counter(inv.torsion) == {
+        3: 9, 6: 115, 30: 8, 120: 2, 360: 6, 720: 2, 3600: 6}
+    assert inv.min_generators == 254
+
+
 def test_kernel_homology_guard():
+    assert KERNEL_HOMOLOGY_MAX_STAGES == 9
     with pytest.raises(CapacityError, match="force"):
-        kernel_homology(7)
+        kernel_homology(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     with pytest.raises(ValueError):
         kernel_homology(0)
