@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import prod
 from typing import Callable
@@ -610,7 +611,15 @@ def main(argv: list[str] | None = None) -> int:
     except KnotcoverError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(report, lines, args.json)
+    try:
+        _emit(report, lines, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early; send the rest of stdout to devnull so
+        # the interpreter's final flush raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -20,28 +20,24 @@ rule so results are deterministic:
    Every intermediate value is a true minor of the residual, which
    bounds coefficient size and yields the rank r plus the determinant D
    of a nonsingular r x r minor.
-3. Local elimination of the residual, one prime at a time.  Every
-   invariant factor divides D, and so does their product, so when D
-   factors over the primes below 100 each p-part is found modulo p^k:
-   Z/p^k is local, so the first entry (row-major) not divisible by p is
-   a unit pivot and clears its column in one row operation per row;
-   when no unit is left everything is divided by p and later pivots
-   count one power of p more.  The rows of the residual plus p^k Z^cols
-   have invariant factors gcd(d_i, p^k) and copies of p^k, so r pivots
-   certify that every p-part is below p^k and exact.  With fewer, k
-   (started at the largest power below 2^30) doubles, capped at v_p(D),
-   where the missing p-parts can only be p^v_p(D).  The sorted exponent
-   lists of the primes zip into d_1 | ... | d_r.
-   If D has a prime factor of 100 or more, modulo-D elimination runs
-   instead.  Because every invariant factor divides D, rows D*e_j may
-   be adjoined for each residual column without changing the torsion,
-   which licenses reducing every entry into the balanced range
-   (-D/2, D/2].  Extracted pivots v give factors gcd(v, D) and columns
-   exhausted mod D give factor D.  These factors normalise to the chain
-   of the adjoined matrix, d_1 | ... | d_r followed by cols - r copies
-   of D; the reduction may split a factor into coprime pieces, so the
-   factors are normalised to that chain first and its last cols - r
-   entries are then dropped.
+3. Local elimination of the residual, one base at a time.  Every
+   invariant factor divides D, and so does their product.  The bases
+   are the cofactor C of D left by the primes below 100, then those
+   primes; they stay pairwise coprime and every prime of D divides one.
+   Each b-part is found modulo b^k: entries coprime to b are units, so
+   the first entry (row-major) not divisible by b is a pivot and clears
+   its column in one row operation per row; when no such entry is left
+   everything is divided by b and later pivots count one power of b
+   more.  The rows of the residual plus b^k Z^cols have invariant
+   factors gcd(d_i, b^k) and copies of b^k, so r pivots certify that
+   every b-part is below b^k and a power of b.  With fewer, k (started
+   at the largest power below 2^30) doubles, capped at v where D = b^v c
+   with gcd(b, c) = 1: there the missing b-parts can only be b^v.  A
+   base is split, following the dynamic evaluation of Della Dora,
+   Dicrescenzo and Duval (EUROCAL '85), when gcd(b, c) > 1 or a pivot
+   shares a factor g with b: b becomes g and b stripped of every prime
+   of g, and each piece is worked again.  The sorted exponent lists of
+   the bases zip into d_1 | ... | d_r.
 
 The factors of all stages are merged into one divisibility chain.
 Stage 1 handles the bulk of the large, very sparse relator matrices
@@ -87,14 +83,10 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
     """
     work = {i: dict(r) for i, r in rows.items() if r}
     factors = _divisor_stage(work)
-    dense, ncols = _densify(work)
+    dense = _densify(work)
     rank_rest, det = _bareiss_rank_det([row[:] for row in dense])
     if rank_rest:
-        valuations = _smooth_valuations(det)
-        if valuations is None:
-            factors.extend(_mod_det_factors(dense, ncols, rank_rest, det))
-        else:
-            factors.extend(_local_factors(dense, rank_rest, valuations))
+        factors.extend(_local_factors(dense, rank_rest, det))
     return _divisibility_chain(factors), len(factors)
 
 
@@ -183,7 +175,7 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
                         push(i, j, g)
 
 
-def _densify(rows: SparseRows) -> tuple[list[list[int]], int]:
+def _densify(rows: SparseRows) -> list[list[int]]:
     """Pack the residual into a dense matrix over its live columns."""
     live = sorted({j for r in rows.values() for j in r})
     colmap = {j: k for k, j in enumerate(live)}
@@ -193,7 +185,7 @@ def _densify(rows: SparseRows) -> tuple[list[list[int]], int]:
         for j, v in rows[i].items():
             row[colmap[j]] = v
         dense.append(row)
-    return dense, len(live)
+    return dense
 
 
 def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
@@ -244,78 +236,98 @@ _SMALL_PRIMES = tuple(p for p in range(2, 100)
                       if all(p % q for q in range(2, p)))
 
 
-def _smooth_valuations(det: int) -> dict[int, int] | None:
-    """{p: v_p(det)} when det factors over the primes below 100, else None."""
-    valuations = {}
-    for p in _SMALL_PRIMES:
-        v = 0
-        while det % p == 0:
-            det //= p
-            v += 1
-        if v:
-            valuations[p] = v
-    return valuations if det == 1 else None
+def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
+    """Invariant factors of the dense residual from its b-parts.
 
-
-def _local_factors(
-    dense: list[list[int]], rank: int, valuations: dict[int, int]
-) -> list[int]:
-    """Invariant factors of the dense residual from its p-parts.
-
-    ``valuations`` maps each prime p dividing the determinant D of a
-    nonsingular rank x rank minor to v_p(D); the product of the
-    invariant factors divides D, so no other prime occurs and no
-    p-part exceeds p^v_p(D).  Exponent lists are sorted, so zipping
-    them gives the chain d_1 | ... | d_rank.
+    ``det`` is the determinant D of a nonsingular rank x rank minor; the
+    product of the invariant factors divides D.  The bases b, the
+    cofactor of D left by the primes below 100 and then those primes,
+    stay pairwise coprime.  A base is worked only when D = b^v c with
+    gcd(b, c) = 1, so no b-part exceeds b^v; a factor of b found by the
+    determinant or by a pivot splits it.  Exponent lists are sorted, so
+    zipping them gives d_1 | ... | d_rank.
     """
+    bases = [p for p in _SMALL_PRIMES if det % p == 0]
+    cofactor = det
+    for p in bases:
+        while cofactor % p == 0:
+            cofactor //= p
+    if cofactor > 1:
+        bases.insert(0, cofactor)
     factors = [1] * rank
-    for p, v in valuations.items():
+    while bases:
+        b = bases.pop(0)
+        v, c = 0, det
+        while c % b == 0:
+            c //= b
+            v += 1
+        split = gcd(b, c)
         k = 1
-        while p ** (k + 1) < 1 << 30:
+        while b ** (k + 1) < 1 << 30:
             k += 1
         k = min(k, v)
-        while True:
-            exponents = _local_exponents(dense, p, k, rank)
-            # rank pivots certify every p-part; at k = v_p(D) the
-            # missing ones can only be p^k.
-            if len(exponents) == rank or k == v:
+        while split == 1:
+            exponents = _local_exponents(dense, b, k, rank)
+            if isinstance(exponents, int):
+                split = exponents
+            # rank pivots certify every b-part; at k = v the missing
+            # ones can only be b^k.
+            elif len(exponents) == rank or k == v:
                 break
-            k = min(2 * k, v)
+            else:
+                k = min(2 * k, v)
+        if split > 1:
+            bases[:0] = _split_base(b, split)
+            continue
         exponents += [k] * (rank - len(exponents))
-        factors = [d * p ** e for d, e in zip(factors, exponents)]
+        factors = [d * b ** e for d, e in zip(factors, exponents)]
     return factors
 
 
-def _local_exponents(dense: list[list[int]], p: int, k: int,
-                     limit: int) -> list[int]:
-    """Exponents below k of the invariant factors of the rows modulo p^k.
+def _split_base(b: int, g: int) -> list[int]:
+    """Coprime pieces of b for a factor 1 < g < b: g and b stripped of
+    every prime of g (dropped when 1)."""
+    rest = b
+    while (h := gcd(rest, g)) > 1:
+        rest //= h
+    return [g, rest] if rest > 1 else [g]
 
-    Z/p^k is local, so every entry not divisible by p is a unit and
-    clears its column in one row operation per row.  When no unit is
-    left, every entry is divisible by p: dividing by p lowers k by one
-    and raises the exponent of later pivots by one.  The result is
-    sorted and stops at ``limit`` pivots.
+
+def _local_exponents(dense: list[list[int]], b: int, k: int,
+                     limit: int) -> list[int] | int:
+    """Exponents below k of the invariant factors of the rows modulo b^k.
+
+    Every entry coprime to b is a unit modulo b^k and clears its column
+    in one row operation per row.  When every entry is divisible by b,
+    dividing by b lowers k by one and raises the exponent of later
+    pivots by one.  The result is sorted and stops at ``limit`` pivots.
+    The first entry (row-major) not divisible by b is the pivot; if it
+    shares a factor g with b, the elimination stops and returns g.
     """
-    q = p ** k
+    q = b ** k
     rows = [row for row in ([x % q for x in r] for r in dense) if any(row)]
     exponents: list[int] = []
     shift = 0
     while rows and len(exponents) < limit:
         for i, row in enumerate(rows):
-            pc = next((j for j, x in enumerate(row) if x % p), None)
+            pc = next((j for j, x in enumerate(row) if x % b), None)
             if pc is not None:
                 break
         else:
-            q //= p
+            q //= b
             shift += 1
-            rows = [row for row in ([x // p for x in r] for r in rows)
+            rows = [row for row in ([x // b for x in r] for r in rows)
                     if any(row)]
             continue
         # Once the pivot column is cleared it is zero in every other row,
         # so it is dropped; the rest of the pivot row would be cleared by
         # column operations that touch no other row.
         prow = rows.pop(i)
-        inv = pow(prow.pop(pc), -1, q)
+        pivot = prow.pop(pc)
+        g = gcd(pivot, b)
+        if g > 1:
+            return g
+        inv = pow(pivot, -1, q)
         prow = [x * inv % q for x in prow]
         cleared = []
         for row in rows:
@@ -328,110 +340,6 @@ def _local_exponents(dense: list[list[int]], p: int, k: int,
         rows = cleared
         exponents.append(shift)
     return exponents
-
-
-def _mod_det_factors(
-    dense: list[list[int]], ncols: int, rank: int, det: int
-) -> list[int]:
-    """Invariant factors of the dense residual via modulo-D reduction.
-
-    ``det`` is the determinant of a nonsingular rank x rank minor; all
-    invariant factors divide it, so arithmetic is sound modulo det with
-    entries kept in the balanced range.  Exactly ``ncols - rank``
-    spurious factors equal to det are discarded.
-    """
-    d = det
-    half = d // 2
-
-    def bal(v: int) -> int:
-        v %= d
-        if v > half:
-            v -= d
-        return v
-
-    rows: SparseRows = {}
-    for i, row in enumerate(dense):
-        entries = {j: bal(v) for j, v in enumerate(row)}
-        entries = {j: v for j, v in entries.items() if v}
-        if entries:
-            rows[i] = entries
-    cols: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-
-    def row_sub(t: int, s: int, q: int) -> None:
-        trow = rows[t]
-        for j, v in rows[s].items():
-            new = bal(trow.get(j, 0) - q * v)
-            if new:
-                if j not in trow:
-                    cols[j].add(t)
-                trow[j] = new
-            elif j in trow:
-                del trow[j]
-                cols[j].discard(t)
-        if not trow:
-            del rows[t]
-
-    factors = []
-    pivot_cols = 0
-    while rows:
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                key = (abs(v), i, j)
-                if best is None or key < best:
-                    best = key
-        _, pr, pc = best
-        while True:
-            v = rows[pr][pc]
-            moved = False
-            for i in sorted(cols[pc]):
-                if i == pr:
-                    continue
-                e = rows[i][pc]
-                q = e // v
-                if q:
-                    row_sub(i, pr, q)
-                if rows.get(i, {}).get(pc):
-                    pr = i
-                    moved = True
-                    break
-            if moved:
-                continue
-            prow = rows[pr]
-            v = prow[pc]
-            for j in sorted(prow):
-                if j == pc:
-                    continue
-                e = prow[j]
-                q = e // v
-                if q:
-                    new = bal(e - q * v)
-                    if new:
-                        prow[j] = new
-                    else:
-                        del prow[j]
-                        cols[j].discard(pr)
-                if prow.get(j):
-                    pc = j
-                    moved = True
-                    break
-            if moved:
-                continue
-            break
-        factors.append(gcd(rows[pr][pc], d))
-        for j in list(rows[pr]):
-            cols[j].discard(pr)
-        del rows[pr]
-        pivot_cols += 1
-    # Columns exhausted modulo det carry factor det from the adjoined
-    # rows.  Reduction modulo det can split a factor into coprime
-    # pieces, so only the chain is well defined: it ends in the
-    # cols - rank artifact copies of det, which are dropped.
-    factors.extend([d] * (ncols - pivot_cols))
-    return _divisibility_chain(factors)[:rank]
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, text and JSON output."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -314,6 +315,25 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "rank >= 3" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover-quotient", "--fold", "2"],
+    ["cover-quotient", "--fold", "2", "--json"],
+], ids=["text", "json"])
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv):
+    # a pipe whose read end is closed before the command writes, which
+    # `| head -c 0` only gives when the reader wins the race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "knotcover.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 # -- the claim registry ------------------------------------------------------

@@ -131,12 +131,11 @@ def test_divisor_stage_skips_entries_that_do_not_divide_their_column():
     assert smith_normal_form([[2, 0], [3, 5]]) == ([1, 10], 2)
 
 
-def test_modulo_det_stage_survives_a_split_factor():
-    # Reduction modulo 180 splits a factor into coprime pieces, so no
-    # literal copy of 180 is left among the column factors to drop.
+def test_residual_that_split_a_factor_modulo_det():
+    # Reduction modulo D = 180 once split a factor of this residual into
+    # coprime pieces; the local stage must give the oracle's chain too.
     residual = [[12, 10, 0], [-12, -48, 18], [-12, -48, 18]]
-    assert snf._mod_det_factors(residual, 3, 2, 180) == [2, 6]
-    assert naive_snf(residual) == ([2, 6], 2)
+    assert smith_normal_form(residual) == naive_snf(residual) == ([2, 6], 2)
 
 
 def test_single_entry():
@@ -215,10 +214,11 @@ def test_large_entries_stay_exact():
 
 
 def stress_matrices():
-    """Seeded small matrices in four families: sparse ones, some with a
+    """Seeded small matrices in five families: sparse ones, some with a
     doubled row; dense ones; low-rank products A B (whose modulo-det
     stage once crashed); rows and columns scaled by 2, 3 or 6 (which
-    need divisor pivots)."""
+    need divisor pivots); multiples of 101, 103, 101*103 and 101^2 with
+    sparse small noise (whose torsion bases split)."""
     rng = random.Random(1207)
     out = []
     for _ in range(300):
@@ -248,56 +248,82 @@ def stress_matrices():
         cs = [rng.choice((1, 2, 3, 6)) for _ in range(nc)]
         out.append([[rs[x] * cs[y] * rng.randint(-3, 3) for y in range(nc)]
                     for x in range(nr)])
+    for _ in range(400):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        out.append([[rng.choice((101, 103, 101 * 103, 101**2))
+                     * rng.randint(-2, 2)
+                     + (rng.randint(-2, 2) if rng.random() < 0.3 else 0)
+                     for _ in range(nc)] for _ in range(nr)])
     return out
 
 
 STRESS = stress_matrices()
 
 
-# -- the torsion stage: local modulo p^k, or modulo D as the fallback --------
+# -- the torsion stage: local modulo b^k, with bases split on demand ---------
 
 @pytest.fixture
 def torsion_calls(monkeypatch):
-    """Record every call of the two torsion paths and check each result
-    against the oracle on the residual it was given: ("local", p, k) per
-    elimination modulo p^k, ("fallback",) per modulo-D run."""
+    """Record the torsion stage's work and check each of its results
+    against the oracle on the residual it was given: ("local", b, k) per
+    elimination modulo b^k, ("split", b, g) per split of b at g."""
     calls = []
 
-    def checked(stage):
-        def run(dense, *args):
-            got = stage(dense, *args)
-            assert got == naive_snf(dense)[0], dense
-            return got
-        return run
+    def local_factors(dense, *args):
+        got = real_factors(dense, *args)
+        assert got == naive_snf(dense)[0], dense
+        return got
 
-    def local_exponents(dense, p, k, limit):
-        calls.append(("local", p, k))
-        return real_exponents(dense, p, k, limit)
+    def local_exponents(dense, b, k, limit):
+        calls.append(("local", b, k))
+        return real_exponents(dense, b, k, limit)
 
-    def mod_det(*args):
-        calls.append(("fallback",))
-        return real_mod_det(*args)
+    def split_base(b, g):
+        calls.append(("split", b, g))
+        return real_split(b, g)
 
-    real_exponents, real_mod_det = snf._local_exponents, snf._mod_det_factors
+    real_factors = snf._local_factors
+    real_exponents = snf._local_exponents
+    real_split = snf._split_base
+    monkeypatch.setattr(snf, "_local_factors", local_factors)
     monkeypatch.setattr(snf, "_local_exponents", local_exponents)
-    monkeypatch.setattr(snf, "_local_factors", checked(snf._local_factors))
-    monkeypatch.setattr(snf, "_mod_det_factors", checked(mod_det))
+    monkeypatch.setattr(snf, "_split_base", split_base)
     return calls
 
 
 def test_random_stress_against_oracle(torsion_calls):
-    # every residual's torsion stage is checked too, and both paths run
+    # every residual's torsion stage is checked too; some bases are not
+    # primes below 100, and some of those split
     for matrix in STRESS:
         assert smith_normal_form(matrix) == naive_snf(matrix), matrix
-    paths = Counter(call[0] for call in torsion_calls)
-    assert paths["local"] > 0 and paths["fallback"] > 0
+    kinds = Counter(call[0] for call in torsion_calls)
+    assert kinds["local"] > 0 and kinds["split"] > 0
+    assert any(b not in snf._SMALL_PRIMES
+               for kind, b, _ in torsion_calls if kind == "local")
 
 
-def test_large_prime_in_the_determinant_takes_the_fallback(torsion_calls):
-    # no entry divides its row and column; D = 3*5 - 7*101 = -4 * 173
+def test_large_prime_in_the_determinant_is_a_base(torsion_calls):
+    # no entry divides its row and column; D = 3*5 - 7*101 = -4 * 173,
+    # and the cofactor 173 is worked before the prime 2
     matrix = [[101, 3], [5, 7]]
     assert smith_normal_form(matrix) == naive_snf(matrix) == ([1, 692], 2)
-    assert torsion_calls == [("fallback",)]
+    assert torsion_calls == [("local", 173, 1), ("local", 2, 2)]
+
+
+@pytest.mark.parametrize("matrix, factors, calls", [
+    # D = 83327 = 103 * 809 is the cofactor; the pivot 103 splits it
+    ([[309, 103], [103, 304]], [1, 83327],
+     [("local", 83327, 1), ("split", 83327, 103),
+      ("local", 103, 1), ("local", 809, 1)]),
+    # D = 2 * 101^3: the cofactor 101^3 splits at the pivot 10201, and
+    # D is not 10201^v times a coprime part, so 10201 splits to 101
+    ([[-10201, 0], [-3, 202]], [1, 2060602],
+     [("local", 101**3, 1), ("split", 101**3, 10201), ("split", 10201, 101),
+      ("local", 101, 3), ("local", 2, 1)]),
+], ids=["pivot", "determinant"])
+def test_split_bases_match_the_oracle(torsion_calls, matrix, factors, calls):
+    assert smith_normal_form(matrix) == naive_snf(matrix) == (factors, 2)
+    assert torsion_calls == calls
 
 
 @pytest.mark.parametrize("matrix, factors, ks", [
@@ -347,17 +373,58 @@ def rank_mod_p(rows, p):
     return len(echelon)
 
 
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Miller-Rabin with the first twelve prime bases, which is exact
+    for n < 3.3 * 10^24 (the stress torsion stays below 2^73)."""
+    if n < 2 or any(n % p == 0 for p in MR_BASES):
+        return n in MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def primes_dividing(n):
-    out, q = [], 2
-    while q * q <= n:
+    """Sorted prime factors of n > 0: trial division by small primes,
+    then Pollard's rho (Floyd cycle finding) on what is left."""
+    out, left = set(), []
+    for q in range(2, 1000):
         if n % q == 0:
-            out.append(q)
+            out.add(q)
             while n % q == 0:
                 n //= q
-        q += 1
     if n > 1:
-        out.append(n)
-    return out
+        left.append(n)
+    while left:
+        m = left.pop()
+        if is_prime(m):
+            out.add(m)
+            continue
+        c, g = 0, m
+        while g == m:
+            c += 1
+            x = y = 2
+            g = 1
+            while g == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                g = gcd(x - y, m)
+        left += [g, m // g]
+    return sorted(out)
 
 
 def assert_rank_certificate(rows, ncols, free_rank, torsion):
