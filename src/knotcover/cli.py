@@ -461,10 +461,7 @@ def _knot_h1_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
 
 
 def _kernel_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
-    kernel = [
-        _kernel_entry(j)[0]
-        for j in range(1, min(inputs["jmax"], inputs["kernel_jmax"]) + 1)
-    ]
+    kernel = [_kernel_entry(j)[0] for j in range(1, inputs["kernel_jmax"] + 1)]
     counts = [k["min_generators"] for k in kernel]
     growth = [counts[i + 1] - counts[i] for i in range(len(counts) - 1)]
     # growth from stage 2 on is the claim; stage 1 is the trefoil baseline
@@ -498,6 +495,8 @@ def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str
     """Run every registry section; return the report and its text lines."""
     if jmax < 1:
         raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
+    if kernel_jmax < 1:
+        raise KnotcoverError(f"kernel_jmax must be at least 1, got {kernel_jmax}")
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax, "cap": cap}
     results: dict = {}
     failed: list[str] = []

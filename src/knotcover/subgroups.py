@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
@@ -44,25 +45,28 @@ class SubgroupPresentation:
         """Rewrite rep(coset) * w * rep(trace(coset, w))^-1 in the Schreier
         generators.  With trace(coset, w) == coset this is the rewriting of
         a subgroup element conjugated by the transversal representative."""
-        return _rewrite(self.table, self.tree, coset, w)
+        return _rewrite(self.table, self._names, coset, w)
+
+    @cached_property
+    def _names(self) -> dict[tuple[int, GenSym], GenSym]:
+        return dict(zip(self.schreier_gens, self.presentation.generators))
 
 
-def _schreier_name(coset: int, g: GenSym) -> GenSym:
-    return GenSym(f"{g.name}x", coset)
-
-
-def _rewrite(t: CosetTable, tree: frozenset, coset: int, w: Word) -> Word:
+def _rewrite(t: CosetTable, names: dict[tuple[int, GenSym], GenSym],
+             coset: int, w: Word) -> Word:
+    """Rewrite a word read from ``coset``; ``names`` maps each Schreier pair
+    to its generator, and a pair it lacks is a tree edge."""
     out = []
     cur = coset
     for sym, sign in w:
         if sign > 0:
-            pair = (cur, sym)
             nxt = t.step(cur, sym, 1)
+            name = names.get((cur, sym))
         else:
             nxt = t.step(cur, sym, -1)
-            pair = (nxt, sym)
-        if pair not in tree:
-            out.append((_schreier_name(*pair), sign))
+            name = names.get((nxt, sym))
+        if name is not None:
+            out.append((name, sign))
         cur = nxt
     return reduce(out)
 
@@ -94,21 +98,22 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     if len(rep) != n:
         raise TableIntegrityError("coset action is not transitive")
 
-    frozen_tree = frozenset(tree)
-    schreier: list[tuple[int, GenSym]] = []
-    for c in range(1, n + 1):
-        for g in gens:
-            if (c, g) not in frozen_tree:
-                schreier.append((c, g))
+    # one symbol per Schreier generator, shared by every occurrence
+    names = {
+        (c, g): GenSym(f"{g.name}x", c)
+        for c in range(1, n + 1)
+        for g in gens
+        if (c, g) not in tree
+    }
 
     relators = []
     rel_names = []
     for i, r in enumerate(p.relators):
         for c in range(1, n + 1):
-            relators.append(_rewrite(t, frozen_tree, c, r))
+            relators.append(_rewrite(t, names, c, r))
             rel_names.append(f"{p.relator_name(i)}@{c}")
     derived = Presentation(
-        generators=tuple(_schreier_name(c, g) for c, g in schreier),
+        generators=tuple(names.values()),
         relators=tuple(relators),
         label=f"{p.label or 'base'}-index{n}",
         relator_names=tuple(rel_names),
@@ -116,10 +121,10 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     return SubgroupPresentation(
         base=p,
         table=t,
-        schreier_gens=tuple(schreier),
+        schreier_gens=tuple(names),
         presentation=derived,
         transversal=tuple(rep[c] for c in range(1, n + 1)),
-        tree=frozen_tree,
+        tree=frozenset(tree),
     )
 
 
@@ -235,9 +240,9 @@ def schreier_rank_bound(m: int, i: int) -> RankBound:
     return RankBound(subgroup_rank=m, index=i, value=Fraction(m - 1, i) + 1)
 
 
-# The largest stage count that runs in about 4 s: medians of four runs
-# take 2.6 s at 8, 3.0 s at 9 and 5.0 s at 10 (Python 3.11, 2-core Xeon).
-KERNEL_HOMOLOGY_MAX_STAGES = 9
+# The largest stage count that runs in about 4 s: medians of three runs
+# take 3.2 s at 10, 3.8 s at 11 and 5.1 s at 12 (Python 3.11, 2-core Xeon).
+KERNEL_HOMOLOGY_MAX_STAGES = 11
 
 
 def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:

@@ -243,6 +243,16 @@ def test_run_all_rejects_nonpositive_jmax(capsys):
     assert "jmax" in err
 
 
+def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
+    code, out, _ = run_cli(capsys, "run-all", "--jmax", "2", "--kernel-jmax", "3")
+    assert code == 0
+    kernel = [line for line in out.splitlines()
+              if line.startswith("kernel homology j=")]
+    assert [line.split(":")[0] for line in kernel] == [
+        "kernel homology j=1", "kernel homology j=2", "kernel homology j=3",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,10 +266,12 @@ def test_run_all_rejects_nonpositive_jmax(capsys):
         ["presentation", "--kind", "kj", "--j", "0"],
         ["--cap", "0", "cover-quotient", "--fold", "2"],
         ["search-hom", "--pres", "{trefoil}", "--limit", "0"],
+        ["run-all", "--kernel-jmax", "0"],
+        ["run-all", "--kernel-jmax", "-1"],
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
-         "limit0"],
+         "limit0", "kernel-jmax0", "kernel-jmax-negative"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
     bad_name = tmp_path / "assign.txt"

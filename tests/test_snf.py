@@ -93,6 +93,11 @@ def test_diagonal_merges_into_chain():
     assert smith_normal_form(diag) == ([1, 30, 30], 3)
 
 
+def test_chain_merges_only_factors_above_one():
+    chain = snf._divisibility_chain([1] * 50 + [6, 10, 15])
+    assert chain == [1] * 51 + [30, 30]
+
+
 def test_zero_matrix():
     assert smith_normal_form([[0, 0], [0, 0]]) == ([], 0)
 
@@ -110,6 +115,15 @@ def test_no_unit_entries_exercises_dense_stages():
     # all entries >= 2 so the unit-pivot stage finds nothing
     assert smith_normal_form([[6, 4], [4, 6]]) == ([2, 10], 2)
     assert smith_normal_form([[2, 4], [4, 2]]) == ([2, 6], 2)
+
+
+def test_residual_keeps_one_row_per_sign_class():
+    # no entry equals its row gcd 2, so the whole matrix is the residual
+    matrix = [[6, 4], [4, 6], [-6, -4], [6, 4], [-4, -6]]
+    rows = {i: dict(enumerate(row)) for i, row in enumerate(matrix)}
+    assert snf._divisor_stage(rows) == []
+    assert snf._densify(rows) == [[6, 4], [4, 6]]
+    assert smith_normal_form(matrix) == ([2, 10], 2)
 
 
 def test_divisor_stage_splits_off_each_pivot():
@@ -302,6 +316,29 @@ def test_random_stress_against_oracle(torsion_calls):
                for kind, b, _ in torsion_calls if kind == "local")
 
 
+def test_repeated_rows_change_nothing(monkeypatch):
+    # +-copies of existing rows add nothing to the row lattice; most of
+    # them reach the residual, where the dense stages see one copy
+    dropped = []
+
+    def densify(rows):
+        dense = real_densify(rows)
+        dropped.append(len(rows) - len(dense))
+        return dense
+
+    real_densify = snf._densify
+    monkeypatch.setattr(snf, "_densify", densify)
+    rng = random.Random(4242)
+    for matrix in STRESS[::7]:
+        extra = []
+        for _ in range(rng.randint(1, 4)):
+            sign = rng.choice((1, -1))
+            extra.append([sign * v for v in rng.choice(matrix)])
+        got = smith_normal_form(matrix + extra)
+        assert got == smith_normal_form(matrix) == naive_snf(matrix), matrix
+    assert sum(1 for d in dropped if d) > 100
+
+
 def test_large_prime_in_the_determinant_is_a_base(torsion_calls):
     # no entry divides its row and column; D = 3*5 - 7*101 = -4 * 173,
     # and the cofactor 173 is worked before the prime 2
@@ -456,8 +493,9 @@ def test_rank_mod_p_certificate_on_stress_matrices():
         assert_rank_certificate(rows, ncols, ncols - rank, torsion)
 
 
-@pytest.mark.parametrize("j", [1, 2, 3, 4])
-def test_rank_mod_p_certificate_on_kernel_matrices(j):
+def kernel_relation_rows(j):
+    """The rewritten j-stage kernel presentation and its relator
+    exponent-sum rows (mappings column -> value, zeros kept)."""
     p = kj_presentation(j)
     derived = reidemeister_schreier(
         p, kernel_coset_table(p, phi_tables(j))).presentation
@@ -468,6 +506,24 @@ def test_rank_mod_p_certificate_on_kernel_matrices(j):
         for sym, sign in r:
             entries[index[sym]] = entries.get(index[sym], 0) + sign
         rows.append(entries)
+    return derived, rows
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_rank_mod_p_certificate_on_kernel_matrices(j):
+    derived, rows = kernel_relation_rows(j)
     inv = abelianize(derived)
     assert_rank_certificate(
         rows, len(derived.generators), inv.free_rank, inv.torsion)
+
+
+@pytest.mark.parametrize("j, shape", [(3, (19, 26)), (4, (29, 54)),
+                                      (5, (60, 78))])
+def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
+    # the divisor stage leaves each row about three times up to sign
+    # (75, 101 and 180 rows); Bareiss and the local stage see one copy
+    _, rows = kernel_relation_rows(j)
+    sparse = {i: {c: v for c, v in r.items() if v} for i, r in enumerate(rows)}
+    snf._divisor_stage(sparse)
+    dense = snf._densify(sparse)
+    assert (len(dense), len(dense[0])) == shape

@@ -1,6 +1,7 @@
 """Tests for subgroup rewriting, abelian invariants, boundary quotients,
 the frozen longitude, the rank bound, and kernel homology."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,11 @@ from knotcover.homcheck import (
     search_surjections,
 )
 from knotcover.perm import Perm
-from knotcover.presentations import kjss_presentation, trefoil_presentation
+from knotcover.presentations import (
+    kj_presentation,
+    kjss_presentation,
+    trefoil_presentation,
+)
 from knotcover.subgroups import (
     KERNEL_HOMOLOGY_MAX_STAGES,
     TREFOIL_LONGITUDE,
@@ -27,7 +32,7 @@ from knotcover.subgroups import (
     reidemeister_schreier,
     schreier_rank_bound,
 )
-from knotcover.words import GenSym, Presentation, Word, word
+from knotcover.words import GenSym, Presentation, Word, print_presentation, word
 
 
 # -- subgroup presentations ---------------------------------------------------
@@ -90,6 +95,45 @@ def test_rewrite_of_a_subgroup_element():
     assert sub.rewrite_from(1, word("a a")) == word("ax2")
     # tree edges rewrite to nothing
     assert sub.rewrite_from(1, word("a")) == Word()
+
+
+def _kernel_rewrite(j):
+    p = kj_presentation(j)
+    return reidemeister_schreier(p, kernel_coset_table(p, phi_tables(j)))
+
+
+# sha256 of print_presentation: the rewriting output, byte for byte
+REWRITE_FINGERPRINTS = {
+    "kernel j=3":
+        "11f8273296a0ad4cfeb17fcc98d89442da628341249f7b8f027a500c62c862bc",
+    "trefoil 3-fold cover":
+        "ddd2c37868469af16fda5c86ee97d532125fab5318a88ec8cae4d5306c380f5a",
+    "boundary quotient k=2":
+        "5532b382c99ff1190de544cba495b8d7938c77711ddfd37d65c9fde6bbb1f1cb",
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("kernel j=3", lambda: _kernel_rewrite(3).presentation),
+    ("trefoil 3-fold cover", lambda: reidemeister_schreier(
+        trefoil_presentation(),
+        cyclic_cover_table(trefoil_presentation(), 3)).presentation),
+    ("boundary quotient k=2", lambda: boundary_quotient(k=2)),
+])
+def test_rewritten_presentations_are_pinned(name, build):
+    text = print_presentation(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == REWRITE_FINGERPRINTS[name]
+
+
+def test_rewritten_relators_share_the_generator_symbols():
+    # one GenSym object per Schreier generator, however often it occurs
+    sub = _kernel_rewrite(3)
+    generators = {id(g) for g in sub.presentation.generators}
+    assert all(id(sym) in generators
+               for r in sub.presentation.relators for sym, _ in r)
+    rewritten = sub.rewrite_from(2, sub.base.relators[0])
+    assert rewritten == sub.presentation.relators[1]
+    assert all(id(sym) in generators for sym, _ in rewritten)
 
 
 def test_rewriting_is_deterministic():
@@ -325,7 +369,7 @@ def test_kernel_homology_stage_seven():
 
 
 def test_kernel_homology_guard():
-    assert KERNEL_HOMOLOGY_MAX_STAGES == 9
+    assert KERNEL_HOMOLOGY_MAX_STAGES == 11
     with pytest.raises(CapacityError, match="force"):
         kernel_homology(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     with pytest.raises(ValueError):
