@@ -1,112 +1,2 @@
 """Exact verification toolkit for staged link-group presentations, their
 finite images, and cyclic-cover homology."""
-
-from .errors import (
-    CapacityError,
-    InvalidHomomorphismError,
-    KnotcoverError,
-    MissingAssignmentError,
-    ParseError,
-    TableIntegrityError,
-)
-from .perm import Perm, PermGroup, closure, compose, cycle_string, is_even, parse_cycles
-from .words import (
-    GenSym,
-    Presentation,
-    Word,
-    parse_presentation,
-    print_presentation,
-    reduce,
-    word,
-)
-from .presentations import (
-    boundary_words,
-    kj_presentation,
-    kjss_presentation,
-    link_block,
-    sternfeld_fragment,
-    sternfeld_tables,
-    trefoil_presentation,
-)
-from .homcheck import (
-    CheckReport,
-    GenAssignment,
-    check_relators,
-    eval_word,
-    phi_tables,
-    search_surjections,
-    sternfeld_error_repro,
-)
-from .cosets import (
-    CosetTable,
-    cyclic_cover_table,
-    kernel_coset_table,
-    orbit_transitive,
-    todd_coxeter,
-)
-from .snf import smith_normal_form
-from .subgroups import (
-    TREFOIL_LONGITUDE,
-    TREFOIL_MERIDIAN,
-    AbelianInvariants,
-    SubgroupPresentation,
-    abelianize,
-    boundary_quotient,
-    kernel_homology,
-    reidemeister_schreier,
-    schreier_rank_bound,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AbelianInvariants",
-    "CapacityError",
-    "CheckReport",
-    "CosetTable",
-    "GenAssignment",
-    "GenSym",
-    "InvalidHomomorphismError",
-    "KnotcoverError",
-    "MissingAssignmentError",
-    "ParseError",
-    "Perm",
-    "PermGroup",
-    "Presentation",
-    "SubgroupPresentation",
-    "TableIntegrityError",
-    "TREFOIL_LONGITUDE",
-    "TREFOIL_MERIDIAN",
-    "Word",
-    "abelianize",
-    "boundary_quotient",
-    "boundary_words",
-    "check_relators",
-    "closure",
-    "compose",
-    "cycle_string",
-    "cyclic_cover_table",
-    "eval_word",
-    "is_even",
-    "kernel_coset_table",
-    "kernel_homology",
-    "kj_presentation",
-    "kjss_presentation",
-    "link_block",
-    "orbit_transitive",
-    "parse_cycles",
-    "parse_presentation",
-    "phi_tables",
-    "print_presentation",
-    "reduce",
-    "reidemeister_schreier",
-    "schreier_rank_bound",
-    "search_surjections",
-    "smith_normal_form",
-    "sternfeld_error_repro",
-    "sternfeld_fragment",
-    "sternfeld_tables",
-    "todd_coxeter",
-    "trefoil_presentation",
-    "word",
-]

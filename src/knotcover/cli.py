@@ -21,7 +21,7 @@ from .cosets import (
     orbit_transitive,
     todd_coxeter,
 )
-from .errors import KnotcoverError
+from .errors import InvalidArgumentError, KnotcoverError
 from .homcheck import (
     GenAssignment,
     check_relators,
@@ -96,6 +96,11 @@ def load_words_file(path: str) -> list[Word]:
     return out
 
 
+def _envelope(command: str, report: dict) -> dict:
+    """The JSON report of ``command``: its results under the schema tag."""
+    return {"schema": SCHEMA, "command": command, **report}
+
+
 def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -143,8 +148,6 @@ def cmd_presentation(args) -> tuple[dict, list[str], int]:
         p = kjss_presentation(args.j)
     text = print_presentation(p)
     report = {
-        "schema": SCHEMA,
-        "command": "presentation",
         "kind": args.kind,
         "j": args.j,
         "generators": len(p.generators),
@@ -156,7 +159,6 @@ def cmd_presentation(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify_tables(args) -> tuple[dict, list[str], int]:
     entry, identified, plain = _check_tables_at(args.j)
-    report = {"schema": SCHEMA, "command": "verify-tables", **entry}
     lines = [
         f"stage count {args.j}: image order {entry['image_order']}"
         f" (expected {entry['expected_image_order']}),"
@@ -167,7 +169,7 @@ def cmd_verify_tables(args) -> tuple[dict, list[str], int]:
     if "note" in entry:
         lines.append("note: " + entry["note"])
     lines.append("ok" if entry["ok"] else "FAIL")
-    return report, lines, 0 if entry["ok"] else 1
+    return entry, lines, 0 if entry["ok"] else 1
 
 
 def cmd_check_hom(args) -> tuple[dict, list[str], int]:
@@ -175,8 +177,6 @@ def cmd_check_hom(args) -> tuple[dict, list[str], int]:
     assignment = load_assignment_file(args.assign)
     result = check_relators(p, assignment)
     report = {
-        "schema": SCHEMA,
-        "command": "check-hom",
         "violations": [v.name for v in result.violations],
         "image_order": result.image_order,
         "surjective_onto_a5": result.surjective_onto_a5,
@@ -195,8 +195,6 @@ def cmd_search_hom(args) -> tuple[dict, list[str], int]:
         {g.name: str(a.value(g)) for g in p.generators} for a in found
     ]
     report = {
-        "schema": SCHEMA,
-        "command": "search-hom",
         "count": len(found),
         "assignments": listed,
     }
@@ -218,13 +216,12 @@ def _fragment_entry() -> dict:
 
 def cmd_reproduce_sternfeld_error(args) -> tuple[dict, list[str], int]:
     entry = _fragment_entry()
-    report = {"schema": SCHEMA, "command": "reproduce-sternfeld-error", **entry}
     lines = [
         f"sewing word evaluates to {entry['got']}",
         f"table requires          {entry['expected']}",
         "mismatch reproduced" if entry["mismatch"] else "FAIL: no mismatch",
     ]
-    return report, lines, 0 if entry["mismatch"] else 1
+    return entry, lines, 0 if entry["mismatch"] else 1
 
 
 def cmd_cosets(args) -> tuple[dict, list[str], int]:
@@ -240,18 +237,16 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
     else:
         gens = load_words_file(args.subgroup) if args.subgroup else []
         table = todd_coxeter(p, gens, cap=args.cap)
-    report = {"schema": SCHEMA, "command": "cosets", **table.to_json_dict()}
     lines = [f"index {table.index}"]
     for g, row in zip(table.gens, table.action):
         lines.append(f"  {g.name}: " + " ".join(str(x) for x in row))
-    return report, lines, 0
+    return table.to_json_dict(), lines, 0
 
 
 def cmd_abelianize(args) -> tuple[dict, list[str], int]:
     p = parse_presentation(_load_text(args.pres))
     inv = abelianize(p)
-    report = {"schema": SCHEMA, "command": "abelianize", **inv.to_json_dict()}
-    return report, [str(inv)], 0
+    return inv.to_json_dict(), [str(inv)], 0
 
 
 def _quotient_orders(k: int, cap: int) -> tuple:
@@ -271,8 +266,6 @@ def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
     # an infinite quotient is known by one route only
     routes_agree = None if order is None else order_from_abelianization == order
     report = {
-        "schema": SCHEMA,
-        "command": "cover-quotient",
         "fold": args.fold,
         "order": order,
         "abelianization": inv.to_json_dict(),
@@ -310,20 +303,17 @@ def _kernel_entry(j: int, force: bool = False) -> tuple:
 
 def cmd_kernel_homology(args) -> tuple[dict, list[str], int]:
     entry, inv = _kernel_entry(args.j, force=args.force)
-    report = {"schema": SCHEMA, "command": "kernel-homology", **entry}
     lines = [
         f"H1 of stage-{args.j} kernel: {inv} "
         f"(needs {inv.min_generators} generators; "
         f"rank bound {entry['rank_bound']} -> {entry['rank_bound_ceiling']})"
     ]
-    return report, lines, 0
+    return entry, lines, 0
 
 
 def cmd_rank_bound(args) -> tuple[dict, list[str], int]:
     bound = schreier_rank_bound(args.m, args.i)
     report = {
-        "schema": SCHEMA,
-        "command": "rank-bound",
         "m": args.m,
         "i": args.i,
         "value": str(bound.value),
@@ -508,8 +498,6 @@ def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str
         lines += section_lines
     status = "pass" if not failed else "fail"
     report = {
-        "schema": SCHEMA,
-        "command": "run-all",
         "inputs": inputs,
         "results": results,
         "failed": sorted(failed),
@@ -522,7 +510,7 @@ def run_all(
     jmax: int = 5, kernel_jmax: int = 4, cap: int = DEFAULT_COSET_CAP
 ) -> dict:
     """Run the whole verification battery and return the report dict."""
-    return _run_sections(jmax, kernel_jmax, cap)[0]
+    return _envelope("run-all", _run_sections(jmax, kernel_jmax, cap)[0])
 
 
 def cmd_run_all(args) -> tuple[dict, list[str], int]:
@@ -606,12 +594,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked here too, since most subcommands never enumerate cosets
+        if args.cap < 1:
+            raise InvalidArgumentError(f"cap must be positive, got {args.cap}")
         report, lines, code = args.fn(args)
     except KnotcoverError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        _emit(report, lines, args.json)
+        _emit(_envelope(args.subcommand, report), lines, args.json)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed early; send the rest of stdout to devnull so

@@ -17,7 +17,8 @@ from .errors import (
     InvalidHomomorphismError,
     TableIntegrityError,
 )
-from .perm import compose
+from .homcheck import check_relators
+from .perm import closure, compose
 from .words import GenSym, Presentation, Word
 
 DEFAULT_COSET_CAP = 100_000
@@ -33,8 +34,7 @@ class CosetTable:
 
     gens: tuple[GenSym, ...]
     action: tuple[tuple[int, ...], ...]
-    origin: str = ""
-    index: int = 0
+    index: int
 
     def __post_init__(self):
         if len(self.action) != len(self.gens):
@@ -73,7 +73,7 @@ class CosetTable:
         return tuple(self.trace(c, w) for c in range(1, self.index + 1))
 
     def is_transitive(self) -> bool:
-        return orbit_transitive(self, [Word(((g, 1),)) for g in self.gens])
+        return _reaches_every_coset(self.action, self.index)
 
     def verify(self, p: Presentation) -> None:
         """Raise TableIntegrityError unless this table really is the coset
@@ -100,23 +100,23 @@ class CosetTable:
 def orbit_transitive(t: CosetTable, words: Sequence[Word]) -> bool:
     """True iff the subgroup generated by the traced actions of ``words``
     moves coset 1 onto every coset."""
-    perms = [t.word_action(w) for w in words]
-    inverses = []
-    for row in perms:
-        inv = [0] * t.index
-        for c, img in enumerate(row, start=1):
-            inv[img - 1] = c
-        inverses.append(tuple(inv))
+    return _reaches_every_coset([t.word_action(w) for w in words], t.index)
+
+
+def _reaches_every_coset(rows: Sequence[Sequence[int]], index: int) -> bool:
+    """True iff following the action rows forward from coset 1 reaches all
+    of 1..index.  Inverse rows are not needed: the inverse of a permutation
+    is a positive power of it, so forward images already cover the orbit."""
     seen = {1}
     frontier = [1]
     while frontier:
         c = frontier.pop()
-        for row in perms + inverses:
+        for row in rows:
             d = row[c - 1]
             if d not in seen:
                 seen.add(d)
                 frontier.append(d)
-    return len(seen) == t.index
+    return len(seen) == index
 
 
 def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
@@ -126,8 +126,6 @@ def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
     (identity first), and generator g sends the coset of x to the coset of
     x * image(g).  The assignment must satisfy every relator.
     """
-    from .homcheck import check_relators  # deferred: homcheck imports words only
-
     report = check_relators(p, assignment)
     if not report.ok:
         names = ", ".join(v.name for v in report.violations)
@@ -135,8 +133,6 @@ def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
             f"assignment violates relators: {names}"
         )
     images = assignment.values_in_order(p.generators)
-    from .perm import closure
-
     group = closure(images)
     position = {elem: i + 1 for i, elem in enumerate(group.elements)}
     action = tuple(
@@ -146,7 +142,6 @@ def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
     return CosetTable(
         gens=tuple(p.generators),
         action=action,
-        origin=f"kernel:{assignment.label or 'assignment'}",
         index=group.order,
     )
 
@@ -171,7 +166,6 @@ def cyclic_cover_table(p: Presentation, k: int) -> CosetTable:
     return CosetTable(
         gens=tuple(p.generators),
         action=tuple(row for _ in p.generators),
-        origin=f"cyclic:{k}",
         index=k,
     )
 
@@ -187,7 +181,8 @@ def todd_coxeter(
     order, then define any still-missing neighbours; coincidences merge via
     union-find keeping the smaller coset number.  Deterministic for fixed
     input.  Raises CapacityError once more than ``cap`` cosets have been
-    defined; a partial table is never returned.
+    defined; a partial table is never returned.  A subgroup generator that
+    uses a symbol outside the presentation raises InvalidArgumentError.
     """
     if cap < 1:
         raise InvalidArgumentError(f"cap must be positive, got {cap}")
@@ -197,9 +192,15 @@ def todd_coxeter(
     relators = [
         [(gen_index[sym], sign) for sym, sign in r] for r in p.relators
     ]
-    subgroup_words = [
-        [(gen_index[sym], sign) for sym, sign in w] for w in subgroup_gens
-    ]
+    subgroup_words = []
+    for w in subgroup_gens:
+        for sym, _ in w:
+            if sym not in gen_index:
+                raise InvalidArgumentError(
+                    f"subgroup generator {w} uses {sym.name}, "
+                    "which is not a generator of the presentation"
+                )
+        subgroup_words.append([(gen_index[sym], sign) for sym, sign in w])
 
     fwd: list[list[int | None]] = []
     bwd: list[list[int | None]] = []
@@ -347,12 +348,7 @@ def todd_coxeter(
     action = tuple(
         tuple(number[find(fwd[c][gi])] for c in live) for gi in range(ngens)
     )
-    table = CosetTable(
-        gens=gens,
-        action=action,
-        origin=f"todd-coxeter:{p.label or 'presentation'}",
-        index=len(live),
-    )
+    table = CosetTable(gens=gens, action=action, index=len(live))
     table.verify(p)
     for w in subgroup_gens:
         if table.trace(1, w) != 1:

@@ -57,9 +57,6 @@ class GenAssignment:
         mapping[sym] = value
         return GenAssignment(mapping, self.label)
 
-    def __len__(self) -> int:
-        return len(self.mapping)
-
 
 def eval_word(assignment: GenAssignment, w: Word) -> Perm:
     """Image of ``w``: the left-to-right product of the generator images."""
@@ -207,7 +204,7 @@ def search_surjections(p: Presentation, limit: int = 100) -> list[GenAssignment]
         )
     if limit < 1:
         raise InvalidArgumentError(f"limit must be at least 1, got {limit}")
-    pool = list(closure(A5_STANDARD_GENERATORS))
+    pool = closure(A5_STANDARD_GENERATORS).elements
     found: list[GenAssignment] = []
     for images in itertools.product(pool, repeat=ngens):
         assignment = GenAssignment(

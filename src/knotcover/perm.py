@@ -16,7 +16,7 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapacityError, ParseError
 
@@ -80,9 +80,6 @@ class Perm:
             return self.images[point - 1]
         return point
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
-
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, img in enumerate(self.images, start=1):
@@ -107,14 +104,6 @@ class Perm:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def order(self) -> int:
-        n = 1
-        power = self
-        while power.images:
-            power = compose(power, self)
-            n += 1
-        return n
 
     def __str__(self) -> str:
         return cycle_string(self)
@@ -228,9 +217,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
 
 
 def closure(gens: Iterable[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:

@@ -116,7 +116,7 @@ def kjss_presentation(j: int) -> Presentation:
     that collapse the four parallel strands."""
     base = kj_presentation(j)
     relators = list(base.relators)
-    names = list(base.relator_names or ())
+    names = list(base.relator_names)
     for l in range(1, j + 1):
         for lhs, rhs in (("a", "b"), ("b", "c"), ("c", "d")):
             relators.append(_stage_word(lhs, l) * _stage_word(rhs, l).inverse())

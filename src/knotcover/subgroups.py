@@ -10,7 +10,7 @@ from functools import cached_property
 from math import ceil
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
-from .errors import CapacityError, InvalidArgumentError, TableIntegrityError
+from .errors import CapacityError, InvalidArgumentError
 from .homcheck import phi_tables
 from .presentations import kj_presentation, trefoil_presentation
 from .snf import smith_normal_form_sparse
@@ -34,12 +34,10 @@ class SubgroupPresentation:
     base relator is rewritten once per coset.
     """
 
-    base: Presentation
     table: CosetTable
     schreier_gens: tuple[tuple[int, GenSym], ...]
     presentation: Presentation
     transversal: tuple[Word, ...]
-    tree: frozenset[tuple[int, GenSym]]
 
     def rewrite_from(self, coset: int, w: Word) -> Word:
         """Rewrite rep(coset) * w * rep(trace(coset, w))^-1 in the Schreier
@@ -95,8 +93,6 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
                 rep[prev] = rep[cur] * Word(((g, -1),))
                 tree.add((prev, g))
                 queue.append(prev)
-    if len(rep) != n:
-        raise TableIntegrityError("coset action is not transitive")
 
     # one symbol per Schreier generator, shared by every occurrence
     names = {
@@ -119,12 +115,10 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
         relator_names=tuple(rel_names),
     )
     return SubgroupPresentation(
-        base=p,
         table=t,
         schreier_gens=tuple(names),
         presentation=derived,
         transversal=tuple(rep[c] for c in range(1, n + 1)),
-        tree=frozenset(tree),
     )
 
 
@@ -176,41 +170,25 @@ def abelianize(p: Presentation) -> AbelianInvariants:
     )
 
 
-def boundary_quotient(
-    p: Presentation | None = None,
-    k: int = 2,
-    longitude: Word | None = None,
-) -> Presentation:
-    """Presentation of the k-fold cyclic cover modulo its boundary: the
-    rewritten cover presentation plus, for every coset representative r, the
-    rewritten words r a^k r^-1 and r longitude r^-1.
-
-    Defaults to the trefoil with its frozen longitude; the meridian is the
-    first generator of ``p``.
+def boundary_quotient(k: int) -> Presentation:
+    """Presentation of the trefoil's k-fold cyclic cover modulo its boundary:
+    the rewritten cover presentation plus, for every coset representative r,
+    the rewritten words r TREFOIL_MERIDIAN^k r^-1 and r TREFOIL_LONGITUDE r^-1.
     """
-    if p is None:
-        p = trefoil_presentation()
-    if longitude is None:
-        longitude = TREFOIL_LONGITUDE
-    if longitude.total_exponent() != 0:
-        raise ValueError(
-            f"longitude must have total exponent 0, got {longitude.total_exponent()}"
-        )
-    meridian = Word(((p.generators[0], 1),))
-    table = cyclic_cover_table(p, k)
-    sub = reidemeister_schreier(p, table)
+    p = trefoil_presentation()
+    sub = reidemeister_schreier(p, cyclic_cover_table(p, k))
     relators = list(sub.presentation.relators)
-    names = list(sub.presentation.relator_names or ())
-    power = meridian ** k
+    names = list(sub.presentation.relator_names)
+    power = TREFOIL_MERIDIAN ** k
     for c in range(1, k + 1):
         relators.append(sub.rewrite_from(c, power))
         names.append(f"meridian^{k}@{c}")
-        relators.append(sub.rewrite_from(c, longitude))
+        relators.append(sub.rewrite_from(c, TREFOIL_LONGITUDE))
         names.append(f"longitude@{c}")
     return Presentation(
         generators=sub.presentation.generators,
         relators=tuple(relators),
-        label=f"{p.label or 'base'}-cover{k}-mod-boundary",
+        label=f"{p.label}-cover{k}-mod-boundary",
         relator_names=tuple(names),
     )
 

@@ -116,13 +116,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((sym, -sign) for sym, sign in reversed(self.syllables)))
 
-    def conjugate(self, by: "Word") -> "Word":
-        """The word by^-1 * self * by."""
-        return by.inverse() * self * by
-
-    def exponent_sum(self, sym: GenSym) -> int:
-        return sum(sign for s, sign in self.syllables if s == sym)
-
     def total_exponent(self) -> int:
         return sum(sign for _, sign in self.syllables)
 

@@ -5,7 +5,7 @@ run reads as a checklist."""
 import json
 import time
 
-from knotcover.cli import main, run_all
+from knotcover.cli import main
 from knotcover.cosets import cyclic_cover_table, orbit_transitive, todd_coxeter
 from knotcover.homcheck import (
     GenAssignment,

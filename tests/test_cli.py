@@ -268,18 +268,27 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
         ["search-hom", "--pres", "{trefoil}", "--limit", "0"],
         ["run-all", "--kernel-jmax", "0"],
         ["run-all", "--kernel-jmax", "-1"],
+        ["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
+         "--subgroup", "{unknown_gen}"],
+        ["--cap", "0", "cover-quotient", "--fold", "6"],
+        ["--cap", "-5", "presentation", "--kind", "trefoil"],
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
-         "limit0", "kernel-jmax0", "kernel-jmax-negative"],
+         "limit0", "kernel-jmax0", "kernel-jmax-negative",
+         "subgroup-unknown-generator", "cap0-no-enumeration",
+         "cap-negative-no-enumeration"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
     bad_name = tmp_path / "assign.txt"
     bad_name.write_text("A = (1,2)\n")
     not_utf8 = tmp_path / "binary.pres"
     not_utf8.write_bytes(b"\xff")
+    unknown_gen = tmp_path / "subgroup.words"
+    unknown_gen.write_text("a c\n")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
-             "bad_name": str(bad_name), "not_utf8": str(not_utf8)}
+             "bad_name": str(bad_name), "not_utf8": str(not_utf8),
+             "unknown_gen": str(unknown_gen)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""
@@ -359,6 +368,19 @@ def test_readme_claim_table_matches_the_registry():
     assert sorted(documented) == sorted(REGISTRY_IDS)
 
 
+def test_readme_library_example_runs():
+    # the documented API: a deletion that breaks the example fails here
+    section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in code
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_word_example_parses():
+    example = re.search(r"syllables like `([^`]+)`", README.read_text()).group(1)
+    assert str(word(example)) == example
+
+
 def _kill_first_generator(kj_presentation):
     def corrupted(j):
         p = kj_presentation(j)
@@ -398,7 +420,7 @@ CORRUPTIONS = {
 VACUOUS = {
     cli.CLAIM_BOUNDARY_TRANSITIVE: (
         "cannot fail today: on every cyclic cover the meridian alone acts as "
-        "a k-cycle, so the longitude is never tested (ROADMAP item 1)"
+        "a k-cycle, so the longitude is never tested (ROADMAP item 2)"
     ),
 }
 

@@ -1,5 +1,7 @@
 """Tests for coset tables: kernels, cyclic covers, and Todd-Coxeter."""
 
+import random
+
 import pytest
 
 from knotcover.cosets import (
@@ -16,13 +18,9 @@ from knotcover.errors import (
 )
 from knotcover.homcheck import GenAssignment, phi_tables
 from knotcover.perm import closure, parse_cycles
-from knotcover.presentations import (
-    kj_presentation,
-    kjss_presentation,
-    trefoil_presentation,
-)
-from knotcover.subgroups import TREFOIL_LONGITUDE
-from knotcover.words import GenSym, Presentation, word
+from knotcover.presentations import kjss_presentation, trefoil_presentation
+from knotcover.subgroups import TREFOIL_LONGITUDE, TREFOIL_MERIDIAN
+from knotcover.words import GenSym, Presentation, Word, word
 
 S3 = Presentation(
     generators=(GenSym("a"), GenSym("b")),
@@ -98,7 +96,6 @@ def test_trefoil_kernel_has_index_sixty():
     t = kernel_coset_table(p, pinned_trefoil())
     assert t.index == 60
     t.verify(p)
-    assert t.origin == "kernel:pinned"
 
 
 @pytest.mark.parametrize("j,index", [(1, 2), (2, 12), (3, 60)])
@@ -125,6 +122,73 @@ def test_kernel_coset_order_is_closure_discovery_order():
     pos = {e: i + 1 for i, e in enumerate(group.elements)}
     a_img = assignment.value(GenSym("a"))
     assert t.step(1, GenSym("a")) == pos[a_img]
+
+
+def _orbit_reaches_everything(rows, index):
+    """Oracle: the orbit of coset 1 under the rows and their inverses."""
+    inverses = []
+    for row in rows:
+        inv = [0] * index
+        for c, img in enumerate(row, start=1):
+            inv[img - 1] = c
+        inverses.append(inv)
+    seen, frontier = {1}, [1]
+    while frontier:
+        c = frontier.pop()
+        for row in list(rows) + inverses:
+            if row[c - 1] not in seen:
+                seen.add(row[c - 1])
+                frontier.append(row[c - 1])
+    return len(seen) == index
+
+
+def _random_table(rng, ngens):
+    """A table on 1..n whose rows preserve a random split of the cosets
+    into one or two intervals, so about half are not transitive."""
+    n = rng.randint(1, 9)
+    cut = rng.choice([n, rng.randint(1, n)])
+    rows = []
+    for _ in range(ngens):
+        low, high = list(range(1, cut + 1)), list(range(cut + 1, n + 1))
+        rng.shuffle(low)
+        rng.shuffle(high)
+        rows.append(tuple(low + high))
+    gens = tuple(GenSym(s) for s in "abc"[:ngens])
+    return CosetTable(gens=gens, action=tuple(rows), index=n)
+
+
+def _orbit_cases():
+    trefoil = trefoil_presentation()
+    for k in range(1, 9):
+        t = cyclic_cover_table(trefoil, k)
+        for words in ([TREFOIL_MERIDIAN], [TREFOIL_LONGITUDE],
+                      [TREFOIL_MERIDIAN, TREFOIL_LONGITUDE]):
+            yield t, words
+    t = kernel_coset_table(trefoil, pinned_trefoil())
+    yield t, [word("a")]
+    yield t, [word("a"), word("b")]
+    rng = random.Random(2024)
+    for _ in range(300):
+        t = _random_table(rng, rng.randint(1, 3))
+        single = [Word(((g, 1),)) for g in t.gens]
+        product = single[0]
+        for w in single[1:]:
+            product = product * w.inverse()
+        yield t, [single[0]]
+        yield t, single
+        yield t, [product]
+
+
+def test_forward_orbit_walk_matches_an_inverse_row_oracle():
+    # the walk follows forward rows only; an inverse is a positive power
+    outcomes = set()
+    for t, words in _orbit_cases():
+        rows = [t.word_action(w) for w in words]
+        expected = _orbit_reaches_everything(rows, t.index)
+        assert orbit_transitive(t, words) == expected
+        assert t.is_transitive() == _orbit_reaches_everything(t.action, t.index)
+        outcomes.add((expected, t.is_transitive()))
+    assert outcomes == {(False, False), (False, True), (True, True)}
 
 
 def test_single_generator_orbit_is_not_transitive_on_kernel():

@@ -190,7 +190,7 @@ def test_closure_a5():
     assert group.order == 60
     assert group.order == slow_closure_order(group.generators)
     assert group.elements[0] == Perm.identity()
-    assert all(is_even(g) for g in group)
+    assert all(is_even(g) for g in group.elements)
 
 
 def test_closure_a4_and_small():

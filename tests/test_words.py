@@ -80,19 +80,6 @@ def test_total_exponent_additive(raw1, raw2):
     assert (w1 * w2).total_exponent() == w1.total_exponent() + w2.total_exponent()
 
 
-def test_exponent_sums():
-    w = word("b^-1 a^-1 b^-1 a b a")
-    assert w.exponent_sum(a) == 1
-    assert w.exponent_sum(b) == -1
-    assert w.total_exponent() == 0
-
-
-def test_conjugate():
-    w = word("a")
-    by = word("b")
-    assert w.conjugate(by) == word("b^-1 a b")
-
-
 def test_pow():
     assert word("a") ** 3 == word("a a a")
     assert word("a") ** -2 == word("a^-1 a^-1")
