@@ -192,7 +192,7 @@ def cmd_search_hom(args) -> tuple[dict, list[str], int]:
     p = parse_presentation(_load_text(args.pres))
     found = search_surjections(p, limit=args.limit)
     listed = [
-        {g.name: str(a.value(g)) for g in p.generators} for a in found
+        {g: str(a.value(g)) for g in p.generators} for a in found
     ]
     report = {
         "count": len(found),
@@ -231,7 +231,7 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
             raise KnotcoverError("--mode kernel requires --assign FILE")
         table = kernel_coset_table(p, load_assignment_file(args.assign))
     elif args.mode == "cyclic":
-        if not args.k:
+        if args.k is None:
             raise KnotcoverError("--mode cyclic requires --k K")
         table = cyclic_cover_table(p, args.k)
     else:
@@ -239,7 +239,7 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
         table = todd_coxeter(p, gens, cap=args.cap)
     lines = [f"index {table.index}"]
     for g, row in zip(table.gens, table.action):
-        lines.append(f"  {g.name}: " + " ".join(str(x) for x in row))
+        lines.append(f"  {g}: " + " ".join(str(x) for x in row))
     return table.to_json_dict(), lines, 0
 
 
@@ -365,7 +365,7 @@ def _surjection_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         for a in found
     )
     entry = {
-        "assignment": {g.name: str(pinned.value(g)) for g in trefoil.generators},
+        "assignment": {g: str(pinned.value(g)) for g in trefoil.generators},
         "violations": [v.name for v in pinned_report.violations],
         "image_order": pinned_report.image_order,
         "search_found_pinned": rediscovered,
@@ -518,8 +518,16 @@ def cmd_run_all(args) -> tuple[dict, list[str], int]:
     return report, lines, 0 if report["status"] == "pass" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so that main reports them on
+    its one ``error:`` line; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise KnotcoverError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knotcover",
         description="verification toolkit for staged link groups and covers",
     )
@@ -592,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # checked here too, since most subcommands never enumerate cosets
         if args.cap < 1:
             raise InvalidArgumentError(f"cap must be positive, got {args.cap}")

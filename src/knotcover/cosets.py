@@ -17,9 +17,9 @@ from .errors import (
     InvalidHomomorphismError,
     TableIntegrityError,
 )
-from .homcheck import check_relators
+from .homcheck import eval_word
 from .perm import closure, compose
-from .words import GenSym, Presentation, Word
+from .words import Presentation, Word
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -32,7 +32,7 @@ class CosetTable:
     ``gi``; every row must be a permutation of 1..index.
     """
 
-    gens: tuple[GenSym, ...]
+    gens: tuple[str, ...]
     action: tuple[tuple[int, ...], ...]
     index: int
 
@@ -42,11 +42,11 @@ class CosetTable:
         for g, row in zip(self.gens, self.action):
             if sorted(row) != list(range(1, self.index + 1)):
                 raise TableIntegrityError(
-                    f"action of {g.name} is not a permutation of 1..{self.index}"
+                    f"action of {g} is not a permutation of 1..{self.index}"
                 )
 
     @cached_property
-    def _gen_index(self) -> dict[GenSym, int]:
+    def _gen_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.gens)}
 
     @cached_property
@@ -59,7 +59,7 @@ class CosetTable:
             rows.append(tuple(inv))
         return tuple(rows)
 
-    def step(self, coset: int, sym: GenSym, sign: int = 1) -> int:
+    def step(self, coset: int, sym: str, sign: int = 1) -> int:
         gi = self._gen_index[sym]
         row = self.action[gi] if sign > 0 else self._inverse_action[gi]
         return row[coset - 1]
@@ -93,7 +93,7 @@ class CosetTable:
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
-            "action": {g.name: list(row) for g, row in zip(self.gens, self.action)},
+            "action": {g: list(row) for g, row in zip(self.gens, self.action)},
         }
 
 
@@ -126,11 +126,11 @@ def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
     (identity first), and generator g sends the coset of x to the coset of
     x * image(g).  The assignment must satisfy every relator.
     """
-    report = check_relators(p, assignment)
-    if not report.ok:
-        names = ", ".join(v.name for v in report.violations)
+    violated = [p.relator_name(i) for i, r in enumerate(p.relators)
+                if eval_word(assignment, r).degree != 0]
+    if violated:
         raise InvalidHomomorphismError(
-            f"assignment violates relators: {names}"
+            f"assignment violates relators: {', '.join(violated)}"
         )
     images = assignment.values_in_order(p.generators)
     group = closure(images)
@@ -197,7 +197,7 @@ def todd_coxeter(
         for sym, _ in w:
             if sym not in gen_index:
                 raise InvalidArgumentError(
-                    f"subgroup generator {w} uses {sym.name}, "
+                    f"subgroup generator {w} uses {sym}, "
                     "which is not a generator of the presentation"
                 )
         subgroup_words.append([(gen_index[sym], sign) for sym, sign in w])

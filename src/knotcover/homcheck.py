@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import Perm, closure, compose, is_even, parse_cycles
 from .presentations import LINK_LETTERS, sternfeld_fragment
-from .words import GenSym, Presentation, Word
+from .words import Presentation, Word, check_name
 
 A5_ORDER = 60
 
@@ -25,9 +25,9 @@ A5_STANDARD_GENERATORS = (parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)"))
 
 @dataclass(frozen=True)
 class GenAssignment:
-    """An immutable map from generator symbols to permutations."""
+    """An immutable map from generator names to permutations."""
 
-    mapping: Mapping[GenSym, Perm]
+    mapping: Mapping[str, Perm]
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -40,19 +40,19 @@ class GenAssignment:
         for name, value in named.items():
             if isinstance(value, str):
                 value = parse_cycles(value) if value.strip() else Perm.identity()
-            mapping[GenSym.parse(name)] = value
+            mapping[check_name(name)] = value
         return cls(mapping, label)
 
-    def value(self, sym: GenSym) -> Perm:
+    def value(self, sym: str) -> Perm:
         try:
             return self.mapping[sym]
         except KeyError:
-            raise MissingAssignmentError(sym.name) from None
+            raise MissingAssignmentError(sym) from None
 
-    def values_in_order(self, gens: Iterable[GenSym]) -> list[Perm]:
+    def values_in_order(self, gens: Iterable[str]) -> list[Perm]:
         return [self.value(g) for g in gens]
 
-    def with_value(self, sym: GenSym, value: Perm) -> "GenAssignment":
+    def with_value(self, sym: str, value: Perm) -> "GenAssignment":
         mapping = dict(self.mapping)
         mapping[sym] = value
         return GenAssignment(mapping, self.label)
@@ -154,11 +154,11 @@ def phi_tables(j: int) -> GenAssignment:
     """
     if j < 1:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
-    mapping: dict[GenSym, Perm] = {}
+    mapping: dict[str, Perm] = {}
     for l in range(1, j + 1):
         table = stage_table(j, l)
         for letter in LINK_LETTERS:
-            mapping[GenSym(letter, l)] = table[letter]
+            mapping[f"{letter}{l}"] = table[letter]
     return GenAssignment(mapping, label=f"phi-{j}")
 
 
@@ -180,7 +180,7 @@ def sternfeld_error_repro() -> SternfeldRepro:
     assignment = GenAssignment(images, label="sternfeld-fragment")
     return SternfeldRepro(
         got=eval_word(assignment, w),
-        expected=assignment.value(GenSym("a")),
+        expected=assignment.value("a"),
     )
 
 

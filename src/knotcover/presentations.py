@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 from .perm import Perm, parse_cycles
-from .words import GenSym, Presentation, Word, word
+from .words import Presentation, Word, word
 
 LINK_LETTERS = "abcdefghi"
 
@@ -28,28 +28,26 @@ _LINK_RELATOR_RHS = (
 
 
 def _stage_word(text: str, l: int) -> Word:
-    """Parse a word over the plain letters and attach subscript ``l``."""
-    plain = word(text)
-    return Word(tuple((GenSym(s.stem, l), sign) for s, sign in plain))
+    """Parse a word over the plain letters and append ``l`` to each name."""
+    return Word(tuple((f"{s}{l}", sign) for s, sign in word(text)))
 
 
 def trefoil_presentation() -> Presentation:
     """The two-generator trefoil group <a, b | b^-1 a^-1 b^-1 a b a>."""
-    a, b = GenSym("a"), GenSym("b")
     return Presentation(
-        generators=(a, b),
+        generators=("a", "b"),
         relators=(word("b^-1 a^-1 b^-1 a b a"),),
         label="trefoil",
         relator_names=("braid",),
     )
 
 
-def link_block(l: int) -> tuple[tuple[GenSym, ...], tuple[Word, ...], tuple[str, ...]]:
+def link_block(l: int) -> tuple[tuple[str, ...], tuple[Word, ...], tuple[str, ...]]:
     """Generators a_l..i_l, the nine conjugation relators of stage ``l``, and
     their diagnostic names."""
     if l < 1:
         raise InvalidArgumentError(f"stage index must be positive, got {l}")
-    gens = tuple(GenSym(c, l) for c in LINK_LETTERS)
+    gens = tuple(f"{c}{l}" for c in LINK_LETTERS)
     relators = []
     names = []
     for k, (lhs, rhs) in enumerate(_LINK_RELATOR_RHS, start=1):
@@ -86,7 +84,7 @@ def kj_presentation(j: int) -> Presentation:
     with the top meridian killed by h_j = 1."""
     if j < 1:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
-    gens: list[GenSym] = []
+    gens: list[str] = []
     relators: list[Word] = []
     names: list[str] = []
     for l in range(1, j + 1):
@@ -129,14 +127,11 @@ def kjss_presentation(j: int) -> Presentation:
     )
 
 
-def _assignment(cycles: dict[str, str], subscript: int | None = None
-                ) -> dict[GenSym, Perm]:
-    return {
-        GenSym(name, subscript): parse_cycles(text) for name, text in cycles.items()
-    }
+def _assignment(cycles: dict[str, str]) -> dict[str, Perm]:
+    return {name: parse_cycles(text) for name, text in cycles.items()}
 
 
-def sternfeld_fragment() -> tuple[dict[GenSym, Perm], Word]:
+def sternfeld_fragment() -> tuple[dict[str, Perm], Word]:
     """The six generator images quoted from the historical thesis table,
     plus the sewing word o^-1 h f^-1 q whose image that table gets wrong:
     the word evaluates to the image of r instead of the image of a."""
@@ -182,9 +177,9 @@ _STERNFELD_TABLE_EVEN = {
 }
 
 
-def sternfeld_tables() -> tuple[dict[GenSym, Perm], ...]:
+def sternfeld_tables() -> tuple[dict[str, Perm], ...]:
     """The corrected 21-generator tables (top stage, odd distance, even
-    distance), keyed by plain letter symbols a..u."""
+    distance), keyed by the plain letters a..u."""
     return (
         _assignment(_STERNFELD_TABLE_TOP),
         _assignment(_STERNFELD_TABLE_ODD),

@@ -14,7 +14,7 @@ from .errors import CapacityError, InvalidArgumentError
 from .homcheck import phi_tables
 from .presentations import kj_presentation, trefoil_presentation
 from .snf import smith_normal_form_sparse
-from .words import GenSym, Presentation, Word, reduce, word
+from .words import Presentation, Word, reduce, word
 
 # Boundary curves of the trefoil complement, as words in the two-generator
 # presentation: the meridian is the generator a, and the longitude below is
@@ -29,13 +29,14 @@ class SubgroupPresentation:
     """A rewritten presentation of the subgroup a coset table describes.
 
     Schreier generator s = (c, g) stands for rep(c) * g * rep(c * g)^-1,
-    named by appending "x<coset>" to the base generator name.  Spanning-tree
-    pairs are dropped, leaving index * gens - index + 1 generators; every
-    base relator is rewritten once per coset.
+    named by appending "x<coset>" to the base generator name; the last "x"
+    splits the name back into g and c.  Spanning-tree pairs are dropped,
+    leaving index * gens - index + 1 generators; every base relator is
+    rewritten once per coset.
     """
 
     table: CosetTable
-    schreier_gens: tuple[tuple[int, GenSym], ...]
+    schreier_gens: tuple[tuple[int, str], ...]
     presentation: Presentation
     transversal: tuple[Word, ...]
 
@@ -46,11 +47,11 @@ class SubgroupPresentation:
         return _rewrite(self.table, self._names, coset, w)
 
     @cached_property
-    def _names(self) -> dict[tuple[int, GenSym], GenSym]:
+    def _names(self) -> dict[tuple[int, str], str]:
         return dict(zip(self.schreier_gens, self.presentation.generators))
 
 
-def _rewrite(t: CosetTable, names: dict[tuple[int, GenSym], GenSym],
+def _rewrite(t: CosetTable, names: dict[tuple[int, str], str],
              coset: int, w: Word) -> Word:
     """Rewrite a word read from ``coset``; ``names`` maps each Schreier pair
     to its generator, and a pair it lacks is a tree edge."""
@@ -77,7 +78,7 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
 
     # breadth-first spanning tree from coset 1, forward edges before
     # backward ones, generators in presentation order
-    tree: set[tuple[int, GenSym]] = set()
+    tree: set[tuple[int, str]] = set()
     rep: dict[int, Word] = {1: Word()}
     queue = [1]
     while queue:
@@ -94,9 +95,9 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
                 tree.add((prev, g))
                 queue.append(prev)
 
-    # one symbol per Schreier generator, shared by every occurrence
+    # one name per Schreier generator, shared by every occurrence
     names = {
-        (c, g): GenSym(f"{g.name}x", c)
+        (c, g): f"{g}x{c}"
         for c in range(1, n + 1)
         for g in gens
         if (c, g) not in tree

@@ -1,15 +1,17 @@
 """Free-group words, finite presentations, and their text format.
 
-A word is a freely reduced sequence of syllables (generator, +1 or -1).
-Presentations can be written to and read from a small line-oriented format:
+A generator is a plain name matching [a-z][a-z0-9]*, such as the stage
+letter ``a1`` or the Schreier name ``ax12``.  A word is a freely reduced
+sequence of syllables (generator, +1 or -1).  Presentations can be written
+to and read from a small line-oriented format:
 
     # comment
     gens: a b
     rel: b^-1 a^-1 b^-1 a b a
     rel: x = y          # stored as the single relator x y^-1
 
-Generator names match [a-z][a-z0-9]* and must not be split ambiguously, so a
-stem never ends in a digit.
+Every Presentation checks its generator names, so printing one and parsing
+the text gives back an equal presentation.
 """
 
 from __future__ import annotations
@@ -23,47 +25,15 @@ from .errors import ParseError
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 
-@dataclass(frozen=True, order=True)
-class GenSym:
-    """A generator symbol: a lowercase stem plus an optional positive
-    subscript.  ``GenSym("a", 3)`` prints as ``a3``."""
-
-    stem: str
-    subscript: int | None = None
-
-    def __post_init__(self):
-        if not _NAME_RE.match(self.stem):
-            raise ValueError(f"bad generator stem {self.stem!r}")
-        if self.stem[-1].isdigit():
-            raise ValueError(f"generator stem {self.stem!r} may not end in a digit")
-        if self.subscript is not None and self.subscript < 1:
-            raise ValueError(f"subscript must be positive, got {self.subscript}")
-
-    @property
-    def name(self) -> str:
-        if self.subscript is None:
-            return self.stem
-        return f"{self.stem}{self.subscript}"
-
-    @classmethod
-    def parse(cls, name: str) -> "GenSym":
-        """Split a printed name back into stem and subscript.
-
-        >>> GenSym.parse("a12")
-        GenSym(stem='a', subscript=12)
-        """
-        if not _NAME_RE.match(name):
-            raise ParseError(f"bad generator name {name!r}")
-        stem = name.rstrip("0123456789")
-        if stem == name:
-            return cls(stem, None)
-        return cls(stem, int(name[len(stem):]))
-
-    def __str__(self) -> str:
-        return self.name
+def check_name(name: str, line: int | None = None, col: int | None = None) -> str:
+    """Return ``name`` if it is a generator name; raise ParseError, at
+    ``line`` and ``col`` when given, if it is not."""
+    if not _NAME_RE.match(name):
+        raise ParseError(f"bad generator name {name!r}", line, col)
+    return name
 
 
-Syllable = tuple[GenSym, int]
+Syllable = tuple[str, int]
 
 
 def reduce(raw: Iterable[Syllable]) -> "Word":
@@ -119,12 +89,12 @@ class Word:
     def total_exponent(self) -> int:
         return sum(sign for _, sign in self.syllables)
 
-    def symbols(self) -> set[GenSym]:
+    def symbols(self) -> set[str]:
         return {sym for sym, _ in self.syllables}
 
     def __str__(self) -> str:
         return " ".join(
-            sym.name if sign > 0 else f"{sym.name}^-1" for sym, sign in self.syllables
+            sym if sign > 0 else f"{sym}^-1" for sym, sign in self.syllables
         )
 
     def __repr__(self) -> str:
@@ -140,11 +110,7 @@ def _parse_syllable(token: str) -> Syllable:
     name, caret, exp = token.partition("^")
     if caret and exp != "-1":
         raise ParseError(f"bad syllable {token!r}: only ^-1 is allowed")
-    try:
-        sym = GenSym.parse(name)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
-    return (sym, -1 if caret else 1)
+    return (check_name(name), -1 if caret else 1)
 
 
 @dataclass(frozen=True)
@@ -152,7 +118,7 @@ class Presentation:
     """A finite presentation.  Equality compares generators and relators
     only; the label and the diagnostic relator names are metadata."""
 
-    generators: tuple[GenSym, ...]
+    generators: tuple[str, ...]
     relators: tuple[Word, ...]
     label: str = field(default="", compare=False)
     relator_names: tuple[str, ...] | None = field(default=None, compare=False)
@@ -160,11 +126,13 @@ class Presentation:
     def __post_init__(self):
         gens = tuple(self.generators)
         rels = tuple(self.relators)
-        names = {g.name for g in gens}
+        for g in gens:
+            check_name(g)
+        names = set(gens)
         if len(names) != len(gens):
             raise ValueError("duplicate generator names")
         for i, r in enumerate(rels):
-            extra = {s.name for s in r.symbols()} - names
+            extra = r.symbols() - names
             if extra:
                 raise ValueError(
                     f"relator {i} uses undeclared generators: {sorted(extra)}"
@@ -179,7 +147,7 @@ class Presentation:
             return self.relator_names[i]
         return f"relator[{i}]"
 
-    def generator_index(self) -> dict[GenSym, int]:
+    def generator_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.generators)}
 
 
@@ -188,7 +156,7 @@ def parse_presentation(text: str) -> Presentation:
 
     A bare ``rel:`` line yields an empty relator, which imposes nothing.
     """
-    generators: list[GenSym] = []
+    generators: list[str] = []
     seen: set[str] = set()
     relators: list[Word] = []
     pending: list[tuple[int, list[tuple[str, int, int]]]] = []
@@ -202,14 +170,11 @@ def parse_presentation(text: str) -> Presentation:
             body_at = line.index("gens:") + len("gens:")
             for m in re.finditer(r"\S+", line[body_at:]):
                 tok, col = m.group(), body_at + m.start() + 1
-                try:
-                    sym = GenSym.parse(tok)
-                except ValueError:
-                    raise ParseError(f"bad generator name {tok!r}", lineno, col)
-                if sym.name in seen:
+                check_name(tok, lineno, col)
+                if tok in seen:
                     raise ParseError(f"duplicate generator {tok!r}", lineno, col)
-                seen.add(sym.name)
-                generators.append(sym)
+                seen.add(tok)
+                generators.append(tok)
         elif stripped.startswith("rel:"):
             body_at = line.index("rel:") + len("rel:")
             toks = [
@@ -228,8 +193,8 @@ def parse_presentation(text: str) -> Presentation:
             sym, sign = _parse_syllable(tok)
         except ParseError as e:
             raise ParseError(str(e), lineno, col) from None
-        if sym.name not in seen:
-            raise ParseError(f"unknown generator {sym.name!r}", lineno, col)
+        if sym not in seen:
+            raise ParseError(f"unknown generator {sym!r}", lineno, col)
         return (sym, sign)
 
     for lineno, toks in pending:
@@ -255,7 +220,7 @@ def parse_presentation(text: str) -> Presentation:
 def print_presentation(p: Presentation) -> str:
     """Render a presentation in the line format; re-parsing gives back an
     equal presentation."""
-    lines = ["gens: " + " ".join(g.name for g in p.generators)]
+    lines = ["gens: " + " ".join(p.generators)]
     for r in p.relators:
         lines.append(("rel: " + str(r)).rstrip())
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from knotcover.homcheck import GenAssignment, SternfeldRepro
 from knotcover.perm import Perm, parse_cycles
 from knotcover.presentations import trefoil_presentation
 from knotcover.subgroups import KERNEL_HOMOLOGY_MAX_STAGES
-from knotcover.words import GenSym, Presentation, Word, print_presentation, word
+from knotcover.words import Presentation, Word, print_presentation, word
 
 README = Path(__file__).parent.parent / "README.md"
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
@@ -254,32 +254,45 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["kernel-homology", "--j", "0"],
-        ["verify-tables", "--j", "0"],
-        ["cover-quotient", "--fold", "0"],
-        ["rank-bound", "--m", "3", "--i", "0"],
-        ["abelianize", "--pres", "{missing}"],
-        ["check-hom", "--pres", "{trefoil}", "--assign", "{bad_name}"],
-        ["abelianize", "--pres", "{not_utf8}"],
-        ["presentation", "--kind", "kj", "--j", "0"],
-        ["--cap", "0", "cover-quotient", "--fold", "2"],
-        ["search-hom", "--pres", "{trefoil}", "--limit", "0"],
-        ["run-all", "--kernel-jmax", "0"],
-        ["run-all", "--kernel-jmax", "-1"],
-        ["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
-         "--subgroup", "{unknown_gen}"],
-        ["--cap", "0", "cover-quotient", "--fold", "6"],
-        ["--cap", "-5", "presentation", "--kind", "trefoil"],
+        (["kernel-homology", "--j", "0"], "stage count must be positive"),
+        (["verify-tables", "--j", "0"], "stage count must be positive"),
+        (["cover-quotient", "--fold", "0"], "fold count must be positive"),
+        (["rank-bound", "--m", "3", "--i", "0"], "i >= 1"),
+        (["abelianize", "--pres", "{missing}"], "cannot read"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{bad_name}"],
+         "bad generator name 'A'"),
+        (["abelianize", "--pres", "{not_utf8}"], "cannot read"),
+        (["presentation", "--kind", "kj", "--j", "0"],
+         "stage count must be positive"),
+        (["--cap", "0", "cover-quotient", "--fold", "2"],
+         "cap must be positive"),
+        (["search-hom", "--pres", "{trefoil}", "--limit", "0"],
+         "limit must be at least 1"),
+        (["run-all", "--kernel-jmax", "0"], "kernel_jmax must be at least 1"),
+        (["run-all", "--kernel-jmax", "-1"], "kernel_jmax must be at least 1"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
+          "--subgroup", "{unknown_gen}"], "uses c, which is not a generator"),
+        (["--cap", "0", "cover-quotient", "--fold", "6"],
+         "cap must be positive"),
+        (["--cap", "-5", "presentation", "--kind", "trefoil"],
+         "cap must be positive"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "cyclic", "--k", "0"],
+         "fold count must be positive, got 0"),
+        (["kernel-homology", "--j", "x"], "argument --j: invalid int value"),
+        (["kernel-homology"], "the following arguments are required: --j"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
          "limit0", "kernel-jmax0", "kernel-jmax-negative",
          "subgroup-unknown-generator", "cap0-no-enumeration",
-         "cap-negative-no-enumeration"],
+         "cap-negative-no-enumeration", "cyclic-k0", "usage-bad-int",
+         "usage-missing-required", "usage-unknown-subcommand"],
 )
-def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file,
+                                               argv, message):
     bad_name = tmp_path / "assign.txt"
     bad_name.write_text("A = (1,2)\n")
     not_utf8 = tmp_path / "binary.pres"
@@ -294,7 +307,15 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file, a
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+    assert message in err
     assert "Traceback" not in err
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["kernel-homology", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: knotcover kernel-homology")
 
 
 def test_run_all_json_matches_golden(capsys):
@@ -394,7 +415,7 @@ def _kill_first_generator(kj_presentation):
 CORRUPTIONS = {
     # one table entry changed
     cli.CLAIM_TABLES: ("phi_tables", lambda real: lambda j: real(j).with_value(
-        GenSym("e", j), parse_cycles("(1,2,3)"))),
+        f"e{j}", parse_cycles("(1,2,3)"))),
     # the trivial assignment satisfies every relator but has image order 1
     cli.CLAIM_SMALL_STAGE_ORDERS: ("phi_tables", lambda real: lambda j: (
         GenAssignment(dict.fromkeys(real(j).mapping, Perm.identity())))),

@@ -20,14 +20,14 @@ from knotcover.homcheck import GenAssignment, phi_tables
 from knotcover.perm import closure, parse_cycles
 from knotcover.presentations import kjss_presentation, trefoil_presentation
 from knotcover.subgroups import TREFOIL_LONGITUDE, TREFOIL_MERIDIAN
-from knotcover.words import GenSym, Presentation, Word, word
+from knotcover.words import Presentation, Word, word
 
 S3 = Presentation(
-    generators=(GenSym("a"), GenSym("b")),
+    generators=("a", "b"),
     relators=(word("a a"), word("b b"), word("a b a b a b")),
 )
 Q8 = Presentation(
-    generators=(GenSym("a"), GenSym("b")),
+    generators=("a", "b"),
     relators=(word("a a a a"), word("a a b^-1 b^-1"), word("b^-1 a b a")),
 )
 
@@ -43,18 +43,18 @@ def pinned_trefoil():
 def test_action_rows_must_be_permutations():
     with pytest.raises(TableIntegrityError, match="not a permutation"):
         CosetTable(
-            gens=(GenSym("a"),), action=((1, 1),), index=2
+            gens=("a",), action=((1, 1),), index=2
         )
 
 
 def test_one_row_per_generator():
     with pytest.raises(TableIntegrityError):
-        CosetTable(gens=(GenSym("a"), GenSym("b")), action=((1,),), index=1)
+        CosetTable(gens=("a", "b"), action=((1,),), index=1)
 
 
 def test_step_trace_and_word_action():
     t = cyclic_cover_table(trefoil_presentation(), 4)
-    a = GenSym("a")
+    a = "a"
     assert t.step(1, a) == 2
     assert t.step(1, a, -1) == 4
     assert t.trace(1, word("a b a")) == 4
@@ -78,7 +78,7 @@ def test_verify_accepts_real_tables_and_rejects_corrupt_ones():
 
 def test_verify_requires_matching_generators():
     t = cyclic_cover_table(trefoil_presentation(), 2)
-    other = Presentation(generators=(GenSym("x"), GenSym("y")), relators=())
+    other = Presentation(generators=("x", "y"), relators=())
     with pytest.raises(TableIntegrityError, match="generators"):
         t.verify(other)
 
@@ -107,7 +107,7 @@ def test_staged_kernel_index_is_the_image_order(j, index):
 
 def test_kernel_requires_a_homomorphism():
     assignment = phi_tables(1).with_value(
-        GenSym("a", 1), parse_cycles("(1,2,3)")
+        "a1", parse_cycles("(1,2,3)")
     )
     with pytest.raises(InvalidHomomorphismError, match=r"R_\{1,1\}"):
         kernel_coset_table(kjss_presentation(1), assignment)
@@ -120,8 +120,8 @@ def test_kernel_coset_order_is_closure_discovery_order():
     t = kernel_coset_table(p, assignment)
     group = closure(assignment.values_in_order(p.generators))
     pos = {e: i + 1 for i, e in enumerate(group.elements)}
-    a_img = assignment.value(GenSym("a"))
-    assert t.step(1, GenSym("a")) == pos[a_img]
+    a_img = assignment.value("a")
+    assert t.step(1, "a") == pos[a_img]
 
 
 def _orbit_reaches_everything(rows, index):
@@ -153,7 +153,7 @@ def _random_table(rng, ngens):
         rng.shuffle(low)
         rng.shuffle(high)
         rows.append(tuple(low + high))
-    gens = tuple(GenSym(s) for s in "abc"[:ngens])
+    gens = tuple("abc"[:ngens])
     return CosetTable(gens=gens, action=tuple(rows), index=n)
 
 
@@ -216,7 +216,7 @@ def test_one_fold_cover_is_the_identity_cover():
 
 def test_cyclic_cover_requires_zero_total_exponent():
     unbalanced = Presentation(
-        generators=(GenSym("a"),), relators=(word("a"),),
+        generators=("a",), relators=(word("a"),),
         relator_names=("kill",),
     )
     with pytest.raises(TableIntegrityError, match="kill"):

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from knotcover.errors import CapacityError, MissingAssignmentError
+from knotcover.errors import CapacityError, MissingAssignmentError, ParseError
 from knotcover.homcheck import (
     A5_ORDER,
     GenAssignment,
@@ -21,7 +21,7 @@ from knotcover.presentations import (
     kjss_presentation,
     trefoil_presentation,
 )
-from knotcover.words import GenSym, Presentation, word
+from knotcover.words import Presentation, word
 
 
 # -- independent oracle helpers (no package arithmetic) ----------------------
@@ -78,21 +78,26 @@ def as_tuple(perm: Perm):
 
 def test_from_names_parses_cycles_and_identity():
     a = GenAssignment.from_names({"a": "(1,2,3)", "b": ""})
-    assert a.value(GenSym("a")) == parse_cycles("(1,2,3)")
-    assert a.value(GenSym("b")) == Perm.identity()
+    assert a.value("a") == parse_cycles("(1,2,3)")
+    assert a.value("b") == Perm.identity()
+
+
+def test_from_names_rejects_bad_generator_names():
+    with pytest.raises(ParseError, match="bad generator name 'A'"):
+        GenAssignment.from_names({"a": "(1,2,3)", "A": "(1,2)(3,4)"})
 
 
 def test_missing_assignment_is_a_named_error():
     a = GenAssignment.from_names({"a": "(1,2)(3,4)"})
     with pytest.raises(MissingAssignmentError, match="b1"):
-        a.value(GenSym("b", 1))
+        a.value("b1")
 
 
 def test_with_value_returns_new_assignment():
     a = GenAssignment.from_names({"a": "(1,2)(3,4)"})
-    b = a.with_value(GenSym("a"), parse_cycles("(1,2,3)"))
-    assert a.value(GenSym("a")) == parse_cycles("(1,2)(3,4)")
-    assert b.value(GenSym("a")) == parse_cycles("(1,2,3)")
+    b = a.with_value("a", parse_cycles("(1,2,3)"))
+    assert a.value("a") == parse_cycles("(1,2)(3,4)")
+    assert b.value("a") == parse_cycles("(1,2,3)")
 
 
 def test_label_is_metadata_only():
@@ -157,7 +162,7 @@ def test_stage_table_rejects_out_of_range():
 
 
 def test_corrupted_assignment_names_the_broken_relators():
-    assignment = phi_tables(1).with_value(GenSym("a", 1), parse_cycles("(1,2,3)"))
+    assignment = phi_tables(1).with_value("a1", parse_cycles("(1,2,3)"))
     report = check_relators(kjss_presentation(1), assignment)
     assert not report.ok
     names = {v.name for v in report.violations}
@@ -203,7 +208,7 @@ def test_search_count_matches_brute_force():
     p = trefoil_presentation()
     found = search_surjections(p, limit=1000)
     got = {
-        (as_tuple(a.value(GenSym("a"))), as_tuple(a.value(GenSym("b"))))
+        (as_tuple(a.value("a")), as_tuple(a.value("b")))
         for a in found
     }
 
@@ -230,7 +235,7 @@ def test_search_rediscovers_pinned_assignment():
         as_tuple(parse_cycles("(1,2,3,4,5)")),
     )
     listed = {
-        (as_tuple(a.value(GenSym("a"))), as_tuple(a.value(GenSym("b"))))
+        (as_tuple(a.value("a")), as_tuple(a.value("b")))
         for a in found
     }
     assert pinned in listed
@@ -243,7 +248,7 @@ def test_search_respects_limit():
 
 def test_search_refuses_wide_presentations():
     wide = Presentation(
-        generators=tuple(GenSym(s) for s in "abcd"),
+        generators=tuple("abcd"),
         relators=(),
     )
     with pytest.raises(CapacityError):

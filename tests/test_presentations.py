@@ -13,12 +13,12 @@ from knotcover.presentations import (
     sternfeld_tables,
     trefoil_presentation,
 )
-from knotcover.words import GenSym, parse_presentation, print_presentation, word
+from knotcover.words import parse_presentation, print_presentation, word
 
 
 def test_trefoil_shape():
     p = trefoil_presentation()
-    assert [g.name for g in p.generators] == ["a", "b"]
+    assert p.generators == ("a", "b")
     assert len(p.relators) == 1
     assert str(p.relators[0]) == "b^-1 a^-1 b^-1 a b a"
     assert p.relator_names == ("braid",)
@@ -52,11 +52,11 @@ def test_identified_presentation_adds_three_relators_per_stage(j):
 
 def test_generators_carry_their_stage_subscript():
     p = kj_presentation(3)
-    for g in p.generators:
-        assert g.subscript in (1, 2, 3)
-        assert g.stem in "abcdefghi"
-    # nine letters per stage, stages in order
-    assert [g.subscript for g in p.generators] == [1] * 9 + [2] * 9 + [3] * 9
+    # nine letters per stage, stages in order, each name its letter then
+    # its stage
+    assert p.generators == tuple(
+        f"{letter}{l}" for l in (1, 2, 3) for letter in "abcdefghi"
+    )
 
 
 def test_link_block_relators():
@@ -64,9 +64,9 @@ def test_link_block_relators():
     names = dict(zip(p.relator_names, p.relators))
     assert names["R_{1,1}"] == word("b1 c1^-1 a1^-1 c1")
     assert names["R_{2,4}"] == word("e2 g2 d2^-1 g2^-1")
-    # same block shape at every stage, just re-subscripted
+    # same block shape at every stage, only the stage number changes
     restaged = [
-        (GenSym(sym.stem, 2), sign) for sym, sign in names["R_{1,1}"]
+        (f"{sym[0]}2", sign) for sym, sign in names["R_{1,1}"]
     ]
     assert list(names["R_{2,1}"]) == restaged
 
@@ -136,7 +136,7 @@ def test_staged_counts_formula(j):
 def test_historical_fragment_data():
     images, w = sternfeld_fragment()
     assert str(w) == "o^-1 h f^-1 q"
-    got = {g.name: str(v) for g, v in images.items()}
+    got = {g: str(v) for g, v in images.items()}
     assert got == {
         "o": "(1,4)(2,5)",
         "h": "(1,4)(3,5)",
@@ -149,14 +149,14 @@ def test_historical_fragment_data():
 
 def test_historical_tables_shape_and_spot_values():
     top, odd, even = sternfeld_tables()
-    letters = [GenSym(stem) for stem in "abcdefghijklmnopqrstu"]
+    letters = list("abcdefghijklmnopqrstu")
     for table in (top, odd, even):
         assert sorted(table) == letters
-    assert top[GenSym("a")] == parse_cycles("(1,2)(3,5)")
-    assert top[GenSym("e")] == parse_cycles("(1,2)(4,5)")
-    assert odd[GenSym("a")] == parse_cycles("(1,2)(4,5)")
-    assert odd[GenSym("f")] == parse_cycles("(2,5)(3,4)")
-    assert even[GenSym("e")] == parse_cycles("(1,4)(3,5)")
+    assert top["a"] == parse_cycles("(1,2)(3,5)")
+    assert top["e"] == parse_cycles("(1,2)(4,5)")
+    assert odd["a"] == parse_cycles("(1,2)(4,5)")
+    assert odd["f"] == parse_cycles("(2,5)(3,4)")
+    assert even["e"] == parse_cycles("(1,4)(3,5)")
     # every table value is an even permutation of at most 5 points
     for table in (top, odd, even):
         for v in table.values():

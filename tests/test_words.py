@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from knotcover.errors import ParseError
 from knotcover.words import (
-    GenSym,
     Presentation,
     Word,
     parse_presentation,
@@ -13,7 +12,7 @@ from knotcover.words import (
     word,
 )
 
-a, b, c = GenSym("a"), GenSym("b"), GenSym("c")
+a, b, c = "a", "b", "c"
 
 syllables = st.tuples(
     st.sampled_from([a, b, c]), st.sampled_from([1, -1])
@@ -21,24 +20,31 @@ syllables = st.tuples(
 raw_words = st.lists(syllables, max_size=12)
 
 
-def test_gensym_names():
-    assert GenSym("a").name == "a"
-    assert GenSym("a", 3).name == "a3"
-    assert GenSym("a1x", 17).name == "a1x17"
-    assert GenSym.parse("a12") == GenSym("a", 12)
-    assert GenSym.parse("ab") == GenSym("ab")
-    assert GenSym.parse("a1x17") == GenSym("a1x", 17)
+@pytest.mark.parametrize("bad", ["A", "1a", "a_b", "ab-"])
+def test_word_text_rejects_bad_generator_names(bad):
+    with pytest.raises(ParseError, match=f"bad generator name '{bad}'"):
+        word(f"a {bad}^-1")
 
 
-def test_gensym_rejects_bad_names():
-    with pytest.raises(ValueError):
-        GenSym("A")
-    with pytest.raises(ValueError):
-        GenSym("a1")  # stem may not end in a digit
-    with pytest.raises(ValueError):
-        GenSym("a", 0)
-    with pytest.raises(ValueError):
-        GenSym.parse("1a")
+def test_gens_line_rejects_bad_names_at_their_column():
+    with pytest.raises(ParseError, match="bad generator name 'A'") as e:
+        parse_presentation("gens: a A\n")
+    assert (e.value.line, e.value.col) == (1, 9)
+    with pytest.raises(ParseError, match="bad generator name '1a'"):
+        parse_presentation("gens: 1a\n")
+
+
+def test_digit_names_are_distinct_and_kept_as_written():
+    w = word("a0 a01 a1")
+    assert [sym for sym, _ in w] == ["a0", "a01", "a1"]
+    assert str(w) == "a0 a01 a1"
+
+
+def test_schreier_names_print_and_parse_back():
+    p = Presentation(("ax12", "b3x7", "a1x17"), (word("ax12 b3x7^-1 a1x17"),))
+    text = print_presentation(p)
+    assert text == "gens: ax12 b3x7 a1x17\nrel: ax12 b3x7^-1 a1x17\n"
+    assert parse_presentation(text) == p
 
 
 def test_reduce_cancels():
@@ -87,6 +93,10 @@ def test_pow():
 
 
 def test_presentation_validation():
+    with pytest.raises(ValueError, match="bad generator name 'A'"):
+        Presentation((a, "A"), ())
+    with pytest.raises(ValueError, match="bad generator name 'a b'"):
+        Presentation(("a b",), ())
     with pytest.raises(ValueError, match="duplicate"):
         Presentation((a, a), ())
     with pytest.raises(ValueError, match="undeclared"):
@@ -97,7 +107,7 @@ def test_presentation_validation():
 
 def test_parse_presentation_basic():
     p = parse_presentation("gens: a b\nrel: b^-1 a^-1 b^-1 a b a\n")
-    assert [g.name for g in p.generators] == ["a", "b"]
+    assert p.generators == ("a", "b")
     assert p.relators == (word("b^-1 a^-1 b^-1 a b a"),)
 
 
@@ -108,7 +118,7 @@ def test_parse_presentation_equality_form():
 
 def test_parse_presentation_free_group():
     p = parse_presentation("gens: a\nrel: \n")
-    assert [g.name for g in p.generators] == ["a"]
+    assert p.generators == ("a",)
     assert p.relators == (Word(),)  # an empty relator imposes nothing
 
 
