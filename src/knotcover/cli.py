@@ -82,7 +82,11 @@ def load_assignment_file(path: str) -> GenAssignment:
         name, eq, cycles = line.partition("=")
         if not eq:
             raise KnotcoverError(f"{path}:{lineno}: expected 'name = cycles'")
-        mapping[name.strip()] = cycles.strip()
+        name = name.strip()
+        if name in mapping:
+            raise KnotcoverError(
+                f"{path}:{lineno}: generator {name!r} assigned twice")
+        mapping[name] = cycles.strip()
     return GenAssignment.from_names(mapping, label=path)
 
 

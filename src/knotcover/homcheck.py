@@ -103,8 +103,8 @@ def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
     return CheckReport(tuple(violations), group.order, onto_a5)
 
 
-# Stage image tables.  The top stage uses TABLE_TOP; a stage at distance
-# d >= 1 below the top uses TABLE_CYCLE[(d - 1) % 4].
+# Stage image tables.  The top stage uses _TABLE_TOP; a stage at distance
+# d >= 1 below the top uses _TABLE_CYCLE[(d - 1) % 4].
 _TABLE_TOP = {
     "a": "(1,2)(3,4)", "b": "(1,2)(3,4)", "c": "(1,2)(3,4)", "d": "(1,2)(3,4)",
     "e": "(1,2)(3,4)", "f": "(1,2)(3,4)", "g": "(1,2)(3,4)", "h": "()", "i": "()",
@@ -133,16 +133,11 @@ _TABLE_CYCLE = (
     },
 )
 
-
-def stage_table(j: int, l: int) -> dict[str, Perm]:
-    """Image table for stage ``l`` of a ``j``-stage presentation."""
-    if not 1 <= l <= j:
-        raise InvalidArgumentError(f"stage {l} outside 1..{j}")
-    if l == j:
-        table = _TABLE_TOP
-    else:
-        table = _TABLE_CYCLE[(j - l - 1) % 4]
-    return {name: parse_cycles(text) for name, text in table.items()}
+_PERMS_TOP = {name: parse_cycles(text) for name, text in _TABLE_TOP.items()}
+_PERMS_CYCLE = tuple(
+    {name: parse_cycles(text) for name, text in table.items()}
+    for table in _TABLE_CYCLE
+)
 
 
 def phi_tables(j: int) -> GenAssignment:
@@ -156,7 +151,7 @@ def phi_tables(j: int) -> GenAssignment:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
     mapping: dict[str, Perm] = {}
     for l in range(1, j + 1):
-        table = stage_table(j, l)
+        table = _PERMS_TOP if l == j else _PERMS_CYCLE[(j - l - 1) % 4]
         for letter in LINK_LETTERS:
             mapping[f"{letter}{l}"] = table[letter]
     return GenAssignment(mapping, label=f"phi-{j}")

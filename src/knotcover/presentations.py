@@ -4,8 +4,6 @@ historical 21-generator table data used by the error reproduction."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import InvalidArgumentError
 from .perm import Perm, parse_cycles
 from .words import Presentation, Word, word
@@ -26,10 +24,26 @@ _LINK_RELATOR_RHS = (
     ("i", "f h f^-1"),
 )
 
+# One stage, parsed once over the plain letters; every stage is a renaming.
+_LINK_RELATORS = tuple(word(lhs) * word(rhs).inverse()
+                       for lhs, rhs in _LINK_RELATOR_RHS)
 
-def _stage_word(text: str, l: int) -> Word:
-    """Parse a word over the plain letters and append ``l`` to each name."""
-    return Word(tuple((f"{s}{l}", sign) for s, sign in word(text)))
+# Boundary curves of one stage: two meridian-like curves (alpha, gamma) and
+# two clasp curves (beta, delta).
+_ALPHA = word("h")
+_BETA = word("f^-1 g")
+_GAMMA = word("a")
+_DELTA = word("c a b g^-1 h^-1 e^-1 h")
+
+# The identifications a=b, b=c, c=d that collapse the four parallel strands.
+_STRAND_PAIRS = (("a", "b"), ("b", "c"), ("c", "d"))
+_STRAND_RELATORS = tuple(word(lhs) * word(rhs).inverse()
+                         for lhs, rhs in _STRAND_PAIRS)
+
+
+def _at_stage(w: Word, l: int) -> Word:
+    """Rename a word over the plain letters to the stage-``l`` generators."""
+    return Word(tuple((f"{s}{l}", sign) for s, sign in w))
 
 
 def trefoil_presentation() -> Presentation:
@@ -42,67 +56,24 @@ def trefoil_presentation() -> Presentation:
     )
 
 
-def link_block(l: int) -> tuple[tuple[str, ...], tuple[Word, ...], tuple[str, ...]]:
-    """Generators a_l..i_l, the nine conjugation relators of stage ``l``, and
-    their diagnostic names."""
-    if l < 1:
-        raise InvalidArgumentError(f"stage index must be positive, got {l}")
-    gens = tuple(f"{c}{l}" for c in LINK_LETTERS)
-    relators = []
-    names = []
-    for k, (lhs, rhs) in enumerate(_LINK_RELATOR_RHS, start=1):
-        relators.append(_stage_word(lhs, l) * _stage_word(rhs, l).inverse())
-        names.append(f"R_{{{l},{k}}}")
-    return gens, tuple(relators), tuple(names)
-
-
-class BoundaryWords(NamedTuple):
-    """Boundary curve classes of one stage, as words in that stage's
-    generators: two meridian-like curves (alpha, gamma) and two clasp
-    curves (beta, delta)."""
-
-    alpha: Word
-    beta: Word
-    gamma: Word
-    delta: Word
-
-
-def boundary_words(l: int) -> BoundaryWords:
-    if l < 1:
-        raise InvalidArgumentError(f"stage index must be positive, got {l}")
-    return BoundaryWords(
-        alpha=_stage_word("h", l),
-        beta=_stage_word("f^-1 g", l),
-        gamma=_stage_word("a", l),
-        delta=_stage_word("c a b g^-1 h^-1 e^-1 h", l),
-    )
-
-
 def kj_presentation(j: int) -> Presentation:
     """Group of the j-stage link complement: stages 1..j glued by the sewing
     relators S_{l,1}: h_{l-1} = delta_l and S_{l,2}: f_{l-1}^-1 g_{l-1} = a_l,
     with the top meridian killed by h_j = 1."""
     if j < 1:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
-    gens: list[str] = []
-    relators: list[Word] = []
-    names: list[str] = []
-    for l in range(1, j + 1):
-        g, r, n = link_block(l)
-        gens.extend(g)
-        relators.extend(r)
-        names.extend(n)
+    stages = range(1, j + 1)
+    relators = [_at_stage(r, l) for l in stages for r in _LINK_RELATORS]
+    names = [f"R_{{{l},{k}}}" for l in stages
+             for k in range(1, len(_LINK_RELATORS) + 1)]
     for l in range(2, j + 1):
-        below = boundary_words(l - 1)
-        here = boundary_words(l)
-        relators.append(below.alpha * here.delta.inverse())
-        names.append(f"S_{{{l},1}}")
-        relators.append(below.beta * here.gamma.inverse())
-        names.append(f"S_{{{l},2}}")
-    relators.append(_stage_word("h", j))
+        relators.append(_at_stage(_ALPHA, l - 1) * _at_stage(_DELTA, l).inverse())
+        relators.append(_at_stage(_BETA, l - 1) * _at_stage(_GAMMA, l).inverse())
+        names += [f"S_{{{l},1}}", f"S_{{{l},2}}"]
+    relators.append(_at_stage(_ALPHA, j))
     names.append(f"h_{j}")
     return Presentation(
-        generators=tuple(gens),
+        generators=tuple(f"{c}{l}" for l in stages for c in LINK_LETTERS),
         relators=tuple(relators),
         label=f"kj-{j}",
         relator_names=tuple(names),
@@ -116,9 +87,8 @@ def kjss_presentation(j: int) -> Presentation:
     relators = list(base.relators)
     names = list(base.relator_names)
     for l in range(1, j + 1):
-        for lhs, rhs in (("a", "b"), ("b", "c"), ("c", "d")):
-            relators.append(_stage_word(lhs, l) * _stage_word(rhs, l).inverse())
-            names.append(f"{lhs}{l}={rhs}{l}")
+        relators += [_at_stage(r, l) for r in _STRAND_RELATORS]
+        names += [f"{lhs}{l}={rhs}{l}" for lhs, rhs in _STRAND_PAIRS]
     return Presentation(
         generators=base.generators,
         relators=tuple(relators),

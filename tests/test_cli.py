@@ -283,25 +283,30 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
         (["kernel-homology", "--j", "x"], "argument --j: invalid int value"),
         (["kernel-homology"], "the following arguments are required: --j"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{duplicate}"],
+         "duplicate.txt:2: generator 'a' assigned twice"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
          "limit0", "kernel-jmax0", "kernel-jmax-negative",
          "subgroup-unknown-generator", "cap0-no-enumeration",
          "cap-negative-no-enumeration", "cyclic-k0", "usage-bad-int",
-         "usage-missing-required", "usage-unknown-subcommand"],
+         "usage-missing-required", "usage-unknown-subcommand",
+         "duplicate-assignment"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file,
                                                argv, message):
     bad_name = tmp_path / "assign.txt"
     bad_name.write_text("A = (1,2)\n")
+    duplicate = tmp_path / "duplicate.txt"
+    duplicate.write_text("a = (1,2,3)\na = (1,3,5,4,2)\nb = (1,2,3,4,5)\n")
     not_utf8 = tmp_path / "binary.pres"
     not_utf8.write_bytes(b"\xff")
     unknown_gen = tmp_path / "subgroup.words"
     unknown_gen.write_text("a c\n")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
              "bad_name": str(bad_name), "not_utf8": str(not_utf8),
-             "unknown_gen": str(unknown_gen)}
+             "unknown_gen": str(unknown_gen), "duplicate": str(duplicate)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""

@@ -12,7 +12,6 @@ from knotcover.homcheck import (
     eval_word,
     phi_tables,
     search_surjections,
-    stage_table,
     sternfeld_error_repro,
 )
 from knotcover.perm import Perm, parse_cycles
@@ -139,26 +138,22 @@ def test_onto_a5_flag_tracks_image_order():
 
 
 def test_top_stage_table():
-    table = stage_table(4, 4)
+    table = phi_tables(4)
     for letter in "abcdefg":
-        assert table[letter] == parse_cycles("(1,2)(3,4)")
-    assert table["h"] == Perm.identity()
-    assert table["i"] == Perm.identity()
+        assert table.value(f"{letter}4") == parse_cycles("(1,2)(3,4)")
+    assert table.value("h4") == Perm.identity()
+    assert table.value("i4") == Perm.identity()
 
 
 def test_lower_stage_tables_cycle_with_distance():
     # distance from the top picks one of four tables, repeating every 4
-    assert stage_table(5, 1)["h"] == parse_cycles("(3,4,5)")
-    assert stage_table(3, 1)["e"] == parse_cycles("(1,2)(4,5)")
-    assert stage_table(6, 2) == stage_table(10, 6)
-    assert stage_table(2, 1)["a"] == parse_cycles("(1,2,3)")
-
-
-def test_stage_table_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        stage_table(3, 0)
-    with pytest.raises(ValueError):
-        stage_table(3, 4)
+    assert phi_tables(5).value("h1") == parse_cycles("(3,4,5)")
+    assert phi_tables(3).value("e1") == parse_cycles("(1,2)(4,5)")
+    assert all(
+        phi_tables(6).value(f"{letter}2") == phi_tables(10).value(f"{letter}6")
+        for letter in "abcdefghi"
+    )
+    assert phi_tables(2).value("a1") == parse_cycles("(1,2,3)")
 
 
 def test_corrupted_assignment_names_the_broken_relators():

@@ -1,12 +1,14 @@
 """Tests for the built-in presentation builders and table data."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knotcover.perm import parse_cycles
+from knotcover.homcheck import phi_tables
+from knotcover.perm import cycle_string, parse_cycles
 from knotcover.presentations import (
-    boundary_words,
     kj_presentation,
     kjss_presentation,
     sternfeld_fragment,
@@ -79,20 +81,24 @@ def test_closing_relator_kills_top_stage_h():
 
 
 def test_sewing_relators_tie_adjacent_stages():
+    # S_{2,1}: alpha_1 = delta_2 and S_{2,2}: beta_1 = gamma_2
     p = kj_presentation(2)
     names = dict(zip(p.relator_names, p.relators))
-    below = boundary_words(1)
-    here = boundary_words(2)
-    assert names["S_{2,1}"] == below.alpha * here.delta.inverse()
-    assert names["S_{2,2}"] == below.beta * here.gamma.inverse()
+    delta2 = word("c2 a2 b2 g2^-1 h2^-1 e2^-1 h2")
+    assert names["S_{2,1}"] == word("h1") * delta2.inverse()
+    assert names["S_{2,2}"] == word("f1^-1 g1") * word("a2").inverse()
 
 
 def test_boundary_words_shape():
-    bw = boundary_words(2)
-    assert str(bw.alpha) == "h2"
-    assert str(bw.beta) == "f2^-1 g2"
-    assert str(bw.gamma) == "a2"
-    assert str(bw.delta) == "c2 a2 b2 g2^-1 h2^-1 e2^-1 h2"
+    # stage 2's curves as literal words in the sewing relators: gamma_2 = a2
+    # and delta_2 = c2 a2 b2 g2^-1 h2^-1 e2^-1 h2 sew down to stage 1,
+    # alpha_2 = h2 and beta_2 = f2^-1 g2 sew up to stage 3
+    p = kj_presentation(3)
+    names = dict(zip(p.relator_names, p.relators))
+    assert str(names["S_{2,1}"]) == "h1 h2^-1 e2 h2 g2 b2^-1 a2^-1 c2^-1"
+    assert str(names["S_{2,2}"]) == "f1^-1 g1 a2^-1"
+    assert str(names["S_{3,1}"]) == "h2 h3^-1 e3 h3 g3 b3^-1 a3^-1 c3^-1"
+    assert str(names["S_{3,2}"]) == "f2^-1 g2 a3^-1"
 
 
 def test_identification_relators_by_name():
@@ -131,6 +137,65 @@ def test_staged_counts_formula(j):
     p = kj_presentation(j)
     assert len(p.generators) == 9 * j
     assert len(p.relators) == 9 * j + 2 * (j - 1) + 1
+
+
+# sha256 of the staged family, byte for byte: print_presentation plus the
+# relator names for kj and kjss, and the cycle strings of phi_tables(j) in
+# generator order
+FAMILY_FINGERPRINTS = {
+    ("kj", 1):
+        "7f68f6d44124b3425070ee5a23c57b754716bc7c3b1fbe0cf9d314485d136cc3",
+    ("kj", 2):
+        "3a95d0c04074fa65bba42b73e23ec9fa24a7323a45f4d937cc34b7aabecc4776",
+    ("kj", 5):
+        "306b8dd1afb534031278883dd9c3045ed31481b030e9d72ff07fcdb69a402267",
+    ("kj", 24):
+        "9ae3f1b94a1ddf4e0853d5a70ebed9cc25e74ea44706017a67047aa2e733fec9",
+    ("kjss", 1):
+        "3e920c8ff36e0bc8b52d3c9a311ddecddf0db8b6a2a0fa1addd0e1bf92225cbb",
+    ("kjss", 2):
+        "1ee668587e065d56906c7b20401cdacc8c4672292f46b9b59845029b5e2a77ff",
+    ("kjss", 5):
+        "7db2e7deb7aabcd9027b2c658b08b4c165f90c32e42b971af652474aa3d467f3",
+    ("kjss", 24):
+        "a97867a530c438b2ce32f4ba159ec9f7a40f2099ea7d7c66819a8184f72fe318",
+    ("phi", 1):
+        "e7c4cc8ed68aa844510951bbbeb0c302940713ef4e518a3be3f88a9b20cb737f",
+    ("phi", 2):
+        "6642b9f12eefdda5f624cdf8f70bba2b0818f77119bb002fb3900fc5ce1cce2a",
+    ("phi", 3):
+        "59c48fda849a2a38e14439917694d0df46841ed56eb6665eee738fffc612c6b9",
+    ("phi", 4):
+        "4e9a3818778b49400e56cc6f6a3e2e34960bfa77d93f30f1b19c5564fc7d73ce",
+    ("phi", 5):
+        "6c6ad6f7d75bb9bb007d083862e9905537fc574e83b8dcec1325650725d357bf",
+    ("phi", 6):
+        "55bf698e20ae49eaa7d87fde2160d703521db1d8d803bbcf7187896472f5c3fb",
+    ("phi", 7):
+        "9f4af505486b3e232504066009157bc3a8cf18f9f1f869ce5a6facf0d785ae53",
+    ("phi", 8):
+        "9d933eb386414071e2c2061d978ad3f8f739939e8783d6152d3244816699372c",
+    ("phi", 9):
+        "407fc34bcab944f5660b125daeec92b9584f3cfdb5d13e096ae30665c5e59439",
+}
+
+
+def _family_text(kind, j):
+    if kind == "phi":
+        gens = kj_presentation(j).generators
+        return "\n".join(
+            cycle_string(v) for v in phi_tables(j).values_in_order(gens)
+        )
+    p = {"kj": kj_presentation, "kjss": kjss_presentation}[kind](j)
+    return print_presentation(p) + "\n".join(p.relator_names)
+
+
+def test_staged_family_is_pinned():
+    digests = {
+        key: hashlib.sha256(_family_text(*key).encode()).hexdigest()
+        for key in FAMILY_FINGERPRINTS
+    }
+    assert digests == FAMILY_FINGERPRINTS
 
 
 def test_historical_fragment_data():
