@@ -144,6 +144,8 @@ def _check_tables_at(j: int) -> tuple:
 
 
 def cmd_presentation(args) -> tuple[dict, list[str], int]:
+    if args.j < 1:
+        raise InvalidArgumentError(f"stage count must be positive, got {args.j}")
     if args.kind == "trefoil":
         p = trefoil_presentation()
     elif args.kind == "kj":

@@ -46,23 +46,19 @@ class CosetTable:
                 )
 
     @cached_property
-    def _gen_index(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.gens)}
-
-    @cached_property
-    def _inverse_action(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for row in self.action:
+    def _rows(self) -> dict[tuple[str, int], tuple[int, ...]]:
+        """Action row of each generator (sign 1) and of its inverse (-1)."""
+        rows = {}
+        for g, row in zip(self.gens, self.action):
             inv = [0] * self.index
             for c, img in enumerate(row, start=1):
                 inv[img - 1] = c
-            rows.append(tuple(inv))
-        return tuple(rows)
+            rows[g, 1] = row
+            rows[g, -1] = tuple(inv)
+        return rows
 
     def step(self, coset: int, sym: str, sign: int = 1) -> int:
-        gi = self._gen_index[sym]
-        row = self.action[gi] if sign > 0 else self._inverse_action[gi]
-        return row[coset - 1]
+        return self._rows[sym, sign][coset - 1]
 
     def trace(self, coset: int, w: Word) -> int:
         for sym, sign in w:
@@ -179,19 +175,25 @@ def todd_coxeter(
 
     HLT strategy: scan and fill every relator at every live coset in input
     order, then define any still-missing neighbours; coincidences merge via
-    union-find keeping the smaller coset number.  Deterministic for fixed
-    input.  Raises CapacityError once more than ``cap`` cosets have been
-    defined; a partial table is never returned.  A subgroup generator that
-    uses a symbol outside the presentation raises InvalidArgumentError.
+    union-find keeping the smaller coset number.  The working table has a
+    column for each generator and for each inverse, and column x ^ 1 undoes
+    column x.  Deterministic for fixed input.  Raises CapacityError once
+    more than ``cap`` cosets have been defined; a partial table is never
+    returned.  A subgroup generator that uses a symbol outside the
+    presentation raises InvalidArgumentError.
     """
     if cap < 1:
         raise InvalidArgumentError(f"cap must be positive, got {cap}")
     gens = tuple(p.generators)
     gen_index = {g: i for i, g in enumerate(gens)}
-    ngens = len(gens)
-    relators = [
-        [(gen_index[sym], sign) for sym, sign in r] for r in p.relators
-    ]
+    ncols = 2 * len(gens)
+
+    # Column 2i is generator i and column 2i + 1 its inverse, so column
+    # x ^ 1 is the inverse of column x.
+    def columns(w: Word) -> list[int]:
+        return [2 * gen_index[sym] + (sign < 0) for sym, sign in w]
+
+    relators = [columns(r) for r in p.relators]
     subgroup_words = []
     for w in subgroup_gens:
         for sym, _ in w:
@@ -200,10 +202,9 @@ def todd_coxeter(
                     f"subgroup generator {w} uses {sym}, "
                     "which is not a generator of the presentation"
                 )
-        subgroup_words.append([(gen_index[sym], sign) for sym, sign in w])
+        subgroup_words.append(columns(w))
 
-    fwd: list[list[int | None]] = []
-    bwd: list[list[int | None]] = []
+    table: list[list[int | None]] = []
     parent: list[int] = []
 
     def new_coset() -> int:
@@ -211,8 +212,7 @@ def todd_coxeter(
             raise CapacityError(
                 f"coset enumeration exceeded cap of {cap} cosets"
             )
-        fwd.append([None] * ngens)
-        bwd.append([None] * ngens)
+        table.append([None] * ncols)
         parent.append(len(parent))
         return len(parent) - 1
 
@@ -224,31 +224,31 @@ def todd_coxeter(
             parent[c], c = root, parent[c]
         return root
 
-    def step(c: int, gi: int, sign: int) -> int | None:
-        d = (fwd if sign > 0 else bwd)[c][gi]
+    def step(c: int, x: int) -> int | None:
+        d = table[c][x]
         return None if d is None else find(d)
 
     # Invariant between operations: for every live representative c,
-    # fwd[c][gi] and bwd[c][gi] are None or live representatives, and edges
-    # always come in reciprocal pairs fwd[c][gi] = d <-> bwd[d][gi] = c.
+    # table[c][x] is None or a live representative, and edges always come
+    # in reciprocal pairs table[c][x] = d <-> table[d][x ^ 1] = c.
     merge_queue: list[tuple[int, int]] = []
 
-    def set_edge(c: int, gi: int, d: int) -> None:
-        """Record c * g = d, queueing coincidences on conflict."""
+    def set_edge(c: int, x: int, d: int) -> None:
+        """Record c * x = d, queueing coincidences on conflict."""
         c, d = find(c), find(d)
-        e = fwd[c][gi]
+        e = table[c][x]
         if e is not None:
             if e != d:
                 merge_queue.append((e, d))
             return
-        e = bwd[d][gi]
+        e = table[d][x ^ 1]
         if e is not None:
-            # the g-action is injective, so two preimages of d coincide
+            # the x-action is injective, so two preimages of d coincide
             if e != c:
                 merge_queue.append((e, c))
             return
-        fwd[c][gi] = d
-        bwd[d][gi] = c
+        table[c][x] = d
+        table[d][x ^ 1] = c
 
     def process_merges() -> None:
         while merge_queue:
@@ -258,33 +258,22 @@ def todd_coxeter(
                 continue
             if a > b:
                 a, b = b, a
-            moved: list[tuple[int, int, int]] = []
-            for gi in range(ngens):
-                d = fwd[b][gi]
+            moved: list[tuple[int, int]] = []
+            for x, d in enumerate(table[b]):
                 if d is not None:
-                    fwd[b][gi] = None
-                    bwd[d][gi] = None
-                    moved.append((gi, 1, d))
-                d = bwd[b][gi]
-                if d is not None:
-                    bwd[b][gi] = None
-                    fwd[d][gi] = None
-                    moved.append((gi, -1, d))
+                    table[b][x] = None
+                    table[d][x ^ 1] = None
+                    moved.append((x, d))
             parent[b] = a
-            for gi, sign, d in moved:
-                if sign > 0:
-                    set_edge(a, gi, find(d))
-                else:
-                    set_edge(find(d), gi, a)
+            for x, d in moved:
+                set_edge(a, x, find(d))
 
-    def scan_and_fill(start: int, w: list[tuple[int, int]]) -> None:
-        if not w:
-            return
+    def scan_and_fill(start: int, w: list[int]) -> None:
         i, f = 0, start
         j, b = len(w) - 1, start
         while True:
             while i <= j:
-                nxt = step(f, *w[i])
+                nxt = step(f, w[i])
                 if nxt is None:
                     break
                 f, i = nxt, i + 1
@@ -294,8 +283,7 @@ def todd_coxeter(
                     process_merges()
                 return
             while j >= i:
-                gi, sign = w[j]
-                prev = step(b, gi, -sign)
+                prev = step(b, w[j] ^ 1)
                 if prev is None:
                     break
                 b, j = prev, j - 1
@@ -303,21 +291,14 @@ def todd_coxeter(
                 merge_queue.append((f, b))
                 process_merges()
                 return
-            gi, sign = w[i]
             if i == j:
                 # single gap: closing deduction, may reveal a coincidence
-                if sign > 0:
-                    set_edge(f, gi, b)
-                else:
-                    set_edge(b, gi, f)
+                set_edge(f, w[i], b)
                 process_merges()
                 return
             # gap of length > 1: fill with a fresh coset (cannot conflict)
             d = new_coset()
-            if sign > 0:
-                set_edge(f, gi, d)
-            else:
-                set_edge(d, gi, f)
+            set_edge(f, w[i], d)
             f, i = d, i + 1
 
     start = new_coset()
@@ -330,27 +311,25 @@ def todd_coxeter(
                 if find(c) != c:
                     break
                 scan_and_fill(c, r)
-            if find(c) == c:
-                for gi in range(ngens):
-                    if find(c) != c:
-                        break
-                    if step(c, gi, 1) is None:
-                        set_edge(c, gi, new_coset())
-                        process_merges()
-                    if find(c) == c and step(c, gi, -1) is None:
-                        d = new_coset()
-                        set_edge(d, gi, c)
-                        process_merges()
+            # define in column order g0, g0^-1, g1, g1^-1, ...; this order
+            # fixes the coset numbering
+            for x in range(ncols):
+                if find(c) != c:
+                    break
+                if step(c, x) is None:
+                    set_edge(c, x, new_coset())
+                    process_merges()
         c += 1
 
     live = [c for c in range(len(parent)) if find(c) == c]
     number = {c: i + 1 for i, c in enumerate(live)}
     action = tuple(
-        tuple(number[find(fwd[c][gi])] for c in live) for gi in range(ngens)
+        tuple(number[find(table[c][x])] for c in live)
+        for x in range(0, ncols, 2)
     )
-    table = CosetTable(gens=gens, action=action, index=len(live))
-    table.verify(p)
+    result = CosetTable(gens=gens, action=action, index=len(live))
+    result.verify(p)
     for w in subgroup_gens:
-        if table.trace(1, w) != 1:
+        if result.trace(1, w) != 1:
             raise TableIntegrityError("subgroup generator does not fix coset 1")
-    return table
+    return result

@@ -1,6 +1,6 @@
 """Built-in presentations: the trefoil group, the staged link groups K_j,
 their quotients Kss_j with the four parallel strands identified, and the
-historical 21-generator table data used by the error reproduction."""
+historical table fragment used by the error reproduction."""
 
 from __future__ import annotations
 
@@ -97,61 +97,18 @@ def kjss_presentation(j: int) -> Presentation:
     )
 
 
-def _assignment(cycles: dict[str, str]) -> dict[str, Perm]:
-    return {name: parse_cycles(text) for name, text in cycles.items()}
-
-
 def sternfeld_fragment() -> tuple[dict[str, Perm], Word]:
     """The six generator images quoted from the historical thesis table,
     plus the sewing word o^-1 h f^-1 q whose image that table gets wrong:
     the word evaluates to the image of r instead of the image of a."""
-    images = _assignment(
-        {
-            "o": "(1,4)(2,5)",
-            "h": "(1,4)(3,5)",
-            "f": "(2,3)(4,5)",
-            "q": "(1,2)(4,5)",
-            "a": "(1,2)(3,4)",
-            "r": "(1,2)(3,5)",
-        }
-    )
+    cycles = {
+        "o": "(1,4)(2,5)",
+        "h": "(1,4)(3,5)",
+        "f": "(2,3)(4,5)",
+        "q": "(1,2)(4,5)",
+        "a": "(1,2)(3,4)",
+        "r": "(1,2)(3,5)",
+    }
+    images = {name: parse_cycles(text) for name, text in cycles.items()}
     return images, word("o^-1 h f^-1 q")
 
-
-# Corrected 21-generator tables, one per residue of the stage distance.
-# Shipped as data only; the relators they belong to are not modelled here.
-_STERNFELD_TABLE_TOP = {
-    "a": "(1,2)(3,5)", "b": "(1,2)(3,5)", "c": "(1,2)(3,5)", "d": "(1,2)(3,5)",
-    "e": "(1,2)(4,5)", "f": "(1,2)(4,5)", "g": "(1,2)(4,5)", "h": "(1,2)(3,5)",
-    "i": "(1,2)(3,5)", "j": "(1,2)(4,5)", "k": "(1,2)(3,4)", "l": "(1,2)(4,5)",
-    "m": "(1,2)(3,4)", "n": "(1,2)(3,4)", "o": "(1,2)(3,4)", "p": "(1,2)(3,4)",
-    "q": "(1,2)(3,5)", "r": "()", "s": "()", "t": "()", "u": "()",
-}
-
-_STERNFELD_TABLE_ODD = {
-    "a": "(1,2)(4,5)", "b": "(1,2)(4,5)", "c": "(1,2)(4,5)", "d": "(1,2)(4,5)",
-    "e": "(1,3)(4,5)", "f": "(2,5)(3,4)", "g": "(1,5)(2,4)", "h": "(1,4)(3,5)",
-    "i": "(2,4)(3,5)", "j": "(1,3)(2,5)", "k": "(2,3)(4,5)", "l": "(1,3)(4,5)",
-    "m": "(1,3)(4,5)", "n": "(1,5)(2,4)", "o": "(1,4)(2,3)", "p": "(1,5)(2,3)",
-    "q": "(1,2)(3,4)", "r": "(1,2)(3,5)", "s": "(1,2)(4,5)", "t": "(1,5)(2,3)",
-    "u": "(2,5)(3,4)",
-}
-
-_STERNFELD_TABLE_EVEN = {
-    "a": "(1,2)(3,5)", "b": "(1,2)(3,5)", "c": "(1,2)(3,5)", "d": "(1,2)(3,5)",
-    "e": "(1,4)(3,5)", "f": "(2,5)(3,4)", "g": "(1,5)(2,3)", "h": "(1,3)(4,5)",
-    "i": "(2,3)(4,5)", "j": "(1,4)(2,5)", "k": "(2,4)(3,5)", "l": "(1,4)(3,5)",
-    "m": "(1,4)(3,5)", "n": "(1,5)(2,3)", "o": "(1,3)(2,4)", "p": "(1,5)(2,4)",
-    "q": "(1,2)(3,4)", "r": "(1,2)(4,5)", "s": "(1,2)(3,5)", "t": "(1,5)(2,4)",
-    "u": "(2,5)(3,4)",
-}
-
-
-def sternfeld_tables() -> tuple[dict[str, Perm], ...]:
-    """The corrected 21-generator tables (top stage, odd distance, even
-    distance), keyed by the plain letters a..u."""
-    return (
-        _assignment(_STERNFELD_TABLE_TOP),
-        _assignment(_STERNFELD_TABLE_ODD),
-        _assignment(_STERNFELD_TABLE_EVEN),
-    )

@@ -239,7 +239,8 @@ def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:
         raise CapacityError(
             f"stage count {j} exceeds default limit {KERNEL_HOMOLOGY_MAX_STAGES}; "
             f"the relation matrix would be about {60 * (11 * j - 1)} x "
-            f"{60 * 9 * j - 59}. Pass force=True to compute anyway."
+            f"{60 * 9 * j - 59}. Pass force=True (--force on the command "
+            "line) to compute anyway."
         )
     p = kj_presentation(j)
     table = kernel_coset_table(p, phi_tables(j))

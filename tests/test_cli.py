@@ -192,7 +192,7 @@ def test_kernel_homology_guard_is_an_error_exit(capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "force" in err
+    assert err.startswith("error: ") and "--force" in err
 
 
 @pytest.mark.parametrize("fold", range(1, 13))
@@ -285,6 +285,10 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         (["check-hom", "--pres", "{trefoil}", "--assign", "{duplicate}"],
          "duplicate.txt:2: generator 'a' assigned twice"),
+        (["presentation", "--kind", "trefoil", "--j", "0"],
+         "stage count must be positive, got 0"),
+        (["presentation", "--kind", "trefoil", "--j", "-3"],
+         "stage count must be positive, got -3"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
@@ -292,7 +296,8 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
          "subgroup-unknown-generator", "cap0-no-enumeration",
          "cap-negative-no-enumeration", "cyclic-k0", "usage-bad-int",
          "usage-missing-required", "usage-unknown-subcommand",
-         "duplicate-assignment"],
+         "duplicate-assignment", "presentation-trefoil-j0",
+         "presentation-trefoil-j-negative"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file,
                                                argv, message):

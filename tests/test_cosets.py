@@ -1,5 +1,7 @@
 """Tests for coset tables: kernels, cyclic covers, and Todd-Coxeter."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,9 +20,18 @@ from knotcover.errors import (
 )
 from knotcover.homcheck import GenAssignment, phi_tables
 from knotcover.perm import closure, parse_cycles
-from knotcover.presentations import kjss_presentation, trefoil_presentation
-from knotcover.subgroups import TREFOIL_LONGITUDE, TREFOIL_MERIDIAN
-from knotcover.words import Presentation, Word, word
+from knotcover.presentations import (
+    kj_presentation,
+    kjss_presentation,
+    trefoil_presentation,
+)
+from knotcover.subgroups import (
+    TREFOIL_LONGITUDE,
+    TREFOIL_MERIDIAN,
+    boundary_quotient,
+    reidemeister_schreier,
+)
+from knotcover.words import Presentation, Word, reduce, word
 
 S3 = Presentation(
     generators=("a", "b"),
@@ -295,3 +306,50 @@ def test_enumeration_is_deterministic():
     a = todd_coxeter(Q8)
     b = todd_coxeter(Q8)
     assert a == b
+
+
+def _kernel_schreier_words(j):
+    """kj_presentation(j) and the Schreier generators rep(c) g rep(c g)^-1
+    of its kernel rewrite, as words in the base generators."""
+    p = kj_presentation(j)
+    table = kernel_coset_table(p, phi_tables(j))
+    sub = reidemeister_schreier(p, table)
+    reps = sub.transversal
+    words = [
+        reduce(reps[c - 1].syllables + ((g, 1),)
+               + reps[table.step(c, g, 1) - 1].inverse().syllables)
+        for c, g in sub.schreier_gens
+    ]
+    return p, words
+
+
+def _enumeration_cases():
+    trefoil = trefoil_presentation()
+    for k in (3, 4, 5):
+        yield Presentation(trefoil.generators,
+                           trefoil.relators + (word("a") ** k,)), []
+    for k in range(1, 6):
+        yield boundary_quotient(k), []
+    for j in (3, 4, 5):
+        yield _kernel_schreier_words(j)
+    yield trefoil, [word("a a"), word("a b")]
+    yield S3, [word("a")]
+    # index 40, and its numbering depends on the order in which the
+    # enumeration defines missing neighbours
+    yield Presentation(("a", "b", "c"), (
+        word("c a^-1 b^-1 a^-1 b^-1 c"), word("c^-1 c^-1 a^-1 b c^-1 a^-1"),
+        word("c^-1 a a c^-1"))), []
+
+
+# sha256 of the sorted-key JSON list of todd_coxeter(...).to_json_dict() over
+# _enumeration_cases(): the coset numbering, not only the index
+ENUMERATION_FINGERPRINT = (
+    "47e042410e6248256ad3f2c46a46c9b36d0338a68f8375fc8046915aa28b39a6"
+)
+
+
+def test_enumeration_output_is_pinned():
+    tables = [todd_coxeter(p, words).to_json_dict()
+              for p, words in _enumeration_cases()]
+    text = json.dumps(tables, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_FINGERPRINT

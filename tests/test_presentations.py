@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotcover.homcheck import phi_tables
-from knotcover.perm import cycle_string, parse_cycles
+from knotcover.perm import cycle_string
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
     sternfeld_fragment,
-    sternfeld_tables,
     trefoil_presentation,
 )
 from knotcover.words import parse_presentation, print_presentation, word
@@ -210,19 +209,3 @@ def test_historical_fragment_data():
         "a": "(1,2)(3,4)",
         "r": "(1,2)(3,5)",
     }
-
-
-def test_historical_tables_shape_and_spot_values():
-    top, odd, even = sternfeld_tables()
-    letters = list("abcdefghijklmnopqrstu")
-    for table in (top, odd, even):
-        assert sorted(table) == letters
-    assert top["a"] == parse_cycles("(1,2)(3,5)")
-    assert top["e"] == parse_cycles("(1,2)(4,5)")
-    assert odd["a"] == parse_cycles("(1,2)(4,5)")
-    assert odd["f"] == parse_cycles("(2,5)(3,4)")
-    assert even["e"] == parse_cycles("(1,4)(3,5)")
-    # every table value is an even permutation of at most 5 points
-    for table in (top, odd, even):
-        for v in table.values():
-            assert v.degree <= 5

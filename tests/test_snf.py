@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotcover import snf
+from knotcover import perm, snf
 from knotcover.cosets import kernel_coset_table
 from knotcover.homcheck import phi_tables
 from knotcover.presentations import kj_presentation
@@ -81,8 +81,9 @@ def naive_snf(matrix):
     return chain, len(chain)
 
 
-def test_docstring_examples():
-    results = doctest.testmod(snf)
+@pytest.mark.parametrize("module", [perm, snf], ids=["perm", "snf"])
+def test_docstring_examples(module):
+    results = doctest.testmod(module)
     assert results.attempted > 0 and results.failed == 0
 
 
