@@ -11,7 +11,8 @@ import argparse
 import json
 import os
 import sys
-from math import prod
+from fractions import Fraction
+from math import ceil, prod
 from typing import Callable
 
 from .cosets import (
@@ -21,7 +22,7 @@ from .cosets import (
     orbit_transitive,
     todd_coxeter,
 )
-from .errors import InvalidArgumentError, KnotcoverError
+from .errors import CapacityError, InvalidArgumentError, KnotcoverError
 from .homcheck import (
     GenAssignment,
     check_relators,
@@ -29,8 +30,10 @@ from .homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
+from .perm import closure
 from .presentations import kj_presentation, kjss_presentation, trefoil_presentation
 from .subgroups import (
+    KERNEL_HOMOLOGY_MAX_STAGES,
     TREFOIL_LONGITUDE,
     TREFOIL_MERIDIAN,
     abelianize,
@@ -41,7 +44,7 @@ from .subgroups import (
 )
 from .words import Word, parse_presentation, print_presentation, word
 
-SCHEMA = "knotcover-report/2"
+SCHEMA = "knotcover-report/3"
 
 # Claim identifiers used in run-all reports.  Each names the mathematical
 # statement being machine-checked, so a failure localizes immediately.
@@ -294,15 +297,17 @@ def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
 
 
 def _kernel_entry(j: int, force: bool = False) -> tuple:
-    """Kernel homology at stage count j with the rank bound it forces."""
+    """Kernel homology at stage count j with the rank bound it forces at
+    the kernel's index, the order of the staged image group."""
     inv = kernel_homology(j, force=force)
-    bound = schreier_rank_bound(inv.min_generators, 60)
+    index = closure(phi_tables(j).mapping.values()).order
+    bound = schreier_rank_bound(inv.min_generators, index)
     entry = {
         "j": j,
         "homology": inv.to_json_dict(),
         "min_generators": inv.min_generators,
-        "rank_bound": str(bound.value),
-        "rank_bound_ceiling": bound.ceiling,
+        "rank_bound": str(bound),
+        "rank_bound_ceiling": ceil(bound),
     }
     return entry, inv
 
@@ -322,10 +327,10 @@ def cmd_rank_bound(args) -> tuple[dict, list[str], int]:
     report = {
         "m": args.m,
         "i": args.i,
-        "value": str(bound.value),
-        "ceiling": bound.ceiling,
+        "value": str(bound),
+        "ceiling": ceil(bound),
     }
-    return report, [f"rank >= {bound.value} (so at least {bound.ceiling})"], 0
+    return report, [f"rank >= {bound} (so at least {ceil(bound)})"], 0
 
 
 # Run-all sections.  Each takes the run inputs and returns its results
@@ -459,9 +464,12 @@ def _knot_h1_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
 def _kernel_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
     kernel = [_kernel_entry(j)[0] for j in range(1, inputs["kernel_jmax"] + 1)]
     counts = [k["min_generators"] for k in kernel]
-    growth = [counts[i + 1] - counts[i] for i in range(len(counts) - 1)]
+    # each bound divides by its own kernel's index, so growing counts alone
+    # do not make the bounds grow
+    bounds = [Fraction(k["rank_bound"]) for k in kernel]
     # growth from stage 2 on is the claim; stage 1 is the trefoil baseline
-    strict = all(d > 0 for d in growth[1:]) if len(counts) > 2 else True
+    strict = all(seq[i] < seq[i + 1] for seq in (counts, bounds)
+                 for i in range(1, len(kernel) - 1))
     lines = [
         f"kernel homology j={k['j']}: {k['min_generators']} generators "
         f"needed, rank bound {k['rank_bound']} -> {k['rank_bound_ceiling']}"
@@ -493,6 +501,12 @@ def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str
         raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
     if kernel_jmax < 1:
         raise KnotcoverError(f"kernel_jmax must be at least 1, got {kernel_jmax}")
+    if kernel_jmax > KERNEL_HOMOLOGY_MAX_STAGES:
+        raise CapacityError(
+            f"kernel_jmax {kernel_jmax} exceeds the stage limit "
+            f"{KERNEL_HOMOLOGY_MAX_STAGES}; run `knotcover kernel-homology "
+            "--j N --force` for a larger stage count"
+        )
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax, "cap": cap}
     results: dict = {}
     failed: list[str] = []

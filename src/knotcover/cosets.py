@@ -184,6 +184,8 @@ def todd_coxeter(
     """
     if cap < 1:
         raise InvalidArgumentError(f"cap must be positive, got {cap}")
+    # read once: the words are encoded here and traced again at the end
+    subgroup_gens = tuple(subgroup_gens)
     gens = tuple(p.generators)
     gen_index = {g: i for i, g in enumerate(gens)}
     ncols = 2 * len(gens)

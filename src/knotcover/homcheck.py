@@ -52,11 +52,6 @@ class GenAssignment:
     def values_in_order(self, gens: Iterable[str]) -> list[Perm]:
         return [self.value(g) for g in gens]
 
-    def with_value(self, sym: str, value: Perm) -> "GenAssignment":
-        mapping = dict(self.mapping)
-        mapping[sym] = value
-        return GenAssignment(mapping, self.label)
-
 
 def eval_word(assignment: GenAssignment, w: Word) -> Perm:
     """Image of ``w``: the left-to-right product of the generator images."""
@@ -69,7 +64,6 @@ def eval_word(assignment: GenAssignment, w: Word) -> Perm:
 
 @dataclass(frozen=True)
 class RelatorViolation:
-    index: int
     name: str
     relator: Word
     value: Perm
@@ -92,7 +86,7 @@ def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
     for i, r in enumerate(p.relators):
         value = eval_word(assignment, r)
         if value.degree != 0:
-            violations.append(RelatorViolation(i, p.relator_name(i), r, value))
+            violations.append(RelatorViolation(p.relator_name(i), r, value))
     images = assignment.values_in_order(p.generators)
     group = closure(images)
     onto_a5 = (

@@ -24,7 +24,7 @@ from .errors import CapacityError, ParseError
 # most 12 points, so anything bigger signals corrupted input.
 DEGREE_CAP = 12
 
-DEFAULT_CLOSURE_CAP = 10_000
+CLOSURE_CAP = 10_000
 
 # The points 1..DEGREE_CAP; ``_POINTS[m:n]`` pads an image tuple of length m
 # to length n with fixed points.
@@ -171,7 +171,8 @@ def parse_cycles(text: str) -> Perm:
                 pos += 1
                 break
             start = pos
-            while pos < n and text[pos].isdigit():
+            # ASCII digits only: str.isdigit() also accepts '²' and '١'
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == start:
                 tok = text[pos] if pos < n else "end of input"
@@ -211,7 +212,6 @@ class PermGroup:
     identity, so it is deterministic for a fixed generator list.
     """
 
-    generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
 
     @property
@@ -219,16 +219,15 @@ class PermGroup:
         return len(self.elements)
 
 
-def closure(gens: Iterable[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
+def closure(gens: Iterable[Perm]) -> PermGroup:
     """Group generated by ``gens``, found by breadth-first multiplication.
 
     Element order: identity first, then products in discovery order scanning
     generators in the order given.  A repeated generator only reproduces
     products already seen, so each distinct generator is multiplied once and
     the order is the same as with the repeats.  Raises CapacityError past
-    ``cap`` elements.
+    CLOSURE_CAP elements.
     """
-    gens = tuple(gens)
     distinct = tuple(dict.fromkeys(gens))
     identity = Perm.identity()
     elements = [identity]
@@ -240,8 +239,9 @@ def closure(gens: Iterable[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
         for g in distinct:
             nxt = compose(current, g)
             if nxt not in seen:
-                if len(elements) >= cap:
-                    raise CapacityError(f"closure exceeded cap of {cap} elements")
+                if len(elements) >= CLOSURE_CAP:
+                    raise CapacityError(
+                        f"closure exceeded cap of {CLOSURE_CAP} elements")
                 seen.add(nxt)
                 elements.append(nxt)
-    return PermGroup(generators=gens, elements=tuple(elements))
+    return PermGroup(elements=tuple(elements))

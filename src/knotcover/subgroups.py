@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
 from .errors import CapacityError, InvalidArgumentError
@@ -194,21 +193,7 @@ def boundary_quotient(k: int) -> Presentation:
     )
 
 
-@dataclass(frozen=True)
-class RankBound:
-    """Lower bound for the rank of a group with a subgroup of index ``index``
-    needing at least ``subgroup_rank`` generators: (m - 1) / i + 1."""
-
-    subgroup_rank: int
-    index: int
-    value: Fraction
-
-    @property
-    def ceiling(self) -> int:
-        return ceil(self.value)
-
-
-def schreier_rank_bound(m: int, i: int) -> RankBound:
+def schreier_rank_bound(m: int, i: int) -> Fraction:
     """Rank bound from the Schreier index formula, exact in Fraction form.
 
     A subgroup of index i of a rank-r group has rank at most i(r - 1) + 1,
@@ -216,7 +201,7 @@ def schreier_rank_bound(m: int, i: int) -> RankBound:
     """
     if m < 0 or i < 1:
         raise InvalidArgumentError(f"need m >= 0 and i >= 1, got m={m}, i={i}")
-    return RankBound(subgroup_rank=m, index=i, value=Fraction(m - 1, i) + 1)
+    return Fraction(m - 1, i) + 1
 
 
 # The largest stage count that runs in about 4 s: medians of three runs

@@ -14,6 +14,7 @@ from knotcover.homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
+from knotcover.perm import closure
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
@@ -196,7 +197,8 @@ def test_criterion_09_kernel_rank_growth():
     for j in (2, 3, 4):
         inv = kernel_homology(j)
         counts[j] = inv.min_generators
-        bounds[j] = schreier_rank_bound(inv.min_generators, 60).value
+        index = closure(phi_tables(j).mapping.values()).order
+        bounds[j] = schreier_rank_bound(inv.min_generators, index)
     elapsed = time.perf_counter() - start
     growing = counts[2] < counts[3] < counts[4]
     bounds_growing = bounds[2] < bounds[3] < bounds[4]

@@ -53,7 +53,7 @@ def test_presentation_json_counts(capsys):
     report = json.loads(out)
     assert report["generators"] == 18
     assert report["relators"] == 21
-    assert report["schema"] == "knotcover-report/2"
+    assert report["schema"] == "knotcover-report/3"
 
 
 def test_verify_tables_passes_and_notes_small_stages(capsys):
@@ -253,6 +253,10 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
     ]
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("kernel homology computed for a rejected input")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -289,6 +293,12 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
          "stage count must be positive, got 0"),
         (["presentation", "--kind", "trefoil", "--j", "-3"],
          "stage count must be positive, got -3"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{superscript}"],
+         "expected point at position 1, got '²'"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{arabic_indic}"],
+         "expected point at position 1, got '١'"),
+        (["run-all", "--kernel-jmax", str(KERNEL_HOMOLOGY_MAX_STAGES + 1)],
+         "knotcover kernel-homology --j N --force"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
@@ -297,10 +307,14 @@ def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
          "cap-negative-no-enumeration", "cyclic-k0", "usage-bad-int",
          "usage-missing-required", "usage-unknown-subcommand",
          "duplicate-assignment", "presentation-trefoil-j0",
-         "presentation-trefoil-j-negative"],
+         "presentation-trefoil-j-negative", "superscript-digit",
+         "arabic-indic-digit", "kernel-jmax-above-limit"],
 )
-def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file,
-                                               argv, message):
+def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
+                                               trefoil_file, argv, message):
+    if argv[0] == "run-all":
+        # bad run-all inputs are refused before any section runs
+        monkeypatch.setattr(cli, "kernel_homology", _must_not_run)
     bad_name = tmp_path / "assign.txt"
     bad_name.write_text("A = (1,2)\n")
     duplicate = tmp_path / "duplicate.txt"
@@ -309,9 +323,14 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, trefoil_file,
     not_utf8.write_bytes(b"\xff")
     unknown_gen = tmp_path / "subgroup.words"
     unknown_gen.write_text("a c\n")
+    superscript = tmp_path / "superscript.txt"
+    superscript.write_text("a = (²,1)\nb = (1,2,3,4,5)\n", encoding="utf-8")
+    arabic_indic = tmp_path / "arabic_indic.txt"
+    arabic_indic.write_text("a = (١,2)\nb = (1,2,3,4,5)\n", encoding="utf-8")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
              "bad_name": str(bad_name), "not_utf8": str(not_utf8),
-             "unknown_gen": str(unknown_gen), "duplicate": str(duplicate)}
+             "unknown_gen": str(unknown_gen), "duplicate": str(duplicate),
+             "superscript": str(superscript), "arabic_indic": str(arabic_indic)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""
@@ -407,6 +426,22 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_quick_start_transcript(capsys):
+    # each "$ knotcover ..." command with the lines printed under it; the
+    # run-all block elides its middle, so only its last line is compared
+    section = README.read_text().split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    for chunk in block.strip().split("\n\n"):
+        command, *expected = chunk.splitlines()
+        assert command.startswith("$ knotcover ")
+        assert main(command.split()[2:]) == 0
+        out = capsys.readouterr().out.splitlines()
+        if "..." in expected:
+            assert out[-1] == expected[-1]
+        else:
+            assert out == expected, command
+
+
 def test_readme_word_example_parses():
     example = re.search(r"syllables like `([^`]+)`", README.read_text()).group(1)
     assert str(word(example)) == example
@@ -424,8 +459,8 @@ def _kill_first_generator(kj_presentation):
 # function from the real object to a corrupted stand-in.
 CORRUPTIONS = {
     # one table entry changed
-    cli.CLAIM_TABLES: ("phi_tables", lambda real: lambda j: real(j).with_value(
-        f"e{j}", parse_cycles("(1,2,3)"))),
+    cli.CLAIM_TABLES: ("phi_tables", lambda real: lambda j: GenAssignment(
+        {**real(j).mapping, f"e{j}": parse_cycles("(1,2,3)")})),
     # the trivial assignment satisfies every relator but has image order 1
     cli.CLAIM_SMALL_STAGE_ORDERS: ("phi_tables", lambda real: lambda j: (
         GenAssignment(dict.fromkeys(real(j).mapping, Perm.identity())))),
@@ -469,6 +504,19 @@ def test_corrupted_input_fails_its_claim(monkeypatch, claim):
     assert claim in failed
     assert set(failed) <= set(claims)
     assert any(line.startswith("FAIL") for line in lines)
+
+
+def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):
+    # a trivial image at stage count 3 makes that kernel's index 1, so its
+    # bound 102 exceeds stage 4's 67/20 while the generator counts still grow
+    real = cli.phi_tables
+    monkeypatch.setattr(cli, "phi_tables", lambda j: GenAssignment(
+        dict.fromkeys(real(j).mapping, Perm.identity())) if j == 3 else real(j))
+    fragment, failed, _ = cli._kernel_section(
+        {"jmax": 1, "kernel_jmax": 4, "cap": DEFAULT_COSET_CAP})
+    assert [k["rank_bound"] for k in fragment["kernel_homology"]][2:] == [
+        "102", "67/20"]
+    assert failed == [cli.CLAIM_KERNEL_GROWTH]
 
 
 @pytest.mark.parametrize("claim", [cli.CLAIM_TREFOIL_SURJECTION,

@@ -117,9 +117,8 @@ def test_staged_kernel_index_is_the_image_order(j, index):
 
 
 def test_kernel_requires_a_homomorphism():
-    assignment = phi_tables(1).with_value(
-        "a1", parse_cycles("(1,2,3)")
-    )
+    assignment = GenAssignment(
+        {**phi_tables(1).mapping, "a1": parse_cycles("(1,2,3)")})
     with pytest.raises(InvalidHomomorphismError, match=r"R_\{1,1\}"):
         kernel_coset_table(kjss_presentation(1), assignment)
 
@@ -280,6 +279,24 @@ def test_subgroup_generators_fix_the_origin_coset():
     t = todd_coxeter(trefoil_presentation(), gens)
     for w in gens:
         assert t.trace(1, w) == 1
+
+
+def test_subgroup_generators_may_be_an_iterator(monkeypatch):
+    # the closing check traces every word from coset 1, also when the words
+    # come from a one-shot iterator
+    traced = []
+    real_trace = CosetTable.trace
+
+    def trace(self, coset, w):
+        traced.append((coset, w))
+        return real_trace(self, coset, w)
+
+    monkeypatch.setattr(CosetTable, "trace", trace)
+    gens = [word("a a"), word("a b")]
+    t = todd_coxeter(trefoil_presentation(), iter(gens))
+    assert t.index == 2
+    for w in gens:
+        assert (1, w) in traced
 
 
 def test_enumeration_agrees_with_kernel_table_index():

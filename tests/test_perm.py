@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotcover import perm
 from knotcover.errors import CapacityError, ParseError
 from knotcover.perm import (
     Perm,
@@ -58,6 +59,10 @@ def test_parse_errors_name_the_token():
         parse_cycles("")
     with pytest.raises(ParseError, match="'x'"):
         parse_cycles("(x)")
+    for text, tok in (("(²,1)", "'²'"), ("(١,2)", "'١'")):
+        with pytest.raises(ParseError,
+                           match=f"expected point at position 1, got {tok}"):
+            parse_cycles(text)
 
 
 def test_trailing_fixed_points_trimmed():
@@ -186,16 +191,17 @@ def slow_closure_order(gens) -> int:
 
 
 def test_closure_a5():
-    group = closure([parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")])
+    gens = [parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")]
+    group = closure(gens)
     assert group.order == 60
-    assert group.order == slow_closure_order(group.generators)
+    assert group.order == slow_closure_order(gens)
     assert group.elements[0] == Perm.identity()
     assert all(is_even(g) for g in group.elements)
 
 
 def test_closure_a4_and_small():
-    a4 = closure([parse_cycles("(1,2,3)"), parse_cycles("(2,3,4)")])
-    assert a4.order == 12 == slow_closure_order(a4.generators)
+    gens = [parse_cycles("(1,2,3)"), parse_cycles("(2,3,4)")]
+    assert closure(gens).order == 12 == slow_closure_order(gens)
     c2 = closure([parse_cycles("(1,2)(3,4)")])
     assert c2.order == 2
     assert closure([]).order == 1
@@ -227,12 +233,12 @@ def test_closure_with_repeated_generators():
         group = closure(gens)
         assert group.elements == closure(dict.fromkeys(gens)).elements
         assert group.elements == closure_over_every_generator(gens)
-        assert group.generators == tuple(gens)
 
 
-def test_closure_cap():
-    with pytest.raises(CapacityError, match="cap"):
-        closure([parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")], cap=59)
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(perm, "CLOSURE_CAP", 59)
+    with pytest.raises(CapacityError, match="cap of 59"):
+        closure([parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")])
 
 
 small_perms = st.integers(min_value=0, max_value=5).flatmap(

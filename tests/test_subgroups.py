@@ -304,12 +304,10 @@ def test_boundary_quotient_names_its_extra_relators():
 # -- rank bound ---------------------------------------------------------------
 
 def test_rank_bound_values():
-    b = schreier_rank_bound(102, 60)
-    assert b.value == Fraction(161, 60)
-    assert b.ceiling == 3
-    assert schreier_rank_bound(61, 60).value == 2
-    assert schreier_rank_bound(1, 5).value == 1
-    assert schreier_rank_bound(0, 2).ceiling == 1
+    assert schreier_rank_bound(102, 60) == Fraction(161, 60)
+    assert schreier_rank_bound(61, 60) == 2
+    assert schreier_rank_bound(1, 5) == 1
+    assert schreier_rank_bound(0, 2) == Fraction(1, 2)
 
 
 def test_rank_bound_validates_inputs():
