@@ -18,7 +18,7 @@ from .errors import (
     TableIntegrityError,
 )
 from .homcheck import eval_word
-from .perm import closure, compose
+from .perm import closure, inverse_row, orbit_size
 from .words import Presentation, Word
 
 DEFAULT_COSET_CAP = 100_000
@@ -50,11 +50,8 @@ class CosetTable:
         """Action row of each generator (sign 1) and of its inverse (-1)."""
         rows = {}
         for g, row in zip(self.gens, self.action):
-            inv = [0] * self.index
-            for c, img in enumerate(row, start=1):
-                inv[img - 1] = c
             rows[g, 1] = row
-            rows[g, -1] = tuple(inv)
+            rows[g, -1] = inverse_row(row)
         return rows
 
     def step(self, coset: int, sym: str, sign: int = 1) -> int:
@@ -69,7 +66,7 @@ class CosetTable:
         return tuple(self.trace(c, w) for c in range(1, self.index + 1))
 
     def is_transitive(self) -> bool:
-        return _reaches_every_coset(self.action, self.index)
+        return orbit_size(self.action) == self.index
 
     def verify(self, p: Presentation) -> None:
         """Raise TableIntegrityError unless this table really is the coset
@@ -96,23 +93,7 @@ class CosetTable:
 def orbit_transitive(t: CosetTable, words: Sequence[Word]) -> bool:
     """True iff the subgroup generated by the traced actions of ``words``
     moves coset 1 onto every coset."""
-    return _reaches_every_coset([t.word_action(w) for w in words], t.index)
-
-
-def _reaches_every_coset(rows: Sequence[Sequence[int]], index: int) -> bool:
-    """True iff following the action rows forward from coset 1 reaches all
-    of 1..index.  Inverse rows are not needed: the inverse of a permutation
-    is a positive power of it, so forward images already cover the orbit."""
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        c = frontier.pop()
-        for row in rows:
-            d = row[c - 1]
-            if d not in seen:
-                seen.add(d)
-                frontier.append(d)
-    return len(seen) == index
+    return orbit_size(t.word_action(w) for w in words) == t.index
 
 
 def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
@@ -130,14 +111,9 @@ def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
         )
     images = assignment.values_in_order(p.generators)
     group = closure(images)
-    position = {elem: i + 1 for i, elem in enumerate(group.elements)}
-    action = tuple(
-        tuple(position[compose(elem, img)] for elem in group.elements)
-        for img in images
-    )
     return CosetTable(
         gens=tuple(p.generators),
-        action=action,
+        action=tuple(group.action[img] for img in images),
         index=group.order,
     )
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
-from .perm import Perm, closure, compose, is_even, parse_cycles
+from .perm import (
+    Perm, closure, compose, inverse_row, is_even, orbit_size, parse_cycles,
+)
 from .presentations import LINK_LETTERS, sternfeld_fragment
 from .words import Presentation, Word, check_name
 
@@ -80,15 +82,40 @@ class CheckReport:
         return not self.violations
 
 
+def _trace(rows: Mapping[tuple[str, int], Sequence[int]], w: Word) -> int:
+    """Position reached by tracing ``w`` from position 1, the identity,
+    through the action rows of its syllables: the position of its value."""
+    c = 1
+    for syllable in w:
+        c = rows[syllable][c - 1]
+    return c
+
+
 def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
-    """Evaluate every relator; collect the ones that miss the identity."""
-    violations = []
-    for i, r in enumerate(p.relators):
-        value = eval_word(assignment, r)
-        if value.degree != 0:
-            violations.append(RelatorViolation(p.relator_name(i), r, value))
+    """Evaluate every relator; collect the ones that miss the identity.
+
+    Each relator is traced through the image group's action on element
+    positions, from the identity at position 1, so no permutation is
+    multiplied beyond the closure itself.
+    """
+    # A missing image is reported for the first generator met while reading
+    # the relators in order, as evaluating them one by one would.
+    for r in p.relators:
+        for sym, _ in r:
+            assignment.value(sym)
     images = assignment.values_in_order(p.generators)
     group = closure(images)
+    inverses = {g: inverse_row(row) for g, row in group.action.items()}
+    rows: dict[tuple[str, int], tuple[int, ...]] = {}
+    for sym, img in zip(p.generators, images):
+        rows[sym, 1] = group.action[img]
+        rows[sym, -1] = inverses[img]
+    violations = []
+    for i, r in enumerate(p.relators):
+        c = _trace(rows, r)
+        if c != 1:
+            violations.append(
+                RelatorViolation(p.relator_name(i), r, group.elements[c - 1]))
     onto_a5 = (
         group.order == A5_ORDER
         and all(img.degree <= 5 for img in images)
@@ -194,16 +221,25 @@ def search_surjections(p: Presentation, limit: int = 100) -> list[GenAssignment]
     if limit < 1:
         raise InvalidArgumentError(f"limit must be at least 1, got {limit}")
     pool = closure(A5_STANDARD_GENERATORS).elements
+    # closure(pool) lists pool itself, so its action rows are the right
+    # multiplication table of A5 on the positions of pool's elements.
+    action = closure(pool).action
+    forward = [action[g] for g in pool]
+    inverse = [inverse_row(row) for row in forward]
     found: list[GenAssignment] = []
-    for images in itertools.product(pool, repeat=ngens):
-        assignment = GenAssignment(
-            dict(zip(p.generators, images)), label=f"search-{len(found)}"
-        )
-        if any(eval_word(assignment, r).degree != 0 for r in p.relators):
+    for choice in itertools.product(range(len(pool)), repeat=ngens):
+        rows = {}
+        for g, k in zip(p.generators, choice):
+            rows[g, 1] = forward[k]
+            rows[g, -1] = inverse[k]
+        if any(_trace(rows, r) != 1 for r in p.relators):
             continue
-        if closure(images).order != A5_ORDER:
+        if orbit_size([forward[k] for k in choice]) != A5_ORDER:
             continue
-        found.append(assignment)
+        found.append(GenAssignment(
+            {g: pool[k] for g, k in zip(p.generators, choice)},
+            label=f"search-{len(found)}",
+        ))
         if len(found) >= limit:
             break
     return found

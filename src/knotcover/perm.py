@@ -8,15 +8,15 @@ Validation happens once, at the public constructor: ``Perm(images)`` checks
 that ``images`` permutes 1..n and that n is within ``DEGREE_CAP``, so every
 permutation read from text, files or callers is checked.  Products and
 inverses of existing permutations are permutations of no larger degree by
-construction; ``compose`` and ``Perm.inverse`` build them by tuple indexing
-through the trusted path ``Perm._trusted``, which only trims trailing fixed
-points.
+construction; ``compose``, ``Perm.inverse`` and ``closure`` build them by
+tuple indexing through the trusted path ``Perm._trusted``, which only trims
+trailing fixed points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, ParseError
 
@@ -81,10 +81,7 @@ class Perm:
         return point
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(inverse_row(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted by
@@ -110,6 +107,34 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm[{cycle_string(self)}]"
+
+
+def inverse_row(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The tuple that undoes ``row``, a permutation of 1..len(row) given by
+    its images: the images of a permutation, or an action row on positions.
+    """
+    inv = [0] * len(row)
+    for i, img in enumerate(row, start=1):
+        inv[img - 1] = i
+    return tuple(inv)
+
+
+def orbit_size(rows: Iterable[Sequence[int]]) -> int:
+    """Number of positions reached from position 1 by following the action
+    rows forward: the size of the orbit of 1 under the group they generate.
+    Inverse rows are not needed: the inverse of a permutation is a positive
+    power of it, so forward images already cover the orbit."""
+    rows = tuple(rows)
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        c = frontier.pop()
+        for row in rows:
+            d = row[c - 1]
+            if d not in seen:
+                seen.add(d)
+                frontier.append(d)
+    return len(seen)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -206,13 +231,19 @@ def parse_cycles(text: str) -> Perm:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A finite permutation group given by its full element list.
+    """A finite permutation group given by its full element list and the
+    right action of its generators on element positions.
 
     ``elements`` is in breadth-first discovery order starting from the
-    identity, so it is deterministic for a fixed generator list.
+    identity, so it is deterministic for a fixed generator list.  Positions
+    are 1-based: position 1 holds the identity.  ``action[g][i - 1]`` is the
+    position of ``compose(elements[i - 1], g)``, with one row for each
+    distinct generator ``g``; that row is the regular (right) representation
+    of ``g`` on the group.
     """
 
     elements: tuple[Perm, ...]
+    action: Mapping[Perm, tuple[int, ...]]
 
     @property
     def order(self) -> int:
@@ -225,23 +256,36 @@ def closure(gens: Iterable[Perm]) -> PermGroup:
     Element order: identity first, then products in discovery order scanning
     generators in the order given.  A repeated generator only reproduces
     products already seen, so each distinct generator is multiplied once and
-    the order is the same as with the repeats.  Raises CapacityError past
+    the order is the same as with the repeats.  The search runs on image
+    tuples padded to the largest generator degree, and records each
+    generator's action on positions as it goes.  Raises CapacityError past
     CLOSURE_CAP elements.
     """
     distinct = tuple(dict.fromkeys(gens))
-    identity = Perm.identity()
+    n = max((g.degree for g in distinct), default=0)
+    # The leading 0 shifts each row so that point x indexes its own image.
+    lookups = [(0,) + g.images + _POINTS[g.degree:n] for g in distinct]
+    rows: list[list[int]] = [[] for _ in distinct]
+    identity = _POINTS[:n]
     elements = [identity]
-    seen = {identity}
-    frontier = 0
-    while frontier < len(elements):
-        current = elements[frontier]
-        frontier += 1
-        for g in distinct:
-            nxt = compose(current, g)
-            if nxt not in seen:
+    position = {identity: 1}
+    expanded = 0
+    while expanded < len(elements):
+        current = elements[expanded]
+        for lookup, row in zip(lookups, rows):
+            nxt = tuple(map(lookup.__getitem__, current))
+            pos = position.get(nxt)
+            if pos is None:
                 if len(elements) >= CLOSURE_CAP:
                     raise CapacityError(
-                        f"closure exceeded cap of {CLOSURE_CAP} elements")
-                seen.add(nxt)
+                        f"closure exceeded cap of {CLOSURE_CAP} elements "
+                        f"({len(distinct)} distinct generators of degree {n}; "
+                        f"{len(elements)} elements found, {expanded} expanded)")
                 elements.append(nxt)
-    return PermGroup(elements=tuple(elements))
+                pos = position[nxt] = len(elements)
+            row.append(pos)
+        expanded += 1
+    return PermGroup(
+        elements=tuple(map(Perm._trusted, elements)),
+        action={g: tuple(row) for g, row in zip(distinct, rows)},
+    )

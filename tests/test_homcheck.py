@@ -1,12 +1,13 @@
 """Tests for homomorphism checking, staged tables, and the surjection search."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from knotcover.errors import CapacityError, MissingAssignmentError, ParseError
 from knotcover.homcheck import (
     A5_ORDER,
+    A5_STANDARD_GENERATORS,
     GenAssignment,
     check_relators,
     eval_word,
@@ -14,13 +15,13 @@ from knotcover.homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
-from knotcover.perm import Perm, parse_cycles
+from knotcover.perm import Perm, closure, parse_cycles
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
     trefoil_presentation,
 )
-from knotcover.words import Presentation, word
+from knotcover.words import Presentation, parse_presentation, word
 
 
 # -- independent oracle helpers (no package arithmetic) ----------------------
@@ -160,6 +161,51 @@ def test_corrupted_assignment_names_the_broken_relators():
         assert v.value.degree != 0
 
 
+def assert_violations_match_eval_word(p, assignment):
+    # second route: evaluate every relator by composing permutations
+    report = check_relators(p, assignment)
+    want = [(p.relator_name(i), eval_word(assignment, r))
+            for i, r in enumerate(p.relators)
+            if eval_word(assignment, r) != Perm.identity()]
+    assert [(v.name, v.value) for v in report.violations] == want
+    for v in report.violations:
+        assert v.value == eval_word(assignment, v.relator)
+    return report
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_corrupted_tables_violations_match_eval_word(j):
+    table = phi_tables(j)
+    corrupted = 0
+    for name, value in (("a1", "(1,2,3)"), (f"h{j}", "(1,2)(3,5)"),
+                        (f"e{j}", "(2,4,3)"), (f"i{j}", "(1,4,5)")):
+        assignment = GenAssignment(
+            {**table.mapping, name: parse_cycles(value)})
+        for p in (kjss_presentation(j), kj_presentation(j)):
+            corrupted += not assert_violations_match_eval_word(p, assignment).ok
+    assert corrupted > 0
+
+
+def test_s6_trefoil_violations_match_eval_word():
+    p = trefoil_presentation()
+    for a, b in (("(1,2,3,4,5,6)", "(1,2)"), ("(1,2)", "(2,3,4,5,6)")):
+        assignment = GenAssignment.from_names({"a": a, "b": b})
+        report = assert_violations_match_eval_word(p, assignment)
+        assert report.image_order == 720
+        assert not report.ok
+
+
+def test_missing_image_names_the_first_generator_met_in_the_relators():
+    # 'c' comes first when the relators are read, though 'a' comes first
+    # among the generators
+    p = parse_presentation("gens: a b c\nrel: c b a\n")
+    assignment = GenAssignment.from_names({"b": "(1,2)"})
+    with pytest.raises(MissingAssignmentError, match="'c'"):
+        check_relators(p, assignment)
+    with pytest.raises(MissingAssignmentError, match="'c'"):
+        eval_word(assignment, p.relators[0])
+
+
 # -- historical fragment ------------------------------------------------------
 
 def test_fragment_evaluation_reproduces_the_mismatch():
@@ -242,3 +288,37 @@ def test_search_refuses_wide_presentations():
     )
     with pytest.raises(CapacityError):
         search_surjections(wide)
+
+
+def reference_search(p, limit):
+    # every tuple over the A5 pool in lexicographic order, checked by
+    # composing permutations and closing the images, stopping at limit
+    pool = closure(A5_STANDARD_GENERATORS).elements
+    found = []
+    for images in product(pool, repeat=len(p.generators)):
+        assignment = GenAssignment(dict(zip(p.generators, images)))
+        if any(eval_word(assignment, r) != Perm.identity() for r in p.relators):
+            continue
+        if closure(images).order != A5_ORDER:
+            continue
+        found.append((images, f"search-{len(found)}"))
+        if len(found) >= limit:
+            break
+    return found
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a b c\nrel: a a\nrel: b b b\nrel: c c c c c\nrel: a b c\n",
+    "gens: a b c\nrel: b b b\nrel: a^-1 b a c^-1\n",
+])
+def test_three_generator_search_matches_reference_loop(text):
+    p = parse_presentation(text)
+    limit = 40
+    got = [(tuple(a.value(g) for g in p.generators), a.label)
+           for a in search_surjections(p, limit=limit)]
+    assert got == reference_search(p, limit)
+    assert len(got) == limit
+
+
+def test_search_with_no_generators_finds_nothing():
+    assert search_surjections(Presentation(generators=(), relators=())) == []

@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotcover import perm
@@ -236,14 +236,37 @@ def test_closure_with_repeated_generators():
 
 
 def test_closure_cap(monkeypatch):
+    a, b = parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")
+    # the 60th element is found while expanding the first element whose
+    # action row reaches position 60; every element before it is expanded
+    expanded = min(row.index(60) for row in closure([a, b]).action.values())
     monkeypatch.setattr(perm, "CLOSURE_CAP", 59)
-    with pytest.raises(CapacityError, match="cap of 59"):
-        closure([parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")])
+    with pytest.raises(CapacityError, match="cap of 59") as caught:
+        closure([a, b, a])
+    assert str(caught.value) == (
+        "closure exceeded cap of 59 elements (2 distinct generators of "
+        f"degree 5; 59 elements found, {expanded} expanded)")
 
 
 small_perms = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(lambda t: Perm(tuple(t)))
 )
+
+
+@given(st.lists(small_perms, max_size=3))
+@example([parse_cycles("(1,12)"), parse_cycles("(1,2,3)")])
+@example([parse_cycles("(1,2)"), parse_cycles("(1,2,3,4,5)")])
+@example([parse_cycles("(2,4,3)"), parse_cycles("(1,5)"), parse_cycles("(2,4,3)")])
+@example([Perm.identity()])
+@settings(deadline=None)
+def test_closure_action_is_right_multiplication_on_positions(gens):
+    group = closure(gens)
+    assert group.elements[0] == Perm.identity()
+    assert set(group.action) == set(gens)
+    for g, row in group.action.items():
+        assert sorted(row) == list(range(1, group.order + 1))
+        for i, elem in enumerate(group.elements):
+            assert group.elements[row[i] - 1] == slow_compose(elem, g)
 
 
 @given(st.lists(small_perms, max_size=3))
