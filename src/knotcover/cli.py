@@ -30,7 +30,6 @@ from .homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
-from .perm import closure
 from .presentations import kj_presentation, kjss_presentation, trefoil_presentation
 from .subgroups import (
     KERNEL_HOMOLOGY_MAX_STAGES,
@@ -38,8 +37,8 @@ from .subgroups import (
     TREFOIL_MERIDIAN,
     abelianize,
     boundary_quotient,
-    kernel_homology,
-    reidemeister_schreier,
+    cover_homology,
+    kernel_cover,
     schreier_rank_bound,
 )
 from .words import Word, parse_presentation, print_presentation, word
@@ -299,9 +298,9 @@ def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
 def _kernel_entry(j: int, force: bool = False) -> tuple:
     """Kernel homology at stage count j with the rank bound it forces at
     the kernel's index, the order of the staged image group."""
-    inv = kernel_homology(j, force=force)
-    index = closure(phi_tables(j).mapping.values()).order
-    bound = schreier_rank_bound(inv.min_generators, index)
+    p, table = kernel_cover(j, force=force)
+    inv = cover_homology(p, table)
+    bound = schreier_rank_bound(inv.min_generators, table.index)
     entry = {
         "j": j,
         "homology": inv.to_json_dict(),
@@ -399,8 +398,7 @@ def _cover_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
     covers = []
     lines = []
     for k, (free, torsion) in ((2, (1, [3])), (3, (1, [2, 2]))):
-        sub = reidemeister_schreier(trefoil, cyclic_cover_table(trefoil, k))
-        inv = abelianize(sub.presentation)
+        inv = cover_homology(trefoil, cyclic_cover_table(trefoil, k))
         ok = inv.free_rank == free and list(inv.torsion) == torsion
         covers.append(
             {"fold": k, **inv.to_json_dict(),

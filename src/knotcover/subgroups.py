@@ -1,16 +1,24 @@
 """Subgroup presentations and homology: Reidemeister-Schreier rewriting of a
 coset table, abelian invariants via Smith normal form, the cyclic-cover
-boundary quotient, and the rank growth of staged-kernel homology."""
+boundary quotient, and the rank growth of staged-kernel homology.
+
+One walk over a coset table checks it and rewrites it: it builds the
+spanning tree, traces every relator from every coset once, and raises what
+``CosetTable.verify`` would.  ``reidemeister_schreier`` turns the walk into
+words; ``cover_homology`` reads the H1 relation rows straight off it, with
+no rewritten word or presentation in between."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError, TableIntegrityError
 from .homcheck import phi_tables
+from .perm import inverse_row
 from .presentations import kj_presentation, trefoil_presentation
 from .snf import smith_normal_form_sparse
 from .words import Presentation, Word, reduce, word
@@ -43,80 +51,132 @@ class SubgroupPresentation:
         """Rewrite rep(coset) * w * rep(trace(coset, w))^-1 in the Schreier
         generators.  With trace(coset, w) == coset this is the rewriting of
         a subgroup element conjugated by the transversal representative."""
-        return _rewrite(self.table, self._names, coset, w)
+        names = self._names
+        out = []
+        cur = coset
+        for sym, sign in w:
+            nxt = self.table.step(cur, sym, sign)
+            # a pair the map lacks is a tree edge
+            name = names.get((cur if sign > 0 else nxt, sym))
+            if name is not None:
+                out.append((name, sign))
+            cur = nxt
+        return reduce(out)
 
     @cached_property
     def _names(self) -> dict[tuple[int, str], str]:
         return dict(zip(self.schreier_gens, self.presentation.generators))
 
 
-def _rewrite(t: CosetTable, names: dict[tuple[int, str], str],
-             coset: int, w: Word) -> Word:
-    """Rewrite a word read from ``coset``; ``names`` maps each Schreier pair
-    to its generator, and a pair it lacks is a tree edge."""
-    out = []
-    cur = coset
-    for sym, sign in w:
-        if sign > 0:
-            nxt = t.step(cur, sym, 1)
-            name = names.get((cur, sym))
-        else:
-            nxt = t.step(cur, sym, -1)
-            name = names.get((nxt, sym))
-        if name is not None:
-            out.append((name, sign))
-        cur = nxt
-    return reduce(out)
+def _schreier_walk(p: Presentation, t: CosetTable):
+    """Check that ``t`` is the coset action of a subgroup of ``p`` and
+    rewrite every relator from every coset, in one pass.
+
+    Returns ``(tree, pairs, walks)``:
+    - ``tree`` lists each coset other than 1 as (coset, parent, syllable),
+      in breadth-first discovery order from coset 1, forward edges before
+      backward ones, generators in presentation order;
+    - ``pairs`` lists the Schreier generators (coset, generator), the pairs
+      off the tree in coset-then-generator order; a pair's position is its
+      column;
+    - ``walks(syllable)`` yields, for relator i read from coset c, in that
+      order, the tuple of ``syllable(column, sign)`` for each syllable off
+      the tree.  ``syllable`` must return a non-empty tuple; it is called
+      once per column and sign, and every occurrence shares the result.
+
+    Raises TableIntegrityError as CosetTable.verify does, in its order:
+    generators, then each relator from each coset, then transitivity; all
+    but the first are raised while the walks are consumed.
+    Each walk is freely reduced: a cancelling pair would enclose a closed,
+    reduced walk on the tree, and there is none.
+    """
+    if tuple(p.generators) != t.gens:
+        raise TableIntegrityError("table generators do not match presentation")
+    n = t.index
+    gens = t.gens
+    # 0-based here: the action row of each generator (sign 1) and inverse
+    rows = {}
+    for g, row in zip(gens, t.action):
+        rows[g, 1] = [d - 1 for d in row]
+        rows[g, -1] = [d - 1 for d in inverse_row(row)]
+
+    # breadth-first spanning tree from coset 1; the pair (c, g) with g the
+    # i-th generator is numbered c * len(gens) + i
+    m = len(gens)
+    tree: list[tuple[int, int, tuple[str, int]]] = []
+    on_tree: set[int] = set()
+    seen = {0}
+    queue = [0]
+    for cur in queue:
+        for i, g in enumerate(gens):
+            for sign in (1, -1):
+                nxt = rows[g, sign][cur]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    tree.append((nxt + 1, cur + 1, (g, sign)))
+                    on_tree.add((cur if sign > 0 else nxt) * m + i)
+                    queue.append(nxt)
+
+    pairs = []
+    column: list[int | None] = [None] * (n * m)
+    for x in range(n * m):
+        if x not in on_tree:
+            column[x] = len(pairs)
+            pairs.append((x // m + 1, gens[x % m]))
+
+    def walks(syllable: Callable[[int, int], tuple]) -> Iterator[tuple]:
+        # Per syllable of a relator: its row and, at each coset, what it
+        # contributes there, or None on the tree.  g read at c crosses the
+        # pair (c, g); g^-1 read at c crosses (c * g^-1, g) backwards.
+        steps = {}
+        for i, g in enumerate(gens):
+            for sign in (1, -1):
+                row = rows[g, sign]
+                ids = [column[c * m + i] for c in (range(n) if sign > 0 else row)]
+                steps[g, sign] = (row, [None if k is None else syllable(k, sign)
+                                        for k in ids])
+        # every coset at once, one syllable at a time
+        cosets = list(range(n))
+        for i, r in enumerate(p.relators):
+            at = cosets
+            crossed = []
+            for sym in r:
+                row, cols = steps[sym]
+                crossed.append(map(cols.__getitem__, at))
+                at = list(map(row.__getitem__, at))
+            if at != cosets:
+                c = next(c for c in cosets if at[c] != c)
+                raise TableIntegrityError(
+                    f"relator {p.relator_name(i)} moves coset {c + 1}"
+                )
+            for walk in zip(*crossed) if crossed else [()] * n:
+                yield tuple(filter(None, walk))
+        if len(seen) != n:
+            raise TableIntegrityError("coset action is not transitive")
+
+    return tree, pairs, walks
 
 
 def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentation:
     """Presentation of the subgroup whose coset action ``t`` describes."""
-    t.verify(p)
+    tree, pairs, walks = _schreier_walk(p, t)
     n = t.index
-    gens = t.gens
-
-    # breadth-first spanning tree from coset 1, forward edges before
-    # backward ones, generators in presentation order
-    tree: set[tuple[int, str]] = set()
+    names = [f"{g}x{c}" for c, g in pairs]
     rep: dict[int, Word] = {1: Word()}
-    queue = [1]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = t.step(cur, g, 1)
-            if nxt not in rep:
-                rep[nxt] = rep[cur] * Word(((g, 1),))
-                tree.add((cur, g))
-                queue.append(nxt)
-            prev = t.step(cur, g, -1)
-            if prev not in rep:
-                rep[prev] = rep[cur] * Word(((g, -1),))
-                tree.add((prev, g))
-                queue.append(prev)
-
-    # one name per Schreier generator, shared by every occurrence
-    names = {
-        (c, g): f"{g}x{c}"
-        for c in range(1, n + 1)
-        for g in gens
-        if (c, g) not in tree
-    }
-
-    relators = []
-    rel_names = []
-    for i, r in enumerate(p.relators):
-        for c in range(1, n + 1):
-            relators.append(_rewrite(t, names, c, r))
-            rel_names.append(f"{p.relator_name(i)}@{c}")
+    for c, parent, syllable in tree:
+        rep[c] = rep[parent] * Word((syllable,))
+    rel_names = [f"{p.relator_name(i)}@{c}"
+                 for i in range(len(p.relators)) for c in range(1, n + 1)]
+    relators = [Word(walk) for walk in walks(lambda k, sign: (names[k], sign))]
     derived = Presentation(
-        generators=tuple(names.values()),
+        generators=tuple(names),
         relators=tuple(relators),
         label=f"{p.label or 'base'}-index{n}",
         relator_names=tuple(rel_names),
     )
     return SubgroupPresentation(
         table=t,
-        schreier_gens=tuple(names),
+        schreier_gens=tuple(pairs),
         presentation=derived,
         transversal=tuple(rep[c] for c in range(1, n + 1)),
     )
@@ -150,24 +210,51 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def abelianize(p: Presentation) -> AbelianInvariants:
-    """Invariants of the presented group made abelian: Smith normal form of
-    the relator exponent-sum matrix."""
-    index = p.generator_index()
+def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
+                ncols: int) -> AbelianInvariants:
+    """Invariants of the abelian group on ``ncols`` generators with one
+    relation per relator, a relator given as its (column, sign) syllables:
+    Smith normal form of the exponent-sum rows, each row's columns in order
+    of first occurrence."""
     rows: dict[int, dict[int, int]] = {}
-    for i, r in enumerate(p.relators):
-        entries: dict[int, int] = {}
-        for sym, sign in r:
-            j = index[sym]
-            entries[j] = entries.get(j, 0) + sign
-        entries = {j: v for j, v in entries.items() if v}
+    for i, r in enumerate(relators):
+        entries = dict(r)
+        if len(entries) < len(r):
+            # a column repeats: sum its signs
+            entries = {}
+            for j, sign in r:
+                entries[j] = entries.get(j, 0) + sign
+            entries = {j: v for j, v in entries.items() if v}
         if entries:
             rows[i] = entries
     factors, rank = smith_normal_form_sparse(rows)
     return AbelianInvariants(
-        free_rank=len(p.generators) - rank,
+        free_rank=ncols - rank,
         torsion=tuple(d for d in factors if d > 1),
     )
+
+
+def abelianize(p: Presentation) -> AbelianInvariants:
+    """Invariants of the presented group made abelian: Smith normal form of
+    the relator exponent-sum matrix."""
+    index = p.generator_index()
+    return _invariants(
+        ([(index[sym], sign) for sym, sign in r] for r in p.relators),
+        len(p.generators),
+    )
+
+
+def cover_homology(p: Presentation, t: CosetTable) -> AbelianInvariants:
+    """First homology of the subgroup whose coset action ``t`` describes:
+    ``abelianize(reidemeister_schreier(p, t).presentation)``, with the same
+    exponent-sum rows in the same order, read straight off the table.
+
+    By Fox calculus each syllable g read at coset x adds its sign at the
+    Schreier column (x, g), and g^-1 read at x subtracts at (x * g^-1, g),
+    so no rewritten word, name or presentation is built.
+    """
+    _, pairs, walks = _schreier_walk(p, t)
+    return _invariants(walks(lambda k, sign: (k, sign)), len(pairs))
 
 
 def boundary_quotient(k: int) -> Presentation:
@@ -204,19 +291,20 @@ def schreier_rank_bound(m: int, i: int) -> Fraction:
     return Fraction(m - 1, i) + 1
 
 
-# The largest stage count that runs in about 4 s: medians of three runs
-# take 3.2 s at 10, 3.8 s at 11 and 5.1 s at 12 (Python 3.11, 2-core Xeon).
+# The default stage limit.  Each stage adds 660 rows and 540 columns to the
+# relation matrix, and the Smith normal form grows faster than that; per
+# stage times come from the benchmark (`bench/README.md`):
+#     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
 KERNEL_HOMOLOGY_MAX_STAGES = 11
 
 
-def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:
-    """First homology of the kernel of the staged assignment on the j-stage
-    link presentation.
+def kernel_cover(j: int, force: bool = False) -> tuple[Presentation, CosetTable]:
+    """The j-stage link presentation and the coset table of the kernel of
+    its staged assignment, one coset per image element.
 
-    Pipeline: kernel coset table (one coset per image element), rewritten
-    subgroup presentation, abelianization.  Stages above
-    KERNEL_HOMOLOGY_MAX_STAGES are refused unless ``force`` is set, since
-    the relation matrix grows like 60 * 11j rows by 60 * 9j columns.
+    Stages above KERNEL_HOMOLOGY_MAX_STAGES are refused unless ``force`` is
+    set, since the relation matrix grows like 60 * 11j rows by 60 * 9j
+    columns.
     """
     if j < 1:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
@@ -228,6 +316,10 @@ def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:
             "line) to compute anyway."
         )
     p = kj_presentation(j)
-    table = kernel_coset_table(p, phi_tables(j))
-    sub = reidemeister_schreier(p, table)
-    return abelianize(sub.presentation)
+    return p, kernel_coset_table(p, phi_tables(j))
+
+
+def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:
+    """First homology of the kernel of the staged assignment on the j-stage
+    link presentation: ``cover_homology`` of ``kernel_cover(j, force)``."""
+    return cover_homology(*kernel_cover(j, force))

@@ -186,6 +186,24 @@ def test_kernel_homology_command(capsys):
     assert report["min_generators"] == 2
 
 
+def test_kernel_entry_builds_the_image_group_once(monkeypatch):
+    # the index comes from the kernel's coset table, not a second closure
+    calls = []
+
+    def counted(real):
+        def closure(gens):
+            calls.append(gens)
+            return real(gens)
+        return closure
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knotcover.") and hasattr(module, "closure"):
+            monkeypatch.setattr(module, "closure", counted(module.closure))
+    entry, _ = cli._kernel_entry(4)
+    assert len(calls) == 1
+    assert (entry["min_generators"], entry["rank_bound"]) == (142, "67/20")
+
+
 def test_kernel_homology_guard_is_an_error_exit(capsys):
     past_cap = str(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     code, out, err = run_cli(capsys, "kernel-homology", "--j", past_cap)
@@ -314,7 +332,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
     if argv[0] == "run-all":
         # bad run-all inputs are refused before any section runs
-        monkeypatch.setattr(cli, "kernel_homology", _must_not_run)
+        monkeypatch.setattr(cli, "kernel_cover", _must_not_run)
     bad_name = tmp_path / "assign.txt"
     bad_name.write_text("A = (1,2)\n")
     duplicate = tmp_path / "duplicate.txt"
@@ -480,7 +498,7 @@ CORRUPTIONS = {
     # one meridian killed, so H1 is trivial
     cli.CLAIM_KNOT_H1: ("kj_presentation", _kill_first_generator),
     # the stage-1 kernel at every stage count: no growth
-    cli.CLAIM_KERNEL_GROWTH: ("kernel_homology",
+    cli.CLAIM_KERNEL_GROWTH: ("kernel_cover",
                               lambda real: lambda j, force=False: real(1)),
 }
 VACUOUS = {
@@ -507,11 +525,11 @@ def test_corrupted_input_fails_its_claim(monkeypatch, claim):
 
 
 def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):
-    # a trivial image at stage count 3 makes that kernel's index 1, so its
-    # bound 102 exceeds stage 4's 67/20 while the generator counts still grow
-    real = cli.phi_tables
-    monkeypatch.setattr(cli, "phi_tables", lambda j: GenAssignment(
-        dict.fromkeys(real(j).mapping, Perm.identity())) if j == 3 else real(j))
+    # the stage-3 bound taken at index 1 is 102, above stage 4's 67/20,
+    # while the generator counts still grow
+    real = cli.schreier_rank_bound
+    monkeypatch.setattr(cli, "schreier_rank_bound",
+                        lambda m, i: real(m, 1 if m == 102 else i))
     fragment, failed, _ = cli._kernel_section(
         {"jmax": 1, "kernel_jmax": 4, "cap": DEFAULT_COSET_CAP})
     assert [k["rank_bound"] for k in fragment["kernel_homology"]][2:] == [

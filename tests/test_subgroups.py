@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from knotcover.cosets import cyclic_cover_table, kernel_coset_table, todd_coxeter
-from knotcover.errors import CapacityError
+from knotcover import snf, subgroups
+from knotcover.cosets import CosetTable
+from knotcover.errors import CapacityError, TableIntegrityError
 from knotcover.homcheck import eval_word, phi_tables, search_surjections
 from knotcover.perm import Perm
 from knotcover.presentations import (
@@ -23,11 +25,14 @@ from knotcover.subgroups import (
     AbelianInvariants,
     abelianize,
     boundary_quotient,
+    cover_homology,
     kernel_homology,
     reidemeister_schreier,
     schreier_rank_bound,
 )
 from knotcover.words import Presentation, Word, print_presentation, word
+
+from test_snf import kernel_relation_rows
 
 
 # -- subgroup presentations ---------------------------------------------------
@@ -131,6 +136,110 @@ def test_rewriting_is_deterministic():
     a = reidemeister_schreier(p, cyclic_cover_table(p, 3)).presentation
     b = reidemeister_schreier(p, cyclic_cover_table(p, 3)).presentation
     assert a == b
+
+
+# -- homology read off the coset table -----------------------------------------
+
+def _trefoil_mod_a_cubed():
+    base = trefoil_presentation()
+    return Presentation(base.generators, base.relators + (word("a") ** 3,))
+
+
+def _cover(kind, n):
+    if kind == "kernel":
+        p = kj_presentation(n)
+        return p, kernel_coset_table(p, phi_tables(n))
+    if kind == "cyclic":
+        p = trefoil_presentation()
+        return p, cyclic_cover_table(p, n)
+    # the trivial subgroup of the binary tetrahedral group, by enumeration
+    p = _trefoil_mod_a_cubed()
+    return p, todd_coxeter(p)
+
+
+COVERS = ([("kernel", j) for j in range(1, 7)]
+          + [("cyclic", k) for k in range(1, 13)]
+          + [("todd-coxeter", 24)])
+
+
+def _snf_rows(monkeypatch, compute):
+    """The rows ``compute`` hands to the sparse Smith normal form, as lists
+    of (row, [(column, value), ...]) in dict order."""
+    seen = []
+    real = subgroups.smith_normal_form_sparse
+
+    def spy(rows):
+        seen.append([(i, list(r.items())) for i, r in rows.items()])
+        return real(rows)
+
+    monkeypatch.setattr(subgroups, "smith_normal_form_sparse", spy)
+    compute()
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("kind, n", COVERS)
+def test_cover_homology_equals_the_rewritten_presentation_made_abelian(
+        monkeypatch, kind, n):
+    p, t = _cover(kind, n)
+    if kind == "todd-coxeter":
+        assert t.index == n
+    derived = reidemeister_schreier(p, t).presentation
+    direct = _snf_rows(monkeypatch, lambda: cover_homology(p, t))
+    rewritten = _snf_rows(monkeypatch, lambda: abelianize(derived))
+    assert direct == rewritten
+    assert cover_homology(p, t) == abelianize(derived)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+def test_kernel_rows_match_the_exponent_sums_of_the_rewritten_words(
+        monkeypatch, j):
+    # the rows test_snf reads off the rewritten words, zeros and empty
+    # rows dropped, in the same order
+    _, rows = kernel_relation_rows(j)
+    expected = [(i, [(c, v) for c, v in r.items() if v])
+                for i, r in enumerate(rows) if any(r.values())]
+    assert _snf_rows(monkeypatch, lambda: cover_homology(*_cover("kernel", j))) \
+        == expected
+
+
+@pytest.mark.parametrize("j, shape", [(3, (19, 26)), (4, (29, 54)),
+                                      (5, (60, 78))])
+def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
+    rows = _snf_rows(monkeypatch, lambda: cover_homology(*_cover("kernel", j)))
+    sparse = {i: dict(r) for i, r in rows}
+    snf._divisor_stage(sparse)
+    dense = snf._densify(sparse)
+    assert (len(dense), len(dense[0])) == shape
+
+
+def _bad_tables():
+    p = trefoil_presentation()
+    t = cyclic_cover_table(p, 3)
+    return {
+        # the b-row swapped, so the braid relator moves a coset
+        "relator": (p, CosetTable(gens=t.gens, action=(t.action[0], (1, 3, 2)),
+                                  index=3)),
+        # a = b = (1,2) satisfies the braid relator but never reaches coset 3
+        "transitive": (p, CosetTable(gens=t.gens,
+                                       action=((2, 1, 3), (2, 1, 3)), index=3)),
+        "generators": (Presentation(generators=("x", "y"), relators=()), t),
+        # both faults: the relator is reported first
+        "relator and transitive": (p, CosetTable(
+            gens=t.gens, action=((2, 1, 3), (1, 2, 3)), index=3)),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_bad_tables()))
+def test_bad_tables_raise_the_verify_message(fault):
+    p, t = _bad_tables()[fault]
+    with pytest.raises(TableIntegrityError) as expected:
+        t.verify(p)
+    assert fault.split()[0] in str(expected.value)
+    for route in (reidemeister_schreier, cover_homology):
+        with pytest.raises(TableIntegrityError) as got:
+            route(p, t)
+        assert str(got.value) == str(expected.value)
 
 
 # -- abelian invariants -------------------------------------------------------
