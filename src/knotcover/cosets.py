@@ -3,13 +3,15 @@ cosets, plus three ways to build them.
 
 Cosets are numbered from 1; coset 1 is the subgroup itself.  Tracing a word
 applies its syllables left to right, matching the word-evaluation convention.
+One tracer, ``relator_paths``, checks a table against a presentation;
+``CosetTable.verify`` and the Reidemeister-Schreier walk both consume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -39,6 +41,9 @@ class CosetTable:
     def __post_init__(self):
         if len(self.action) != len(self.gens):
             raise TableIntegrityError("one action row per generator required")
+        if self.index < 1:
+            raise TableIntegrityError(
+                f"index must be positive, got {self.index}")
         for g, row in zip(self.gens, self.action):
             if sorted(row) != list(range(1, self.index + 1)):
                 raise TableIntegrityError(
@@ -46,48 +51,72 @@ class CosetTable:
                 )
 
     @cached_property
-    def _rows(self) -> dict[tuple[str, int], tuple[int, ...]]:
-        """Action row of each generator (sign 1) and of its inverse (-1)."""
+    def rows(self) -> dict[tuple[str, int], tuple[int, ...]]:
+        """Action row of each generator (sign 1) and of its inverse (-1),
+        from 0: ``rows[g, sign][c - 1]`` is coset c's image, less 1.  Equal
+        actions share rows (a staged kernel has up to four gens per action)."""
         rows = {}
+        made = {}
         for g, row in zip(self.gens, self.action):
-            rows[g, 1] = row
-            rows[g, -1] = inverse_row(row)
+            if row not in made:
+                made[row] = (tuple(d - 1 for d in row),
+                             tuple(d - 1 for d in inverse_row(row)))
+            rows[g, 1], rows[g, -1] = made[row]
         return rows
 
     def step(self, coset: int, sym: str, sign: int = 1) -> int:
-        return self._rows[sym, sign][coset - 1]
+        return self.rows[sym, sign][coset - 1] + 1
 
     def trace(self, coset: int, w: Word) -> int:
-        for sym, sign in w:
-            coset = self.step(coset, sym, sign)
-        return coset
+        coset -= 1
+        for syl in w:
+            coset = self.rows[syl][coset]
+        return coset + 1
 
     def word_action(self, w: Word) -> tuple[int, ...]:
         return tuple(self.trace(c, w) for c in range(1, self.index + 1))
-
-    def is_transitive(self) -> bool:
-        return orbit_size(self.action) == self.index
 
     def verify(self, p: Presentation) -> None:
         """Raise TableIntegrityError unless this table really is the coset
         action of a subgroup of the presented group: generators match, every
         relator acts trivially, and the action is transitive."""
-        if tuple(p.generators) != self.gens:
-            raise TableIntegrityError("table generators do not match presentation")
-        for i, r in enumerate(p.relators):
-            for c in range(1, self.index + 1):
-                if self.trace(c, r) != c:
-                    raise TableIntegrityError(
-                        f"relator {p.relator_name(i)} moves coset {c}"
-                    )
-        if not self.is_transitive():
-            raise TableIntegrityError("coset action is not transitive")
+        for _ in relator_paths(self, p):
+            pass
 
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
             "action": {g: list(row) for g, row in zip(self.gens, self.action)},
         }
+
+
+def relator_paths(t: CosetTable, p: Presentation) -> Iterator[list[list[int]]]:
+    """Trace each relator of ``p`` from every coset of ``t`` at once, one
+    syllable at a time, checking the table as ``CosetTable.verify`` says.
+
+    Yields each relator's path: the cosets, numbered from 0, reached from
+    cosets 1..index before each syllable.  Raises TableIntegrityError when
+    first resumed if the generators differ, before a relator's path if it
+    moves a coset, and after the last path if the action is intransitive.
+    """
+    if tuple(p.generators) != t.gens:
+        raise TableIntegrityError("table generators do not match presentation")
+    rows = t.rows
+    cosets = list(range(t.index))
+    for i, r in enumerate(p.relators):
+        at = cosets
+        path = []
+        for syl in r:
+            path.append(at)
+            at = list(map(rows[syl].__getitem__, at))
+        if at != cosets:
+            c = next(c for c in cosets if at[c] != c)
+            raise TableIntegrityError(
+                f"relator {p.relator_name(i)} moves coset {c + 1}"
+            )
+        yield path
+    if orbit_size(t.action) != t.index:
+        raise TableIntegrityError("coset action is not transitive")
 
 
 def orbit_transitive(t: CosetTable, words: Sequence[Word]) -> bool:
@@ -184,11 +213,16 @@ def todd_coxeter(
 
     table: list[list[int | None]] = []
     parent: list[int] = []
+    c: int | None = None  # scanned coset; None while tracing subgroup words
 
     def new_coset() -> int:
         if len(parent) >= cap:
+            live = sum(find(x) == x for x in range(len(parent)))
+            where = ("tracing subgroup generators" if c is None
+                     else f"scanning coset {c + 1}")
             raise CapacityError(
-                f"coset enumeration exceeded cap of {cap} cosets"
+                f"coset enumeration exceeded cap of {cap} cosets "
+                f"({len(parent)} defined, {live} live, {where})"
             )
         table.append([None] * ncols)
         parent.append(len(parent))

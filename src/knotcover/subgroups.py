@@ -2,26 +2,30 @@
 coset table, abelian invariants via Smith normal form, the cyclic-cover
 boundary quotient, and the rank growth of staged-kernel homology.
 
-One walk over a coset table checks it and rewrites it: it builds the
-spanning tree, traces every relator from every coset once, and raises what
-``CosetTable.verify`` would.  ``reidemeister_schreier`` turns the walk into
-words; ``cover_homology`` reads the H1 relation rows straight off it, with
-no rewritten word or presentation in between."""
+One walk over a coset table rewrites it: it builds the spanning tree and
+maps Schreier columns over the paths of ``cosets.relator_paths``, the tracer
+``CosetTable.verify`` consumes, so it raises what verify would.
+``reidemeister_schreier`` turns the walk into words, also for the boundary
+words of ``boundary_quotient``; ``cover_homology`` reads the H1 relation rows
+straight off it, with no rewritten word or presentation in between."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
-from .errors import CapacityError, InvalidArgumentError, TableIntegrityError
+from .cosets import (
+    CosetTable,
+    cyclic_cover_table,
+    kernel_coset_table,
+    relator_paths,
+)
+from .errors import CapacityError, InvalidArgumentError
 from .homcheck import phi_tables
-from .perm import inverse_row
 from .presentations import kj_presentation, trefoil_presentation
 from .snf import smith_normal_form_sparse
-from .words import Presentation, Word, reduce, word
+from .words import Presentation, Word, word
 
 # Boundary curves of the trefoil complement, as words in the two-generator
 # presentation: the meridian is the generator a, and the longitude below is
@@ -42,35 +46,14 @@ class SubgroupPresentation:
     rewritten once per coset.
     """
 
-    table: CosetTable
     schreier_gens: tuple[tuple[int, str], ...]
     presentation: Presentation
     transversal: tuple[Word, ...]
 
-    def rewrite_from(self, coset: int, w: Word) -> Word:
-        """Rewrite rep(coset) * w * rep(trace(coset, w))^-1 in the Schreier
-        generators.  With trace(coset, w) == coset this is the rewriting of
-        a subgroup element conjugated by the transversal representative."""
-        names = self._names
-        out = []
-        cur = coset
-        for sym, sign in w:
-            nxt = self.table.step(cur, sym, sign)
-            # a pair the map lacks is a tree edge
-            name = names.get((cur if sign > 0 else nxt, sym))
-            if name is not None:
-                out.append((name, sign))
-            cur = nxt
-        return reduce(out)
-
-    @cached_property
-    def _names(self) -> dict[tuple[int, str], str]:
-        return dict(zip(self.schreier_gens, self.presentation.generators))
-
 
 def _schreier_walk(p: Presentation, t: CosetTable):
-    """Check that ``t`` is the coset action of a subgroup of ``p`` and
-    rewrite every relator from every coset, in one pass.
+    """Rewrite every relator of ``p`` from every coset of ``t``, along the
+    paths ``relator_paths`` traces.
 
     Returns ``(tree, pairs, walks)``:
     - ``tree`` lists each coset other than 1 as (coset, parent, syllable),
@@ -84,24 +67,15 @@ def _schreier_walk(p: Presentation, t: CosetTable):
       the tree.  ``syllable`` must return a non-empty tuple; it is called
       once per column and sign, and every occurrence shares the result.
 
-    Raises TableIntegrityError as CosetTable.verify does, in its order:
-    generators, then each relator from each coset, then transitivity; all
-    but the first are raised while the walks are consumed.
-    Each walk is freely reduced: a cancelling pair would enclose a closed,
-    reduced walk on the tree, and there is none.
+    The walks raise what ``CosetTable.verify`` raises, in its order, since
+    they consume the same tracer.  Each walk is freely reduced: a
+    cancelling pair would enclose a closed, reduced walk on the tree, and
+    there is none.
     """
-    if tuple(p.generators) != t.gens:
-        raise TableIntegrityError("table generators do not match presentation")
-    n = t.index
-    gens = t.gens
-    # 0-based here: the action row of each generator (sign 1) and inverse
-    rows = {}
-    for g, row in zip(gens, t.action):
-        rows[g, 1] = [d - 1 for d in row]
-        rows[g, -1] = [d - 1 for d in inverse_row(row)]
+    n, gens, rows = t.index, t.gens, t.rows
 
-    # breadth-first spanning tree from coset 1; the pair (c, g) with g the
-    # i-th generator is numbered c * len(gens) + i
+    # breadth-first spanning tree from coset 1 (0 here); the pair (c, g)
+    # with g the i-th generator is numbered c * len(gens) + i
     m = len(gens)
     tree: list[tuple[int, int, tuple[str, int]]] = []
     on_tree: set[int] = set()
@@ -125,34 +99,23 @@ def _schreier_walk(p: Presentation, t: CosetTable):
             pairs.append((x // m + 1, gens[x % m]))
 
     def walks(syllable: Callable[[int, int], tuple]) -> Iterator[tuple]:
-        # Per syllable of a relator: its row and, at each coset, what it
-        # contributes there, or None on the tree.  g read at c crosses the
-        # pair (c, g); g^-1 read at c crosses (c * g^-1, g) backwards.
-        steps = {}
+        # What each syllable contributes at each coset, None on the tree:
+        # g read at c crosses the pair (c, g); g^-1 read at c crosses
+        # (c * g^-1, g) backwards.
+        crossing = {}
         for i, g in enumerate(gens):
             for sign in (1, -1):
-                row = rows[g, sign]
-                ids = [column[c * m + i] for c in (range(n) if sign > 0 else row)]
-                steps[g, sign] = (row, [None if k is None else syllable(k, sign)
-                                        for k in ids])
-        # every coset at once, one syllable at a time
-        cosets = list(range(n))
-        for i, r in enumerate(p.relators):
-            at = cosets
-            crossed = []
-            for sym in r:
-                row, cols = steps[sym]
-                crossed.append(map(cols.__getitem__, at))
-                at = list(map(row.__getitem__, at))
-            if at != cosets:
-                c = next(c for c in cosets if at[c] != c)
-                raise TableIntegrityError(
-                    f"relator {p.relator_name(i)} moves coset {c + 1}"
-                )
+                ids = [column[c * m + i]
+                       for c in (range(n) if sign > 0 else rows[g, -1])]
+                crossing[g, sign] = [None if k is None else syllable(k, sign)
+                                     for k in ids]
+        # the tracer comes first, so that it is resumed after the last
+        # relator and raises what it finds there
+        for path, r in zip(relator_paths(t, p), p.relators):
+            crossed = [map(crossing[syl].__getitem__, at)
+                       for syl, at in zip(r, path)]
             for walk in zip(*crossed) if crossed else [()] * n:
                 yield tuple(filter(None, walk))
-        if len(seen) != n:
-            raise TableIntegrityError("coset action is not transitive")
 
     return tree, pairs, walks
 
@@ -175,7 +138,6 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
         relator_names=tuple(rel_names),
     )
     return SubgroupPresentation(
-        table=t,
         schreier_gens=tuple(pairs),
         presentation=derived,
         transversal=tuple(rep[c] for c in range(1, n + 1)),
@@ -261,22 +223,25 @@ def boundary_quotient(k: int) -> Presentation:
     """Presentation of the trefoil's k-fold cyclic cover modulo its boundary:
     the rewritten cover presentation plus, for every coset representative r,
     the rewritten words r TREFOIL_MERIDIAN^k r^-1 and r TREFOIL_LONGITUDE r^-1.
+
+    Both boundary words fix every coset, so they are rewritten as two more
+    relators over the cover's table, and listed coset by coset after its own.
     """
     p = trefoil_presentation()
-    sub = reidemeister_schreier(p, cyclic_cover_table(p, k))
-    relators = list(sub.presentation.relators)
-    names = list(sub.presentation.relator_names)
-    power = TREFOIL_MERIDIAN ** k
-    for c in range(1, k + 1):
-        relators.append(sub.rewrite_from(c, power))
-        names.append(f"meridian^{k}@{c}")
-        relators.append(sub.rewrite_from(c, TREFOIL_LONGITUDE))
-        names.append(f"longitude@{c}")
+    extended = Presentation(
+        generators=p.generators,
+        relators=p.relators + (TREFOIL_MERIDIAN ** k, TREFOIL_LONGITUDE),
+        relator_names=(*p.relator_names, f"meridian^{k}", "longitude"),
+    )
+    sub = reidemeister_schreier(extended, cyclic_cover_table(p, k)).presentation
+    cover = len(p.relators) * k
+    order = [*range(cover)] + [cover + e * k + c
+                               for c in range(k) for e in range(2)]
     return Presentation(
-        generators=sub.presentation.generators,
-        relators=tuple(relators),
+        generators=sub.generators,
+        relators=tuple(sub.relators[i] for i in order),
         label=f"{p.label}-cover{k}-mod-boundary",
-        relator_names=tuple(names),
+        relator_names=tuple(sub.relator_names[i] for i in order),
     )
 
 

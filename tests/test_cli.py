@@ -317,6 +317,8 @@ def _must_not_run(*args, **kwargs):
          "expected point at position 1, got '١'"),
         (["run-all", "--kernel-jmax", str(KERNEL_HOMOLOGY_MAX_STAGES + 1)],
          "knotcover kernel-homology --j N --force"),
+        (["--cap", "50", "cosets", "--pres", "{trefoil}", "--mode", "subgroup"],
+         "exceeded cap of 50 cosets (50 defined, 50 live, scanning coset "),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
@@ -326,7 +328,7 @@ def _must_not_run(*args, **kwargs):
          "usage-missing-required", "usage-unknown-subcommand",
          "duplicate-assignment", "presentation-trefoil-j0",
          "presentation-trefoil-j-negative", "superscript-digit",
-         "arabic-indic-digit", "kernel-jmax-above-limit"],
+         "arabic-indic-digit", "kernel-jmax-above-limit", "cap-reached"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):

@@ -19,7 +19,7 @@ from knotcover.errors import (
     TableIntegrityError,
 )
 from knotcover.homcheck import GenAssignment, phi_tables
-from knotcover.perm import closure, parse_cycles
+from knotcover.perm import closure, orbit_size, parse_cycles
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
@@ -29,6 +29,7 @@ from knotcover.subgroups import (
     TREFOIL_LONGITUDE,
     TREFOIL_MERIDIAN,
     boundary_quotient,
+    cover_homology,
     reidemeister_schreier,
 )
 from knotcover.words import Presentation, Word, reduce, word
@@ -63,6 +64,13 @@ def test_one_row_per_generator():
         CosetTable(gens=("a", "b"), action=((1,),), index=1)
 
 
+def test_index_must_be_positive():
+    # an empty table would pass the permutation check and then fail with
+    # IndexError wherever it is traced
+    with pytest.raises(TableIntegrityError, match="index must be positive"):
+        CosetTable(gens=("a", "b"), action=((), ()), index=0)
+
+
 def test_step_trace_and_word_action():
     t = cyclic_cover_table(trefoil_presentation(), 4)
     a = "a"
@@ -71,6 +79,8 @@ def test_step_trace_and_word_action():
     assert t.trace(1, word("a b a")) == 4
     assert t.word_action(word("a")) == (2, 3, 4, 1)
     assert t.word_action(word("a b^-1")) == (1, 2, 3, 4)
+    # a and b act alike, so they share one row map entry per sign
+    assert t.rows["a", 1] is t.rows["b", 1] and t.rows["a", -1] is t.rows["b", -1]
 
 
 def test_verify_accepts_real_tables_and_rejects_corrupt_ones():
@@ -196,9 +206,56 @@ def test_forward_orbit_walk_matches_an_inverse_row_oracle():
         rows = [t.word_action(w) for w in words]
         expected = _orbit_reaches_everything(rows, t.index)
         assert orbit_transitive(t, words) == expected
-        assert t.is_transitive() == _orbit_reaches_everything(t.action, t.index)
-        outcomes.add((expected, t.is_transitive()))
+        transitive = orbit_size(t.action) == t.index
+        assert transitive == _orbit_reaches_everything(t.action, t.index)
+        outcomes.add((expected, transitive))
     assert outcomes == {(False, False), (False, True), (True, True)}
+
+
+def _verify_oracle(t, p):
+    """The message verify must raise, or None: each relator traced from
+    each coset in turn on the raw action rows, then the orbit oracle."""
+    if tuple(p.generators) != t.gens:
+        return "table generators do not match presentation"
+    rows = dict(zip(t.gens, t.action))
+    for i, r in enumerate(p.relators):
+        for c in range(1, t.index + 1):
+            d = c
+            for sym, sign in r:
+                d = rows[sym][d - 1] if sign > 0 else rows[sym].index(d) + 1
+            if d != c:
+                return f"relator {p.relator_name(i)} moves coset {c}"
+    if not _orbit_reaches_everything(t.action, t.index):
+        return "coset action is not transitive"
+    return None
+
+
+def test_table_checks_match_a_per_coset_oracle():
+    # verify and both Reidemeister-Schreier routes share one tracer; each
+    # must raise exactly when the oracle finds a fault, with its message
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(300):
+        t = _random_table(rng, rng.randint(1, 3))
+        relators = tuple(
+            reduce((rng.choice(t.gens), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 3)))
+        # now and then the same generators in another order
+        gens = t.gens[::-1] if rng.random() < 0.1 else t.gens
+        p = Presentation(generators=gens, relators=relators)
+        expected = _verify_oracle(t, p)
+        outcomes.add(expected and expected.split()[0])
+        for route in (t.verify, lambda p: reidemeister_schreier(p, t),
+                      lambda p: cover_homology(p, t)):
+            if expected is None:
+                route(p)
+            else:
+                with pytest.raises(TableIntegrityError) as got:
+                    route(p)
+                assert str(got.value) == expected
+    # no fault, then the generator, relator and transitivity messages
+    assert outcomes == {None, "table", "relator", "coset"}
 
 
 def test_single_generator_orbit_is_not_transitive_on_kernel():
@@ -315,8 +372,15 @@ def test_enumeration_agrees_with_kernel_table_index():
 def test_capacity_error_on_infinite_index():
     # the meridian alone generates an infinite-index subgroup, so the
     # enumeration must hit the cap rather than close
-    with pytest.raises(CapacityError, match="500"):
+    with pytest.raises(CapacityError, match="500") as e:
         todd_coxeter(trefoil_presentation(), [word("a")], cap=500)
+    # how far it got: cosets defined, live after coincidences, and where
+    assert str(e.value) == ("coset enumeration exceeded cap of 500 cosets "
+                            "(500 defined, 499 live, scanning coset 223)")
+    with pytest.raises(CapacityError) as e:
+        todd_coxeter(trefoil_presentation(), [word("a") ** 9], cap=5)
+    assert str(e.value) == ("coset enumeration exceeded cap of 5 cosets "
+                            "(5 defined, 5 live, tracing subgroup generators)")
 
 
 def test_enumeration_is_deterministic():

@@ -30,7 +30,7 @@ from knotcover.subgroups import (
     reidemeister_schreier,
     schreier_rank_bound,
 )
-from knotcover.words import Presentation, Word, print_presentation, word
+from knotcover.words import Presentation, Word, print_presentation, reduce, word
 
 from test_snf import kernel_relation_rows
 
@@ -84,11 +84,40 @@ def test_schreier_count_identities(build):
 
 
 def test_rewrite_of_a_subgroup_element():
+    # a a from coset 1 crosses the tree edge (1, a), then the pair (2, a)
+    q = boundary_quotient(2)
+    names = dict(zip(q.relator_names, q.relators))
+    assert names["meridian^2@1"] == word("ax2")
+
+
+def _rewrite_oracle(table, sub, coset, w):
+    """rep(coset) * w * rep(trace(coset, w))^-1 in the Schreier generators,
+    one syllable at a time from the coset table."""
+    names = dict(zip(sub.schreier_gens, sub.presentation.generators))
+    out = []
+    cur = coset
+    for sym, sign in w:
+        nxt = table.step(cur, sym, sign)
+        # a pair the map lacks is a tree edge
+        name = names.get((cur if sign > 0 else nxt, sym))
+        if name is not None:
+            out.append((name, sign))
+        cur = nxt
+    return reduce(out)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_boundary_words_match_a_per_coset_rewrite_oracle(k):
     p = trefoil_presentation()
-    sub = reidemeister_schreier(p, cyclic_cover_table(p, 2))
-    assert sub.rewrite_from(1, word("a a")) == word("ax2")
-    # tree edges rewrite to nothing
-    assert sub.rewrite_from(1, word("a")) == Word()
+    table = cyclic_cover_table(p, k)
+    sub = reidemeister_schreier(p, table)
+    q = boundary_quotient(k)
+    names = dict(zip(q.relator_names, q.relators))
+    assert q.generators == sub.presentation.generators
+    for c in range(1, k + 1):
+        for name, w in ((f"meridian^{k}", TREFOIL_MERIDIAN ** k),
+                        ("longitude", TREFOIL_LONGITUDE)):
+            assert names[f"{name}@{c}"] == _rewrite_oracle(table, sub, c, w)
 
 
 def _kernel_rewrite(j):
@@ -123,12 +152,10 @@ def test_rewritten_relators_share_the_generator_symbols():
     # one name string per Schreier generator, however often it occurs:
     # relators hold the generator tuple's own strings, not copies
     sub = _kernel_rewrite(3)
-    generators = {id(g) for g in sub.presentation.generators}
-    assert all(id(sym) in generators
-               for r in sub.presentation.relators for sym, _ in r)
-    rewritten = sub.rewrite_from(2, kj_presentation(3).relators[0])
-    assert rewritten == sub.presentation.relators[1]
-    assert all(id(sym) in generators for sym, _ in rewritten)
+    for derived in (sub.presentation, boundary_quotient(3)):
+        generators = {id(g) for g in derived.generators}
+        assert all(id(sym) in generators
+                   for r in derived.relators for sym, _ in r)
 
 
 def test_rewriting_is_deterministic():
