@@ -22,7 +22,7 @@ from .cosets import (
     orbit_transitive,
     todd_coxeter,
 )
-from .errors import CapacityError, InvalidArgumentError, KnotcoverError
+from .errors import CapacityError, InvalidArgumentError, KnotcoverError, ParseError
 from .homcheck import (
     GenAssignment,
     check_relators,
@@ -95,10 +95,13 @@ def load_assignment_file(path: str) -> GenAssignment:
 def load_words_file(path: str) -> list[Word]:
     """Parse one word per non-empty line, syllables separated by spaces."""
     out = []
-    for raw in _load_text(path).splitlines():
+    for lineno, raw in enumerate(_load_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(word(line))
+            try:
+                out.append(word(line))
+            except ParseError as e:
+                raise KnotcoverError(f"{path}:{lineno}: {e}") from None
     return out
 
 
@@ -123,26 +126,24 @@ def _violation_lines(violations) -> list[str]:
 
 def _check_tables_at(j: int) -> tuple:
     """Verify the staged tables against both the identified and the plain
-    link presentations for one stage count."""
-    assignment = phi_tables(j)
-    identified = check_relators(kjss_presentation(j), assignment)
-    plain = check_relators(kj_presentation(j), assignment)
+    link presentations for one stage count.  The identified relators start
+    with the plain ones, so the plain violations are read off one check."""
+    report = check_relators(kjss_presentation(j), phi_tables(j))
+    plain_names = set(kj_presentation(j).relator_names)
+    plain = [v for v in report.violations if v.name in plain_names]
     expected_order = EXPECTED_IMAGE_ORDERS.get(j, 60)
     entry = {
         "j": j,
-        "violations_identified": [v.name for v in identified.violations],
-        "violations_plain": [v.name for v in plain.violations],
-        "image_order": identified.image_order,
+        "violations_identified": [v.name for v in report.violations],
+        "violations_plain": [v.name for v in plain],
+        "image_order": report.image_order,
         "expected_image_order": expected_order,
-        "surjective_onto_a5": identified.surjective_onto_a5,
-        "ok": (
-            identified.ok and plain.ok
-            and identified.image_order == expected_order
-        ),
+        "surjective_onto_a5": report.surjective_onto_a5,
+        "ok": report.ok and report.image_order == expected_order,
     }
     if j in EXPECTED_IMAGE_ORDERS:
         entry["note"] = SMALL_STAGE_NOTE
-    return entry, identified, plain
+    return entry, report.violations, plain
 
 
 def cmd_presentation(args) -> tuple[dict, list[str], int]:
@@ -172,8 +173,7 @@ def cmd_verify_tables(args) -> tuple[dict, list[str], int]:
         f" (expected {entry['expected_image_order']}),"
         f" onto A5: {entry['surjective_onto_a5']}"
     ]
-    lines += _violation_lines(identified.violations)
-    lines += _violation_lines(plain.violations)
+    lines += _violation_lines([*identified, *plain])
     if "note" in entry:
         lines.append("note: " + entry["note"])
     lines.append("ok" if entry["ok"] else "FAIL")

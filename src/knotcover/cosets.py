@@ -5,6 +5,8 @@ Cosets are numbered from 1; coset 1 is the subgroup itself.  Tracing a word
 applies its syllables left to right, matching the word-evaluation convention.
 One tracer, ``relator_paths``, checks a table against a presentation;
 ``CosetTable.verify`` and the Reidemeister-Schreier walk both consume it.
+``image_table`` builds an assignment's image group as a table, which the
+kernel table and every relator check of an assignment trace.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from .errors import (
     InvalidHomomorphismError,
     TableIntegrityError,
 )
-from .homcheck import eval_word
-from .perm import closure, inverse_row, orbit_size
-from .words import Presentation, Word
+from .perm import Perm, closure, inverse_row, orbit_size
+from .words import Presentation, Syllable, Word
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -44,8 +45,9 @@ class CosetTable:
         if self.index < 1:
             raise TableIntegrityError(
                 f"index must be positive, got {self.index}")
-        for g, row in zip(self.gens, self.action):
+        for row in dict.fromkeys(self.action):  # each distinct row once
             if sorted(row) != list(range(1, self.index + 1)):
+                g = self.gens[self.action.index(row)]
                 raise TableIntegrityError(
                     f"action of {g} is not a permutation of 1..{self.index}"
                 )
@@ -59,15 +61,18 @@ class CosetTable:
         made = {}
         for g, row in zip(self.gens, self.action):
             if row not in made:
-                made[row] = (tuple(d - 1 for d in row),
-                             tuple(d - 1 for d in inverse_row(row)))
+                made[row] = (tuple([d - 1 for d in row]),
+                             tuple([d - 1 for d in inverse_row(row)]))
             rows[g, 1], rows[g, -1] = made[row]
         return rows
 
     def step(self, coset: int, sym: str, sign: int = 1) -> int:
-        return self.rows[sym, sign][coset - 1] + 1
+        return self.trace(coset, ((sym, sign),))
 
-    def trace(self, coset: int, w: Word) -> int:
+    def trace(self, coset: int, w: Iterable[Syllable]) -> int:
+        if not 1 <= coset <= self.index:
+            raise InvalidArgumentError(
+                f"coset {coset} outside 1..{self.index}")
         coset -= 1
         for syl in w:
             coset = self.rows[syl][coset]
@@ -125,26 +130,34 @@ def orbit_transitive(t: CosetTable, words: Sequence[Word]) -> bool:
     return orbit_size(t.word_action(w) for w in words) == t.index
 
 
-def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
-    """Coset table of the kernel of the homomorphism given by ``assignment``.
-
-    The cosets are the image-group elements in closure() discovery order
-    (identity first), and generator g sends the coset of x to the coset of
-    x * image(g).  The assignment must satisfy every relator.
-    """
-    violated = [p.relator_name(i) for i, r in enumerate(p.relators)
-                if eval_word(assignment, r).degree != 0]
-    if violated:
-        raise InvalidHomomorphismError(
-            f"assignment violates relators: {', '.join(violated)}"
-        )
+def image_table(p: Presentation, assignment
+                ) -> tuple[CosetTable, tuple[Perm, ...]]:
+    """The image group of ``assignment`` as a table on the generators of
+    ``p``, and its elements in closure() order: coset c is ``elements[c - 1]``
+    and generator g sends the coset of x to that of x * image(g), so a word
+    traced from coset 1, the identity, ends at the coset of its value."""
+    # A missing image is reported for the first generator met while reading
+    # the relators in order, as evaluating them one by one would.
+    for r in p.relators:
+        for sym, _ in r:
+            assignment.value(sym)
     images = assignment.values_in_order(p.generators)
     group = closure(images)
-    return CosetTable(
-        gens=tuple(p.generators),
-        action=tuple(group.action[img] for img in images),
-        index=group.order,
-    )
+    action = tuple(group.action[img] for img in images)
+    return CosetTable(tuple(p.generators), action, group.order), group.elements
+
+
+def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
+    """Coset table of the kernel of the homomorphism given by ``assignment``:
+    its image table, once every relator fixes coset 1.  Otherwise raises
+    InvalidHomomorphismError naming every violated relator."""
+    table, _ = image_table(p, assignment)
+    violated = [p.relator_name(i) for i, r in enumerate(p.relators)
+                if table.trace(1, r) != 1]
+    if violated:
+        raise InvalidHomomorphismError(
+            f"assignment violates relators: {', '.join(violated)}")
+    return table
 
 
 def cyclic_cover_table(p: Presentation, k: int) -> CosetTable:

@@ -3,14 +3,19 @@
 The staged image tables send every stage-l generator of a link presentation
 to a fixed element of A5.  The top stage gets its own table; below it the
 tables repeat with period four in the distance j - l.
+
+Every relator check here traces an image table from ``cosets``; ``eval_word``
+multiplies permutations instead, for the historical fragment and as the
+tests' independent reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from .cosets import image_table
 from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import (
     Perm, closure, compose, inverse_row, is_even, orbit_size, parse_cycles,
@@ -82,46 +87,23 @@ class CheckReport:
         return not self.violations
 
 
-def _trace(rows: Mapping[tuple[str, int], Sequence[int]], w: Word) -> int:
-    """Position reached by tracing ``w`` from position 1, the identity,
-    through the action rows of its syllables: the position of its value."""
-    c = 1
-    for syllable in w:
-        c = rows[syllable][c - 1]
-    return c
-
-
 def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
     """Evaluate every relator; collect the ones that miss the identity.
 
-    Each relator is traced through the image group's action on element
-    positions, from the identity at position 1, so no permutation is
-    multiplied beyond the closure itself.
+    Each relator is traced from coset 1, the identity, through the image
+    table; a violation's value is the element at the coset it ends on.
     """
-    # A missing image is reported for the first generator met while reading
-    # the relators in order, as evaluating them one by one would.
-    for r in p.relators:
-        for sym, _ in r:
-            assignment.value(sym)
-    images = assignment.values_in_order(p.generators)
-    group = closure(images)
-    inverses = {g: inverse_row(row) for g, row in group.action.items()}
-    rows: dict[tuple[str, int], tuple[int, ...]] = {}
-    for sym, img in zip(p.generators, images):
-        rows[sym, 1] = group.action[img]
-        rows[sym, -1] = inverses[img]
+    table, elements = image_table(p, assignment)
     violations = []
     for i, r in enumerate(p.relators):
-        c = _trace(rows, r)
+        c = table.trace(1, r)
         if c != 1:
             violations.append(
-                RelatorViolation(p.relator_name(i), r, group.elements[c - 1]))
-    onto_a5 = (
-        group.order == A5_ORDER
-        and all(img.degree <= 5 for img in images)
-        and all(is_even(img) for img in images)
-    )
-    return CheckReport(tuple(violations), group.order, onto_a5)
+                RelatorViolation(p.relator_name(i), r, elements[c - 1]))
+    images = dict.fromkeys(assignment.values_in_order(p.generators))  # distinct
+    onto_a5 = table.index == A5_ORDER and all(
+        img.degree <= 5 and is_even(img) for img in images)
+    return CheckReport(tuple(violations), table.index, onto_a5)
 
 
 # Stage image tables.  The top stage uses _TABLE_TOP; a stage at distance
@@ -203,6 +185,15 @@ def sternfeld_error_repro() -> SternfeldRepro:
 SEARCH_MAX_GENERATORS = 3
 
 
+def _fixes_identity(relator: list, choice: tuple[int, ...]) -> bool:
+    """True iff an encoded relator, traced from the identity at position 1
+    with generator i sent to pool[choice[i]], ends there again."""
+    c = 1
+    for rows, i in relator:
+        c = rows[choice[i]][c]
+    return c == 1
+
+
 def search_surjections(p: Presentation, limit: int = 100) -> list[GenAssignment]:
     """Brute-force assignments whose image is all of A5, at most ``limit``
     of them.
@@ -225,14 +216,15 @@ def search_surjections(p: Presentation, limit: int = 100) -> list[GenAssignment]
     # multiplication table of A5 on the positions of pool's elements.
     action = closure(pool).action
     forward = [action[g] for g in pool]
-    inverse = [inverse_row(row) for row in forward]
+    # Each relator is encoded once as (rows of its syllable's sign, generator
+    # position) pairs; a leading 0 lets position c index its own image.
+    steps = {1: [(0,) + row for row in forward],
+             -1: [(0,) + inverse_row(row) for row in forward]}
+    at = p.generator_index()
+    relators = [[(steps[sign], at[sym]) for sym, sign in r] for r in p.relators]
     found: list[GenAssignment] = []
     for choice in itertools.product(range(len(pool)), repeat=ngens):
-        rows = {}
-        for g, k in zip(p.generators, choice):
-            rows[g, 1] = forward[k]
-            rows[g, -1] = inverse[k]
-        if any(_trace(rows, r) != 1 for r in p.relators):
+        if not all(_fixes_identity(r, choice) for r in relators):
             continue
         if orbit_size([forward[k] for k in choice]) != A5_ORDER:
             continue

@@ -70,18 +70,12 @@ class Word:
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
 
-    def __bool__(self) -> bool:
-        return bool(self.syllables)
-
     def __mul__(self, other: "Word") -> "Word":
         return reduce(self.syllables + other.syllables)
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return reduce(base.syllables * abs(k))
 
     def inverse(self) -> "Word":
         return Word(tuple((sym, -sign) for sym, sign in reversed(self.syllables)))

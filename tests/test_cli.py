@@ -12,9 +12,13 @@ import pytest
 from knotcover import cli
 from knotcover.cli import main
 from knotcover.cosets import DEFAULT_COSET_CAP
-from knotcover.homcheck import GenAssignment, SternfeldRepro
+from knotcover.homcheck import GenAssignment, SternfeldRepro, check_relators
 from knotcover.perm import Perm, parse_cycles
-from knotcover.presentations import trefoil_presentation
+from knotcover.presentations import (
+    kj_presentation,
+    kjss_presentation,
+    trefoil_presentation,
+)
 from knotcover.subgroups import KERNEL_HOMOLOGY_MAX_STAGES
 from knotcover.words import Presentation, Word, print_presentation, word
 
@@ -319,6 +323,9 @@ def _must_not_run(*args, **kwargs):
          "knotcover kernel-homology --j N --force"),
         (["--cap", "50", "cosets", "--pres", "{trefoil}", "--mode", "subgroup"],
          "exceeded cap of 50 cosets (50 defined, 50 live, scanning coset "),
+        (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
+          "--subgroup", "{bad_syllable}"],
+         "bad_syllable.words:2: bad syllable 'b^2': only ^-1 is allowed"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
@@ -328,7 +335,8 @@ def _must_not_run(*args, **kwargs):
          "usage-missing-required", "usage-unknown-subcommand",
          "duplicate-assignment", "presentation-trefoil-j0",
          "presentation-trefoil-j-negative", "superscript-digit",
-         "arabic-indic-digit", "kernel-jmax-above-limit", "cap-reached"],
+         "arabic-indic-digit", "kernel-jmax-above-limit", "cap-reached",
+         "subgroup-bad-syllable"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -343,6 +351,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
     not_utf8.write_bytes(b"\xff")
     unknown_gen = tmp_path / "subgroup.words"
     unknown_gen.write_text("a c\n")
+    bad_syllable = tmp_path / "bad_syllable.words"
+    bad_syllable.write_text("a\na b^2\n")
     superscript = tmp_path / "superscript.txt"
     superscript.write_text("a = (²,1)\nb = (1,2,3,4,5)\n", encoding="utf-8")
     arabic_indic = tmp_path / "arabic_indic.txt"
@@ -350,7 +360,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
              "bad_name": str(bad_name), "not_utf8": str(not_utf8),
              "unknown_gen": str(unknown_gen), "duplicate": str(duplicate),
-             "superscript": str(superscript), "arabic_indic": str(arabic_indic)}
+             "superscript": str(superscript), "arabic_indic": str(arabic_indic),
+             "bad_syllable": str(bad_syllable)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""
@@ -524,6 +535,29 @@ def test_corrupted_input_fails_its_claim(monkeypatch, claim):
     assert claim in failed
     assert set(failed) <= set(claims)
     assert any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_plain_violations_match_a_check_of_the_plain_presentation(monkeypatch, j):
+    # the tables entry reads K_j's violations off one check of Kss_j; the
+    # old route, a second check of K_j itself, is the oracle
+    real = cli.phi_tables
+
+    def corrupted(n):
+        return GenAssignment({**real(n).mapping, "a1": parse_cycles("(1,2,4)"),
+                              f"e{n}": parse_cycles("(1,2)")})
+
+    monkeypatch.setattr(cli, "phi_tables", corrupted)
+    entry = cli._check_tables_at(j)[0]
+    plain = check_relators(kj_presentation(j), corrupted(j))
+    identified = check_relators(kjss_presentation(j), corrupted(j))
+    assert plain.violations
+    # a1 no longer equals b1, so a strand relator fails as well
+    assert len(identified.violations) > len(plain.violations)
+    assert entry["violations_plain"] == [v.name for v in plain.violations]
+    assert entry["violations_identified"] == [
+        v.name for v in identified.violations]
+    assert not entry["ok"]
 
 
 def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):

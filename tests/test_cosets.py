@@ -9,17 +9,19 @@ import pytest
 from knotcover.cosets import (
     CosetTable,
     cyclic_cover_table,
+    image_table,
     kernel_coset_table,
     orbit_transitive,
     todd_coxeter,
 )
 from knotcover.errors import (
     CapacityError,
+    InvalidArgumentError,
     InvalidHomomorphismError,
     TableIntegrityError,
 )
-from knotcover.homcheck import GenAssignment, phi_tables
-from knotcover.perm import closure, orbit_size, parse_cycles
+from knotcover.homcheck import GenAssignment, eval_word, phi_tables
+from knotcover.perm import Perm, closure, orbit_size, parse_cycles
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
@@ -83,6 +85,18 @@ def test_step_trace_and_word_action():
     assert t.rows["a", 1] is t.rows["b", 1] and t.rows["a", -1] is t.rows["b", -1]
 
 
+@pytest.mark.parametrize("coset", [0, -1, 4, 5])
+def test_step_and_trace_reject_cosets_outside_the_table(coset):
+    # 0 and -1 would otherwise index rows from the end
+    t = cyclic_cover_table(trefoil_presentation(), 3)
+    with pytest.raises(InvalidArgumentError, match=f"coset {coset} outside 1..3"):
+        t.step(coset, "a")
+    with pytest.raises(InvalidArgumentError, match=f"coset {coset} outside 1..3"):
+        t.trace(coset, word("a"))
+    with pytest.raises(InvalidArgumentError, match=f"coset {coset} outside 1..3"):
+        t.trace(coset, Word())
+
+
 def test_verify_accepts_real_tables_and_rejects_corrupt_ones():
     p = trefoil_presentation()
     t = cyclic_cover_table(p, 3)
@@ -131,6 +145,33 @@ def test_kernel_requires_a_homomorphism():
         {**phi_tables(1).mapping, "a1": parse_cycles("(1,2,3)")})
     with pytest.raises(InvalidHomomorphismError, match=r"R_\{1,1\}"):
         kernel_coset_table(kjss_presentation(1), assignment)
+
+
+def test_image_table_traces_each_word_to_its_value():
+    # coset c holds elements[c - 1]; tracing from the identity's coset 1
+    # ends at the coset of the word's value, as multiplying gives it
+    p = trefoil_presentation()
+    assignment = pinned_trefoil()
+    t, elements = image_table(p, assignment)
+    assert t.index == len(elements) == 60
+    assert elements[0] == Perm.identity()
+    for text in ("a", "b^-1", "a b", "a b a^-1 b^-1", "b b b a^-1 b", "a a a a a"):
+        w = word(text)
+        assert elements[t.trace(1, w) - 1] == eval_word(assignment, w)
+
+
+def test_kernel_names_every_violated_relator_in_relator_order():
+    p = kjss_presentation(2)
+    assignment = GenAssignment({**phi_tables(2).mapping,
+                                "a1": parse_cycles("(1,2,4)"),
+                                "e2": parse_cycles("(1,2)")})
+    # oracle: evaluate each relator by multiplying permutations
+    violated = [p.relator_name(i) for i, r in enumerate(p.relators)
+                if eval_word(assignment, r) != Perm.identity()]
+    assert len(violated) > 2
+    with pytest.raises(InvalidHomomorphismError) as e:
+        kernel_coset_table(p, assignment)
+    assert str(e.value) == f"assignment violates relators: {', '.join(violated)}"
 
 
 def test_kernel_coset_order_is_closure_discovery_order():

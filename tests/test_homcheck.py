@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from knotcover.cosets import kernel_coset_table
 from knotcover.errors import CapacityError, MissingAssignmentError, ParseError
 from knotcover.homcheck import (
     A5_ORDER,
@@ -204,6 +205,8 @@ def test_missing_image_names_the_first_generator_met_in_the_relators():
         check_relators(p, assignment)
     with pytest.raises(MissingAssignmentError, match="'c'"):
         eval_word(assignment, p.relators[0])
+    with pytest.raises(MissingAssignmentError, match="'c'"):
+        kernel_coset_table(p, assignment)
 
 
 # -- historical fragment ------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,10 +88,43 @@ def test_total_exponent_additive(raw1, raw2):
     assert (w1 * w2).total_exponent() == w1.total_exponent() + w2.total_exponent()
 
 
+def repeated_product(w, k):
+    """Oracle: the definition, k successive products with w or its inverse."""
+    base = w if k >= 0 else w.inverse()
+    out = Word()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
 def test_pow():
     assert word("a") ** 3 == word("a a a")
     assert word("a") ** -2 == word("a^-1 a^-1")
     assert word("a b") ** 0 == Word()
+    # a conjugate: the a^-1 a pairs between copies cancel
+    w = word("a b a^-1")
+    assert w ** 3 == word("a b b b a^-1") == repeated_product(w, 3)
+    assert w ** -2 == word("a b^-1 b^-1 a^-1") == repeated_product(w, -2)
+    assert (w ** 5) * (w ** -5) == Word()
+
+
+@given(raw_words, st.integers(-5, 5))
+def test_pow_matches_repeated_products(raw, k):
+    w = reduce(raw)
+    assert w ** k == repeated_product(w, k)
+
+
+def test_large_pow_is_one_reduction():
+    # k successive products re-reduce the growing word every time: seconds
+    # at k = 5000 and most of an hour at 10^5, so the smaller power is
+    # timed first and a slow pow fails there
+    for k in (5_000, 100_000):
+        start = time.process_time()
+        w = word("a b a^-1") ** k
+        elapsed = time.process_time() - start
+        assert elapsed < 0.5, f"a {k}-fold power took {elapsed:.1f} s of CPU"
+        assert len(w) == k + 2
+    assert len(word("a b") ** -100_000) == 200_000
 
 
 def test_presentation_validation():
