@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 from math import ceil, prod
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cosets import (
     DEFAULT_COSET_CAP,
@@ -30,6 +30,7 @@ from .homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
+from .perm import Perm
 from .presentations import kj_presentation, kjss_presentation, trefoil_presentation
 from .subgroups import (
     KERNEL_HOMOLOGY_MAX_STAGES,
@@ -41,7 +42,7 @@ from .subgroups import (
     kernel_cover,
     schreier_rank_bound,
 )
-from .words import Word, parse_presentation, print_presentation, word
+from .words import Presentation, Word, parse_presentation, print_presentation, word
 
 SCHEMA = "knotcover-report/3"
 
@@ -73,49 +74,50 @@ def _load_text(path: str) -> str:
         raise KnotcoverError(f"cannot read {path}: {e}") from None
 
 
+def _file_lines(path: str) -> Iterator[tuple[str, str]]:
+    """``(path:line, text)`` for each non-blank line, '#' comments removed."""
+    for lineno, raw in enumerate(_load_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"{path}:{lineno}", line
+
+
+def _parse_at(where: str, parse: Callable, text):
+    """``parse(text)``, with a parse error reported at ``where``."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise KnotcoverError(f"{where}: {e}") from None
+
+
+def load_presentation_file(path: str) -> Presentation:
+    """Parse a presentation file in the format ``presentation`` prints."""
+    return _parse_at(path, parse_presentation, _load_text(path))
+
+
 def load_assignment_file(path: str) -> GenAssignment:
     """Parse an assignment file: one ``name = cycle-notation`` line per
     generator, '#' comments allowed."""
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(_load_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, eq, cycles = line.partition("=")
+    mapping: dict[str, Perm] = {}
+    for where, line in _file_lines(path):
+        name, eq, cycles = (part.strip() for part in line.partition("="))
         if not eq:
-            raise KnotcoverError(f"{path}:{lineno}: expected 'name = cycles'")
-        name = name.strip()
+            raise KnotcoverError(f"{where}: expected 'name = cycles'")
         if name in mapping:
-            raise KnotcoverError(
-                f"{path}:{lineno}: generator {name!r} assigned twice")
-        mapping[name] = cycles.strip()
-    return GenAssignment.from_names(mapping, label=path)
+            raise KnotcoverError(f"{where}: generator {name!r} assigned twice")
+        mapping.update(_parse_at(where, GenAssignment.from_names,
+                                 {name: cycles}).mapping)
+    return GenAssignment(mapping, label=path)
 
 
 def load_words_file(path: str) -> list[Word]:
     """Parse one word per non-empty line, syllables separated by spaces."""
-    out = []
-    for lineno, raw in enumerate(_load_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                out.append(word(line))
-            except ParseError as e:
-                raise KnotcoverError(f"{path}:{lineno}: {e}") from None
-    return out
+    return [_parse_at(where, word, line) for where, line in _file_lines(path)]
 
 
 def _envelope(command: str, report: dict) -> dict:
     """The JSON report of ``command``: its results under the schema tag."""
     return {"schema": SCHEMA, "command": command, **report}
-
-
-def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _violation_lines(violations) -> list[str]:
@@ -181,7 +183,7 @@ def cmd_verify_tables(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_check_hom(args) -> tuple[dict, list[str], int]:
-    p = parse_presentation(_load_text(args.pres))
+    p = load_presentation_file(args.pres)
     assignment = load_assignment_file(args.assign)
     result = check_relators(p, assignment)
     report = {
@@ -197,7 +199,7 @@ def cmd_check_hom(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_search_hom(args) -> tuple[dict, list[str], int]:
-    p = parse_presentation(_load_text(args.pres))
+    p = load_presentation_file(args.pres)
     found = search_surjections(p, limit=args.limit)
     listed = [
         {g: str(a.value(g)) for g in p.generators} for a in found
@@ -233,7 +235,7 @@ def cmd_reproduce_sternfeld_error(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_cosets(args) -> tuple[dict, list[str], int]:
-    p = parse_presentation(_load_text(args.pres))
+    p = load_presentation_file(args.pres)
     if args.mode == "kernel":
         if not args.assign:
             raise KnotcoverError("--mode kernel requires --assign FILE")
@@ -252,7 +254,7 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_abelianize(args) -> tuple[dict, list[str], int]:
-    p = parse_presentation(_load_text(args.pres))
+    p = load_presentation_file(args.pres)
     inv = abelianize(p)
     return inv.to_json_dict(), [str(inv)], 0
 
@@ -333,15 +335,18 @@ def cmd_rank_bound(args) -> tuple[dict, list[str], int]:
 
 
 # Run-all sections.  Each takes the run inputs and returns its results
-# fragment, the ids of its claims that failed, and its text lines.
+# fragment, its verdicts and its text lines.  The verdicts map each claim id
+# SECTIONS registers for the section to whether the claim holds; only
+# `_run_sections` turns them into `failed`, `FAIL <claim id>` lines and status.
 
-def _tables_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _tables_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     tables = [_check_tables_at(j)[0] for j in range(1, inputs["jmax"] + 1)]
-    failed = []
-    if any(t["violations_identified"] or t["violations_plain"] for t in tables):
-        failed.append(CLAIM_TABLES)
-    if not all(t["image_order"] == t["expected_image_order"] for t in tables):
-        failed.append(CLAIM_SMALL_STAGE_ORDERS)
+    # K_j's relators are among Kss_j's, so its violations are among theirs
+    verdicts = {
+        CLAIM_TABLES: not any(t["violations_identified"] for t in tables),
+        CLAIM_SMALL_STAGE_ORDERS: all(
+            t["image_order"] == t["expected_image_order"] for t in tables),
+    }
     lines = []
     for t in tables:
         names = t["violations_identified"] + t["violations_plain"]
@@ -350,20 +355,19 @@ def _tables_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
             f"{len(names)} violations, image order {t['image_order']}"
         )
         lines += [f"  violated {name}" for name in names]
-    return {"tables": tables}, failed, lines
+    return {"tables": tables}, verdicts, lines
 
 
-def _fragment_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _fragment_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     entry = _fragment_entry()
     line = (
         ("ok" if entry["mismatch"] else "FAIL")
         + f" historical fragment: {entry['got']} != required {entry['expected']}"
     )
-    failed = [] if entry["mismatch"] else [CLAIM_FRAGMENT_MISMATCH]
-    return {"sternfeld": entry}, failed, [line]
+    return {"sternfeld": entry}, {CLAIM_FRAGMENT_MISMATCH: entry["mismatch"]}, [line]
 
 
-def _surjection_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _surjection_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     trefoil = trefoil_presentation()
     pinned = GenAssignment.from_names(
         {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5"
@@ -387,13 +391,10 @@ def _surjection_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         f"search found pinned assignment: {rediscovered} "
         f"({len(found)} surjections total)"
     )
-    if ok:
-        return {"trefoil_surjection": entry}, [], [line]
-    return ({"trefoil_surjection": entry}, [CLAIM_TREFOIL_SURJECTION],
-            [line, f"FAIL {CLAIM_TREFOIL_SURJECTION}"])
+    return {"trefoil_surjection": entry}, {CLAIM_TREFOIL_SURJECTION: ok}, [line]
 
 
-def _cover_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _cover_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     trefoil = trefoil_presentation()
     covers = []
     lines = []
@@ -408,11 +409,11 @@ def _cover_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
             f"{'ok' if ok else 'FAIL'} {k}-fold cover H1: "
             f"free rank {inv.free_rank}, torsion {list(inv.torsion)}"
         )
-    failed = [] if all(c["ok"] for c in covers) else [CLAIM_COVER_H1]
-    return {"cover_homology": covers}, failed, lines
+    ok = all(c["ok"] for c in covers)
+    return {"cover_homology": covers}, {CLAIM_COVER_H1: ok}, lines
 
 
-def _quotient_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _quotient_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     quotients = []
     lines = []
     for k, expected_order in ((1, 1), (2, 3)):
@@ -425,11 +426,11 @@ def _quotient_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         lines.append(
             f"{'ok' if ok else 'FAIL'} {k}-fold cover mod boundary: order {order}"
         )
-    failed = [] if all(q["ok"] for q in quotients) else [CLAIM_BOUNDARY_QUOTIENT]
-    return {"boundary_quotient": quotients}, failed, lines
+    ok = all(q["ok"] for q in quotients)
+    return {"boundary_quotient": quotients}, {CLAIM_BOUNDARY_QUOTIENT: ok}, lines
 
 
-def _connectivity_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _connectivity_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     trefoil = trefoil_presentation()
     connectivity = [
         {"fold": k,
@@ -442,11 +443,11 @@ def _connectivity_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         ("ok" if ok else "FAIL")
         + f" boundary words transitive on covers 1..{len(connectivity)}"
     )
-    failed = [] if ok else [CLAIM_BOUNDARY_TRANSITIVE]
-    return {"boundary_connectivity": connectivity}, failed, [line]
+    return ({"boundary_connectivity": connectivity}, {CLAIM_BOUNDARY_TRANSITIVE: ok},
+            [line])
 
 
-def _knot_h1_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _knot_h1_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     knot_h1 = [
         {"j": j, **abelianize(kj_presentation(j)).to_json_dict()}
         for j in range(1, min(inputs["jmax"], 6) + 1)
@@ -456,10 +457,10 @@ def _knot_h1_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         "ok knot group H1 = Z at every computed stage count"
         if ok else "FAIL knot group H1"
     )
-    return {"knot_group_h1": knot_h1}, [] if ok else [CLAIM_KNOT_H1], [line]
+    return {"knot_group_h1": knot_h1}, {CLAIM_KNOT_H1: ok}, [line]
 
 
-def _kernel_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
+def _kernel_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     kernel = [_kernel_entry(j)[0] for j in range(1, inputs["kernel_jmax"] + 1)]
     counts = [k["min_generators"] for k in kernel]
     # each bound divides by its own kernel's index, so growing counts alone
@@ -473,14 +474,11 @@ def _kernel_section(inputs: dict) -> tuple[dict, list[str], list[str]]:
         f"needed, rank bound {k['rank_bound']} -> {k['rank_bound_ceiling']}"
         for k in kernel
     ]
-    fragment = {"kernel_homology": kernel,
-                "kernel_growth_strict_from_stage_2": strict}
-    if strict:
-        return fragment, [], lines
-    return fragment, [CLAIM_KERNEL_GROWTH], lines + [f"FAIL {CLAIM_KERNEL_GROWTH}"]
+    return ({"kernel_homology": kernel, "kernel_growth_strict_from_stage_2": strict},
+            {CLAIM_KERNEL_GROWTH: strict}, lines)
 
 
-# The claim registry: each section with the claim ids it can report.
+# The claim registry: each section with the claim ids it gives verdicts on.
 SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
     ((CLAIM_TABLES, CLAIM_SMALL_STAGE_ORDERS), _tables_section),
     ((CLAIM_FRAGMENT_MISMATCH,), _fragment_section),
@@ -495,10 +493,9 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
 
 def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str]]:
     """Run every registry section; return the report and its text lines."""
-    if jmax < 1:
-        raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
-    if kernel_jmax < 1:
-        raise KnotcoverError(f"kernel_jmax must be at least 1, got {kernel_jmax}")
+    for name, value in (("jmax", jmax), ("kernel_jmax", kernel_jmax)):
+        if value < 1:
+            raise KnotcoverError(f"{name} must be at least 1, got {value}")
     if kernel_jmax > KERNEL_HOMOLOGY_MAX_STAGES:
         raise CapacityError(
             f"kernel_jmax {kernel_jmax} exceeds the stage limit "
@@ -509,11 +506,12 @@ def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str
     results: dict = {}
     failed: list[str] = []
     lines: list[str] = []
-    for _, section in SECTIONS:
-        fragment, section_failed, section_lines = section(inputs)
+    for claims, section in SECTIONS:
+        fragment, verdicts, section_lines = section(inputs)
+        section_failed = [claim for claim in claims if not verdicts[claim]]
         results.update(fragment)
         failed += section_failed
-        lines += section_lines
+        lines += section_lines + [f"FAIL {claim}" for claim in section_failed]
     status = "pass" if not failed else "fail"
     report = {
         "inputs": inputs,
@@ -628,7 +626,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        _emit(_envelope(args.subcommand, report), lines, args.json)
+        print(json.dumps(_envelope(args.subcommand, report), sort_keys=True, indent=2)
+              if args.json else "\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed early; send the rest of stdout to devnull so

@@ -226,7 +226,14 @@ def boundary_quotient(k: int) -> Presentation:
 
     Both boundary words fix every coset, so they are rewritten as two more
     relators over the cover's table, and listed coset by coset after its own.
+    Folds above BOUNDARY_QUOTIENT_MAX_FOLD are refused before any table is
+    built.
     """
+    if k > BOUNDARY_QUOTIENT_MAX_FOLD:
+        raise CapacityError(
+            f"fold {k} exceeds the limit {BOUNDARY_QUOTIENT_MAX_FOLD}: the "
+            f"relator meridian^{k} would be traced from each of the {k} cosets"
+        )
     p = trefoil_presentation()
     extended = Presentation(
         generators=p.generators,
@@ -261,6 +268,13 @@ def schreier_rank_bound(m: int, i: int) -> Fraction:
 # stage times come from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
 KERNEL_HOMOLOGY_MAX_STAGES = 11
+
+# The largest fold `boundary_quotient` accepts.  Its boundary relator
+# meridian^k is traced from all k cosets, so time and memory grow about
+# quadratically: `knotcover cover-quotient --fold N` took 0.14 / 0.61 / 2.2 s
+# at a peak of 27 / 51 / 147 MiB for N = 500 / 1000 / 2000 (Python 3.11,
+# one core of a shared Xeon host, a fresh process each).
+BOUNDARY_QUOTIENT_MAX_FOLD = 1000
 
 
 def kernel_cover(j: int, force: bool = False) -> tuple[Presentation, CosetTable]:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, text and JSON output."""
 
+import argparse
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from knotcover.presentations import (
     kjss_presentation,
     trefoil_presentation,
 )
-from knotcover.subgroups import KERNEL_HOMOLOGY_MAX_STAGES
+from knotcover.subgroups import BOUNDARY_QUOTIENT_MAX_FOLD, KERNEL_HOMOLOGY_MAX_STAGES
 from knotcover.words import Presentation, Word, print_presentation, word
 
 README = Path(__file__).parent.parent / "README.md"
@@ -326,6 +327,15 @@ def _must_not_run(*args, **kwargs):
         (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
           "--subgroup", "{bad_syllable}"],
          "bad_syllable.words:2: bad syllable 'b^2': only ^-1 is allowed"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{unclosed}"],
+         "unclosed.txt:2: expected ',' or ')' at position 4, got 'end of input'"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{bad_name_line2}"],
+         "bad_name_line2.txt:2: bad generator name 'B'"),
+        (["check-hom", "--pres", "{bad_pres}", "--assign", "{bad_name}"],
+         "bad.pres: line 2, col 8: unknown generator 'x'"),
+        (["cover-quotient", "--fold", str(BOUNDARY_QUOTIENT_MAX_FOLD + 1)],
+         f"fold {BOUNDARY_QUOTIENT_MAX_FOLD + 1} exceeds the limit "
+         f"{BOUNDARY_QUOTIENT_MAX_FOLD}"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
@@ -336,7 +346,9 @@ def _must_not_run(*args, **kwargs):
          "duplicate-assignment", "presentation-trefoil-j0",
          "presentation-trefoil-j-negative", "superscript-digit",
          "arabic-indic-digit", "kernel-jmax-above-limit", "cap-reached",
-         "subgroup-bad-syllable"],
+         "subgroup-bad-syllable", "assignment-unclosed-cycle",
+         "assignment-bad-name-located", "presentation-error-names-its-file",
+         "fold-above-limit"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -357,11 +369,18 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
     superscript.write_text("a = (²,1)\nb = (1,2,3,4,5)\n", encoding="utf-8")
     arabic_indic = tmp_path / "arabic_indic.txt"
     arabic_indic.write_text("a = (١,2)\nb = (1,2,3,4,5)\n", encoding="utf-8")
+    unclosed = tmp_path / "unclosed.txt"
+    unclosed.write_text("a = (1,3,5,4,2)\nb = (1,2\n")
+    bad_name_line2 = tmp_path / "bad_name_line2.txt"
+    bad_name_line2.write_text("a = (1,3,5,4,2)\nB = (1,2)\n")
+    bad_pres = tmp_path / "bad.pres"
+    bad_pres.write_text("gens: a b\nrel: a x\n")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
              "bad_name": str(bad_name), "not_utf8": str(not_utf8),
              "unknown_gen": str(unknown_gen), "duplicate": str(duplicate),
              "superscript": str(superscript), "arabic_indic": str(arabic_indic),
-             "bad_syllable": str(bad_syllable)}
+             "bad_syllable": str(bad_syllable), "unclosed": str(unclosed),
+             "bad_name_line2": str(bad_name_line2), "bad_pres": str(bad_pres)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""
@@ -449,6 +468,14 @@ def test_readme_claim_table_matches_the_registry():
     assert sorted(documented) == sorted(REGISTRY_IDS)
 
 
+def test_readme_subcommand_table_matches_the_parser():
+    section = README.read_text().split("## Subcommands", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([a-z0-9-]+)` \|", section, flags=re.MULTILINE)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
+
+
 def test_readme_library_example_runs():
     # the documented API: a deletion that breaks the example fails here
     section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
@@ -482,7 +509,9 @@ def _kill_first_generator(kj_presentation):
     def corrupted(j):
         p = kj_presentation(j)
         extra = Word(((p.generators[0], 1),))
-        return Presentation(p.generators, p.relators + (extra,))
+        # named, since the tables section reads K_j's relator names too
+        return Presentation(p.generators, p.relators + (extra,),
+                            relator_names=(*p.relator_names, "killed"))
     return corrupted
 
 
@@ -522,6 +551,17 @@ VACUOUS = {
 }
 
 
+SMALL_INPUTS = {"jmax": 3, "kernel_jmax": 3, "cap": DEFAULT_COSET_CAP}
+
+
+def test_each_section_gives_a_verdict_for_exactly_its_claims():
+    for claims, section in cli.SECTIONS:
+        _, verdicts, _ = section(SMALL_INPUTS)
+        assert sorted(verdicts) == sorted(claims), section.__name__
+        # the uncorrupted inputs: every claim holds
+        assert all(v is True for v in verdicts.values()), section.__name__
+
+
 @pytest.mark.parametrize("claim", [
     pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=VACUOUS[c]))
     if c in VACUOUS else c
@@ -531,10 +571,16 @@ def test_corrupted_input_fails_its_claim(monkeypatch, claim):
     name, corrupt = CORRUPTIONS[claim]
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
     claims, section = next(s for s in cli.SECTIONS if claim in s[0])
-    _, failed, lines = section({"jmax": 3, "kernel_jmax": 3, "cap": DEFAULT_COSET_CAP})
-    assert claim in failed
-    assert set(failed) <= set(claims)
-    assert any(line.startswith("FAIL") for line in lines)
+    _, verdicts, _ = section(SMALL_INPUTS)
+    assert verdicts[claim] is False
+    # the runner, not the section, names the failure
+    report, lines = cli._run_sections(**SMALL_INPUTS)
+    assert claim in report["failed"]
+    assert set(report["failed"]) <= set(claims)
+    assert sorted(line for line in lines if line.startswith("FAIL ")
+                  and line[len("FAIL "):] in REGISTRY_IDS) == [
+        f"FAIL {c}" for c in report["failed"]]
+    assert lines[-1] == "status: fail"
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
@@ -566,18 +612,18 @@ def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):
     real = cli.schreier_rank_bound
     monkeypatch.setattr(cli, "schreier_rank_bound",
                         lambda m, i: real(m, 1 if m == 102 else i))
-    fragment, failed, _ = cli._kernel_section(
+    fragment, verdicts, _ = cli._kernel_section(
         {"jmax": 1, "kernel_jmax": 4, "cap": DEFAULT_COSET_CAP})
     assert [k["rank_bound"] for k in fragment["kernel_homology"]][2:] == [
         "102", "67/20"]
-    assert failed == [cli.CLAIM_KERNEL_GROWTH]
+    assert verdicts == {cli.CLAIM_KERNEL_GROWTH: False}
 
 
 @pytest.mark.parametrize("claim", [cli.CLAIM_TREFOIL_SURJECTION,
                                    cli.CLAIM_KERNEL_GROWTH])
 def test_run_all_text_names_a_failed_claim(capsys, monkeypatch, claim):
-    # these sections print no ok/FAIL mark on their lines, so the claim
-    # id is named on a line of its own
+    # these sections print no ok/FAIL mark on their lines, so the claim id
+    # line the runner adds is the only FAIL line
     name, corrupt = CORRUPTIONS[claim]
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
     code, out, _ = run_cli(capsys, "run-all", "--jmax", "3", "--kernel-jmax", "3")

@@ -437,6 +437,19 @@ def test_boundary_quotient_names_its_extra_relators():
     assert "longitude@2" in q.relator_names
 
 
+def test_boundary_quotient_refuses_folds_above_the_limit(monkeypatch):
+    limit = subgroups.BOUNDARY_QUOTIENT_MAX_FOLD
+    # one cover relator and two boundary relators per coset
+    assert len(boundary_quotient(limit).relators) == 3 * limit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cover table built for a refused fold")
+    monkeypatch.setattr(subgroups, "cyclic_cover_table", refuse)
+    with pytest.raises(CapacityError,
+                       match=f"^fold {limit + 1} exceeds the limit {limit}: "):
+        boundary_quotient(limit + 1)
+
+
 # -- rank bound ---------------------------------------------------------------
 
 def test_rank_bound_values():
