@@ -9,16 +9,19 @@ rule so results are deterministic:
 
 1. Sparse elimination at divisor pivots: entries v whose absolute value
    equals the gcd of their row and the gcd of their column, chosen by
-   least (|v|, Markowitz fill cost, row, column).  Clearing the column
-   by integer row operations is exact, after which column operations
-   clear the pivot row without touching any other row.  So each pivot
-   splits the matrix into diag(v) + M' and contributes v to the factor
-   list; units are the case |v| = 1 and go first.  Following Havas,
-   Holt and Rees ("Recognizing badly presented Z-modules", 1993), this
-   leaves a far smaller dense residual than unit pivots alone.  Stages
-   2 and 3 run on its distinct rows: of rows equal up to sign only the
-   first is kept, which leaves the row lattice unchanged (at stage
-   count 5, 60 of 180).
+   least (Markowitz fill cost, |v|, row, column), whatever their value.
+   Clearing the column by integer row operations is exact, after which
+   column operations clear the pivot row without touching any other
+   row.  So each pivot splits the matrix into diag(v) + M' and
+   contributes v to the factor list; units are the case |v| = 1.
+   Following Havas, Holt and Rees ("Recognizing badly presented
+   Z-modules", 1993), divisor pivots leave a far smaller dense residual
+   than unit pivots alone, and taking the cheapest first (Markowitz,
+   "The elimination form of the inverse and its application to linear
+   programming", 1957) keeps the fill low: a unit of cost in the
+   thousands waits behind a 2 of cost 2.  Stages 2 and 3 run on its
+   distinct rows: of rows equal up to sign only the first is kept,
+   which leaves the row lattice unchanged (at stage count 5, 51 of 128).
 2. Fraction-free (Bareiss) elimination of the small dense residual.
    Every intermediate value is a true minor of the residual, which
    bounds coefficient size and yields the rank r plus the determinant D
@@ -96,16 +99,18 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
 def _divisor_stage(rows: SparseRows) -> list[int]:
     """Eliminate at divisor pivots in place; return the pivot values.
 
-    Pivot choice: least (|v|, Markowitz cost (len(row)-1)*(len(col)-1),
-    row, column).  Candidates live in a lazily validated heap; stale
-    entries are discarded on pop.  Units are pushed as soon as they
-    appear.  Other candidates come from a scan for entries v equal to
-    their row gcd, and elimination keeps such a row divisible by v: a
-    pivot w at (r, c) subtracts e/w times row r, a multiple of w, from
-    a row holding e at column c, so the row changes by a multiple of e.
-    Only the column is checked on pop.  A column can become divisible
-    without its row changing, so the scan is repeated until a round
-    makes no pivot.
+    Pivot choice: least (Markowitz cost (len(row)-1)*(len(col)-1), |v|,
+    row, column).  Candidates are the entries v equal to their row gcd,
+    so units are candidates in every row.  They live in a lazily
+    validated heap; stale entries are discarded on pop.  The heap is
+    seeded by a scan of every row; after that, units are pushed as soon
+    as they appear, and so is every entry equal to the gcd g > 1 of a
+    row just updated.  Elimination keeps a row divisible by its
+    candidate v: a pivot w at (r, c) subtracts e/w times row r, a
+    multiple of w, from a row holding e at column c, so the row changes
+    by a multiple of e.  Only the column is checked on pop.  A column
+    can become divisible without its row changing, so the scan is
+    repeated until a round makes no pivot.
     """
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
@@ -116,18 +121,23 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
 
     def push(i: int, j: int, a: int) -> None:
         cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-        heapq.heappush(heap, (a, cost, i, j))
-
-    for i, r in rows.items():
-        for j, v in r.items():
-            if abs(v) == 1:
-                push(i, j, 1)
+        heapq.heappush(heap, (cost, a, i, j))
 
     pivots: list[int] = []
     scanned = -1
-    while True:
+    while scanned != len(pivots):
+        # The first round seeds the heap, units included.  Units and
+        # updated rows are pushed as they change, so later rounds only
+        # look for columns that became divisible, in rows with gcd above 1.
+        scanned = len(pivots)
+        for i, r in rows.items():
+            g = gcd(*r.values())
+            if g > 1 or not pivots:
+                for j, v in r.items():
+                    if abs(v) == g:
+                        push(i, j, g)
         while heap:
-            a, cost, pr, pc = heapq.heappop(heap)
+            cost, a, pr, pc = heapq.heappop(heap)
             row = rows.get(pr)
             if row is None:
                 continue
@@ -160,22 +170,18 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
                         cols[j].discard(i)
                 if not trow:
                     del rows[i]
+                    continue
+                g = gcd(*trow.values())
+                if g > 1:
+                    for j, w in trow.items():
+                        if abs(w) == g:
+                            push(i, j, g)
             for j in row:
                 cols[j].discard(pr)
             del rows[pr]
             del cols[pc]
             pivots.append(a)
-        if scanned == len(pivots):
-            return pivots
-        # Units are pushed as they appear, so only rows with gcd above
-        # 1 can hold a new candidate.
-        scanned = len(pivots)
-        for i, r in rows.items():
-            g = gcd(*r.values())
-            if g > 1:
-                for j, v in r.items():
-                    if abs(v) == g:
-                        push(i, j, g)
+    return pivots
 
 
 def _densify(rows: SparseRows) -> list[list[int]]:

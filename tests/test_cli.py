@@ -509,18 +509,21 @@ def _kill_first_generator(kj_presentation):
     def corrupted(j):
         p = kj_presentation(j)
         extra = Word(((p.generators[0], 1),))
-        # named, since the tables section reads K_j's relator names too
-        return Presentation(p.generators, p.relators + (extra,),
-                            relator_names=(*p.relator_names, "killed"))
+        # unnamed: the full run passes it to the tables section as well
+        return Presentation(p.generators, p.relators + (extra,))
     return corrupted
+
+
+def _corrupt_e(real):
+    # one table entry changed
+    return lambda j: GenAssignment(
+        {**real(j).mapping, f"e{j}": parse_cycles("(1,2,3)")})
 
 
 # For each claim id: a name its section reads in knotcover.cli, and a
 # function from the real object to a corrupted stand-in.
 CORRUPTIONS = {
-    # one table entry changed
-    cli.CLAIM_TABLES: ("phi_tables", lambda real: lambda j: GenAssignment(
-        {**real(j).mapping, f"e{j}": parse_cycles("(1,2,3)")})),
+    cli.CLAIM_TABLES: ("phi_tables", _corrupt_e),
     # the trivial assignment satisfies every relator but has image order 1
     cli.CLAIM_SMALL_STAGE_ORDERS: ("phi_tables", lambda real: lambda j: (
         GenAssignment(dict.fromkeys(real(j).mapping, Perm.identity())))),
@@ -603,6 +606,42 @@ def test_plain_violations_match_a_check_of_the_plain_presentation(monkeypatch, j
     assert entry["violations_plain"] == [v.name for v in plain.violations]
     assert entry["violations_identified"] == [
         v.name for v in identified.violations]
+    assert not entry["ok"]
+
+
+def test_each_tables_violation_is_listed_and_counted_once(monkeypatch, capsys):
+    corrupted = _corrupt_e(cli.phi_tables)
+    monkeypatch.setattr(cli, "phi_tables", corrupted)
+    expected = [v.name for v in check_relators(
+        kjss_presentation(2), corrupted(2)).violations]
+    assert len(expected) == len(set(expected)) == 4
+    code, out, _ = run_cli(capsys, "verify-tables", "--j", "2")
+    assert code == 1
+    assert [line.split(":")[0].split()[-1] for line in out.splitlines()
+            if line.startswith("  violated")] == expected
+    _, _, lines = cli._tables_section({"jmax": 2})
+    start = next(k for k, line in enumerate(lines) if "tables j=2" in line)
+    assert lines[start].startswith("FAIL tables j=2: 4 violations")
+    assert lines[start + 1:] == [f"  violated {name}" for name in expected]
+
+
+def test_tables_check_reads_unnamed_relators(monkeypatch):
+    # relator_name(i) names an unnamed relator by its position, and Kss_j's
+    # relators start with K_j's, so the positions agree
+    def unnamed(build):
+        return lambda j: Presentation(build(j).generators, build(j).relators)
+
+    monkeypatch.setattr(cli, "kj_presentation", unnamed(kj_presentation))
+    monkeypatch.setattr(cli, "kjss_presentation", unnamed(kjss_presentation))
+    entry = cli._check_tables_at(3)[0]
+    assert entry["ok"] and entry["violations_plain"] == []
+    corrupted = _corrupt_e(cli.phi_tables)
+    monkeypatch.setattr(cli, "phi_tables", corrupted)
+    entry = cli._check_tables_at(3)[0]
+    plain = check_relators(cli.kj_presentation(3), corrupted(3)).violations
+    assert plain
+    assert entry["violations_plain"] == [v.name for v in plain]
+    assert entry["violations_plain"][0].startswith("relator[")
     assert not entry["ok"]
 
 

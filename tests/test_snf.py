@@ -137,6 +137,15 @@ def test_divisor_stage_splits_off_each_pivot():
     assert rows == {}
 
 
+def test_divisor_stage_takes_the_cheapest_pivot_whatever_its_value():
+    # the 2 is alone in its row and column (cost 0) and goes before the
+    # units (cost 1); clearing the unit at (1, 1) leaves -2 in row 2,
+    # which is pushed at once
+    rows = {0: {0: 2}, 1: {1: 1, 2: 1}, 2: {1: 1, 2: -1}}
+    assert snf._divisor_stage(rows) == [2, 1, 2]
+    assert rows == {}
+
+
 def test_divisor_stage_skips_entries_that_do_not_divide_their_column():
     # 2 divides its row but not the 3 below it; no other entry divides
     # its row, so the whole matrix is left to the dense stages
@@ -510,7 +519,7 @@ def kernel_relation_rows(j):
     return derived, rows
 
 
-@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 8])
 def test_rank_mod_p_certificate_on_kernel_matrices(j):
     derived, rows = kernel_relation_rows(j)
     inv = abelianize(derived)
@@ -518,13 +527,28 @@ def test_rank_mod_p_certificate_on_kernel_matrices(j):
         rows, len(derived.generators), inv.free_rank, inv.torsion)
 
 
-@pytest.mark.parametrize("j, shape", [(3, (19, 26)), (4, (29, 54)),
-                                      (5, (60, 78))])
+@pytest.mark.parametrize("j, shape", [(3, (12, 12)), (4, (20, 51)),
+                                      (5, (51, 62))])
 def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
-    # the divisor stage leaves each row about three times up to sign
-    # (75, 101 and 180 rows); Bareiss and the local stage see one copy
+    # the divisor stage leaves 57, 94 and 128 rows, most of them repeated
+    # up to sign; Bareiss and the local stage see one copy of each
     _, rows = kernel_relation_rows(j)
     sparse = {i: {c: v for c, v in r.items() if v} for i, r in enumerate(rows)}
     snf._divisor_stage(sparse)
     dense = snf._densify(sparse)
     assert (len(dense), len(dense[0])) == shape
+
+
+@pytest.mark.parametrize("j", [3, 4, 5])
+def test_kernel_matrices_shuffled_give_the_same_factors(j):
+    # the pivot order breaks cost ties by row and column index, so a
+    # relabelling changes the elimination but never the result
+    _, rows = kernel_relation_rows(j)
+    sparse = {i: {c: v for c, v in r.items() if v} for i, r in enumerate(rows)}
+    ncols = 1 + max(c for r in sparse.values() for c in r)
+    rnd = random.Random(1000 + j)
+    row_perm = rnd.sample(range(len(sparse)), len(sparse))
+    col_perm = rnd.sample(range(ncols), ncols)
+    shuffled = {row_perm[i]: {col_perm[c]: v for c, v in r.items()}
+                for i, r in sparse.items()}
+    assert smith_normal_form_sparse(shuffled) == smith_normal_form_sparse(sparse)

@@ -230,8 +230,8 @@ def test_kernel_rows_match_the_exponent_sums_of_the_rewritten_words(
         == expected
 
 
-@pytest.mark.parametrize("j, shape", [(3, (19, 26)), (4, (29, 54)),
-                                      (5, (60, 78))])
+@pytest.mark.parametrize("j, shape", [(3, (12, 12)), (4, (20, 51)),
+                                      (5, (51, 62))])
 def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
     rows = _snf_rows(monkeypatch, lambda: cover_homology(*_cover("kernel", j)))
     sparse = {i: dict(r) for i, r in rows}
@@ -498,6 +498,14 @@ def test_kernel_homology_stage_seven():
     assert Counter(inv.torsion) == {
         3: 9, 6: 115, 30: 8, 120: 2, 360: 6, 720: 2, 3600: 6}
     assert inv.min_generators == 254
+
+
+def test_kernel_homology_stage_eight():
+    inv = kernel_homology(8)
+    assert inv.free_rank == 121
+    assert Counter(inv.torsion) == {
+        2: 37, 6: 119, 30: 13, 120: 2, 360: 6, 720: 2, 3600: 6}
+    assert inv.min_generators == 306
 
 
 def test_kernel_homology_guard():
