@@ -10,6 +10,8 @@ rule so results are deterministic:
 1. Sparse elimination at divisor pivots: entries v whose absolute value
    equals the gcd of their row and the gcd of their column, chosen by
    least (Markowitz fill cost, |v|, row, column), whatever their value.
+   Candidates come from one scan of every row and from the rows that
+   pivots update; any other divisor is left to the dense stages.
    Clearing the column by integer row operations is exact, after which
    column operations clear the pivot row without touching any other
    row.  So each pivot splits the matrix into diag(v) + M' and
@@ -28,32 +30,31 @@ rule so results are deterministic:
    of a nonsingular r x r minor.
 3. Local elimination of the residual, one base at a time.  Every
    invariant factor divides D, and so does their product.  The bases
-   are the cofactor C of D left by the primes below 100, then those
-   primes; they stay pairwise coprime and every prime of D divides one.
-   Each b-part is found modulo b^k: entries coprime to b are units, so
-   the first entry (row-major) not divisible by b is a pivot and clears
-   its column in one row operation per row; when no such entry is left
-   everything is divided by b and later pivots count one power of b
-   more.  The rows of the residual plus b^k Z^cols have invariant
-   factors gcd(d_i, b^k) and copies of b^k, so r pivots certify that
-   every b-part is below b^k and a power of b.  With fewer, k (started
-   at the largest power below 2^30) doubles, capped at v where D = b^v c
-   with gcd(b, c) = 1: there the missing b-parts can only be b^v.  A
-   base is split, following the dynamic evaluation of Della Dora,
-   Dicrescenzo and Duval (EUROCAL '85), when gcd(b, c) > 1 or a pivot
-   shares a factor g with b: b becomes g and b stripped of every prime
-   of g, and each piece is worked again.  The sorted exponent lists of
-   the bases zip into d_1 | ... | d_r.
+   start as D alone; splits keep them pairwise coprime.  Each b-part is
+   found modulo b^k: entries coprime to b are units, so the first entry
+   (row-major) not divisible by b is a pivot and clears its column in
+   one row operation per row; when no such entry is left everything is
+   divided by b and later pivots count one power of b more.  The rows
+   of the residual plus b^k Z^cols have invariant factors gcd(d_i, b^k)
+   and copies of b^k, so r pivots certify that every b-part is below
+   b^k and a power of b.  With fewer, k (started at the largest power
+   below 2^30) doubles, capped at v where D = b^v c with gcd(b, c) = 1:
+   there the missing b-parts can only be b^v.  A base is split,
+   following the dynamic evaluation of Della Dora, Dicrescenzo and
+   Duval (EUROCAL '85), when gcd(b, c) > 1 or a pivot shares a factor g
+   with b: b becomes g and b stripped of every prime of g, and each
+   piece is worked again.  The sorted exponent lists of the bases zip
+   into d_1 | ... | d_r.
 
 The factors of all stages are merged into one divisibility chain.
 Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
-elimination.  On the kernel matrices the local stage works modulo
-prime powers below 2^30 instead of a determinant of 137 bits or more
-(stage count 5 on); it follows the local approach of Dumas, Saunders
-and Villard ("On efficient sparse integer matrix Smith normal forms",
-2001).
+elimination.  On the kernel matrices D has 114 bits or more (stage
+count 5 on), and splitting takes it down to the primes 2, 3 and 5
+(stage counts 3 to 11), each worked modulo powers below 2^30; this
+follows the local approach of Dumas, Saunders and Villard ("On
+efficient sparse integer matrix Smith normal forms", 2001).
 """
 
 from __future__ import annotations
@@ -103,14 +104,14 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     row, column).  Candidates are the entries v equal to their row gcd,
     so units are candidates in every row.  They live in a lazily
     validated heap; stale entries are discarded on pop.  The heap is
-    seeded by a scan of every row; after that, units are pushed as soon
-    as they appear, and so is every entry equal to the gcd g > 1 of a
-    row just updated.  Elimination keeps a row divisible by its
-    candidate v: a pivot w at (r, c) subtracts e/w times row r, a
-    multiple of w, from a row holding e at column c, so the row changes
-    by a multiple of e.  Only the column is checked on pop.  A column
-    can become divisible without its row changing, so the scan is
-    repeated until a round makes no pivot.
+    seeded by one scan of every row; after that, units are pushed as
+    soon as they appear, and so is every entry equal to the gcd g > 1
+    of a row just updated, until the heap is empty.  Elimination keeps
+    a row divisible by its candidate v: a pivot w at (r, c) subtracts
+    e/w times row r, a multiple of w, from a row holding e at column c,
+    so the row changes by a multiple of e.  Only the column is checked
+    on pop.  A candidate whose column becomes divisible only later, with
+    its row unchanged, stays in the residual for the dense stages.
     """
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
@@ -123,64 +124,57 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
         cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
         heapq.heappush(heap, (cost, a, i, j))
 
+    for i, r in rows.items():
+        g = gcd(*r.values())
+        for j, v in r.items():
+            if abs(v) == g:
+                push(i, j, g)
     pivots: list[int] = []
-    scanned = -1
-    while scanned != len(pivots):
-        # The first round seeds the heap, units included.  Units and
-        # updated rows are pushed as they change, so later rounds only
-        # look for columns that became divisible, in rows with gcd above 1.
-        scanned = len(pivots)
-        for i, r in rows.items():
-            g = gcd(*r.values())
-            if g > 1 or not pivots:
-                for j, v in r.items():
-                    if abs(v) == g:
+    while heap:
+        cost, a, pr, pc = heapq.heappop(heap)
+        row = rows.get(pr)
+        if row is None:
+            continue
+        v = row.get(pc, 0)
+        if abs(v) != a:
+            continue
+        if cost != (len(row) - 1) * (len(cols[pc]) - 1):
+            push(pr, pc, a)
+            continue
+        if a != 1 and gcd(*[rows[i][pc] for i in cols[pc]]) != a:
+            continue
+        # Clear the column: exact since v divides it.  The pivot row is
+        # then cleared by column operations that touch no other row,
+        # which splits off diag(v).
+        for i in list(cols[pc]):
+            if i == pr:
+                continue
+            trow = rows[i]
+            q = trow[pc] // v
+            for j, s in row.items():
+                new = trow.get(j, 0) - q * s
+                if new:
+                    if j not in trow:
+                        cols[j].add(i)
+                    trow[j] = new
+                    if abs(new) == 1:
+                        push(i, j, 1)
+                elif j in trow:
+                    del trow[j]
+                    cols[j].discard(i)
+            if not trow:
+                del rows[i]
+                continue
+            g = gcd(*trow.values())
+            if g > 1:
+                for j, w in trow.items():
+                    if abs(w) == g:
                         push(i, j, g)
-        while heap:
-            cost, a, pr, pc = heapq.heappop(heap)
-            row = rows.get(pr)
-            if row is None:
-                continue
-            v = row.get(pc, 0)
-            if abs(v) != a:
-                continue
-            if cost != (len(row) - 1) * (len(cols[pc]) - 1):
-                push(pr, pc, a)
-                continue
-            if a != 1 and gcd(*[rows[i][pc] for i in cols[pc]]) != a:
-                continue
-            # Clear the column: exact since v divides it.  The pivot
-            # row is then cleared by column operations that touch no
-            # other row, which splits off diag(v).
-            for i in list(cols[pc]):
-                if i == pr:
-                    continue
-                trow = rows[i]
-                q = trow[pc] // v
-                for j, s in row.items():
-                    new = trow.get(j, 0) - q * s
-                    if new:
-                        if j not in trow:
-                            cols[j].add(i)
-                        trow[j] = new
-                        if abs(new) == 1:
-                            push(i, j, 1)
-                    elif j in trow:
-                        del trow[j]
-                        cols[j].discard(i)
-                if not trow:
-                    del rows[i]
-                    continue
-                g = gcd(*trow.values())
-                if g > 1:
-                    for j, w in trow.items():
-                        if abs(w) == g:
-                            push(i, j, g)
-            for j in row:
-                cols[j].discard(pr)
-            del rows[pr]
-            del cols[pc]
-            pivots.append(a)
+        for j in row:
+            cols[j].discard(pr)
+        del rows[pr]
+        del cols[pc]
+        pivots.append(a)
     return pivots
 
 
@@ -248,28 +242,18 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
     return rank, abs(prev) if rank else 0
 
 
-_SMALL_PRIMES = tuple(p for p in range(2, 100)
-                      if all(p % q for q in range(2, p)))
-
-
 def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
     """Invariant factors of the dense residual from its b-parts.
 
     ``det`` is the determinant D of a nonsingular rank x rank minor; the
-    product of the invariant factors divides D.  The bases b, the
-    cofactor of D left by the primes below 100 and then those primes,
-    stay pairwise coprime.  A base is worked only when D = b^v c with
-    gcd(b, c) = 1, so no b-part exceeds b^v; a factor of b found by the
-    determinant or by a pivot splits it.  Exponent lists are sorted, so
+    product of the invariant factors divides D.  The bases b start as D
+    alone and stay pairwise coprime.  A base is worked only when
+    D = b^v c with gcd(b, c) = 1, so no b-part exceeds b^v; a factor of
+    b found by the determinant (gcd(b, c) > 1) or by a pivot splits it,
+    and the pieces are worked first.  Exponent lists are sorted, so
     zipping them gives d_1 | ... | d_rank.
     """
-    bases = [p for p in _SMALL_PRIMES if det % p == 0]
-    cofactor = det
-    for p in bases:
-        while cofactor % p == 0:
-            cofactor //= p
-    if cofactor > 1:
-        bases.insert(0, cofactor)
+    bases = [det] if det > 1 else []
     factors = [1] * rank
     while bases:
         b = bases.pop(0)

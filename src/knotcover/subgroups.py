@@ -263,11 +263,15 @@ def schreier_rank_bound(m: int, i: int) -> Fraction:
     return Fraction(m - 1, i) + 1
 
 
-# The default stage limit.  Each stage adds 660 rows and 540 columns to the
-# relation matrix, and the Smith normal form grows faster than that; per
-# stage times come from the benchmark (`bench/README.md`):
+# The default stage limit: the largest stage count whose
+# `knotcover kernel-homology --j N --force` takes about 4 s, that is, whose
+# median of three fresh-process runs rounds to 4 s or less.  Each stage adds
+# 660 rows and 540 columns to the relation matrix, and the Smith normal form
+# grows faster than that.  Medians for N = 11 / 12 / 13 / 14 / 15 were
+# 2.98 / 3.99 / 4.04 / 5.11 / 6.17 s (Python 3.11.7, a shared 2-core Xeon
+# host).  Per stage times also come from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
-KERNEL_HOMOLOGY_MAX_STAGES = 11
+KERNEL_HOMOLOGY_MAX_STAGES = 13
 
 # The largest fold `boundary_quotient` accepts.  Its boundary relator
 # meridian^k is traced from all k cosets, so time and memory grow about

@@ -3,8 +3,8 @@
 import doctest
 import random
 from collections import Counter
-from itertools import count
-from math import gcd
+from itertools import combinations, count
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -316,14 +316,13 @@ def torsion_calls(monkeypatch):
 
 
 def test_random_stress_against_oracle(torsion_calls):
-    # every residual's torsion stage is checked too; some bases are not
-    # primes below 100, and some of those split
+    # every residual's torsion stage is checked too; some bases are
+    # above 100, and some determinants split
     for matrix in STRESS:
         assert smith_normal_form(matrix) == naive_snf(matrix), matrix
     kinds = Counter(call[0] for call in torsion_calls)
     assert kinds["local"] > 0 and kinds["split"] > 0
-    assert any(b not in snf._SMALL_PRIMES
-               for kind, b, _ in torsion_calls if kind == "local")
+    assert any(b > 100 for kind, b, _ in torsion_calls if kind == "local")
 
 
 def test_repeated_rows_change_nothing(monkeypatch):
@@ -350,49 +349,128 @@ def test_repeated_rows_change_nothing(monkeypatch):
 
 
 def test_large_prime_in_the_determinant_is_a_base(torsion_calls):
-    # no entry divides its row and column; D = 3*5 - 7*101 = -4 * 173,
-    # and the cofactor 173 is worked before the prime 2
+    # no entry divides its row and column; D = 3*5 - 7*101 = -4 * 173
+    # is the one base: one pass modulo D finds one unit pivot and none
+    # sharing a factor with D, so the missing factor can only be D
     matrix = [[101, 3], [5, 7]]
     assert smith_normal_form(matrix) == naive_snf(matrix) == ([1, 692], 2)
-    assert torsion_calls == [("local", 173, 1), ("local", 2, 2)]
+    assert torsion_calls == [("local", 692, 1)]
 
 
 @pytest.mark.parametrize("matrix, factors, calls", [
-    # D = 83327 = 103 * 809 is the cofactor; the pivot 103 splits it
+    # D = 83327 = 103 * 809; the pivot 103 splits it
     ([[309, 103], [103, 304]], [1, 83327],
      [("local", 83327, 1), ("split", 83327, 103),
       ("local", 103, 1), ("local", 809, 1)]),
-    # D = 2 * 101^3: the cofactor 101^3 splits at the pivot 10201, and
-    # D is not 10201^v times a coprime part, so 10201 splits to 101
+    # D = 2 * 101^3 splits at the pivot 10201 into 10201 and 2; D is not
+    # 10201^v times a coprime part, so gcd(b, c) = 101 splits 10201
     ([[-10201, 0], [-3, 202]], [1, 2060602],
-     [("local", 101**3, 1), ("split", 101**3, 10201), ("split", 10201, 101),
-      ("local", 101, 3), ("local", 2, 1)]),
+     [("local", 2 * 101**3, 1), ("split", 2 * 101**3, 10201),
+      ("split", 10201, 101), ("local", 101, 3), ("local", 2, 1)]),
 ], ids=["pivot", "determinant"])
 def test_split_bases_match_the_oracle(torsion_calls, matrix, factors, calls):
     assert smith_normal_form(matrix) == naive_snf(matrix) == (factors, 2)
     assert torsion_calls == calls
 
 
-@pytest.mark.parametrize("matrix, factors, ks", [
-    # 2^30 * M with det M = 1: D = 2^60, nothing survives modulo 2^29,
-    # and both pivots appear modulo 2^58
-    ([[2**31, 3 * 2**30], [3 * 2**30, 5 * 2**30]], [2**30, 2**30], [29, 58]),
-    # D = 2^40 is the second factor: one pivot modulo 2^29 and modulo
-    # 2^40 = 2^v_2(D), where the missing one can only be 2^40
-    ([[3, 5], [7, (2**40 + 35) // 3]], [1, 2**40], [29, 40]),
+@pytest.mark.parametrize("matrix, factors, calls", [
+    # 2^30 * M with det M = 1: D = 2^60 splits at the pivot 2^31, then
+    # at gcd(b, c) down to 4; nothing survives modulo 4^14, modulo 4^28
+    # a pivot shares the factor 2 with 4, and nothing survives modulo
+    # 2^29, so k doubles to 58, where both pivots appear
+    ([[2**31, 3 * 2**30], [3 * 2**30, 5 * 2**30]], [2**30, 2**30],
+     [("local", 2**60, 1), ("split", 2**60, 2**31), ("split", 2**31, 2**29),
+      ("split", 2**29, 4), ("local", 4, 14), ("local", 4, 28),
+      ("split", 4, 2), ("local", 2, 29), ("local", 2, 58)]),
+    # D = 3 * 2^41 splits at the pivot 6, and 6 at gcd(b, c) = 2; base 2
+    # has one pivot modulo 2^29 and modulo 2^41 = 2^v_2(D), not 2^58,
+    # where the missing one can only be 2^41
+    ([[6, 6], [7, 2**40 + 7]], [1, 3 * 2**41],
+     [("local", 3 * 2**41, 1), ("split", 3 * 2**41, 6), ("split", 6, 2),
+      ("local", 2, 29), ("local", 2, 41), ("local", 3, 1)]),
 ], ids=["doubled", "capped"])
 def test_two_adic_valuation_past_the_start_doubles_k(torsion_calls, matrix,
-                                                      factors, ks):
+                                                      factors, calls):
     assert smith_normal_form(matrix) == naive_snf(matrix) == (factors, 2)
-    assert torsion_calls == [("local", 2, k) for k in ks]
+    assert torsion_calls == calls
 
 
 def test_local_stage_with_more_columns_than_rank(torsion_calls):
     # rank 2 on 3 columns, the third row the sum of the first two;
-    # D = 132 = 2^2 * 3 * 11, each prime settled at its valuation
+    # D = 132 = 2^2 * 3 * 11 splits at the pivot 6, and 6 at gcd(b, c)
+    # = 2; each prime is then settled at its valuation
     matrix = [[6, 10, 0], [14, 0, 22], [20, 10, 22]]
     assert smith_normal_form(matrix) == naive_snf(matrix) == ([2, 2], 2)
-    assert torsion_calls == [("local", 2, 2), ("local", 3, 1), ("local", 11, 1)]
+    assert torsion_calls == [
+        ("local", 132, 1), ("split", 132, 6), ("split", 6, 2),
+        ("local", 2, 2), ("local", 3, 1), ("local", 11, 1)]
+
+
+def unimodular_mix(rng, m):
+    """m after a few seeded elementary row and column operations with
+    multipliers in -2..2, which change neither its invariant factors nor
+    the absolute value of its determinant."""
+    n = len(m)
+    m = [row[:] for row in m]
+    for _ in range(2 * n):
+        s, t = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        m[s] = [x + f * y for x, y in zip(m[s], m[t])]
+        s, t = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        for row in m:
+            row[s] += f * row[t]
+    return m
+
+
+def seeded_determinant_primes(family, rng):
+    """Prime factors, with multiplicity, of the determinants of one
+    family: 2^a with a up to 64, a product of two primes above 100, or
+    p^2 q^3."""
+    above_100 = [p for p in range(101, 400) if all(p % q for q in range(2, p))]
+    small = [2, 3, 5, 7, 11, 101, 103]
+    out = []
+    for i in range(15):
+        if family == "2^a":
+            out.append([2] * (64 if i == 0 else rng.randint(1, 63)))
+        elif family == "pq":
+            out.append(rng.sample(above_100, 2))
+        else:
+            p, q = rng.sample(small, 2)
+            out.append([p, p, q, q, q])
+    return out
+
+
+@pytest.mark.parametrize("family", ["2^a", "pq", "p^2 q^3"])
+def test_split_path_matches_the_oracle(monkeypatch, family):
+    # the local stage starts from the one base D, so splitting finds
+    # every base; each split must give pairwise coprime pieces strictly
+    # between 1 and the base it splits
+    splits = []
+
+    def split_base(b, g):
+        pieces = real_split(b, g)
+        assert all(1 < x < b for x in pieces), (b, g, pieces)
+        assert all(gcd(x, y) == 1 for x, y in combinations(pieces, 2))
+        splits.append(b)
+        return pieces
+
+    real_split = snf._split_base
+    monkeypatch.setattr(snf, "_split_base", split_base)
+    rng = random.Random(family)
+    for primes in seeded_determinant_primes(family, rng):
+        n = rng.randint(2, 4)
+        diag = [1] * n
+        for p in primes:
+            diag[rng.randrange(n)] *= p
+        matrix = unimodular_mix(rng, [[diag[i] if i == j else 0
+                                       for j in range(n)] for i in range(n)])
+        det = prod(primes)
+        assert snf._bareiss_rank_det([row[:] for row in matrix]) == (n, det)
+        expected = naive_snf(matrix)
+        assert smith_normal_form(matrix) == expected, matrix
+        assert snf._local_factors(matrix, n, det) == expected[0], matrix
+    assert splits
 
 
 # -- rank modulo p: a certificate independent of the SNF code ---------------
@@ -527,10 +605,10 @@ def test_rank_mod_p_certificate_on_kernel_matrices(j):
         rows, len(derived.generators), inv.free_rank, inv.torsion)
 
 
-@pytest.mark.parametrize("j, shape", [(3, (12, 12)), (4, (20, 51)),
+@pytest.mark.parametrize("j, shape", [(3, (18, 16)), (4, (22, 52)),
                                       (5, (51, 62))])
 def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
-    # the divisor stage leaves 57, 94 and 128 rows, most of them repeated
+    # the divisor stage leaves 60, 95 and 128 rows, most of them repeated
     # up to sign; Bareiss and the local stage see one copy of each
     _, rows = kernel_relation_rows(j)
     sparse = {i: {c: v for c, v in r.items() if v} for i, r in enumerate(rows)}

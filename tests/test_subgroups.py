@@ -230,7 +230,7 @@ def test_kernel_rows_match_the_exponent_sums_of_the_rewritten_words(
         == expected
 
 
-@pytest.mark.parametrize("j, shape", [(3, (12, 12)), (4, (20, 51)),
+@pytest.mark.parametrize("j, shape", [(3, (18, 16)), (4, (22, 52)),
                                       (5, (51, 62))])
 def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
     rows = _snf_rows(monkeypatch, lambda: cover_homology(*_cover("kernel", j)))
@@ -509,7 +509,7 @@ def test_kernel_homology_stage_eight():
 
 
 def test_kernel_homology_guard():
-    assert KERNEL_HOMOLOGY_MAX_STAGES == 11
+    assert KERNEL_HOMOLOGY_MAX_STAGES == 13
     with pytest.raises(CapacityError, match="force"):
         kernel_homology(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     with pytest.raises(ValueError):
