@@ -15,13 +15,7 @@ from fractions import Fraction
 from math import ceil, prod
 from typing import Callable, Iterator
 
-from .cosets import (
-    DEFAULT_COSET_CAP,
-    cyclic_cover_table,
-    kernel_coset_table,
-    orbit_transitive,
-    todd_coxeter,
-)
+from .cosets import cyclic_cover_table, kernel_coset_table, orbit_transitive, todd_coxeter
 from .errors import CapacityError, InvalidArgumentError, KnotcoverError, ParseError
 from .homcheck import (
     GenAssignment,
@@ -44,7 +38,7 @@ from .subgroups import (
 )
 from .words import Presentation, Word, parse_presentation, print_presentation, word
 
-SCHEMA = "knotcover-report/3"
+SCHEMA = "knotcover-report/4"
 
 # Claim identifiers used in run-all reports.  Each names the mathematical
 # statement being machine-checked, so a failure localizes immediately.
@@ -248,7 +242,7 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
         table = cyclic_cover_table(p, args.k)
     else:
         gens = load_words_file(args.subgroup) if args.subgroup else []
-        table = todd_coxeter(p, gens, cap=args.cap)
+        table = todd_coxeter(p, gens)
     lines = [f"index {table.index}"]
     for g, row in zip(table.gens, table.action):
         lines.append(f"  {g}: " + " ".join(str(x) for x in row))
@@ -261,7 +255,7 @@ def cmd_abelianize(args) -> tuple[dict, list[str], int]:
     return inv.to_json_dict(), [str(inv)], 0
 
 
-def _quotient_orders(k: int, cap: int) -> tuple:
+def _quotient_orders(k: int) -> tuple:
     """Order of the k-fold cover modulo its boundary by coset enumeration,
     its abelianization, and the order that abelianization gives.  A positive
     free rank proves the quotient infinite: both orders are then None and
@@ -270,11 +264,11 @@ def _quotient_orders(k: int, cap: int) -> tuple:
     inv = abelianize(quotient)
     if inv.free_rank:
         return None, inv, None
-    return todd_coxeter(quotient, [], cap=cap).index, inv, prod(inv.torsion)
+    return todd_coxeter(quotient).index, inv, prod(inv.torsion)
 
 
 def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
-    order, inv, order_from_abelianization = _quotient_orders(args.fold, args.cap)
+    order, inv, order_from_abelianization = _quotient_orders(args.fold)
     # an infinite quotient is known by one route only
     routes_agree = None if order is None else order_from_abelianization == order
     report = {
@@ -419,7 +413,7 @@ def _quotient_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     quotients = []
     lines = []
     for k, expected_order in ((1, 1), (2, 3)):
-        order, inv, ab_order = _quotient_orders(k, inputs["cap"])
+        order, inv, ab_order = _quotient_orders(k)
         ok = order == expected_order and ab_order == expected_order
         quotients.append(
             {"fold": k, "order": order, "abelianization": inv.to_json_dict(),
@@ -493,7 +487,7 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
 )
 
 
-def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str]]:
+def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     """Run every registry section; return the report and its text lines."""
     for name, value in (("jmax", jmax), ("kernel_jmax", kernel_jmax)):
         if value < 1:
@@ -504,7 +498,7 @@ def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str
             f"{KERNEL_HOMOLOGY_MAX_STAGES}; run `knotcover kernel-homology "
             "--j N --force` for a larger stage count"
         )
-    inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax, "cap": cap}
+    inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax}
     results: dict = {}
     failed: list[str] = []
     lines: list[str] = []
@@ -524,15 +518,13 @@ def _run_sections(jmax: int, kernel_jmax: int, cap: int) -> tuple[dict, list[str
     return report, lines + [f"status: {status}"]
 
 
-def run_all(
-    jmax: int = 5, kernel_jmax: int = 4, cap: int = DEFAULT_COSET_CAP
-) -> dict:
+def run_all(jmax: int = 5, kernel_jmax: int = 4) -> dict:
     """Run the whole verification battery and return the report dict."""
-    return _envelope("run-all", _run_sections(jmax, kernel_jmax, cap)[0])
+    return _envelope("run-all", _run_sections(jmax, kernel_jmax)[0])
 
 
 def cmd_run_all(args) -> tuple[dict, list[str], int]:
-    report, lines = _run_sections(args.jmax, args.kernel_jmax, args.cap)
+    report, lines = _run_sections(args.jmax, args.kernel_jmax)
     return report, lines, 0 if report["status"] == "pass" else 1
 
 
@@ -548,12 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="knotcover",
         description="verification toolkit for staged link groups and covers",
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_COSET_CAP,
-        help=f"coset enumeration cap (default {DEFAULT_COSET_CAP})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -620,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # checked here too, since most subcommands never enumerate cosets
-        if args.cap < 1:
-            raise InvalidArgumentError(f"cap must be positive, got {args.cap}")
         report, lines, code = args.fn(args)
     except KnotcoverError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ import pytest
 
 from knotcover import cli
 from knotcover.cli import main
-from knotcover.cosets import DEFAULT_COSET_CAP
+from knotcover.cosets import COSET_CAP
 from knotcover.homcheck import GenAssignment, SternfeldRepro, check_relators
 from knotcover.perm import Perm, parse_cycles
 from knotcover.presentations import (
@@ -58,7 +58,7 @@ def test_presentation_json_counts(capsys):
     report = json.loads(out)
     assert report["generators"] == 18
     assert report["relators"] == 21
-    assert report["schema"] == "knotcover-report/3"
+    assert report["schema"] == "knotcover-report/4"
 
 
 def test_verify_tables_passes_and_notes_small_stages(capsys):
@@ -293,18 +293,12 @@ def _must_not_run(*args, **kwargs):
         (["abelianize", "--pres", "{not_utf8}"], "cannot read"),
         (["presentation", "--kind", "kj", "--j", "0"],
          "stage count must be positive"),
-        (["--cap", "0", "cover-quotient", "--fold", "2"],
-         "cap must be positive"),
         (["search-hom", "--pres", "{trefoil}", "--limit", "0"],
          "limit must be at least 1"),
         (["run-all", "--kernel-jmax", "0"], "kernel_jmax must be at least 1"),
         (["run-all", "--kernel-jmax", "-1"], "kernel_jmax must be at least 1"),
         (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
           "--subgroup", "{unknown_gen}"], "uses c, which is not a generator"),
-        (["--cap", "0", "cover-quotient", "--fold", "6"],
-         "cap must be positive"),
-        (["--cap", "-5", "presentation", "--kind", "trefoil"],
-         "cap must be positive"),
         (["cosets", "--pres", "{trefoil}", "--mode", "cyclic", "--k", "0"],
          "fold count must be positive, got 0"),
         (["kernel-homology", "--j", "x"], "argument --j: invalid int value"),
@@ -322,8 +316,8 @@ def _must_not_run(*args, **kwargs):
          "expected point at position 1, got '١'"),
         (["run-all", "--kernel-jmax", str(KERNEL_HOMOLOGY_MAX_STAGES + 1)],
          "knotcover kernel-homology --j N --force"),
-        (["--cap", "50", "cosets", "--pres", "{trefoil}", "--mode", "subgroup"],
-         "exceeded cap of 50 cosets (50 defined, 50 live, scanning coset "),
+        (["cosets", "--pres", "{trefoil}", "--mode", "subgroup"],
+         f"exceeded cap of {COSET_CAP} cosets ({COSET_CAP} defined, "),
         (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
           "--subgroup", "{bad_syllable}"],
          "bad_syllable.words:2: bad syllable 'b^2': only ^-1 is allowed"),
@@ -336,19 +330,22 @@ def _must_not_run(*args, **kwargs):
         (["cover-quotient", "--fold", str(BOUNDARY_QUOTIENT_MAX_FOLD + 1)],
          f"fold {BOUNDARY_QUOTIENT_MAX_FOLD + 1} exceeds the limit "
          f"{BOUNDARY_QUOTIENT_MAX_FOLD}"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "cyclic",
+          "--k", str(COSET_CAP + 1)],
+         f"fold {COSET_CAP + 1} exceeds the coset cap {COSET_CAP}"),
+        (["run-all", "--cap", "5000"], "unrecognized arguments: --cap 5000"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
-         "bad-generator-name", "not-utf8-file", "presentation-j0", "cap0",
+         "bad-generator-name", "not-utf8-file", "presentation-j0",
          "limit0", "kernel-jmax0", "kernel-jmax-negative",
-         "subgroup-unknown-generator", "cap0-no-enumeration",
-         "cap-negative-no-enumeration", "cyclic-k0", "usage-bad-int",
+         "subgroup-unknown-generator", "cyclic-k0", "usage-bad-int",
          "usage-missing-required", "usage-unknown-subcommand",
          "duplicate-assignment", "presentation-trefoil-j0",
          "presentation-trefoil-j-negative", "superscript-digit",
          "arabic-indic-digit", "kernel-jmax-above-limit", "cap-reached",
          "subgroup-bad-syllable", "assignment-unclosed-cycle",
          "assignment-bad-name-located", "presentation-error-names-its-file",
-         "fold-above-limit"],
+         "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -484,6 +481,25 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def _parser_options(parser: argparse.ArgumentParser) -> set[str]:
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+    return options
+
+
+def test_readme_names_only_real_options():
+    # a retired option must leave README too; the install and benchmark
+    # commands pass options to other programs
+    text = "\n".join(line for line in README.read_text().splitlines()
+                     if "pip install" not in line and "bench/run.py" not in line)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    assert named and named <= _parser_options(cli.build_parser()), sorted(named)
+
+
 def test_readme_quick_start_transcript(capsys):
     # each "$ knotcover ..." command with the lines printed under it; the
     # run-all block elides its middle, so only its last line is compared
@@ -536,8 +552,8 @@ CORRUPTIONS = {
     cli.CLAIM_COVER_H1: ("cyclic_cover_table",
                          lambda real: lambda p, k: real(p, k + 1)),
     # enumeration of the whole group: a table of index 1
-    cli.CLAIM_BOUNDARY_QUOTIENT: ("todd_coxeter", lambda real: lambda p, gens, cap: (
-        real(p, [Word(((g, 1),)) for g in p.generators], cap=cap))),
+    cli.CLAIM_BOUNDARY_QUOTIENT: ("todd_coxeter", lambda real: lambda p: (
+        real(p, [Word(((g, 1),)) for g in p.generators]))),
     # a word off the boundary in place of the longitude
     cli.CLAIM_BOUNDARY_TRANSITIVE: ("TREFOIL_LONGITUDE", lambda real: word("b")),
     # one meridian killed, so H1 is trivial
@@ -554,7 +570,7 @@ VACUOUS = {
 }
 
 
-SMALL_INPUTS = {"jmax": 3, "kernel_jmax": 3, "cap": DEFAULT_COSET_CAP}
+SMALL_INPUTS = {"jmax": 3, "kernel_jmax": 3}
 
 
 def test_each_section_gives_a_verdict_for_exactly_its_claims():
@@ -651,8 +667,7 @@ def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):
     real = cli.schreier_rank_bound
     monkeypatch.setattr(cli, "schreier_rank_bound",
                         lambda m, i: real(m, 1 if m == 102 else i))
-    fragment, verdicts, _ = cli._kernel_section(
-        {"jmax": 1, "kernel_jmax": 4, "cap": DEFAULT_COSET_CAP})
+    fragment, verdicts, _ = cli._kernel_section({"jmax": 1, "kernel_jmax": 4})
     assert [k["rank_bound"] for k in fragment["kernel_homology"]][2:] == [
         "102", "67/20"]
     assert verdicts == {cli.CLAIM_KERNEL_GROWTH: False}

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from knotcover import cosets
 from knotcover.cosets import (
     CosetTable,
     cyclic_cover_table,
@@ -336,6 +337,14 @@ def test_cyclic_cover_rejects_nonpositive_fold():
         cyclic_cover_table(trefoil_presentation(), 0)
 
 
+def test_cyclic_cover_refuses_folds_above_the_coset_cap(monkeypatch):
+    monkeypatch.setattr(cosets, "COSET_CAP", 7)
+    assert cyclic_cover_table(trefoil_presentation(), 7).index == 7
+    with pytest.raises(CapacityError) as e:
+        cyclic_cover_table(trefoil_presentation(), 8)
+    assert str(e.value) == "fold 8 exceeds the coset cap 7"
+
+
 # -- Todd-Coxeter -------------------------------------------------------------
 
 def test_enumeration_matches_permutation_count_for_s3():
@@ -410,16 +419,18 @@ def test_enumeration_agrees_with_kernel_table_index():
         assert by_tc.index == by_cover.index == k
 
 
-def test_capacity_error_on_infinite_index():
+def test_capacity_error_on_infinite_index(monkeypatch):
     # the meridian alone generates an infinite-index subgroup, so the
     # enumeration must hit the cap rather than close
+    monkeypatch.setattr(cosets, "COSET_CAP", 500)
     with pytest.raises(CapacityError, match="500") as e:
-        todd_coxeter(trefoil_presentation(), [word("a")], cap=500)
+        todd_coxeter(trefoil_presentation(), [word("a")])
     # how far it got: cosets defined, live after coincidences, and where
     assert str(e.value) == ("coset enumeration exceeded cap of 500 cosets "
                             "(500 defined, 499 live, scanning coset 223)")
+    monkeypatch.setattr(cosets, "COSET_CAP", 5)
     with pytest.raises(CapacityError) as e:
-        todd_coxeter(trefoil_presentation(), [word("a") ** 9], cap=5)
+        todd_coxeter(trefoil_presentation(), [word("a") ** 9])
     assert str(e.value) == ("coset enumeration exceeded cap of 5 cosets "
                             "(5 defined, 5 live, tracing subgroup generators)")
 
