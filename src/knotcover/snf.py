@@ -25,36 +25,42 @@ rule so results are deterministic:
    distinct rows: of rows equal up to sign only the first is kept,
    which leaves the row lattice unchanged (at stage count 5, 51 of 128).
 2. Fraction-free (Bareiss) elimination of the small dense residual.
-   Every intermediate value is a true minor of the residual, which
-   bounds coefficient size and yields the rank r plus the determinant D
-   of a nonsingular r x r minor.
-3. Local elimination of the residual, one base at a time.  Every
-   invariant factor divides D, and so does their product.  The bases
-   start as D alone; splits keep them pairwise coprime.  Each b-part is
-   found modulo b^k: entries coprime to b are units, so the first entry
-   (row-major) not divisible by b is a pivot and clears its column in
-   one row operation per row; when no such entry is left everything is
-   divided by b and later pivots count one power of b more.  The rows
-   of the residual plus b^k Z^cols have invariant factors gcd(d_i, b^k)
-   and copies of b^k, so r pivots certify that every b-part is below
-   b^k and a power of b.  With fewer, k (started at the largest power
-   below 2^30) doubles, capped at v where D = b^v c with gcd(b, c) = 1:
-   there the missing b-parts can only be b^v.  A base is split,
-   following the dynamic evaluation of Della Dora, Dicrescenzo and
-   Duval (EUROCAL '85), when gcd(b, c) > 1 or a pivot shares a factor g
-   with b: b becomes g and b stripped of every prime of g, and each
-   piece is worked again.  The sorted exponent lists of the bases zip
-   into d_1 | ... | d_r.
+   Every intermediate value is a true minor of the residual (Bareiss,
+   "Sylvester's identity and multistep integer-preserving Gaussian
+   elimination", 1968), which bounds coefficient size and yields the
+   rank r plus D, the gcd of the r x r minors in the last pivot row and
+   multipliers, a multiple of d_1 ... d_r.  It divides the determinant
+   of the last pivot's minor and is often far smaller.
+3. Local elimination of the residual, one base at a time, skipped
+   when D = 1.  The product of the invariant factors divides D, so
+   every factor does too; as in modulo-determinant methods (Domich,
+   Kannan and Trotter, "Hermite normal form computation using modulo
+   determinant arithmetic", 1987), any such multiple will do.  The
+   bases start as D alone; splits keep them pairwise coprime.  Each
+   b-part is found modulo b^k: entries coprime to b are units, so the
+   first entry (row-major) not divisible by b is a pivot and clears its
+   column in one row operation per row; when no such entry is left
+   everything is divided by b and later pivots count one power of b
+   more.  The rows of the residual plus b^k Z^cols have invariant
+   factors gcd(d_i, b^k) and copies of b^k, so r pivots certify that
+   every b-part is below b^k and a power of b.  With fewer, k (started
+   at the largest power below 2^30) doubles, capped at v where
+   D = b^v c with gcd(b, c) = 1: there the missing b-parts can only be
+   b^v.  A base is split, following the dynamic evaluation of Della
+   Dora, Dicrescenzo and Duval (EUROCAL '85), when gcd(b, c) > 1 or a
+   pivot shares a factor g with b: b becomes g and b stripped of every
+   prime of g, and each piece is worked again.  The sorted exponent
+   lists of the bases zip into d_1 | ... | d_r.
 
 The factors of all stages are merged into one divisibility chain.
 Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
-elimination.  On the kernel matrices D has 114 bits or more (stage
-count 5 on), and splitting takes it down to the primes 2, 3 and 5
-(stage counts 3 to 11), each worked modulo powers below 2^30; this
-follows the local approach of Dumas, Saunders and Villard ("On
-efficient sparse integer matrix Smith normal forms", 2001).
+elimination.  On the kernel matrices D has the last pivot's bits, 114
+or more (stage count 5 on), and splitting takes it down to the primes
+2, 3 and 5 (stage counts 3 to 11), each worked modulo powers below
+2^30; this follows the local approach of Dumas, Saunders and Villard
+("On efficient sparse integer matrix Smith normal forms", 2001).
 """
 
 from __future__ import annotations
@@ -199,11 +205,16 @@ def _densify(rows: SparseRows) -> list[list[int]]:
 
 
 def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
-    """Rank and determinant of a leading nonsingular minor, in place.
+    """Rank r and a multiple D of d_1 ... d_r, in place.
 
     Fraction-free elimination: every intermediate entry is a minor of
     the input, so sizes stay polynomially bounded.  Pivots are chosen
     by least absolute value (ties row-major) to keep the minor small.
+    D is the gcd of the r x r minors in the last pivot row and
+    multipliers, a multiple of d_1 ... d_r (the gcd of all r x r
+    minors) that divides the last pivot, the determinant of a
+    nonsingular r x r minor.  The multipliers stay in the pivot column,
+    which no later step reads or writes.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -236,21 +247,25 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
             f = mi[k]
             for j in range(k + 1, ncols):
                 mi[j] = (piv * mi[j] - f * mk[j]) // prev
-            mi[k] = 0
         prev = piv
         rank += 1
-    return rank, abs(prev) if rank else 0
+    if not rank:
+        return 0, 0
+    last = rank - 1
+    return rank, gcd(*m[last][last:],
+                     *(m[i][last] for i in range(rank, nrows)))
 
 
 def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
     """Invariant factors of the dense residual from its b-parts.
 
-    ``det`` is the determinant D of a nonsingular rank x rank minor; the
-    product of the invariant factors divides D.  The bases b start as D
-    alone and stay pairwise coprime.  A base is worked only when
-    D = b^v c with gcd(b, c) = 1, so no b-part exceeds b^v; a factor of
-    b found by the determinant (gcd(b, c) > 1) or by a pivot splits it,
-    and the pieces are worked first.  Exponent lists are sorted, so
+    ``det`` is D, the gcd of the rank x rank minors in the last pivot
+    row and multipliers, a multiple of d_1 ... d_rank; the product of
+    the invariant factors divides D, and D = 1 leaves nothing to do.
+    The bases b start as D alone and stay pairwise coprime.  A base is
+    worked only when D = b^v c with gcd(b, c) = 1, so no b-part exceeds
+    b^v; a factor of b found in D (gcd(b, c) > 1) or by a pivot splits
+    it, and the pieces are worked first.  Exponent lists are sorted, so
     zipping them gives d_1 | ... | d_rank.
     """
     bases = [det] if det > 1 else []

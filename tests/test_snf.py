@@ -396,14 +396,42 @@ def test_two_adic_valuation_past_the_start_doubles_k(torsion_calls, matrix,
 
 
 def test_local_stage_with_more_columns_than_rank(torsion_calls):
-    # rank 2 on 3 columns, the third row the sum of the first two;
-    # D = 132 = 2^2 * 3 * 11 splits at the pivot 6, and 6 at gcd(b, c)
-    # = 2; each prime is then settled at its valuation
+    # rank 2 on 3 columns, the third row the sum of the first two; the
+    # last pivot's minor is 132 = 2^2 * 3 * 11, but the gcd of the 2 x 2
+    # minors in its row and multipliers is D = 4 = d_1 d_2.  A pass
+    # modulo 4 meets the pivot 2, which splits 4 at 2, and 2 is settled
+    # at its valuation
     matrix = [[6, 10, 0], [14, 0, 22], [20, 10, 22]]
     assert smith_normal_form(matrix) == naive_snf(matrix) == ([2, 2], 2)
-    assert torsion_calls == [
-        ("local", 132, 1), ("split", 132, 6), ("split", 6, 2),
-        ("local", 2, 2), ("local", 3, 1), ("local", 11, 1)]
+    assert torsion_calls == [("local", 4, 1), ("split", 4, 2), ("local", 2, 2)]
+
+
+def test_torsion_stage_skipped_when_the_minor_gcd_is_one(torsion_calls):
+    # the divisor stage takes 3 and leaves the column (2, 3): its last
+    # pivot is 2, but the multiplier 3 is a 1 x 1 minor too, so D = 1
+    # and no base is worked
+    matrix = [[2, 0], [0, 3], [3, 0]]
+    assert smith_normal_form(matrix) == naive_snf(matrix) == ([1, 3], 2)
+    assert torsion_calls == []
+
+
+def test_bareiss_bound_is_a_multiple_of_the_factor_product():
+    # D is a gcd of r x r minors, so the product d_1 ... d_r of the
+    # residual's invariant factors (the gcd of all of them) divides it
+    checked = 0
+    for matrix in STRESS:
+        rows = {i: {j: v for j, v in enumerate(row) if v}
+                for i, row in enumerate(matrix)}
+        rows = {i: r for i, r in rows.items() if r}
+        snf._divisor_stage(rows)
+        residual = snf._densify(rows)
+        rank, bound = snf._bareiss_rank_det([row[:] for row in residual])
+        factors, oracle_rank = naive_snf(residual)
+        assert rank == oracle_rank, residual
+        if rank:
+            assert bound > 0 and bound % prod(factors) == 0, residual
+            checked += 1
+    assert checked > 1000
 
 
 def unimodular_mix(rng, m):
