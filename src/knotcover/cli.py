@@ -13,9 +13,9 @@ import os
 import sys
 from fractions import Fraction
 from math import ceil, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .cosets import cyclic_cover_table, kernel_coset_table, orbit_transitive, todd_coxeter
+from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table, todd_coxeter
 from .errors import CapacityError, InvalidArgumentError, KnotcoverError, ParseError
 from .homcheck import (
     GenAssignment,
@@ -24,8 +24,13 @@ from .homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
-from .perm import Perm
-from .presentations import kj_presentation, kjss_presentation, trefoil_presentation
+from .perm import Perm, orbit_count
+from .presentations import (
+    kj_presentation,
+    kjss_presentation,
+    stage_boundary_words,
+    trefoil_presentation,
+)
 from .subgroups import (
     KERNEL_HOMOLOGY_MAX_STAGES,
     TREFOIL_LONGITUDE,
@@ -38,7 +43,7 @@ from .subgroups import (
 )
 from .words import Presentation, Word, parse_presentation, print_presentation, word
 
-SCHEMA = "knotcover-report/4"
+SCHEMA = "knotcover-report/5"
 
 # Claim identifiers used in run-all reports.  Each names the mathematical
 # statement being machine-checked, so a failure localizes immediately.
@@ -48,7 +53,7 @@ CLAIM_FRAGMENT_MISMATCH = "historical-fragment-evaluation-mismatch"
 CLAIM_TREFOIL_SURJECTION = "trefoil-onto-a5"
 CLAIM_COVER_H1 = "cyclic-cover-homology"
 CLAIM_BOUNDARY_QUOTIENT = "two-fold-boundary-quotient-order-three"
-CLAIM_BOUNDARY_TRANSITIVE = "boundary-words-transitive-on-covers"
+CLAIM_BOUNDARY_COMPONENTS = "boundary-components-of-covers"
 CLAIM_KNOT_H1 = "staged-knot-groups-abelianize-to-z"
 CLAIM_KERNEL_GROWTH = "kernel-homology-rank-growth"
 
@@ -58,6 +63,10 @@ SMALL_STAGE_NOTE = (
     "statement only holds from stage count 3 on, so these are reported as "
     "a deviation, not a failure"
 )
+
+# The pinned surjection of the trefoil group onto A5.
+TREFOIL_A5 = GenAssignment.from_names(
+    {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5")
 
 
 def _load_text(path: str) -> str:
@@ -104,9 +113,17 @@ def load_assignment_file(path: str) -> GenAssignment:
     return GenAssignment(mapping, label=path)
 
 
-def load_words_file(path: str) -> list[Word]:
-    """Parse one word per non-empty line, syllables separated by spaces."""
-    return [_parse_at(where, word, line) for where, line in _file_lines(path)]
+def load_words_file(path: str, generators: Sequence[str]) -> list[Word]:
+    """Parse one word per non-empty line, syllables separated by spaces,
+    each syllable over one of ``generators``."""
+    words = []
+    for where, line in _file_lines(path):
+        w = _parse_at(where, word, line)
+        for sym, _ in w:
+            if sym not in generators:
+                raise KnotcoverError(f"{where}: unknown generator {sym!r}")
+        words.append(w)
+    return words
 
 
 def _envelope(command: str, report: dict) -> dict:
@@ -241,7 +258,7 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
             raise KnotcoverError("--mode cyclic requires --k K")
         table = cyclic_cover_table(p, args.k)
     else:
-        gens = load_words_file(args.subgroup) if args.subgroup else []
+        gens = load_words_file(args.subgroup, p.generators) if args.subgroup else []
         table = todd_coxeter(p, gens)
     lines = [f"index {table.index}"]
     for g, row in zip(table.gens, table.action):
@@ -365,17 +382,14 @@ def _fragment_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
 
 def _surjection_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     trefoil = trefoil_presentation()
-    pinned = GenAssignment.from_names(
-        {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5"
-    )
-    pinned_report = check_relators(trefoil, pinned)
+    pinned_report = check_relators(trefoil, TREFOIL_A5)
     found = search_surjections(trefoil, limit=1000)
     rediscovered = any(
-        all(a.value(g) == pinned.value(g) for g in trefoil.generators)
+        all(a.value(g) == TREFOIL_A5.value(g) for g in trefoil.generators)
         for a in found
     )
     entry = {
-        "assignment": {g: str(pinned.value(g)) for g in trefoil.generators},
+        "assignment": {g: str(TREFOIL_A5.value(g)) for g in trefoil.generators},
         "violations": [v.name for v in pinned_report.violations],
         "image_order": pinned_report.image_order,
         "search_found_pinned": rediscovered,
@@ -426,21 +440,67 @@ def _quotient_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     return {"boundary_quotient": quotients}, {CLAIM_BOUNDARY_QUOTIENT: ok}, lines
 
 
-def _connectivity_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
+def _torus_orbits(t: CosetTable, curves: tuple[Word, Word]) -> tuple[int, bool]:
+    """Orbits on the cosets of ``t`` of the subgroup two boundary curves
+    generate, and whether the curves commute there, as the two curves of a
+    torus must.  The orbits count the boundary components over the torus."""
+    x, y = (t.word_action(w) for w in curves)
+    commute = all(y[a - 1] == x[b - 1] for a, b in zip(x, y))
+    return orbit_count((x, y), t.index), commute
+
+
+# Boundary components over the trefoil's boundary torus on its A5 cover.
+TREFOIL_A5_BOUNDARY_COMPONENTS = 12
+
+
+def _staged_boundary_components(d: int) -> tuple[int, int]:
+    """Boundary components over the tori (alpha_l, beta_l) and (gamma_l,
+    delta_l) of the stage at distance d = j - l from the top, on the
+    60-sheeted kernel cover of a stage count j >= 3."""
+    if d == 0:
+        return 60, 30
+    return (30, 20) if d % 2 else (20, 30)
+
+
+def _boundary_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     trefoil = trefoil_presentation()
-    connectivity = [
-        {"fold": k,
-         "transitive": orbit_transitive(cyclic_cover_table(trefoil, k),
-                                        [TREFOIL_MERIDIAN, TREFOIL_LONGITUDE])}
-        for k in range(1, 9)
-    ]
-    ok = all(c["transitive"] for c in connectivity)
-    line = (
-        ("ok" if ok else "FAIL")
-        + f" boundary words transitive on covers 1..{len(connectivity)}"
-    )
-    return ({"boundary_connectivity": connectivity}, {CLAIM_BOUNDARY_TRANSITIVE: ok},
-            [line])
+    torus = (TREFOIL_MERIDIAN, TREFOIL_LONGITUDE)
+    folds = []
+    ok = True
+    for k in range(1, 9):
+        t = cyclic_cover_table(trefoil, k)
+        components, commute = _torus_orbits(t, torus)
+        longitude = orbit_count([t.word_action(TREFOIL_LONGITUDE)], t.index)
+        folds.append({"fold": k, "transitive": components == 1,
+                      "commute": commute, "longitude_orbits": longitude})
+        # the longitude dies in H1, so it fixes every coset of a cyclic cover
+        ok = ok and components == 1 and commute and longitude == t.index
+    a5, a5_commute = _torus_orbits(kernel_coset_table(trefoil, TREFOIL_A5), torus)
+    ok = ok and a5_commute and a5 == TREFOIL_A5_BOUNDARY_COMPONENTS
+    staged = []
+    for j in range(3, inputs["jmax"] + 1):
+        # only the table is built, so the homology's stage limit is moot
+        _, t = kernel_cover(j, force=True)
+        # (orbits, commute) of both tori of each stage, from the top down
+        tori = [[_torus_orbits(t, pair) for pair in stage_boundary_words(j - d)]
+                for d in range(j)]
+        components = [[n for n, _ in stage] for stage in tori]
+        commute = all(c for stage in tori for _, c in stage)
+        staged.append({"j": j, "components": components, "commute": commute})
+        ok = ok and commute and components == [
+            list(_staged_boundary_components(d)) for d in range(j)]
+    fragment = {
+        "boundary_connectivity": folds,
+        "boundary_components": {
+            "trefoil_a5": {"components": a5, "commute": a5_commute},
+            "staged_kernels": staged,
+        },
+    }
+    line = (f"{'ok' if ok else 'FAIL'} boundary components on cyclic covers "
+            f"1..{len(folds)}, {a5} on the trefoil's A5 cover")
+    if staged:
+        line += f", by stage on kernels j=3..{staged[-1]['j']}"
+    return fragment, {CLAIM_BOUNDARY_COMPONENTS: ok}, [line]
 
 
 def _knot_h1_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
@@ -481,7 +541,7 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
     ((CLAIM_TREFOIL_SURJECTION,), _surjection_section),
     ((CLAIM_COVER_H1,), _cover_section),
     ((CLAIM_BOUNDARY_QUOTIENT,), _quotient_section),
-    ((CLAIM_BOUNDARY_TRANSITIVE,), _connectivity_section),
+    ((CLAIM_BOUNDARY_COMPONENTS,), _boundary_section),
     ((CLAIM_KNOT_H1,), _knot_h1_section),
     ((CLAIM_KERNEL_GROWTH,), _kernel_section),
 )

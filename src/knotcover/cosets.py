@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     CapacityError,
@@ -21,7 +21,7 @@ from .errors import (
     InvalidHomomorphismError,
     TableIntegrityError,
 )
-from .perm import Perm, closure, inverse_row, orbit_size
+from .perm import Perm, closure, inverse_row, orbit_count
 from .words import Presentation, Syllable, Word
 
 # The most cosets `todd_coxeter` defines, and the largest fold
@@ -127,14 +127,10 @@ def relator_paths(t: CosetTable, p: Presentation) -> Iterator[list[list[int]]]:
                 f"relator {p.relator_name(i)} moves coset {c + 1}"
             )
         yield path
-    if orbit_size(t.action) != t.index:
-        raise TableIntegrityError("coset action is not transitive")
-
-
-def orbit_transitive(t: CosetTable, words: Sequence[Word]) -> bool:
-    """True iff the subgroup generated by the traced actions of ``words``
-    moves coset 1 onto every coset."""
-    return orbit_size(t.word_action(w) for w in words) == t.index
+    orbits = orbit_count(t.action, t.index)
+    if orbits != 1:
+        raise TableIntegrityError(
+            f"coset action is not transitive: {orbits} orbits")
 
 
 def image_table(p: Presentation, assignment

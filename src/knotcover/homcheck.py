@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 from .cosets import image_table
 from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import (
-    Perm, closure, compose, inverse_row, is_even, orbit_size, parse_cycles,
+    Perm, closure, compose, inverse_row, is_even, orbit_count, parse_cycles,
 )
 from .presentations import LINK_LETTERS, sternfeld_fragment
 from .words import Presentation, Word, check_name
@@ -226,7 +226,8 @@ def search_surjections(p: Presentation, limit: int = 100) -> list[GenAssignment]
     for choice in itertools.product(range(len(pool)), repeat=ngens):
         if not all(_fixes_identity(r, choice) for r in relators):
             continue
-        if orbit_size([forward[k] for k in choice]) != A5_ORDER:
+        # the images generate A5 iff multiplying by them is transitive on it
+        if orbit_count([forward[k] for k in choice], A5_ORDER) != 1:
             continue
         found.append(GenAssignment(
             {g: pool[k] for g, k in zip(p.generators, choice)},

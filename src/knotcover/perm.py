@@ -119,22 +119,34 @@ def inverse_row(row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def orbit_size(rows: Iterable[Sequence[int]]) -> int:
-    """Number of positions reached from position 1 by following the action
-    rows forward: the size of the orbit of 1 under the group they generate.
-    Inverse rows are not needed: the inverse of a permutation is a positive
-    power of it, so forward images already cover the orbit."""
+def orbit_count(rows: Iterable[Sequence[int]], n: int) -> int:
+    """Number of orbits on the positions 1..n of the group generated by the
+    action rows, each a permutation of 1..n given by its images.
+
+    Each orbit is walked by following the rows forward from its least
+    position.  Inverse rows are not needed: the inverse of a permutation is
+    a positive power of it, so forward images already cover the orbit.
+
+    >>> orbit_count([(2, 1, 3, 4), (1, 2, 4, 3)], 4)
+    2
+    """
     rows = tuple(rows)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        c = frontier.pop()
-        for row in rows:
-            d = row[c - 1]
-            if d not in seen:
-                seen.add(d)
-                frontier.append(d)
-    return len(seen)
+    seen = [False] * (n + 1)
+    count = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            c = frontier.pop()
+            for row in rows:
+                d = row[c - 1]
+                if not seen[d]:
+                    seen[d] = True
+                    frontier.append(d)
+    return count
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -28,12 +28,10 @@ _LINK_RELATOR_RHS = (
 _LINK_RELATORS = tuple(word(lhs) * word(rhs).inverse()
                        for lhs, rhs in _LINK_RELATOR_RHS)
 
-# Boundary curves of one stage: two meridian-like curves (alpha, gamma) and
-# two clasp curves (beta, delta).
-_ALPHA = word("h")
-_BETA = word("f^-1 g")
-_GAMMA = word("a")
-_DELTA = word("c a b g^-1 h^-1 e^-1 h")
+# Boundary curves of one stage, one pair per boundary torus: a meridian-like
+# curve and a clasp curve, (alpha, beta) and (gamma, delta).
+_BOUNDARY_TORI = ((word("h"), word("f^-1 g")),
+                  (word("a"), word("c a b g^-1 h^-1 e^-1 h")))
 
 # The identifications a=b, b=c, c=d that collapse the four parallel strands.
 _STRAND_PAIRS = (("a", "b"), ("b", "c"), ("c", "d"))
@@ -44,6 +42,18 @@ _STRAND_RELATORS = tuple(word(lhs) * word(rhs).inverse()
 def _at_stage(w: Word, l: int) -> Word:
     """Rename a word over the plain letters to the stage-``l`` generators."""
     return Word(tuple((f"{s}{l}", sign) for s, sign in w))
+
+
+def stage_boundary_words(l: int) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
+    """The two boundary tori of stage ``l``, each as its pair of curves:
+    ((alpha_l, beta_l), (gamma_l, delta_l)).  The sewing relators glue the
+    pair (alpha_{l-1}, beta_{l-1}) to (delta_l, gamma_l).
+
+    >>> [[str(w) for w in torus] for torus in stage_boundary_words(2)]
+    [['h2', 'f2^-1 g2'], ['a2', 'c2 a2 b2 g2^-1 h2^-1 e2^-1 h2']]
+    """
+    return tuple(tuple(_at_stage(w, l) for w in torus)
+                 for torus in _BOUNDARY_TORI)
 
 
 def trefoil_presentation() -> Presentation:
@@ -58,8 +68,9 @@ def trefoil_presentation() -> Presentation:
 
 def kj_presentation(j: int) -> Presentation:
     """Group of the j-stage link complement: stages 1..j glued by the sewing
-    relators S_{l,1}: h_{l-1} = delta_l and S_{l,2}: f_{l-1}^-1 g_{l-1} = a_l,
-    with the top meridian killed by h_j = 1."""
+    relators S_{l,1}: alpha_{l-1} = delta_l and S_{l,2}: beta_{l-1} =
+    gamma_l over the curves of ``stage_boundary_words``, with the top
+    meridian killed by alpha_j = h_j = 1."""
     if j < 1:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
     stages = range(1, j + 1)
@@ -67,10 +78,12 @@ def kj_presentation(j: int) -> Presentation:
     names = [f"R_{{{l},{k}}}" for l in stages
              for k in range(1, len(_LINK_RELATORS) + 1)]
     for l in range(2, j + 1):
-        relators.append(_at_stage(_ALPHA, l - 1) * _at_stage(_DELTA, l).inverse())
-        relators.append(_at_stage(_BETA, l - 1) * _at_stage(_GAMMA, l).inverse())
+        (alpha, beta), _ = stage_boundary_words(l - 1)
+        _, (gamma, delta) = stage_boundary_words(l)
+        relators += [alpha * delta.inverse(), beta * gamma.inverse()]
         names += [f"S_{{{l},1}}", f"S_{{{l},2}}"]
-    relators.append(_at_stage(_ALPHA, j))
+    (alpha, _), _ = stage_boundary_words(j)
+    relators.append(alpha)
     names.append(f"h_{j}")
     return Presentation(
         generators=tuple(f"{c}{l}" for l in stages for c in LINK_LETTERS),

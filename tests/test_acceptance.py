@@ -6,7 +6,7 @@ import json
 import time
 
 from knotcover.cli import main
-from knotcover.cosets import cyclic_cover_table, orbit_transitive, todd_coxeter
+from knotcover.cosets import cyclic_cover_table, kernel_coset_table, todd_coxeter
 from knotcover.homcheck import (
     GenAssignment,
     check_relators,
@@ -14,10 +14,11 @@ from knotcover.homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
-from knotcover.perm import closure
+from knotcover.perm import closure, orbit_count
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
+    stage_boundary_words,
     trefoil_presentation,
 )
 from knotcover.subgroups import (
@@ -25,6 +26,7 @@ from knotcover.subgroups import (
     TREFOIL_MERIDIAN,
     abelianize,
     boundary_quotient,
+    kernel_cover,
     kernel_homology,
     reidemeister_schreier,
     schreier_rank_bound,
@@ -160,21 +162,35 @@ def test_criterion_06_boundary_quotient_order_three():
     )
 
 
+def _orbits(t, words):
+    return orbit_count([t.word_action(w) for w in words], t.index)
+
+
 def test_criterion_07_boundary_connectivity():
+    # the orbits of a boundary torus's curves count the components above it
     start = time.perf_counter()
     p = trefoil_presentation()
-    transitive = [
-        orbit_transitive(
-            cyclic_cover_table(p, k), [TREFOIL_MERIDIAN, TREFOIL_LONGITUDE]
-        )
-        for k in range(1, 9)
-    ]
+    torus = [TREFOIL_MERIDIAN, TREFOIL_LONGITUDE]
+    cyclic = [(_orbits(t, torus), _orbits(t, [TREFOIL_LONGITUDE]))
+              for t in (cyclic_cover_table(p, k) for k in range(1, 9))]
+    pinned = GenAssignment.from_names({"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"})
+    a5 = _orbits(kernel_coset_table(p, pinned), torus)
+    staged = {}
+    for j in range(3, 7):
+        _, t = kernel_cover(j)
+        staged[j] = [[_orbits(t, pair) for pair in stage_boundary_words(j - d)]
+                     for d in range(j)]
     elapsed = time.perf_counter() - start
-    ok = all(transitive) and elapsed < 1.0
+    # by distance d from the top stage: d = 0, then odd and even d
+    expected = {j: [[60, 30]] + [[30, 20] if d % 2 else [20, 30]
+                                 for d in range(1, j)] for j in staged}
+    ok = (cyclic == [(1, k) for k in range(1, 9)] and a5 == 12
+          and staged == expected and elapsed < 1.0)
     report(
         "boundary connectivity",
         ok,
-        f"boundary words transitive on all covers 1..8 in {elapsed:.2f}s",
+        f"one boundary component on cyclic covers 1..8, {a5} on the A5 "
+        f"cover, staged kernels j=3..6 by stage, in {elapsed:.2f}s",
     )
 
 

@@ -58,7 +58,7 @@ def test_presentation_json_counts(capsys):
     report = json.loads(out)
     assert report["generators"] == 18
     assert report["relators"] == 21
-    assert report["schema"] == "knotcover-report/4"
+    assert report["schema"] == "knotcover-report/5"
 
 
 def test_verify_tables_passes_and_notes_small_stages(capsys):
@@ -298,7 +298,7 @@ def _must_not_run(*args, **kwargs):
         (["run-all", "--kernel-jmax", "0"], "kernel_jmax must be at least 1"),
         (["run-all", "--kernel-jmax", "-1"], "kernel_jmax must be at least 1"),
         (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
-          "--subgroup", "{unknown_gen}"], "uses c, which is not a generator"),
+          "--subgroup", "{unknown_gen}"], "subgroup.words:2: unknown generator 'c'"),
         (["cosets", "--pres", "{trefoil}", "--mode", "cyclic", "--k", "0"],
          "fold count must be positive, got 0"),
         (["kernel-homology", "--j", "x"], "argument --j: invalid int value"),
@@ -359,7 +359,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
     not_utf8 = tmp_path / "binary.pres"
     not_utf8.write_bytes(b"\xff")
     unknown_gen = tmp_path / "subgroup.words"
-    unknown_gen.write_text("a c\n")
+    unknown_gen.write_text("a b\na c\n")
     bad_syllable = tmp_path / "bad_syllable.words"
     bad_syllable.write_text("a\na b^2\n")
     superscript = tmp_path / "superscript.txt"
@@ -555,18 +555,13 @@ CORRUPTIONS = {
     cli.CLAIM_BOUNDARY_QUOTIENT: ("todd_coxeter", lambda real: lambda p: (
         real(p, [Word(((g, 1),)) for g in p.generators]))),
     # a word off the boundary in place of the longitude
-    cli.CLAIM_BOUNDARY_TRANSITIVE: ("TREFOIL_LONGITUDE", lambda real: word("b")),
+    cli.CLAIM_BOUNDARY_COMPONENTS: ("TREFOIL_LONGITUDE", lambda real: word("b")),
     # one meridian killed, so H1 is trivial
     cli.CLAIM_KNOT_H1: ("kj_presentation", _kill_first_generator),
-    # the stage-1 kernel at every stage count: no growth
-    cli.CLAIM_KERNEL_GROWTH: ("kernel_cover",
+    # the stage-1 kernel entry at every stage count: no growth (the entry,
+    # not kernel_cover, which the boundary section reads as well)
+    cli.CLAIM_KERNEL_GROWTH: ("_kernel_entry",
                               lambda real: lambda j, force=False: real(1)),
-}
-VACUOUS = {
-    cli.CLAIM_BOUNDARY_TRANSITIVE: (
-        "cannot fail today: on every cyclic cover the meridian alone acts as "
-        "a k-cycle, so the longitude is never tested (ROADMAP item 2)"
-    ),
 }
 
 
@@ -581,13 +576,15 @@ def test_each_section_gives_a_verdict_for_exactly_its_claims():
         assert all(v is True for v in verdicts.values()), section.__name__
 
 
-@pytest.mark.parametrize("claim", [
-    pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=VACUOUS[c]))
-    if c in VACUOUS else c
-    for c in REGISTRY_IDS
-])
-def test_corrupted_input_fails_its_claim(monkeypatch, claim):
-    name, corrupt = CORRUPTIONS[claim]
+def _swap_stage_pairing(real):
+    # (alpha, gamma) and (beta, delta) in place of the two tori
+    def swapped(l):
+        (alpha, beta), (gamma, delta) = real(l)
+        return (alpha, gamma), (beta, delta)
+    return swapped
+
+
+def _assert_corruption_fails(monkeypatch, claim, name, corrupt):
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
     claims, section = next(s for s in cli.SECTIONS if claim in s[0])
     _, verdicts, _ = section(SMALL_INPUTS)
@@ -600,6 +597,34 @@ def test_corrupted_input_fails_its_claim(monkeypatch, claim):
                   and line[len("FAIL "):] in REGISTRY_IDS) == [
         f"FAIL {c}" for c in report["failed"]]
     assert lines[-1] == "status: fail"
+
+
+@pytest.mark.parametrize("claim", REGISTRY_IDS)
+def test_corrupted_input_fails_its_claim(monkeypatch, claim):
+    _assert_corruption_fails(monkeypatch, claim, *CORRUPTIONS[claim])
+
+
+def test_swapped_stage_pairing_fails_the_boundary_claim(monkeypatch):
+    # a second control, for the staged kernels the longitude never reaches
+    _assert_corruption_fails(monkeypatch, cli.CLAIM_BOUNDARY_COMPONENTS,
+                             "stage_boundary_words", _swap_stage_pairing)
+
+
+def test_torus_orbits_tell_commuting_curves_apart():
+    t = cli.kernel_coset_table(trefoil_presentation(), cli.TREFOIL_A5)
+    torus = (cli.TREFOIL_MERIDIAN, cli.TREFOIL_LONGITUDE)
+    assert cli._torus_orbits(t, torus) == (12, True)
+    # the generators, two 5-cycles that generate A5, do not commute
+    assert cli._torus_orbits(t, (word("a"), word("b"))) == (1, False)
+
+
+def test_boundary_counts_reach_past_the_kernel_stage_limit():
+    # the section builds kernel tables only, not their homology, so the
+    # homology's stage limit does not bound --jmax
+    j = KERNEL_HOMOLOGY_MAX_STAGES + 1
+    fragment, verdicts, _ = cli._boundary_section({"jmax": j})
+    assert verdicts == {cli.CLAIM_BOUNDARY_COMPONENTS: True}
+    assert fragment["boundary_components"]["staged_kernels"][-1]["j"] == j
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])

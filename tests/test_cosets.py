@@ -12,7 +12,6 @@ from knotcover.cosets import (
     cyclic_cover_table,
     image_table,
     kernel_coset_table,
-    orbit_transitive,
     todd_coxeter,
 )
 from knotcover.errors import (
@@ -22,7 +21,7 @@ from knotcover.errors import (
     TableIntegrityError,
 )
 from knotcover.homcheck import GenAssignment, eval_word, phi_tables
-from knotcover.perm import Perm, closure, orbit_size, parse_cycles
+from knotcover.perm import Perm, closure, orbit_count, parse_cycles
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
@@ -186,22 +185,24 @@ def test_kernel_coset_order_is_closure_discovery_order():
     assert t.step(1, "a") == pos[a_img]
 
 
-def _orbit_reaches_everything(rows, index):
-    """Oracle: the orbit of coset 1 under the rows and their inverses."""
-    inverses = []
+def _orbit_count_oracle(rows, index):
+    """Oracle: the orbits on 1..index by union-find over the edges of every
+    row and of its inverse."""
+    parent = list(range(index + 1))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
     for row in rows:
-        inv = [0] * index
+        inverse = [0] * index
         for c, img in enumerate(row, start=1):
-            inv[img - 1] = c
-        inverses.append(inv)
-    seen, frontier = {1}, [1]
-    while frontier:
-        c = frontier.pop()
-        for row in list(rows) + inverses:
-            if row[c - 1] not in seen:
-                seen.add(row[c - 1])
-                frontier.append(row[c - 1])
-    return len(seen) == index
+            inverse[img - 1] = c
+        for c in range(1, index + 1):
+            for d in (row[c - 1], inverse[c - 1]):
+                parent[find(d)] = find(c)
+    return len({find(c) for c in range(1, index + 1)})
 
 
 def _random_table(rng, ngens):
@@ -245,13 +246,12 @@ def test_forward_orbit_walk_matches_an_inverse_row_oracle():
     # the walk follows forward rows only; an inverse is a positive power
     outcomes = set()
     for t, words in _orbit_cases():
-        rows = [t.word_action(w) for w in words]
-        expected = _orbit_reaches_everything(rows, t.index)
-        assert orbit_transitive(t, words) == expected
-        transitive = orbit_size(t.action) == t.index
-        assert transitive == _orbit_reaches_everything(t.action, t.index)
-        outcomes.add((expected, transitive))
-    assert outcomes == {(False, False), (False, True), (True, True)}
+        for rows in ([t.word_action(w) for w in words], t.action):
+            count = orbit_count(rows, t.index)
+            assert count == _orbit_count_oracle(rows, t.index)
+            outcomes.add("one" if count == 1
+                         else "every coset" if count == t.index else "several")
+    assert outcomes == {"one", "several", "every coset"}
 
 
 def _verify_oracle(t, p):
@@ -267,8 +267,9 @@ def _verify_oracle(t, p):
                 d = rows[sym][d - 1] if sign > 0 else rows[sym].index(d) + 1
             if d != c:
                 return f"relator {p.relator_name(i)} moves coset {c}"
-    if not _orbit_reaches_everything(t.action, t.index):
-        return "coset action is not transitive"
+    orbits = _orbit_count_oracle(t.action, t.index)
+    if orbits != 1:
+        return f"coset action is not transitive: {orbits} orbits"
     return None
 
 
@@ -302,9 +303,10 @@ def test_table_checks_match_a_per_coset_oracle():
 
 def test_single_generator_orbit_is_not_transitive_on_kernel():
     t = kernel_coset_table(trefoil_presentation(), pinned_trefoil())
-    # image of a is a 5-cycle, so its orbit has size 5, not 60
-    assert not orbit_transitive(t, [word("a")])
-    assert orbit_transitive(t, [word("a"), word("b")])
+    # image of a is a 5-cycle, so its orbits have size 5: 12 of them, not 1
+    assert orbit_count([t.word_action(word("a"))], t.index) == 12
+    assert orbit_count([t.word_action(word("a")), t.word_action(word("b"))],
+                       t.index) == 1
 
 
 # -- cyclic covers ------------------------------------------------------------
@@ -314,7 +316,7 @@ def test_cyclic_cover_action_is_rotation():
     for row in t.action:
         assert row == (2, 3, 4, 5, 1)
     assert t.index == 5
-    assert orbit_transitive(t, [word("a")])
+    assert orbit_count([t.word_action(word("a"))], t.index) == 1
 
 
 def test_one_fold_cover_is_the_identity_cover():

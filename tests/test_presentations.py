@@ -11,6 +11,7 @@ from knotcover.perm import cycle_string
 from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
+    stage_boundary_words,
     sternfeld_fragment,
     trefoil_presentation,
 )
@@ -98,6 +99,18 @@ def test_boundary_words_shape():
     assert str(names["S_{2,2}"]) == "f1^-1 g1 a2^-1"
     assert str(names["S_{3,1}"]) == "h2 h3^-1 e3 h3 g3 b3^-1 a3^-1 c3^-1"
     assert str(names["S_{3,2}"]) == "f2^-1 g2 a3^-1"
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 6])
+def test_sewing_relators_are_built_from_the_stage_boundary_words(j):
+    p = kj_presentation(j)
+    names = dict(zip(p.relator_names, p.relators))
+    for l in range(2, j + 1):
+        (alpha, beta), _ = stage_boundary_words(l - 1)
+        _, (gamma, delta) = stage_boundary_words(l)
+        assert names[f"S_{{{l},1}}"] == alpha * delta.inverse()
+        assert names[f"S_{{{l},2}}"] == beta * gamma.inverse()
+    assert names[f"h_{j}"] == stage_boundary_words(j)[0][0]
 
 
 def test_identification_relators_by_name():
