@@ -32,7 +32,6 @@ from .presentations import (
     trefoil_presentation,
 )
 from .subgroups import (
-    KERNEL_HOMOLOGY_MAX_STAGES,
     TREFOIL_LONGITUDE,
     TREFOIL_MERIDIAN,
     abelianize,
@@ -63,6 +62,17 @@ SMALL_STAGE_NOTE = (
     "statement only holds from stage count 3 on, so these are reported as "
     "a deviation, not a failure"
 )
+
+# The stage limit of `kernel-homology` and `run-all --kernel-jmax`: the
+# largest stage count whose `knotcover kernel-homology --j N --force` takes
+# about 4 s, that is, whose median of three fresh-process runs rounds to 4 s
+# or less.  Each stage adds 660 rows and 540 columns to the relation matrix,
+# and the Smith normal form grows faster than that.  Medians for
+# N = 11 / 12 / 13 / 14 / 15 were 2.98 / 3.99 / 4.04 / 5.11 / 6.17 s
+# (Python 3.11.7, a shared 2-core Xeon host).  Per stage times also come
+# from the benchmark (`bench/README.md`):
+#     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
+KERNEL_HOMOLOGY_MAX_STAGES = 13
 
 # The pinned surjection of the trefoil group onto A5.
 TREFOIL_A5 = GenAssignment.from_names(
@@ -310,10 +320,21 @@ def cmd_cover_quotient(args) -> tuple[dict, list[str], int]:
     return report, lines, 1 if routes_agree is False else 0
 
 
-def _kernel_entry(j: int, force: bool = False) -> tuple:
+def _check_kernel_stages(j: int, further: str) -> None:
+    """Refuse kernel homology at a stage count j above the stage limit;
+    ``further`` says how to go past it."""
+    if j > KERNEL_HOMOLOGY_MAX_STAGES:
+        raise CapacityError(
+            f"stage count {j} exceeds the limit {KERNEL_HOMOLOGY_MAX_STAGES}; "
+            f"the relation matrix would be about {60 * (11 * j - 1)} x "
+            f"{60 * 9 * j - 59}. {further}"
+        )
+
+
+def _kernel_entry(j: int) -> tuple:
     """Kernel homology at stage count j with the rank bound it forces at
     the kernel's index, the order of the staged image group."""
-    p, table = kernel_cover(j, force=force)
+    p, table = kernel_cover(j)
     inv = cover_homology(p, table)
     bound = schreier_rank_bound(inv.min_generators, table.index)
     entry = {
@@ -327,7 +348,9 @@ def _kernel_entry(j: int, force: bool = False) -> tuple:
 
 
 def cmd_kernel_homology(args) -> tuple[dict, list[str], int]:
-    entry, inv = _kernel_entry(args.j, force=args.force)
+    if not args.force:
+        _check_kernel_stages(args.j, "Pass --force to compute anyway.")
+    entry, inv = _kernel_entry(args.j)
     lines = [
         f"H1 of stage-{args.j} kernel: {inv} "
         f"(needs {inv.min_generators} generators; "
@@ -479,8 +502,7 @@ def _boundary_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     ok = ok and a5_commute and a5 == TREFOIL_A5_BOUNDARY_COMPONENTS
     staged = []
     for j in range(3, inputs["jmax"] + 1):
-        # only the table is built, so the homology's stage limit is moot
-        _, t = kernel_cover(j, force=True)
+        _, t = kernel_cover(j)
         # (orbits, commute) of both tori of each stage, from the top down
         tori = [[_torus_orbits(t, pair) for pair in stage_boundary_words(j - d)]
                 for d in range(j)]
@@ -549,15 +571,14 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
 
 def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     """Run every registry section; return the report and its text lines."""
-    for name, value in (("jmax", jmax), ("kernel_jmax", kernel_jmax)):
-        if value < 1:
-            raise KnotcoverError(f"{name} must be at least 1, got {value}")
-    if kernel_jmax > KERNEL_HOMOLOGY_MAX_STAGES:
-        raise CapacityError(
-            f"kernel_jmax {kernel_jmax} exceeds the stage limit "
-            f"{KERNEL_HOMOLOGY_MAX_STAGES}; run `knotcover kernel-homology "
-            "--j N --force` for a larger stage count"
-        )
+    if jmax < 1:
+        raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
+    if kernel_jmax < 3:
+        raise KnotcoverError(
+            f"kernel_jmax must be at least 3, got {kernel_jmax}: kernel "
+            "growth is compared from stage count 2 to 3")
+    _check_kernel_stages(kernel_jmax, "Run `knotcover kernel-homology "
+                         "--j N --force` for a larger stage count.")
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax}
     results: dict = {}
     failed: list[str] = []

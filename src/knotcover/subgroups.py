@@ -256,22 +256,12 @@ def schreier_rank_bound(m: int, i: int) -> Fraction:
     """Rank bound from the Schreier index formula, exact in Fraction form.
 
     A subgroup of index i of a rank-r group has rank at most i(r - 1) + 1,
-    so a subgroup needing m generators forces r >= (m - 1)/i + 1.
+    so a subgroup needing m generators gives r >= (m - 1)/i + 1.
     """
     if m < 0 or i < 1:
         raise InvalidArgumentError(f"need m >= 0 and i >= 1, got m={m}, i={i}")
     return Fraction(m - 1, i) + 1
 
-
-# The default stage limit: the largest stage count whose
-# `knotcover kernel-homology --j N --force` takes about 4 s, that is, whose
-# median of three fresh-process runs rounds to 4 s or less.  Each stage adds
-# 660 rows and 540 columns to the relation matrix, and the Smith normal form
-# grows faster than that.  Medians for N = 11 / 12 / 13 / 14 / 15 were
-# 2.98 / 3.99 / 4.04 / 5.11 / 6.17 s (Python 3.11.7, a shared 2-core Xeon
-# host).  Per stage times also come from the benchmark (`bench/README.md`):
-#     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
-KERNEL_HOMOLOGY_MAX_STAGES = 13
 
 # The largest fold `boundary_quotient` accepts.  Its boundary relator
 # meridian^k is traced from all k cosets, so time and memory grow about
@@ -281,28 +271,14 @@ KERNEL_HOMOLOGY_MAX_STAGES = 13
 BOUNDARY_QUOTIENT_MAX_FOLD = 1000
 
 
-def kernel_cover(j: int, force: bool = False) -> tuple[Presentation, CosetTable]:
+def kernel_cover(j: int) -> tuple[Presentation, CosetTable]:
     """The j-stage link presentation and the coset table of the kernel of
-    its staged assignment, one coset per image element.
-
-    Stages above KERNEL_HOMOLOGY_MAX_STAGES are refused unless ``force`` is
-    set, since the relation matrix grows like 60 * 11j rows by 60 * 9j
-    columns.
-    """
-    if j < 1:
-        raise InvalidArgumentError(f"stage count must be positive, got {j}")
-    if j > KERNEL_HOMOLOGY_MAX_STAGES and not force:
-        raise CapacityError(
-            f"stage count {j} exceeds default limit {KERNEL_HOMOLOGY_MAX_STAGES}; "
-            f"the relation matrix would be about {60 * (11 * j - 1)} x "
-            f"{60 * 9 * j - 59}. Pass force=True (--force on the command "
-            "line) to compute anyway."
-        )
+    its staged assignment, one coset per image element."""
     p = kj_presentation(j)
     return p, kernel_coset_table(p, phi_tables(j))
 
 
-def kernel_homology(j: int, force: bool = False) -> AbelianInvariants:
+def kernel_homology(j: int) -> AbelianInvariants:
     """First homology of the kernel of the staged assignment on the j-stage
-    link presentation: ``cover_homology`` of ``kernel_cover(j, force)``."""
-    return cover_homology(*kernel_cover(j, force))
+    link presentation: ``cover_homology`` of ``kernel_cover(j)``."""
+    return cover_homology(*kernel_cover(j))

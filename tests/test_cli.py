@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from knotcover import cli
-from knotcover.cli import main
+from knotcover.cli import KERNEL_HOMOLOGY_MAX_STAGES, main
 from knotcover.cosets import COSET_CAP
 from knotcover.homcheck import GenAssignment, SternfeldRepro, check_relators
 from knotcover.perm import Perm, parse_cycles
@@ -20,7 +20,7 @@ from knotcover.presentations import (
     kjss_presentation,
     trefoil_presentation,
 )
-from knotcover.subgroups import BOUNDARY_QUOTIENT_MAX_FOLD, KERNEL_HOMOLOGY_MAX_STAGES
+from knotcover.subgroups import BOUNDARY_QUOTIENT_MAX_FOLD, AbelianInvariants
 from knotcover.words import Presentation, Word, print_presentation, word
 
 README = Path(__file__).parent.parent / "README.md"
@@ -209,13 +209,38 @@ def test_kernel_entry_builds_the_image_group_once(monkeypatch):
     assert (entry["min_generators"], entry["rank_bound"]) == (142, "67/20")
 
 
-def test_kernel_homology_guard_is_an_error_exit(capsys):
+def _record_kernel_entries(monkeypatch) -> list:
+    """Replace ``cli._kernel_entry`` with a stub; return the stage counts it
+    is called with."""
+    seen = []
+
+    def record(j):
+        seen.append(j)
+        entry = {"j": j, "rank_bound": "1", "rank_bound_ceiling": 1}
+        return entry, AbelianInvariants(free_rank=1)
+
+    monkeypatch.setattr(cli, "_kernel_entry", record)
+    return seen
+
+
+def test_kernel_homology_guard_is_an_error_exit(capsys, monkeypatch):
+    assert KERNEL_HOMOLOGY_MAX_STAGES == 13
+    seen = _record_kernel_entries(monkeypatch)
     past_cap = str(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     code, out, err = run_cli(capsys, "kernel-homology", "--j", past_cap)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "--force" in err
+    assert seen == []
+
+
+def test_force_computes_past_the_stage_limit(capsys, monkeypatch):
+    # the limit is the command's alone: --force hands the stage count on
+    seen = _record_kernel_entries(monkeypatch)
+    past_cap = str(KERNEL_HOMOLOGY_MAX_STAGES + 1)
+    code, _, _ = run_cli(capsys, "kernel-homology", "--j", past_cap, "--force")
+    assert (code, seen) == (0, [KERNEL_HOMOLOGY_MAX_STAGES + 1])
 
 
 @pytest.mark.parametrize("fold", range(1, 13))
@@ -251,7 +276,7 @@ def test_rank_bound_command(capsys):
 
 def test_run_all_small_passes(capsys):
     code, out, _ = run_cli(
-        capsys, "run-all", "--jmax", "1", "--kernel-jmax", "1", "--json"
+        capsys, "run-all", "--jmax", "1", "--kernel-jmax", "3", "--json"
     )
     assert code == 0
     report = json.loads(out)
@@ -295,8 +320,12 @@ def _must_not_run(*args, **kwargs):
          "stage count must be positive"),
         (["search-hom", "--pres", "{trefoil}", "--limit", "0"],
          "limit must be at least 1"),
-        (["run-all", "--kernel-jmax", "0"], "kernel_jmax must be at least 1"),
-        (["run-all", "--kernel-jmax", "-1"], "kernel_jmax must be at least 1"),
+        (["run-all", "--kernel-jmax", "0"],
+         "kernel_jmax must be at least 3, got 0"),
+        (["run-all", "--kernel-jmax", "-1"],
+         "kernel_jmax must be at least 3, got -1"),
+        (["run-all", "--kernel-jmax", "2"],
+         "kernel growth is compared from stage count 2 to 3"),
         (["cosets", "--pres", "{trefoil}", "--mode", "subgroup",
           "--subgroup", "{unknown_gen}"], "subgroup.words:2: unknown generator 'c'"),
         (["cosets", "--pres", "{trefoil}", "--mode", "cyclic", "--k", "0"],
@@ -337,7 +366,7 @@ def _must_not_run(*args, **kwargs):
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0",
-         "limit0", "kernel-jmax0", "kernel-jmax-negative",
+         "limit0", "kernel-jmax0", "kernel-jmax-negative", "kernel-jmax2",
          "subgroup-unknown-generator", "cyclic-k0", "usage-bad-int",
          "usage-missing-required", "usage-unknown-subcommand",
          "duplicate-assignment", "presentation-trefoil-j0",
@@ -409,7 +438,7 @@ def test_run_all_text_matches_golden(capsys):
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):
-    argv = ["run-all", "--jmax", "1", "--kernel-jmax", "1", "--json"]
+    argv = ["run-all", "--jmax", "1", "--kernel-jmax", "3", "--json"]
     code1 = main(list(argv))
     out1 = capsys.readouterr().out
     code2 = main(list(argv))
@@ -561,7 +590,7 @@ CORRUPTIONS = {
     # the stage-1 kernel entry at every stage count: no growth (the entry,
     # not kernel_cover, which the boundary section reads as well)
     cli.CLAIM_KERNEL_GROWTH: ("_kernel_entry",
-                              lambda real: lambda j, force=False: real(1)),
+                              lambda real: lambda j: real(1)),
 }
 
 
@@ -622,6 +651,7 @@ def test_boundary_counts_reach_past_the_kernel_stage_limit():
     # the section builds kernel tables only, not their homology, so the
     # homology's stage limit does not bound --jmax
     j = KERNEL_HOMOLOGY_MAX_STAGES + 1
+    assert cli.kernel_cover(j)[1].index == 60
     fragment, verdicts, _ = cli._boundary_section({"jmax": j})
     assert verdicts == {cli.CLAIM_BOUNDARY_COMPONENTS: True}
     assert fragment["boundary_components"]["staged_kernels"][-1]["j"] == j
@@ -715,7 +745,7 @@ def test_run_all_text_names_a_failed_claim(capsys, monkeypatch, claim):
 def test_run_all_exits_1_when_a_claim_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli, "search_surjections", lambda p, limit: [])
     code, out, _ = run_cli(
-        capsys, "run-all", "--jmax", "1", "--kernel-jmax", "1", "--json"
+        capsys, "run-all", "--jmax", "1", "--kernel-jmax", "3", "--json"
     )
     assert code == 1
     report = json.loads(out)

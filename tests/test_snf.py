@@ -1,6 +1,5 @@
 """Tests for exact integer Smith normal form."""
 
-import doctest
 import random
 from collections import Counter
 from itertools import combinations, count
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotcover import perm, snf
+from knotcover import snf
 from knotcover.cosets import kernel_coset_table
 from knotcover.homcheck import phi_tables
 from knotcover.presentations import kj_presentation
@@ -79,12 +78,6 @@ def naive_snf(matrix):
                 changed = True
         chain.sort()
     return chain, len(chain)
-
-
-@pytest.mark.parametrize("module", [perm, snf], ids=["perm", "snf"])
-def test_docstring_examples(module):
-    results = doctest.testmod(module)
-    assert results.attempted > 0 and results.failed == 0
 
 
 def test_diagonal_merges_into_chain():

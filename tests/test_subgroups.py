@@ -19,7 +19,6 @@ from knotcover.presentations import (
     trefoil_presentation,
 )
 from knotcover.subgroups import (
-    KERNEL_HOMOLOGY_MAX_STAGES,
     TREFOIL_LONGITUDE,
     TREFOIL_MERIDIAN,
     AbelianInvariants,
@@ -509,8 +508,5 @@ def test_kernel_homology_stage_eight():
 
 
 def test_kernel_homology_guard():
-    assert KERNEL_HOMOLOGY_MAX_STAGES == 13
-    with pytest.raises(CapacityError, match="force"):
-        kernel_homology(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     with pytest.raises(ValueError):
         kernel_homology(0)
