@@ -68,11 +68,12 @@ SMALL_STAGE_NOTE = (
 # about 4 s, that is, whose median of three fresh-process runs rounds to 4 s
 # or less.  Each stage adds 660 rows and 540 columns to the relation matrix,
 # and the Smith normal form grows faster than that.  Medians for
-# N = 11 / 12 / 13 / 14 / 15 were 2.98 / 3.99 / 4.04 / 5.11 / 6.17 s
+# N = 11 / 12 / 13 / 14 / 15 / 16 / 17 were
+# 1.34 / 2.01 / 2.27 / 2.88 / 3.19 / 5.29 / 5.43 s
 # (Python 3.11.7, a shared 2-core Xeon host).  Per stage times also come
 # from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
-KERNEL_HOMOLOGY_MAX_STAGES = 13
+KERNEL_HOMOLOGY_MAX_STAGES = 15
 
 # The pinned surjection of the trefoil group onto A5.
 TREFOIL_A5 = GenAssignment.from_names(

@@ -11,7 +11,11 @@ rule so results are deterministic:
    equals the gcd of their row and the gcd of their column, chosen by
    least (Markowitz fill cost, |v|, row, column), whatever their value.
    Candidates come from one scan of every row and from the rows that
-   pivots update; any other divisor is left to the dense stages.
+   pivots update; any other divisor is left to the dense stages.  A row
+   keeps at most one unit queued, its cheapest when queued, as in
+   Markowitz searches that look at a few rows at a time (Duff, Erisman
+   and Reid, "Direct Methods for Sparse Matrices", 1986), so the queue
+   holds about one entry per row, not one per unit.
    Clearing the column by integer row operations is exact, after which
    column operations clear the pivot row without touching any other
    row.  So each pivot splits the matrix into diag(v) + M' and
@@ -23,7 +27,7 @@ rule so results are deterministic:
    programming", 1957) keeps the fill low: a unit of cost in the
    thousands waits behind a 2 of cost 2.  Stages 2 and 3 run on its
    distinct rows: of rows equal up to sign only the first is kept,
-   which leaves the row lattice unchanged (at stage count 5, 51 of 128).
+   which leaves the row lattice unchanged (at stage count 5, 47 of 157).
 2. Fraction-free (Bareiss) elimination of the small dense residual.
    Every intermediate value is a true minor of the residual (Bareiss,
    "Sylvester's identity and multistep integer-preserving Gaussian
@@ -56,7 +60,7 @@ The factors of all stages are merged into one divisibility chain.
 Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
-elimination.  On the kernel matrices D has the last pivot's bits, 114
+elimination.  On the kernel matrices D has the last pivot's bits, 115
 or more (stage count 5 on), and splitting takes it down to the primes
 2, 3 and 5 (stage counts 3 to 11), each worked modulo powers below
 2^30; this follows the local approach of Dumas, Saunders and Villard
@@ -65,7 +69,7 @@ or more (stage count 5 on), and splitting takes it down to the primes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from math import gcd
 
 SparseRows = dict[int, dict[int, int]]
@@ -79,12 +83,12 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
     >>> smith_normal_form([[0, 0], [0, 0]])
     ([], 0)
     """
-    rows: SparseRows = {}
+    work: SparseRows = {}
     for i, row in enumerate(matrix):
         entries = {j: v for j, v in enumerate(row) if v}
         if entries:
-            rows[i] = entries
-    return smith_normal_form_sparse(rows)
+            work[i] = entries
+    return _smith(work)
 
 
 def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
@@ -94,7 +98,11 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
     columns absent from the mapping are zero.  Returns the invariant
     factors as a divisibility chain (1s included) and the rank.
     """
-    work = {i: dict(r) for i, r in rows.items() if r}
+    return _smith({i: dict(r) for i, r in rows.items() if r})
+
+
+def _smith(work: SparseRows) -> tuple[list[int], int]:
+    """The three stages on ``work``, a fresh mapping they consume."""
     factors = _divisor_stage(work)
     dense = _densify(work)
     rank_rest, det = _bareiss_rank_det([row[:] for row in dense])
@@ -109,15 +117,21 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     Pivot choice: least (Markowitz cost (len(row)-1)*(len(col)-1), |v|,
     row, column).  Candidates are the entries v equal to their row gcd,
     so units are candidates in every row.  They live in a lazily
-    validated heap; stale entries are discarded on pop.  The heap is
-    seeded by one scan of every row; after that, units are pushed as
-    soon as they appear, and so is every entry equal to the gcd g > 1
-    of a row just updated, until the heap is empty.  Elimination keeps
-    a row divisible by its candidate v: a pivot w at (r, c) subtracts
-    e/w times row r, a multiple of w, from a row holding e at column c,
-    so the row changes by a multiple of e.  Only the column is checked
-    on pop.  A candidate whose column becomes divisible only later, with
-    its row unchanged, stays in the residual for the dense stages.
+    validated heap that holds at most one unit per row: the row's least
+    (cost, column) unit when it was queued.  The heap is seeded with it;
+    a row that an update gives a new unit is queued again once the pivot
+    is done; an entry that was replaced or whose row is gone is skipped
+    on pop; and a queued unit whose value or cost went stale is replaced
+    by the row's best unit again.  Entries equal to a row gcd g > 1 are
+    queued one by one: by the seeding scan, and after an update that
+    leaves g > 1, all of them if the gcd changed, else only those in the
+    pivot row's columns, the only entries that changed.  Elimination
+    keeps a row divisible by its candidate v: a pivot w at (r, c)
+    subtracts e/w times row r, a multiple of w, from a row holding e at
+    column c, so the row changes by a multiple of e.  Only the column is
+    checked on pop.  A candidate whose column becomes divisible only
+    later, with its entry unchanged, stays in the residual for the dense
+    stages.
     """
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
@@ -125,62 +139,106 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
             cols.setdefault(j, set()).add(i)
 
     heap: list[tuple[int, int, int, int]] = []
+    queued: dict[int, tuple[int, int, int, int]] = {}
+    gcds: dict[int, int] = {}
+
+    def best_unit(i: int, row: dict[int, int]) -> None:
+        best = None
+        n = len(row) - 1
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                key = (n * (len(cols[j]) - 1), j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            queued.pop(i, None)
+        else:
+            queued[i] = entry = (best[0], 1, i, best[1])
+            heappush(heap, entry)
 
     def push(i: int, j: int, a: int) -> None:
         cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-        heapq.heappush(heap, (cost, a, i, j))
+        heappush(heap, (cost, a, i, j))
 
     for i, r in rows.items():
-        g = gcd(*r.values())
-        for j, v in r.items():
-            if abs(v) == g:
-                push(i, j, g)
+        g = gcds[i] = gcd(*r.values())
+        if g == 1:
+            best_unit(i, r)
+        else:
+            for j, v in r.items():
+                if v == g or v == -g:
+                    push(i, j, g)
     pivots: list[int] = []
     while heap:
-        cost, a, pr, pc = heapq.heappop(heap)
-        row = rows.get(pr)
-        if row is None:
-            continue
-        v = row.get(pc, 0)
-        if abs(v) != a:
-            continue
-        if cost != (len(row) - 1) * (len(cols[pc]) - 1):
-            push(pr, pc, a)
-            continue
-        if a != 1 and gcd(*[rows[i][pc] for i in cols[pc]]) != a:
-            continue
+        entry = heappop(heap)
+        cost, a, pr, pc = entry
+        if a == 1:
+            if queued.get(pr) is not entry:
+                continue
+            row = rows[pr]
+            v = row.get(pc)
+            if (v != 1 and v != -1
+                    or cost != (len(row) - 1) * (len(cols[pc]) - 1)):
+                best_unit(pr, row)
+                continue
+        else:
+            row = rows.get(pr)
+            if row is None:
+                continue
+            v = row.get(pc, 0)
+            if abs(v) != a:
+                continue
+            if cost != (len(row) - 1) * (len(cols[pc]) - 1):
+                push(pr, pc, a)
+                continue
+            if gcd(*[rows[i][pc] for i in cols[pc]]) != a:
+                continue
         # Clear the column: exact since v divides it.  The pivot row is
         # then cleared by column operations that touch no other row,
         # which splits off diag(v).
+        gained = []
         for i in list(cols[pc]):
             if i == pr:
                 continue
             trow = rows[i]
             q = trow[pc] // v
+            unit = False
             for j, s in row.items():
                 new = trow.get(j, 0) - q * s
                 if new:
                     if j not in trow:
                         cols[j].add(i)
                     trow[j] = new
-                    if abs(new) == 1:
-                        push(i, j, 1)
+                    if new == 1 or new == -1:
+                        unit = True
                 elif j in trow:
                     del trow[j]
                     cols[j].discard(i)
             if not trow:
                 del rows[i]
+                queued.pop(i, None)
+                continue
+            if unit:
+                gcds[i] = 1
+                gained.append(i)
                 continue
             g = gcd(*trow.values())
             if g > 1:
-                for j, w in trow.items():
-                    if abs(w) == g:
+                for j in row if g == gcds[i] else trow:
+                    w = trow.get(j)
+                    if w == g or w == -g:
                         push(i, j, g)
+            gcds[i] = g
         for j in row:
             cols[j].discard(pr)
         del rows[pr]
+        queued.pop(pr, None)
         del cols[pc]
         pivots.append(a)
+        # Column lengths are final only now that every row is updated and
+        # the pivot row is gone; a cost taken earlier would go stale.
+        for i in gained:
+            best_unit(i, rows[i])
     return pivots
 
 

@@ -148,6 +148,85 @@ def test_divisor_stage_skips_entries_that_do_not_divide_their_column():
     assert smith_normal_form([[2, 0], [3, 5]]) == ([1, 10], 2)
 
 
+def divisor_stage_queue(monkeypatch, rows):
+    """Check the whole form of ``rows`` against the oracle, then run the
+    divisor stage on a copy; return its pivots, the residual and every
+    (cost, |v|, row, column) entry pushed on its heap."""
+    ncols = 1 + max(j for r in rows.values() for j in r)
+    matrix = [[r.get(j, 0) for j in range(ncols)] for r in rows.values()]
+    assert smith_normal_form(matrix) == naive_snf(matrix)
+    pushed = []
+    real = snf.heappush
+
+    def spy(heap, entry):
+        pushed.append(entry)
+        real(heap, entry)
+
+    monkeypatch.setattr(snf, "heappush", spy)
+    work = {i: dict(r) for i, r in rows.items()}
+    return snf._divisor_stage(work), work, pushed
+
+
+def test_queued_unit_made_a_non_unit_gives_way_to_the_rows_other_unit(
+        monkeypatch):
+    # row 1 queues its unit at column 1 (cost 2, before column 2 by index);
+    # the pivot at (0, 0) turns it into 3 and gives the row no new unit, so
+    # the stale entry is replaced by the row's other unit at column 2
+    rows = {0: {0: 1, 1: 1}, 1: {0: -2, 1: 1, 2: 1}, 2: {2: 5, 3: 7}}
+    pivots, residual, pushed = divisor_stage_queue(monkeypatch, rows)
+    assert [e for e in pushed if e[2] == 1] == [(2, 1, 1, 1), (1, 1, 1, 2)]
+    assert pivots == [1, 1]
+    assert residual == {2: {1: -15, 3: 7}}
+
+
+def test_queued_unit_whose_cost_went_stale_is_queued_again(monkeypatch):
+    # the pivot at (0, 2) takes row 0 out of column 0, so row 1's unit
+    # there drops from cost 1 to 0 and is queued again at its new cost
+    rows = {0: {0: 2, 2: 1}, 1: {0: 1, 1: 3}}
+    pivots, residual, pushed = divisor_stage_queue(monkeypatch, rows)
+    assert [e for e in pushed if e[2] == 1] == [(1, 1, 1, 0), (0, 1, 1, 0)]
+    assert pivots == [1, 1]
+    assert residual == {}
+
+
+def test_update_that_gives_a_row_a_cheaper_unit_queues_it(monkeypatch):
+    # row 1's only unit, at column 2, costs 6; the pivot at (0, 0) leaves
+    # -1 alone in column 1, of cost 0, so row 1 is pivoted there and the
+    # rows below its column-2 unit are never touched
+    rows = {0: {0: 1, 1: 1}, 1: {0: 3, 1: 2, 2: 1, 3: 2},
+            2: {2: 2, 4: 3}, 3: {2: 2, 5: 3}}
+    pivots, residual, pushed = divisor_stage_queue(monkeypatch, rows)
+    assert [e for e in pushed if e[2] == 1] == [(6, 1, 1, 2), (0, 1, 1, 1)]
+    assert pivots == [1, 1]
+    assert residual == {2: {2: 2, 4: 3}, 3: {2: 2, 5: 3}}
+
+
+def test_non_unit_that_fails_its_column_returns_with_a_new_row_gcd(
+        monkeypatch):
+    # the 2 at (0, 0) divides its row but not the 3 below it; the unit
+    # pivot at (1, 1) makes row 0 (-10, 0, -20), whose new gcd 10 is
+    # queued and now divides its column
+    rows = {0: {0: 2, 1: 4}, 1: {0: 3, 1: 1, 2: 5}}
+    pivots, residual, pushed = divisor_stage_queue(monkeypatch, rows)
+    assert [e for e in pushed if e[2] == 0] == [(1, 2, 0, 0), (1, 10, 0, 0),
+                                                 (0, 10, 0, 0)]
+    assert pivots == [1, 10]
+    assert residual == {}
+
+
+def test_update_that_keeps_the_row_gcd_queues_only_the_pivots_columns(
+        monkeypatch):
+    # row 1 keeps gcd 2 through the pivot at (0, 1); of its entries equal
+    # to 2 only the one in the pivot row's columns is new, at column 4
+    rows = {0: {1: 1, 4: 1}, 1: {0: 2, 1: 2, 3: 2}, 2: {0: 6, 3: 6},
+            3: {4: 3, 5: 7}}
+    pivots, residual, pushed = divisor_stage_queue(monkeypatch, rows)
+    assert [e for e in pushed if e[2] == 1] == [
+        (2, 2, 1, 0), (2, 2, 1, 1), (2, 2, 1, 3), (4, 2, 1, 4)]
+    assert pivots == [1, 2]
+    assert residual == {2: {4: 6}, 3: {4: 3, 5: 7}}
+
+
 def test_residual_that_split_a_factor_modulo_det():
     # Reduction modulo D = 180 once split a factor of this residual into
     # coprime pieces; the local stage must give the oracle's chain too.
@@ -626,10 +705,10 @@ def test_rank_mod_p_certificate_on_kernel_matrices(j):
         rows, len(derived.generators), inv.free_rank, inv.torsion)
 
 
-@pytest.mark.parametrize("j, shape", [(3, (18, 16)), (4, (22, 52)),
-                                      (5, (51, 62))])
+@pytest.mark.parametrize("j, shape", [(3, (30, 21)), (4, (28, 51)),
+                                      (5, (47, 58))])
 def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
-    # the divisor stage leaves 60, 95 and 128 rows, most of them repeated
+    # the divisor stage leaves 58, 85 and 157 rows, most of them repeated
     # up to sign; Bareiss and the local stage see one copy of each
     _, rows = kernel_relation_rows(j)
     sparse = {i: {c: v for c, v in r.items() if v} for i, r in enumerate(rows)}
