@@ -69,7 +69,7 @@ SMALL_STAGE_NOTE = (
 # or less.  Each stage adds 660 rows and 540 columns to the relation matrix,
 # and the Smith normal form grows faster than that.  Medians for
 # N = 11 / 12 / 13 / 14 / 15 / 16 / 17 were
-# 1.34 / 2.01 / 2.27 / 2.88 / 3.19 / 5.29 / 5.43 s
+# 1.53 / 2.27 / 2.25 / 3.85 / 3.66 / 6.33 / 5.08 s
 # (Python 3.11.7, a shared 2-core Xeon host).  Per stage times also come
 # from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
@@ -109,9 +109,10 @@ def load_presentation_file(path: str) -> Presentation:
     return _parse_at(path, parse_presentation, _load_text(path))
 
 
-def load_assignment_file(path: str) -> GenAssignment:
+def load_assignment_file(path: str,
+                         generators: Sequence[str]) -> GenAssignment:
     """Parse an assignment file: one ``name = cycle-notation`` line per
-    generator, '#' comments allowed."""
+    generator, each one of ``generators``, '#' comments allowed."""
     mapping: dict[str, Perm] = {}
     for where, line in _file_lines(path):
         name, eq, cycles = (part.strip() for part in line.partition("="))
@@ -121,6 +122,8 @@ def load_assignment_file(path: str) -> GenAssignment:
             raise KnotcoverError(f"{where}: generator {name!r} assigned twice")
         mapping.update(_parse_at(where, GenAssignment.from_names,
                                  {name: cycles}).mapping)
+        if name not in generators:
+            raise KnotcoverError(f"{where}: unknown generator {name!r}")
     return GenAssignment(mapping, label=path)
 
 
@@ -208,7 +211,7 @@ def cmd_verify_tables(args) -> tuple[dict, list[str], int]:
 
 def cmd_check_hom(args) -> tuple[dict, list[str], int]:
     p = load_presentation_file(args.pres)
-    assignment = load_assignment_file(args.assign)
+    assignment = load_assignment_file(args.assign, p.generators)
     result = check_relators(p, assignment)
     report = {
         "violations": [v.name for v in result.violations],
@@ -263,7 +266,8 @@ def cmd_cosets(args) -> tuple[dict, list[str], int]:
     if args.mode == "kernel":
         if not args.assign:
             raise KnotcoverError("--mode kernel requires --assign FILE")
-        table = kernel_coset_table(p, load_assignment_file(args.assign))
+        table = kernel_coset_table(
+            p, load_assignment_file(args.assign, p.generators))
     elif args.mode == "cyclic":
         if args.k is None:
             raise KnotcoverError("--mode cyclic requires --k K")

@@ -10,12 +10,12 @@ rule so results are deterministic:
 1. Sparse elimination at divisor pivots: entries v whose absolute value
    equals the gcd of their row and the gcd of their column, chosen by
    least (Markowitz fill cost, |v|, row, column), whatever their value.
-   Candidates come from one scan of every row and from the rows that
-   pivots update; any other divisor is left to the dense stages.  A row
-   keeps at most one unit queued, its cheapest when queued, as in
-   Markowitz searches that look at a few rows at a time (Duff, Erisman
-   and Reid, "Direct Methods for Sparse Matrices", 1986), so the queue
-   holds about one entry per row, not one per unit.
+   Each row offers one candidate, its cheapest entry equal to its gcd
+   (a unit when the gcd is 1), as in Markowitz searches that look at a
+   few rows at a time (Duff, Erisman and Reid, "Direct Methods for
+   Sparse Matrices", 1986), so the queue holds about one entry per row.
+   A row whose candidate does not divide its column offers none until a
+   pivot updates it; any other divisor is left to the dense stages.
    Clearing the column by integer row operations is exact, after which
    column operations clear the pivot row without touching any other
    row.  So each pivot splits the matrix into diag(v) + M' and
@@ -27,7 +27,9 @@ rule so results are deterministic:
    programming", 1957) keeps the fill low: a unit of cost in the
    thousands waits behind a 2 of cost 2.  Stages 2 and 3 run on its
    distinct rows: of rows equal up to sign only the first is kept,
-   which leaves the row lattice unchanged (at stage count 5, 47 of 157).
+   which leaves the row lattice unchanged.  How many remain on the
+   kernel matrices is pinned by the dense residual shape tests in
+   tests/test_snf.py and tests/test_subgroups.py.
 2. Fraction-free (Bareiss) elimination of the small dense residual.
    Every intermediate value is a true minor of the residual (Bareiss,
    "Sylvester's identity and multistep integer-preserving Gaussian
@@ -60,11 +62,12 @@ The factors of all stages are merged into one divisibility chain.
 Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
-elimination.  On the kernel matrices D has the last pivot's bits, 115
-or more (stage count 5 on), and splitting takes it down to the primes
-2, 3 and 5 (stage counts 3 to 11), each worked modulo powers below
-2^30; this follows the local approach of Dumas, Saunders and Villard
-("On efficient sparse integer matrix Smith normal forms", 2001).
+elimination.  On the kernel matrices D has the last pivot's bits, 114
+or more (stage count 5 on), and splitting takes it down to bases that
+are powers of 2, 3 and 5 (stage counts 3 to 11), each worked modulo
+powers below 2^30; this follows the local approach of Dumas, Saunders
+and Villard ("On efficient sparse integer matrix Smith normal forms",
+2001).
 """
 
 from __future__ import annotations
@@ -115,23 +118,17 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     """Eliminate at divisor pivots in place; return the pivot values.
 
     Pivot choice: least (Markowitz cost (len(row)-1)*(len(col)-1), |v|,
-    row, column).  Candidates are the entries v equal to their row gcd,
-    so units are candidates in every row.  They live in a lazily
-    validated heap that holds at most one unit per row: the row's least
-    (cost, column) unit when it was queued.  The heap is seeded with it;
-    a row that an update gives a new unit is queued again once the pivot
-    is done; an entry that was replaced or whose row is gone is skipped
-    on pop; and a queued unit whose value or cost went stale is replaced
-    by the row's best unit again.  Entries equal to a row gcd g > 1 are
-    queued one by one: by the seeding scan, and after an update that
-    leaves g > 1, all of them if the gcd changed, else only those in the
-    pivot row's columns, the only entries that changed.  Elimination
-    keeps a row divisible by its candidate v: a pivot w at (r, c)
-    subtracts e/w times row r, a multiple of w, from a row holding e at
-    column c, so the row changes by a multiple of e.  Only the column is
-    checked on pop.  A candidate whose column becomes divisible only
-    later, with its entry unchanged, stays in the residual for the dense
-    stages.
+    row, column).  Each row queues one candidate in a lazily validated
+    heap: its least (cost, column) entry equal to ±g, g the row gcd.  On
+    pop an entry that was replaced or whose row is gone is skipped, one
+    whose value or cost went stale is replaced by the row's current
+    candidate, and one with g > 1 that does not divide its column is
+    dropped, which leaves the row nothing in the heap.  After a pivot,
+    the updated rows that gained a unit, hold no candidate or hold a
+    g > 1 candidate are queued again, so a live candidate divides its
+    row and only its column is checked.  A row whose candidate column
+    becomes divisible later, with the row unchanged, stays in the
+    residual for the dense stages.
     """
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
@@ -140,63 +137,42 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
 
     heap: list[tuple[int, int, int, int]] = []
     queued: dict[int, tuple[int, int, int, int]] = {}
-    gcds: dict[int, int] = {}
 
-    def best_unit(i: int, row: dict[int, int]) -> None:
+    def queue(i: int, row: dict[int, int]) -> None:
+        g = gcd(*row.values())
         best = None
         n = len(row) - 1
         for j, v in row.items():
-            if v == 1 or v == -1:
+            if v == g or v == -g:
                 key = (n * (len(cols[j]) - 1), j)
                 if best is None or key < best:
                     best = key
         if best is None:
             queued.pop(i, None)
         else:
-            queued[i] = entry = (best[0], 1, i, best[1])
+            queued[i] = entry = (best[0], g, i, best[1])
             heappush(heap, entry)
 
-    def push(i: int, j: int, a: int) -> None:
-        cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-        heappush(heap, (cost, a, i, j))
-
     for i, r in rows.items():
-        g = gcds[i] = gcd(*r.values())
-        if g == 1:
-            best_unit(i, r)
-        else:
-            for j, v in r.items():
-                if v == g or v == -g:
-                    push(i, j, g)
+        queue(i, r)
     pivots: list[int] = []
     while heap:
         entry = heappop(heap)
         cost, a, pr, pc = entry
-        if a == 1:
-            if queued.get(pr) is not entry:
-                continue
-            row = rows[pr]
-            v = row.get(pc)
-            if (v != 1 and v != -1
-                    or cost != (len(row) - 1) * (len(cols[pc]) - 1)):
-                best_unit(pr, row)
-                continue
-        else:
-            row = rows.get(pr)
-            if row is None:
-                continue
-            v = row.get(pc, 0)
-            if abs(v) != a:
-                continue
-            if cost != (len(row) - 1) * (len(cols[pc]) - 1):
-                push(pr, pc, a)
-                continue
-            if gcd(*[rows[i][pc] for i in cols[pc]]) != a:
-                continue
+        if queued.get(pr) is not entry:
+            continue
+        row = rows[pr]
+        v = row.get(pc)
+        if (v != a and v != -a
+                or cost != (len(row) - 1) * (len(cols[pc]) - 1)):
+            queue(pr, row)
+            continue
+        if a > 1 and gcd(*[rows[i][pc] for i in cols[pc]]) != a:
+            continue
         # Clear the column: exact since v divides it.  The pivot row is
         # then cleared by column operations that touch no other row,
         # which splits off diag(v).
-        gained = []
+        requeue = []
         for i in list(cols[pc]):
             if i == pr:
                 continue
@@ -217,28 +193,18 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
             if not trow:
                 del rows[i]
                 queued.pop(i, None)
-                continue
-            if unit:
-                gcds[i] = 1
-                gained.append(i)
-                continue
-            g = gcd(*trow.values())
-            if g > 1:
-                for j in row if g == gcds[i] else trow:
-                    w = trow.get(j)
-                    if w == g or w == -g:
-                        push(i, j, g)
-            gcds[i] = g
+            elif unit or i not in queued or queued[i][1] > 1:
+                requeue.append(i)
         for j in row:
             cols[j].discard(pr)
         del rows[pr]
-        queued.pop(pr, None)
+        del queued[pr]
         del cols[pc]
         pivots.append(a)
         # Column lengths are final only now that every row is updated and
         # the pivot row is gone; a cost taken earlier would go stale.
-        for i in gained:
-            best_unit(i, rows[i])
+        for i in requeue:
+            queue(i, rows[i])
     return pivots
 
 

@@ -363,6 +363,11 @@ def _must_not_run(*args, **kwargs):
           "--k", str(COSET_CAP + 1)],
          f"fold {COSET_CAP + 1} exceeds the coset cap {COSET_CAP}"),
         (["run-all", "--cap", "5000"], "unrecognized arguments: --cap 5000"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{unknown_assigned}"],
+         "unknown_assigned.txt:3: unknown generator 'z'"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "kernel",
+          "--assign", "{unknown_assigned}"],
+         "unknown_assigned.txt:3: unknown generator 'z'"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0",
@@ -374,7 +379,8 @@ def _must_not_run(*args, **kwargs):
          "arabic-indic-digit", "kernel-jmax-above-limit", "cap-reached",
          "subgroup-bad-syllable", "assignment-unclosed-cycle",
          "assignment-bad-name-located", "presentation-error-names-its-file",
-         "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired"],
+         "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired",
+         "assignment-unknown-generator", "kernel-cosets-unknown-generator"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -401,12 +407,15 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
     bad_name_line2.write_text("a = (1,3,5,4,2)\nB = (1,2)\n")
     bad_pres = tmp_path / "bad.pres"
     bad_pres.write_text("gens: a b\nrel: a x\n")
+    unknown_assigned = tmp_path / "unknown_assigned.txt"
+    unknown_assigned.write_text("a = (1,3,5,4,2)\nb = (1,2,3,4,5)\nz = (1,2)\n")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
              "bad_name": str(bad_name), "not_utf8": str(not_utf8),
              "unknown_gen": str(unknown_gen), "duplicate": str(duplicate),
              "superscript": str(superscript), "arabic_indic": str(arabic_indic),
              "bad_syllable": str(bad_syllable), "unclosed": str(unclosed),
-             "bad_name_line2": str(bad_name_line2), "bad_pres": str(bad_pres)}
+             "bad_name_line2": str(bad_name_line2), "bad_pres": str(bad_pres),
+             "unknown_assigned": str(unknown_assigned)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""

@@ -229,8 +229,8 @@ def test_kernel_rows_match_the_exponent_sums_of_the_rewritten_words(
         == expected
 
 
-@pytest.mark.parametrize("j, shape", [(3, (30, 21)), (4, (28, 51)),
-                                      (5, (47, 58))])
+@pytest.mark.parametrize("j, shape", [(3, (19, 16)), (4, (24, 50)),
+                                      (5, (43, 51))])
 def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
     rows = _snf_rows(monkeypatch, lambda: cover_homology(*_cover("kernel", j)))
     sparse = {i: dict(r) for i, r in rows}
