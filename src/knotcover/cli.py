@@ -69,7 +69,7 @@ SMALL_STAGE_NOTE = (
 # or less.  Each stage adds 660 rows and 540 columns to the relation matrix,
 # and the Smith normal form grows faster than that.  Medians for
 # N = 11 / 12 / 13 / 14 / 15 / 16 / 17 were
-# 1.53 / 2.27 / 2.25 / 3.85 / 3.66 / 6.33 / 5.08 s
+# 1.83 / 2.45 / 2.16 / 3.44 / 3.58 / 6.24 / 5.07 s
 # (Python 3.11.7, a shared 2-core Xeon host).  Per stage times also come
 # from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1

@@ -14,6 +14,8 @@ rule so results are deterministic:
    (a unit when the gcd is 1), as in Markowitz searches that look at a
    few rows at a time (Duff, Erisman and Reid, "Direct Methods for
    Sparse Matrices", 1986), so the queue holds about one entry per row.
+   The search compares column length, then column, and applies the
+   row's factor of the cost once; a row that gains a +-1 has gcd 1.
    A row whose candidate does not divide its column offers none until a
    pivot updates it; any other divisor is left to the dense stages.
    Clearing the column by integer row operations is exact, after which
@@ -119,15 +121,18 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
 
     Pivot choice: least (Markowitz cost (len(row)-1)*(len(col)-1), |v|,
     row, column).  Each row queues one candidate in a lazily validated
-    heap: its least (cost, column) entry equal to ±g, g the row gcd.  On
-    pop an entry that was replaced or whose row is gone is skipped, one
-    whose value or cost went stale is replaced by the row's current
-    candidate, and one with g > 1 that does not divide its column is
-    dropped, which leaves the row nothing in the heap.  After a pivot,
-    the updated rows that gained a unit, hold no candidate or hold a
-    g > 1 candidate are queued again, so a live candidate divides its
-    row and only its column is checked.  A row whose candidate column
-    becomes divisible later, with the row unchanged, stays in the
+    heap: its least (cost, column) entry equal to ±g, g the row gcd.  As
+    len(row)-1 is the same for all the row's entries, the search takes
+    the least (len(col), column) and multiplies once; a row that gained
+    a ±1 in an update is queued with g = 1, no gcd taken.  A popped
+    entry leaves ``queued``: one that was replaced or whose row is gone
+    is skipped, one whose value or cost went stale is replaced by the
+    row's current candidate, and one with g > 1 that does not divide its
+    column is dropped, which leaves the row nothing in the heap.  After
+    a pivot, the updated rows that gained a unit, hold no candidate or
+    hold a g > 1 candidate are queued again, so a live candidate divides
+    its row and only its column is checked.  A row whose candidate
+    column becomes divisible later, with the row unchanged, stays in the
     residual for the dense stages.
     """
     cols: dict[int, set[int]] = {}
@@ -138,73 +143,77 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     heap: list[tuple[int, int, int, int]] = []
     queued: dict[int, tuple[int, int, int, int]] = {}
 
-    def queue(i: int, row: dict[int, int]) -> None:
-        g = gcd(*row.values())
-        best = None
-        n = len(row) - 1
+    def queue(i: int, row: dict[int, int], g: int) -> None:
+        size = best = 0
         for j, v in row.items():
             if v == g or v == -g:
-                key = (n * (len(cols[j]) - 1), j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            queued.pop(i, None)
-        else:
-            queued[i] = entry = (best[0], g, i, best[1])
+                n = len(cols[j])
+                if not size or n < size or n == size and j < best:
+                    size, best = n, j
+        if size:
+            queued[i] = entry = ((len(row) - 1) * (size - 1), g, i, best)
             heappush(heap, entry)
+        else:
+            queued.pop(i, None)
 
     for i, r in rows.items():
-        queue(i, r)
+        queue(i, r, gcd(*r.values()))
     pivots: list[int] = []
     while heap:
         entry = heappop(heap)
         cost, a, pr, pc = entry
         if queued.get(pr) is not entry:
             continue
+        del queued[pr]
         row = rows[pr]
         v = row.get(pc)
         if (v != a and v != -a
                 or cost != (len(row) - 1) * (len(cols[pc]) - 1)):
-            queue(pr, row)
+            queue(pr, row, gcd(*row.values()))
             continue
-        if a > 1 and gcd(*[rows[i][pc] for i in cols[pc]]) != a:
+        col = cols[pc]
+        if a > 1 and gcd(*[rows[i][pc] for i in col]) != a:
             continue
         # Clear the column: exact since v divides it.  The pivot row is
         # then cleared by column operations that touch no other row,
         # which splits off diag(v).
+        del cols[pc], row[pc]
+        col.discard(pr)
         requeue = []
-        for i in list(cols[pc]):
-            if i == pr:
-                continue
+        for i in col:
             trow = rows[i]
-            q = trow[pc] // v
+            q = trow.pop(pc) // v
             unit = False
             for j, s in row.items():
-                new = trow.get(j, 0) - q * s
-                if new:
-                    if j not in trow:
-                        cols[j].add(i)
+                t = trow.get(j)
+                if t is None:
+                    # q and s are nonzero, so a new entry is too
+                    trow[j] = new = -q * s
+                    cols[j].add(i)
+                else:
+                    new = t - q * s
+                    if not new:
+                        del trow[j]
+                        cols[j].discard(i)
+                        continue
                     trow[j] = new
-                    if new == 1 or new == -1:
-                        unit = True
-                elif j in trow:
-                    del trow[j]
-                    cols[j].discard(i)
+                if new == 1 or new == -1:
+                    unit = True
             if not trow:
                 del rows[i]
                 queued.pop(i, None)
-            elif unit or i not in queued or queued[i][1] > 1:
-                requeue.append(i)
+            elif unit:
+                requeue.append((i, 1))
+            elif (e := queued.get(i)) is None or e[1] > 1:
+                requeue.append((i, gcd(*trow.values())))
         for j in row:
             cols[j].discard(pr)
         del rows[pr]
-        del queued[pr]
-        del cols[pc]
         pivots.append(a)
         # Column lengths are final only now that every row is updated and
         # the pivot row is gone; a cost taken earlier would go stale.
-        for i in requeue:
-            queue(i, rows[i])
+        for i, g in requeue:
+            queue(i, rows[i], g)
     return pivots
 
 

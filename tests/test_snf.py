@@ -148,6 +148,25 @@ def test_divisor_stage_skips_entries_that_do_not_divide_their_column():
     assert smith_normal_form([[2, 0], [3, 5]]) == ([1, 10], 2)
 
 
+def heap_traffic(monkeypatch):
+    """Lists that fill with every (cost, |v|, row, column) entry the
+    divisor stage pushes on its heap and every entry it pops."""
+    pushed, popped = [], []
+    real_push, real_pop = snf.heappush, snf.heappop
+
+    def push(heap, entry):
+        pushed.append(entry)
+        real_push(heap, entry)
+
+    def pop(heap):
+        popped.append(real_pop(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(snf, "heappush", push)
+    monkeypatch.setattr(snf, "heappop", pop)
+    return pushed, popped
+
+
 def divisor_stage_queue(monkeypatch, rows):
     """Check the whole form of ``rows`` against the oracle, then run the
     divisor stage on a copy; return its pivots, the residual and every
@@ -155,14 +174,7 @@ def divisor_stage_queue(monkeypatch, rows):
     ncols = 1 + max(j for r in rows.values() for j in r)
     matrix = [[r.get(j, 0) for j in range(ncols)] for r in rows.values()]
     assert smith_normal_form(matrix) == naive_snf(matrix)
-    pushed = []
-    real = snf.heappush
-
-    def spy(heap, entry):
-        pushed.append(entry)
-        real(heap, entry)
-
-    monkeypatch.setattr(snf, "heappush", spy)
+    pushed, _ = heap_traffic(monkeypatch)
     work = {i: dict(r) for i, r in rows.items()}
     return snf._divisor_stage(work), work, pushed
 
@@ -353,6 +365,33 @@ def stress_matrices():
 
 
 STRESS = stress_matrices()
+
+
+def sparse_fill_matrices():
+    """Seeded sparse matrices, 8 to 14 rows and columns at density 0.3,
+    with entries in +-1, +-2, +-3 and +-6: big enough for the divisor
+    stage's updates to fill in, and with divisor pivots above 1."""
+    rng = random.Random(2026)
+    values = (1, -1, 2, -2, 3, -3, 6, -6)
+    out = []
+    for _ in range(200):
+        nr, nc = rng.randint(8, 14), rng.randint(8, 14)
+        out.append([[rng.choice(values) if rng.random() < 0.3 else 0
+                     for _ in range(nc)] for _ in range(nr)])
+    return out
+
+
+def test_sparse_stress_with_fill_against_oracle():
+    # across the family the divisor stage pivots at values above 1 and
+    # leaves entries in the residual where the input had zeros
+    divisors = filled = 0
+    for matrix in sparse_fill_matrices():
+        assert smith_normal_form(matrix) == naive_snf(matrix), matrix
+        work = {i: {j: v for j, v in enumerate(r) if v}
+                for i, r in enumerate(matrix) if any(r)}
+        divisors += sum(1 for a in snf._divisor_stage(work) if a > 1)
+        filled += sum(1 for i, r in work.items() for j in r if not matrix[i][j])
+    assert divisors and filled
 
 
 # -- the torsion stage: local modulo b^k, with bases split on demand ---------
@@ -714,6 +753,21 @@ def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
     snf._divisor_stage(sparse)
     dense = snf._densify(sparse)
     assert (len(dense), len(dense[0])) == shape
+
+
+@pytest.mark.parametrize("j, pushes, pivots", [(3, 6188, 1511),
+                                               (4, 9762, 2030),
+                                               (5, 13333, 2536)])
+def test_divisor_stage_heap_traffic_on_kernel_matrices(monkeypatch, j, pushes,
+                                                      pivots):
+    # the queue's bookkeeping may get cheaper, but a change in what it
+    # pushes changes the pivot order and so the dense residual
+    _, rows = kernel_relation_rows(j)
+    sparse = {i: {c: v for c, v in r.items() if v}
+              for i, r in enumerate(rows) if any(r.values())}
+    pushed, popped = heap_traffic(monkeypatch)
+    assert len(snf._divisor_stage(sparse)) == pivots
+    assert len(pushed) == len(popped) == pushes
 
 
 @pytest.mark.parametrize("j", [3, 4, 5])

@@ -230,8 +230,13 @@ def test_kernel_rows_match_the_exponent_sums_of_the_rewritten_words(
 
 
 @pytest.mark.parametrize("j, shape", [(3, (19, 16)), (4, (24, 50)),
-                                      (5, (43, 51))])
+                                      (5, (43, 51)), (6, (44, 76)),
+                                      (7, (81, 104)), (8, (100, 143))])
 def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
+    # the divisor stage leaves 62 / 80 / 153 / 115 / 248 / 271 rows, most
+    # of them repeated up to sign; Bareiss and the local stage see one copy
+    # of each.  Stage counts 6 to 8 lie past the benchmark's workloads, so
+    # a change of pivot order there fails here too
     rows = _snf_rows(monkeypatch, lambda: cover_homology(*_cover("kernel", j)))
     sparse = {i: dict(r) for i, r in rows}
     snf._divisor_stage(sparse)
