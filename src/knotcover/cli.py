@@ -64,12 +64,13 @@ SMALL_STAGE_NOTE = (
 )
 
 # The stage limit of `kernel-homology` and `run-all --kernel-jmax`: the
-# largest stage count whose `knotcover kernel-homology --j N --force` takes
-# about 4 s, that is, whose median of three fresh-process runs rounds to 4 s
-# or less.  Each stage adds 660 rows and 540 columns to the relation matrix,
-# and the Smith normal form grows faster than that.  Medians for
-# N = 11 / 12 / 13 / 14 / 15 / 16 / 17 were
-# 1.83 / 2.45 / 2.16 / 3.44 / 3.58 / 6.24 / 5.07 s
+# largest N such that `knotcover kernel-homology --j M --force` finished
+# within 4 s in each of five fresh-process runs for every M up to N.  Each
+# stage adds 660 rows and 540 columns to the relation matrix, and the Smith
+# normal form grows faster than that.  The runs of one N spread by a second
+# or more on a shared host, so their range is recorded, not one median;
+# for N = 14 / 15 / 16 / 17 they took
+# 2.15-3.22 / 2.24-2.77 / 3.62-5.01 / 2.77-4.68 s
 # (Python 3.11.7, a shared 2-core Xeon host).  Per stage times also come
 # from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1

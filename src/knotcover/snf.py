@@ -32,13 +32,16 @@ rule so results are deterministic:
    which leaves the row lattice unchanged.  How many remain on the
    kernel matrices is pinned by the dense residual shape tests in
    tests/test_snf.py and tests/test_subgroups.py.
-2. Fraction-free (Bareiss) elimination of the small dense residual.
-   Every intermediate value is a true minor of the residual (Bareiss,
-   "Sylvester's identity and multistep integer-preserving Gaussian
-   elimination", 1968), which bounds coefficient size and yields the
-   rank r plus D, the gcd of the r x r minors in the last pivot row and
-   multipliers, a multiple of d_1 ... d_r.  It divides the determinant
-   of the last pivot's minor and is often far smaller.
+2. Fraction-free (Bareiss) elimination of the small dense residual,
+   column by column.  Every intermediate value is a true minor of the
+   residual (Bareiss, "Sylvester's identity and multistep
+   integer-preserving Gaussian elimination", 1968), which bounds
+   coefficient size, and any nonzero pivot keeps the divisions exact:
+   in each column the first row at or below the rank with a nonzero
+   entry is the pivot, and a column with none is skipped.  This yields
+   the rank r plus D, the gcd of the r x r minors in the last pivot row
+   and multipliers, a multiple of d_1 ... d_r.  It divides the
+   determinant of the last pivot's minor and is often far smaller.
 3. Local elimination of the residual, one base at a time, skipped
    when D = 1.  The product of the invariant factors divides D, so
    every factor does too; as in modulo-determinant methods (Domich,
@@ -67,9 +70,10 @@ exact without the exponential entry blow-up of plain Euclidean
 elimination.  On the kernel matrices D has the last pivot's bits, 114
 or more (stage count 5 on), and splitting takes it down to bases that
 are powers of 2, 3 and 5 (stage counts 3 to 11), each worked modulo
-powers below 2^30; this follows the local approach of Dumas, Saunders
-and Villard ("On efficient sparse integer matrix Smith normal forms",
-2001).
+powers below 2^30, plus at stage count 8 the prime 17, which divides D
+but no factor and takes one pass modulo 17; this follows the local
+approach of Dumas, Saunders and Villard ("On efficient sparse integer
+matrix Smith normal forms", 2001).
 """
 
 from __future__ import annotations
@@ -240,52 +244,40 @@ def _densify(rows: SparseRows) -> list[list[int]]:
 def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
     """Rank r and a multiple D of d_1 ... d_r, in place.
 
-    Fraction-free elimination: every intermediate entry is a minor of
-    the input, so sizes stay polynomially bounded.  Pivots are chosen
-    by least absolute value (ties row-major) to keep the minor small.
-    D is the gcd of the r x r minors in the last pivot row and
-    multipliers, a multiple of d_1 ... d_r (the gcd of all r x r
-    minors) that divides the last pivot, the determinant of a
-    nonsingular r x r minor.  The multipliers stay in the pivot column,
-    which no later step reads or writes.
+    Fraction-free elimination, one column at a time: every intermediate
+    entry is a minor of the input, so sizes stay polynomially bounded,
+    and any nonzero pivot keeps the divisions exact.  In column c the
+    pivot is the first row at or below the rank with a nonzero entry
+    there, swapped up to the rank; a column with no such row is
+    skipped, and no later step writes to it.  D is the gcd of the r x r
+    minors in the last pivot row, from the last pivot column on, and in
+    the multipliers below it in that column: a multiple of d_1 ... d_r
+    (the gcd of all r x r minors) that divides the last pivot, the
+    determinant of a nonsingular r x r minor.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     prev = 1
-    rank = 0
-    for k in range(min(nrows, ncols)):
-        best = None
-        for i in range(k, nrows):
-            mi = m[i]
-            for j in range(k, ncols):
-                v = mi[j]
-                if v:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            m[k], m[bi] = m[bi], m[k]
-        if bj != k:
-            for row in m:
-                row[k], row[bj] = row[bj], row[k]
-        piv = m[k][k]
-        mk = m[k]
+    rank = last = 0
+    for c in range(ncols):
+        p = next((i for i in range(rank, nrows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        piv = m[rank][c]
+        tail = m[rank][c + 1:]
         # The division by the previous pivot is exact by Sylvester's
         # identity, but only if every row is updated, zeros included.
-        for i in range(k + 1, nrows):
-            mi = m[i]
-            f = mi[k]
-            for j in range(k + 1, ncols):
-                mi[j] = (piv * mi[j] - f * mk[j]) // prev
+        for mi in m[rank + 1:]:
+            f = mi[c]
+            mi[c + 1:] = [(piv * x - f * y) // prev
+                          for x, y in zip(mi[c + 1:], tail)]
         prev = piv
+        last = c
         rank += 1
     if not rank:
         return 0, 0
-    last = rank - 1
-    return rank, gcd(*m[last][last:],
+    return rank, gcd(*m[rank - 1][last:],
                      *(m[i][last] for i in range(rank, nrows)))
 
 

@@ -26,6 +26,7 @@ from knotcover.words import Presentation, Word, print_presentation, word
 README = Path(__file__).parent.parent / "README.md"
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
 GOLDEN_RUN_ALL_TEXT = Path(__file__).parent / "data" / "run_all.txt"
+GOLDEN_RUN_ALL_JMAX8 = Path(__file__).parent / "data" / "run_all_jmax8.json"
 GOOD_ASSIGNMENT = "a = (1,3,5,4,2)\nb = (1,2,3,4,5)\n"
 BAD_ASSIGNMENT = "a = (1,2,3)\nb = (1,2,3,4,5)\n"
 
@@ -432,12 +433,18 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: knotcover kernel-homology")
 
 
-def test_run_all_json_matches_golden(capsys):
-    # the committed report of the default battery; any change to it must be
+@pytest.mark.parametrize("argv,golden", [
+    pytest.param([], GOLDEN_RUN_ALL, id="default"),
+    # stage counts to 8 meet all five sewing configurations and two
+    # periods of the staged boundary counts, which the default does not
+    pytest.param(["--jmax", "8"], GOLDEN_RUN_ALL_JMAX8, id="jmax8"),
+])
+def test_run_all_json_matches_golden(capsys, argv, golden):
+    # the committed reports of the battery; any change to them must be
     # a deliberate schema or claim change
-    code, out, _ = run_cli(capsys, "run-all", "--json")
+    code, out, _ = run_cli(capsys, "run-all", *argv, "--json")
     assert code == 0
-    assert out.encode("utf-8") == GOLDEN_RUN_ALL.read_bytes()
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_run_all_text_matches_golden(capsys):

@@ -528,13 +528,24 @@ def test_torsion_stage_skipped_when_the_minor_gcd_is_one(torsion_calls):
 def test_bareiss_bound_is_a_multiple_of_the_factor_product():
     # D is a gcd of r x r minors, so the product d_1 ... d_r of the
     # residual's invariant factors (the gcd of all of them) divides it
-    checked = 0
+    residuals = []
     for matrix in STRESS:
         rows = {i: {j: v for j, v in enumerate(row) if v}
                 for i, row in enumerate(matrix)}
         rows = {i: r for i, r in rows.items() if r}
         snf._divisor_stage(rows)
-        residual = snf._densify(rows)
+        residuals.append(snf._densify(rows))
+    # each reaches a column that Bareiss skips: column 1 is zero below
+    # the rank but not above it; column 0 is zero; a wide matrix of rank
+    # 2 skips columns 1 and 2 and ends at column 3
+    residuals += [
+        [[1, 2, 3], [2, 4, 7]],
+        [[0, 2, 4], [0, 4, 2]],
+        [[2, 4, 0, 6, 8, 2], [1, 2, 0, 3, 4, 1], [0, 0, 0, 4, 6, 2],
+         [3, 6, 0, 13, 18, 5]],
+    ]
+    checked = 0
+    for residual in residuals:
         rank, bound = snf._bareiss_rank_det([row[:] for row in residual])
         factors, oracle_rank = naive_snf(residual)
         assert rank == oracle_rank, residual
