@@ -3,6 +3,12 @@
 Every subcommand prints a deterministic report, as text or as versioned JSON
 with ``--json``; identical invocations produce byte-identical output.  The
 exit code is 0 iff the command's checks all pass.
+
+``run-all`` spreads its sections, and the kernel section's stage counts,
+over the CPUs the process may use (``_run_tasks``), and puts the report
+together in registry order, so its output is byte-identical whatever that
+count is; ``taskset -c 0 knotcover run-all`` runs it in one process.  The
+benchmark's ``peak_rss_mib`` counts the parent process only.
 """
 
 from __future__ import annotations
@@ -11,9 +17,11 @@ import argparse
 import json
 import os
 import sys
+import threading
 from fractions import Fraction
+from functools import partial
 from math import ceil, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table, todd_coxeter
 from .errors import CapacityError, InvalidArgumentError, KnotcoverError, ParseError
@@ -545,7 +553,13 @@ def _knot_h1_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
 
 
 def _kernel_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
-    kernel = [_kernel_entry(j)[0] for j in range(1, inputs["kernel_jmax"] + 1)]
+    return _kernel_growth(
+        [_kernel_entry(j)[0] for j in range(1, inputs["kernel_jmax"] + 1)])
+
+
+def _kernel_growth(kernel: list[dict]) -> tuple[dict, dict[str, bool], list[str]]:
+    """The kernel section's results from its entries, one per stage count
+    from 1 up."""
     counts = [k["min_generators"] for k in kernel]
     # each bound divides by its own kernel's index, so growing counts alone
     # do not make the bounds grow
@@ -575,6 +589,82 @@ SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
 )
 
 
+def _call(task: Callable) -> tuple[bool, object]:
+    try:
+        return True, task()
+    except Exception as e:
+        return False, e
+
+
+def _run_tasks(tasks: dict[Hashable, Callable]) -> dict[Hashable, tuple[bool, object]]:
+    """Call each of (at most 256) tasks once, on the CPUs this process may
+    use; return each key's outcome, ``(True, result)`` or ``(False,
+    exception)``.
+
+    This process and min(CPUs, tasks) - 1 forked children pull the tasks,
+    in the dict's order, from one pipe of task indices.  Each child sends
+    its outcomes back pickled on a pipe of its own.  With one usable CPU,
+    no ``os.fork`` or a second live thread (a forked copy of a threaded
+    process can deadlock), no child is forked and every task runs here.
+    The tasks of a child that sends nothing readable run here too."""
+    import pickle
+    import signal
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    keys = list(tasks)
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(keys))))
+    os.close(fill)
+
+    def pull() -> dict[int, tuple[bool, object]]:
+        done = {}
+        while index := os.read(queue, 1):
+            done[index[0]] = _call(tasks[keys[index[0]]])
+        return done
+
+    children: list[tuple[int, int]] = []
+    try:
+        for _ in range(min(cpus, len(keys)) - 1 if forks else 0):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: fewer children, same tasks
+                os.close(reader)
+                os.close(writer)
+                break
+            if pid == 0:
+                try:
+                    with open(writer, "wb") as out:
+                        out.write(pickle.dumps(pull()))
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            children.append((pid, reader))
+        outcomes = pull()
+        for _, reader in children:
+            with open(reader, "rb", closefd=False) as sent:
+                data = sent.read()
+            try:
+                outcomes.update(pickle.loads(data))
+            except Exception:
+                pass  # the child died or sent what cannot be read back
+        for i in range(len(keys)):
+            if i not in outcomes:
+                outcomes[i] = _call(tasks[keys[i]])
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, reader in children:
+            os.close(reader)
+            os.waitpid(pid, 0)
+    return {keys[i]: outcome for i, outcome in outcomes.items()}
+
+
 def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     """Run every registry section; return the report and its text lines."""
     if jmax < 1:
@@ -586,11 +676,29 @@ def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     _check_kernel_stages(kernel_jmax, "Run `knotcover kernel-homology "
                          "--j N --force` for a larger stage count.")
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax}
+    # the kernel section is most of the time, so each of its stage counts
+    # is a task of its own, the largest pulled first
+    stages = range(1, kernel_jmax + 1)
+    tasks: dict = {j: partial(_kernel_entry, j) for j in reversed(stages)}
+    tasks.update((section, partial(section, inputs)) for _, section in SECTIONS
+                 if section is not _kernel_section)
+    outcomes = _run_tasks(tasks)
+
+    def result(key):
+        ok, value = outcomes[key]
+        if not ok:
+            raise value
+        return value
+
     results: dict = {}
     failed: list[str] = []
     lines: list[str] = []
+    # in registry order, so the error raised is the one a run of the
+    # sections one after another would meet first
     for claims, section in SECTIONS:
-        fragment, verdicts, section_lines = section(inputs)
+        fragment, verdicts, section_lines = (
+            _kernel_growth([result(j)[0] for j in stages])
+            if section is _kernel_section else result(section))
         section_failed = [claim for claim in claims if not verdicts[claim]]
         results.update(fragment)
         failed += section_failed

@@ -29,11 +29,13 @@ class MissingAssignmentError(KnotcoverError, KeyError):
     """A word mentions a generator the assignment does not cover."""
 
     def __init__(self, name: str):
+        # the name is the only argument, as a KeyError's key is, so that a
+        # pickled copy is built from it again
         self.name = name
-        super().__init__(f"no image assigned for generator {name!r}")
+        super().__init__(name)
 
     def __str__(self) -> str:
-        return self.args[0]
+        return f"no image assigned for generator {self.name!r}"
 
 
 class InvalidHomomorphismError(KnotcoverError, ValueError):

@@ -4,8 +4,12 @@ import argparse
 import json
 import os
 import re
+import select
 import subprocess
 import sys
+import threading
+import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ import pytest
 from knotcover import cli
 from knotcover.cli import KERNEL_HOMOLOGY_MAX_STAGES, main
 from knotcover.cosets import COSET_CAP
+from knotcover.errors import CapacityError
 from knotcover.homcheck import GenAssignment, SternfeldRepro, check_relators
 from knotcover.perm import Perm, parse_cycles
 from knotcover.presentations import (
@@ -433,13 +438,26 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: knotcover kernel-homology")
 
 
+def _set_cpus(monkeypatch, n: int) -> None:
+    """Make the CPUs this process may use look like n."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture(params=["own-cpus", "one-cpu"])
+def cpus(request, monkeypatch):
+    """Run-all spread over the machine's CPUs, or on one, in this process."""
+    if request.param == "one-cpu":
+        _set_cpus(monkeypatch, 1)
+
+
 @pytest.mark.parametrize("argv,golden", [
     pytest.param([], GOLDEN_RUN_ALL, id="default"),
     # stage counts to 8 meet all five sewing configurations and two
     # periods of the staged boundary counts, which the default does not
     pytest.param(["--jmax", "8"], GOLDEN_RUN_ALL_JMAX8, id="jmax8"),
 ])
-def test_run_all_json_matches_golden(capsys, argv, golden):
+def test_run_all_json_matches_golden(capsys, cpus, argv, golden):
     # the committed reports of the battery; any change to them must be
     # a deliberate schema or claim change
     code, out, _ = run_cli(capsys, "run-all", *argv, "--json")
@@ -447,10 +465,119 @@ def test_run_all_json_matches_golden(capsys, argv, golden):
     assert out.encode("utf-8") == golden.read_bytes()
 
 
-def test_run_all_text_matches_golden(capsys):
+def test_run_all_text_matches_golden(capsys, cpus):
     code, out, _ = run_cli(capsys, "run-all")
     assert code == 0
     assert out.encode("utf-8") == GOLDEN_RUN_ALL_TEXT.read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def gates():
+    """A pipe per stage count 2 and 3, for ``_meet``."""
+    pipes = {j: os.pipe() for j in (2, 3)}
+    yield pipes
+    for fd in (fd for pair in pipes.values() for fd in pair):
+        os.close(fd)
+
+
+def _meet(gates, j):
+    """Wait, at most 10 s, until the task of the other stage count has
+    started; with two processes the two tasks then run one in each."""
+    os.write(gates[j][1], b".")
+    select.select([gates[5 - j][0]], [], [], 10)
+
+
+def test_an_error_in_a_child_reaches_the_caller(monkeypatch, gates):
+    # stage counts 3 and 2 are pulled first; the child's one raises
+    _set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real = cli._kernel_entry
+
+    def entry(j):
+        if j in gates:
+            _meet(gates, j)
+            if os.getpid() != parent:
+                raise CapacityError(f"stage count {j} in a child")
+        return real(j)
+
+    monkeypatch.setattr(cli, "_kernel_entry", entry)
+    with pytest.raises(CapacityError, match=r"^stage count [23] in a child$"):
+        cli.run_all(jmax=1, kernel_jmax=3)
+    _assert_no_child_left()
+
+
+def test_a_child_result_that_cannot_be_pickled_is_computed_here(monkeypatch, gates):
+    _set_cpus(monkeypatch, 2)
+
+    def lock(j):
+        _meet(gates, j)
+        return threading.Lock()
+
+    outcomes = cli._run_tasks({j: partial(lock, j) for j in gates})
+    assert sorted(outcomes) == [2, 3]
+    assert all(ok and hasattr(value, "acquire") for ok, value in outcomes.values())
+    _assert_no_child_left()
+
+
+def test_an_interrupt_kills_and_reaps_the_children(monkeypatch, gates):
+    _set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def task(j):
+        _meet(gates, j)
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._run_tasks({j: partial(task, j) for j in gates})
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_run_all_raises_the_error_met_first_in_registry_order(monkeypatch, cpus):
+    # the surjection section comes before the kernel section, whose largest
+    # stage count is pulled first
+    def refuse(what):
+        def raises(*args, **kwargs):
+            raise CapacityError(what)
+        return raises
+
+    monkeypatch.setattr(cli, "search_surjections", refuse("search"))
+    monkeypatch.setattr(cli, "_kernel_entry", refuse("kernel"))
+    with pytest.raises(CapacityError, match="^search$"):
+        cli.run_all()
+    _assert_no_child_left()
+
+
+def test_run_all_forks_no_child_while_a_second_thread_runs(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+
+    def children_user() -> float:
+        return os.times().children_user
+
+    # the control: with one thread the child's time is counted once reaped
+    before = children_user()
+    cli.run_all()
+    assert children_user() > before
+    _assert_no_child_left()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        before = children_user()
+        assert cli.run_all()["status"] == "pass"
+        assert children_user() == before
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):
