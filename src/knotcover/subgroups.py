@@ -221,13 +221,13 @@ def cover_homology(p: Presentation, t: CosetTable) -> AbelianInvariants:
 
 def boundary_quotient(k: int) -> Presentation:
     """Presentation of the trefoil's k-fold cyclic cover modulo its boundary:
-    the rewritten cover presentation plus, for every coset representative r,
-    the rewritten words r TREFOIL_MERIDIAN^k r^-1 and r TREFOIL_LONGITUDE r^-1.
+    the Reidemeister-Schreier rewrite, over the cover's table, of the trefoil
+    presentation extended by two relators, TREFOIL_MERIDIAN^k and
+    TREFOIL_LONGITUDE.
 
-    Both boundary words fix every coset, so they are rewritten as two more
-    relators over the cover's table, and listed coset by coset after its own.
-    Folds above BOUNDARY_QUOTIENT_MAX_FOLD are refused before any table is
-    built.
+    Both boundary words fix every coset, so their rewrites from coset r are
+    the words r TREFOIL_MERIDIAN^k r^-1 and r TREFOIL_LONGITUDE r^-1.  Folds
+    above BOUNDARY_QUOTIENT_MAX_FOLD are refused before any table is built.
     """
     if k > BOUNDARY_QUOTIENT_MAX_FOLD:
         raise CapacityError(
@@ -238,18 +238,10 @@ def boundary_quotient(k: int) -> Presentation:
     extended = Presentation(
         generators=p.generators,
         relators=p.relators + (TREFOIL_MERIDIAN ** k, TREFOIL_LONGITUDE),
+        label=f"{p.label}-mod-boundary",
         relator_names=(*p.relator_names, f"meridian^{k}", "longitude"),
     )
-    sub = reidemeister_schreier(extended, cyclic_cover_table(p, k)).presentation
-    cover = len(p.relators) * k
-    order = [*range(cover)] + [cover + e * k + c
-                               for c in range(k) for e in range(2)]
-    return Presentation(
-        generators=sub.generators,
-        relators=tuple(sub.relators[i] for i in order),
-        label=f"{p.label}-cover{k}-mod-boundary",
-        relator_names=tuple(sub.relator_names[i] for i in order),
-    )
+    return reidemeister_schreier(extended, cyclic_cover_table(p, k)).presentation
 
 
 def schreier_rank_bound(m: int, i: int) -> Fraction:
@@ -265,9 +257,10 @@ def schreier_rank_bound(m: int, i: int) -> Fraction:
 
 # The largest fold `boundary_quotient` accepts.  Its boundary relator
 # meridian^k is traced from all k cosets, so time and memory grow about
-# quadratically: `knotcover cover-quotient --fold N` took 0.14 / 0.61 / 2.2 s
-# at a peak of 27 / 51 / 147 MiB for N = 500 / 1000 / 2000 (Python 3.11,
-# one core of a shared Xeon host, a fresh process each).
+# quadratically: `knotcover cover-quotient --fold N` took 0.31-0.37 /
+# 0.70-0.87 / 2.5-3.5 s at a peak of 27 / 51 / 146 MiB for N = 500 / 1000 /
+# 2000 (Python 3.11 on a shared two-vCPU Xeon host, five fresh processes
+# each; N = 2000 with the limit raised).
 BOUNDARY_QUOTIENT_MAX_FOLD = 1000
 
 

@@ -471,6 +471,19 @@ def test_run_all_text_matches_golden(capsys, cpus):
     assert out.encode("utf-8") == GOLDEN_RUN_ALL_TEXT.read_bytes()
 
 
+def test_the_kernel_section_equals_the_kernel_part_of_run_all(cpus):
+    # run-all computes the stage counts as tasks of their own and never
+    # calls the section that SECTIONS registers, which computes them one
+    # after another
+    fragment, verdicts, lines = cli._kernel_section({"jmax": 3, "kernel_jmax": 4})
+    report, report_lines = cli._run_sections(jmax=3, kernel_jmax=4)
+    assert fragment == {key: report["results"][key] for key in fragment}
+    assert verdicts == {
+        cli.CLAIM_KERNEL_GROWTH: cli.CLAIM_KERNEL_GROWTH not in report["failed"]}
+    assert lines == [line for line in report_lines
+                     if line.startswith("kernel homology ")]
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

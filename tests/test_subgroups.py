@@ -31,7 +31,7 @@ from knotcover.subgroups import (
 )
 from knotcover.words import Presentation, Word, print_presentation, reduce, word
 
-from test_snf import kernel_relation_rows
+from test_snf import kernel_relation_rows, naive_snf
 
 
 # -- subgroup presentations ---------------------------------------------------
@@ -131,7 +131,7 @@ REWRITE_FINGERPRINTS = {
     "trefoil 3-fold cover":
         "ddd2c37868469af16fda5c86ee97d532125fab5318a88ec8cae4d5306c380f5a",
     "boundary quotient k=2":
-        "5532b382c99ff1190de544cba495b8d7938c77711ddfd37d65c9fde6bbb1f1cb",
+        "354428f1617ddc4d5a2995308a62361cbaa7c1f0ba3b74a56fd891a20d5ee486",
 }
 
 
@@ -439,6 +439,47 @@ def test_boundary_quotient_names_its_extra_relators():
     q = boundary_quotient(k=2)
     assert "meridian^2@1" in q.relator_names
     assert "longitude@2" in q.relator_names
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_boundary_quotient_is_one_rewrite_of_the_extended_presentation(k):
+    # the boundary words are two more relators, rewritten from every coset
+    # after the cover's own
+    p = trefoil_presentation()
+    extended = Presentation(
+        generators=p.generators,
+        relators=p.relators + (TREFOIL_MERIDIAN ** k, TREFOIL_LONGITUDE),
+    )
+    q = boundary_quotient(k)
+    assert q.relator_names == tuple(
+        f"{name}@{c}" for name in ("braid", f"meridian^{k}", "longitude")
+        for c in range(1, k + 1))
+    assert abelianize(q) == cover_homology(extended, cyclic_cover_table(p, k))
+
+
+def _alexander_cokernel(k):
+    """coker(M^k - I), M the companion matrix of the trefoil's Alexander
+    polynomial t^2 - t + 1 (Rolfsen, Knots and Links, ch. 6), by the
+    textbook reduction of test_snf rather than knotcover.snf."""
+    m = [[0, -1], [1, 1]]
+    power = [[1, 0], [0, 1]]
+    for _ in range(k):
+        power = [[sum(power[i][x] * m[x][j] for x in range(2)) for j in range(2)]
+                 for i in range(2)]
+    factors, rank = naive_snf(
+        [[power[i][j] - (i == j) for j in range(2)] for i in range(2)])
+    return AbelianInvariants(2 - rank, tuple(d for d in factors if d > 1))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cover_groups_match_the_alexander_module(k):
+    # H1 of the k-fold cyclic cover is Z + coker(M^k - I), and killing the
+    # boundary kills the Z that the meridian^k lift spans
+    p = trefoil_presentation()
+    coker = _alexander_cokernel(k)
+    assert abelianize(boundary_quotient(k)) == coker
+    assert cover_homology(p, cyclic_cover_table(p, k)) == AbelianInvariants(
+        coker.free_rank + 1, coker.torsion)
 
 
 def test_boundary_quotient_refuses_folds_above_the_limit(monkeypatch):
