@@ -3,8 +3,9 @@ cosets, plus three ways to build them.
 
 Cosets are numbered from 1; coset 1 is the subgroup itself.  Tracing a word
 applies its syllables left to right, matching the word-evaluation convention.
-One tracer, ``relator_paths``, checks a table against a presentation;
-``CosetTable.verify`` and the Reidemeister-Schreier walk both consume it.
+``CosetTable.verify`` traces every relator of a presentation from every
+coset, checks the table against it, and returns the paths it traced, which
+the Reidemeister-Schreier walk reads.
 ``image_table`` builds an assignment's image group as a table, which the
 kernel table and every relator check of an assignment trace.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CapacityError,
@@ -88,49 +89,44 @@ class CosetTable:
     def word_action(self, w: Word) -> tuple[int, ...]:
         return tuple(self.trace(c, w) for c in range(1, self.index + 1))
 
-    def verify(self, p: Presentation) -> None:
-        """Raise TableIntegrityError unless this table really is the coset
-        action of a subgroup of the presented group: generators match, every
-        relator acts trivially, and the action is transitive."""
-        for _ in relator_paths(self, p):
-            pass
+    def verify(self, p: Presentation) -> list[list[list[int]]]:
+        """Trace each relator of ``p`` from every coset at once, one syllable
+        at a time, then check that this table really is the coset action of
+        a subgroup of the presented group; return the paths traced.
+
+        A relator's path lists the cosets, numbered from 0, reached from
+        cosets 1..index before each syllable.  Raises TableIntegrityError if
+        the generators differ, else at the first relator that moves a coset,
+        else if the action is intransitive.
+        """
+        if tuple(p.generators) != self.gens:
+            raise TableIntegrityError("table generators do not match presentation")
+        rows = self.rows
+        cosets = list(range(self.index))
+        paths = []
+        for i, r in enumerate(p.relators):
+            at = cosets
+            path = []
+            for syl in r:
+                path.append(at)
+                at = list(map(rows[syl].__getitem__, at))
+            if at != cosets:
+                c = next(c for c in cosets if at[c] != c)
+                raise TableIntegrityError(
+                    f"relator {p.relator_name(i)} moves coset {c + 1}"
+                )
+            paths.append(path)
+        orbits = orbit_count(self.action, self.index)
+        if orbits != 1:
+            raise TableIntegrityError(
+                f"coset action is not transitive: {orbits} orbits")
+        return paths
 
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
             "action": {g: list(row) for g, row in zip(self.gens, self.action)},
         }
-
-
-def relator_paths(t: CosetTable, p: Presentation) -> Iterator[list[list[int]]]:
-    """Trace each relator of ``p`` from every coset of ``t`` at once, one
-    syllable at a time, checking the table as ``CosetTable.verify`` says.
-
-    Yields each relator's path: the cosets, numbered from 0, reached from
-    cosets 1..index before each syllable.  Raises TableIntegrityError when
-    first resumed if the generators differ, before a relator's path if it
-    moves a coset, and after the last path if the action is intransitive.
-    """
-    if tuple(p.generators) != t.gens:
-        raise TableIntegrityError("table generators do not match presentation")
-    rows = t.rows
-    cosets = list(range(t.index))
-    for i, r in enumerate(p.relators):
-        at = cosets
-        path = []
-        for syl in r:
-            path.append(at)
-            at = list(map(rows[syl].__getitem__, at))
-        if at != cosets:
-            c = next(c for c in cosets if at[c] != c)
-            raise TableIntegrityError(
-                f"relator {p.relator_name(i)} moves coset {c + 1}"
-            )
-        yield path
-    orbits = orbit_count(t.action, t.index)
-    if orbits != 1:
-        raise TableIntegrityError(
-            f"coset action is not transitive: {orbits} orbits")
 
 
 def image_table(p: Presentation, assignment

@@ -2,9 +2,10 @@
 coset table, abelian invariants via Smith normal form, the cyclic-cover
 boundary quotient, and the rank growth of staged-kernel homology.
 
-One walk over a coset table rewrites it: it builds the spanning tree and
-maps Schreier columns over the paths of ``cosets.relator_paths``, the tracer
-``CosetTable.verify`` consumes, so it raises what verify would.
+One walk over a coset table rewrites it: ``CosetTable.verify`` traces and
+checks the table and returns the relator paths, and the walk builds the
+spanning tree and maps Schreier columns over those paths, so it raises
+exactly what verify raises.
 ``reidemeister_schreier`` turns the walk into words, also for the boundary
 words of ``boundary_quotient``; ``cover_homology`` reads the H1 relation rows
 straight off it, with no rewritten word or presentation in between."""
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cosets import (
-    CosetTable,
-    cyclic_cover_table,
-    kernel_coset_table,
-    relator_paths,
-)
+from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
 from .errors import CapacityError, InvalidArgumentError
 from .homcheck import phi_tables
 from .presentations import kj_presentation, trefoil_presentation
@@ -53,7 +49,7 @@ class SubgroupPresentation:
 
 def _schreier_walk(p: Presentation, t: CosetTable):
     """Rewrite every relator of ``p`` from every coset of ``t``, along the
-    paths ``relator_paths`` traces.
+    paths ``t.verify(p)`` traces and returns.
 
     Returns ``(tree, pairs, walks)``:
     - ``tree`` lists each coset other than 1 as (coset, parent, syllable),
@@ -67,11 +63,12 @@ def _schreier_walk(p: Presentation, t: CosetTable):
       the tree.  ``syllable`` must return a non-empty tuple; it is called
       once per column and sign, and every occurrence shares the result.
 
-    The walks raise what ``CosetTable.verify`` raises, in its order, since
-    they consume the same tracer.  Each walk is freely reduced: a
-    cancelling pair would enclose a closed, reduced walk on the tree, and
-    there is none.
+    The table is checked first, so a bad one raises what
+    ``CosetTable.verify`` raises before any tree is built.  Each walk is
+    freely reduced: a cancelling pair would enclose a closed, reduced walk
+    on the tree, and there is none.
     """
+    paths = t.verify(p)
     n, gens, rows = t.index, t.gens, t.rows
 
     # breadth-first spanning tree from coset 1 (0 here); the pair (c, g)
@@ -109,9 +106,7 @@ def _schreier_walk(p: Presentation, t: CosetTable):
                        for c in (range(n) if sign > 0 else rows[g, -1])]
                 crossing[g, sign] = [None if k is None else syllable(k, sign)
                                      for k in ids]
-        # the tracer comes first, so that it is resumed after the last
-        # relator and raises what it finds there
-        for path, r in zip(relator_paths(t, p), p.relators):
+        for path, r in zip(paths, p.relators):
             crossed = [map(crossing[syl].__getitem__, at)
                        for syl, at in zip(r, path)]
             for walk in zip(*crossed) if crossed else [()] * n:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, text and JSON output."""
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 
 from knotcover import cli
 from knotcover.cli import KERNEL_HOMOLOGY_MAX_STAGES, main
-from knotcover.cosets import COSET_CAP
+from knotcover.cosets import COSET_CAP, CosetTable
 from knotcover.errors import CapacityError
 from knotcover.homcheck import GenAssignment, SternfeldRepro, check_relators
 from knotcover.perm import Perm, parse_cycles
@@ -471,6 +472,13 @@ def test_run_all_text_matches_golden(capsys, cpus):
     assert out.encode("utf-8") == GOLDEN_RUN_ALL_TEXT.read_bytes()
 
 
+def test_library_defaults_equal_the_cli_defaults(cpus):
+    # run_all and the parser each write the defaults; only the parser's
+    # are compared with the goldens above
+    assert cli.run_all() == json.loads(GOLDEN_RUN_ALL.read_text())
+    assert cli.run_all(jmax=8) == json.loads(GOLDEN_RUN_ALL_JMAX8.read_text())
+
+
 def test_the_kernel_section_equals_the_kernel_part_of_run_all(cpus):
     # run-all computes the stage counts as tasks of their own and never
     # calls the section that SECTIONS registers, which computes them one
@@ -683,6 +691,29 @@ def test_readme_names_only_real_options():
                      if "pip install" not in line and "bench/run.py" not in line)
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
     assert named and named <= _parser_options(cli.build_parser()), sorted(named)
+
+
+def test_readme_names_only_real_code():
+    # `module.name` and `CosetTable.name` must resolve and `name.py` must
+    # be a module file; paths such as bench/... and the quoted error
+    # messages are none of the three
+    package = Path(cli.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    kinds = set()
+    for ref in re.findall(r"`([^`\s]+)`", README.read_text()):
+        if re.fullmatch(r"\w+\.py", ref):
+            assert (package / ref).is_file(), ref
+            kinds.add("file")
+            continue
+        m = re.fullmatch(r"(\w+)\.(\w+)(?:\(.*\))?", ref)
+        if m and m[1] in modules:
+            module = importlib.import_module(f"knotcover.{m[1]}")
+            assert hasattr(module, m[2]), ref
+            kinds.add("module")
+        elif m and m[1] == "CosetTable":
+            assert hasattr(CosetTable, m[2]), ref
+            kinds.add("class")
+    assert kinds == {"file", "module", "class"}
 
 
 def test_readme_quick_start_transcript(capsys):

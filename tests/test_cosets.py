@@ -255,27 +255,34 @@ def test_forward_orbit_walk_matches_an_inverse_row_oracle():
 
 
 def _verify_oracle(t, p):
-    """The message verify must raise, or None: each relator traced from
-    each coset in turn on the raw action rows, then the orbit oracle."""
+    """The message verify must raise and None, or None and the paths it
+    must return: each relator traced from each coset in turn on the raw
+    action rows, recording the coset, from 0, before each syllable; then
+    the orbit oracle."""
     if tuple(p.generators) != t.gens:
-        return "table generators do not match presentation"
+        return "table generators do not match presentation", None
     rows = dict(zip(t.gens, t.action))
+    paths = []
     for i, r in enumerate(p.relators):
+        path = [[None] * t.index for _ in r]
         for c in range(1, t.index + 1):
             d = c
-            for sym, sign in r:
+            for k, (sym, sign) in enumerate(r):
+                path[k][c - 1] = d - 1
                 d = rows[sym][d - 1] if sign > 0 else rows[sym].index(d) + 1
             if d != c:
-                return f"relator {p.relator_name(i)} moves coset {c}"
+                return f"relator {p.relator_name(i)} moves coset {c}", None
+        paths.append(path)
     orbits = _orbit_count_oracle(t.action, t.index)
     if orbits != 1:
-        return f"coset action is not transitive: {orbits} orbits"
-    return None
+        return f"coset action is not transitive: {orbits} orbits", None
+    return None, paths
 
 
 def test_table_checks_match_a_per_coset_oracle():
-    # verify and both Reidemeister-Schreier routes share one tracer; each
-    # must raise exactly when the oracle finds a fault, with its message
+    # verify traces the paths that both Reidemeister-Schreier routes read;
+    # each must raise exactly when the oracle finds a fault, with its
+    # message, and verify must otherwise return the oracle's paths
     rng = random.Random(15)
     outcomes = set()
     for _ in range(300):
@@ -287,7 +294,7 @@ def test_table_checks_match_a_per_coset_oracle():
         # now and then the same generators in another order
         gens = t.gens[::-1] if rng.random() < 0.1 else t.gens
         p = Presentation(generators=gens, relators=relators)
-        expected = _verify_oracle(t, p)
+        expected, paths = _verify_oracle(t, p)
         outcomes.add(expected and expected.split()[0])
         for route in (t.verify, lambda p: reidemeister_schreier(p, t),
                       lambda p: cover_homology(p, t)):
@@ -297,6 +304,8 @@ def test_table_checks_match_a_per_coset_oracle():
                 with pytest.raises(TableIntegrityError) as got:
                     route(p)
                 assert str(got.value) == expected
+        if expected is None:
+            assert t.verify(p) == paths
     # no fault, then the generator, relator and transitivity messages
     assert outcomes == {None, "table", "relator", "coset"}
 
