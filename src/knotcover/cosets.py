@@ -245,13 +245,13 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
             parent[c], c = root, parent[c]
         return root
 
-    def step(c: int, x: int) -> int | None:
-        d = table[c][x]
-        return None if d is None else find(d)
-
     # Invariant between operations: for every live representative c,
     # table[c][x] is None or a live representative, and edges always come
-    # in reciprocal pairs table[c][x] = d <-> table[d][x ^ 1] = c.
+    # in reciprocal pairs table[c][x] = d <-> table[d][x ^ 1] = c.  A merge
+    # empties the dead coset's row and the reciprocal entries before
+    # re-adding its edges at the survivor, so the invariant holds whenever
+    # no merge is pending.  None is pending while a scan reads the table,
+    # so a scan reads table[c][x] with no find; `verify` checks the result.
     merge_queue: list[tuple[int, int]] = []
 
     def set_edge(c: int, x: int, d: int) -> None:
@@ -294,7 +294,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
         j, b = len(w) - 1, start
         while True:
             while i <= j:
-                nxt = step(f, w[i])
+                nxt = table[f][w[i]]
                 if nxt is None:
                     break
                 f, i = nxt, i + 1
@@ -304,7 +304,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
                     process_merges()
                 return
             while j >= i:
-                prev = step(b, w[j] ^ 1)
+                prev = table[b][w[j] ^ 1]
                 if prev is None:
                     break
                 b, j = prev, j - 1
@@ -337,7 +337,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
             for x in range(ncols):
                 if find(c) != c:
                     break
-                if step(c, x) is None:
+                if table[c][x] is None:
                     set_edge(c, x, new_coset())
                     process_merges()
         c += 1

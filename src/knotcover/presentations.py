@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .errors import InvalidArgumentError
 from .perm import Perm, parse_cycles
-from .words import Presentation, Word, word
+from .words import Presentation, Syllable, Word, word
 
 LINK_LETTERS = "abcdefghi"
 
@@ -39,9 +39,16 @@ _STRAND_RELATORS = tuple(word(lhs) * word(rhs).inverse()
                          for lhs, rhs in _STRAND_PAIRS)
 
 
-def _at_stage(w: Word, l: int) -> Word:
-    """Rename a word over the plain letters to the stage-``l`` generators."""
-    return Word(tuple((f"{s}{l}", sign) for s, sign in w))
+def _stage_syllables(l: int) -> dict[Syllable, Syllable]:
+    """Each syllable over the plain letters, renamed to stage ``l``."""
+    return {(s, sign): (f"{s}{l}", sign)
+            for s in LINK_LETTERS for sign in (1, -1)}
+
+
+def _at_stage(w: Word, stage: dict[Syllable, Syllable]) -> Word:
+    """Rename a word over the plain letters by a ``_stage_syllables`` table.
+    The renaming is injective, so the renamed word is still reduced."""
+    return Word._trusted(tuple(map(stage.__getitem__, w.syllables)))
 
 
 def stage_boundary_words(l: int) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
@@ -52,7 +59,8 @@ def stage_boundary_words(l: int) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
     >>> [[str(w) for w in torus] for torus in stage_boundary_words(2)]
     [['h2', 'f2^-1 g2'], ['a2', 'c2 a2 b2 g2^-1 h2^-1 e2^-1 h2']]
     """
-    return tuple(tuple(_at_stage(w, l) for w in torus)
+    stage = _stage_syllables(l)
+    return tuple(tuple(_at_stage(w, stage) for w in torus)
                  for torus in _BOUNDARY_TORI)
 
 
@@ -74,7 +82,8 @@ def kj_presentation(j: int) -> Presentation:
     if j < 1:
         raise InvalidArgumentError(f"stage count must be positive, got {j}")
     stages = range(1, j + 1)
-    relators = [_at_stage(r, l) for l in stages for r in _LINK_RELATORS]
+    relators = [_at_stage(r, stage) for stage in map(_stage_syllables, stages)
+                for r in _LINK_RELATORS]
     names = [f"R_{{{l},{k}}}" for l in stages
              for k in range(1, len(_LINK_RELATORS) + 1)]
     for l in range(2, j + 1):
@@ -100,7 +109,8 @@ def kjss_presentation(j: int) -> Presentation:
     relators = list(base.relators)
     names = list(base.relator_names)
     for l in range(1, j + 1):
-        relators += [_at_stage(r, l) for r in _STRAND_RELATORS]
+        stage = _stage_syllables(l)
+        relators += [_at_stage(r, stage) for r in _STRAND_RELATORS]
         names += [f"{lhs}{l}={rhs}{l}" for lhs, rhs in _STRAND_PAIRS]
     return Presentation(
         generators=base.generators,

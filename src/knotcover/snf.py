@@ -78,10 +78,16 @@ matrix Smith normal forms", 2001).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 from math import gcd
 
 SparseRows = dict[int, dict[int, int]]
+
+# The largest b with b ** m < 2 ** 30, for m = 29, 28, ..., 2 in turn, so
+# b ** m < 2 ** 30 exactly when b is at most the entry for m; ascending.
+_ROOT_BOUNDS = (2,) * 11 + (3,) * 4 + (4, 4, 5, 6, 7, 10, 13, 19, 31, 63, 181,
+                                      1023, 32767)
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
@@ -302,10 +308,7 @@ def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
             c //= b
             v += 1
         split = gcd(b, c)
-        k = 1
-        while b ** (k + 1) < 1 << 30:
-            k += 1
-        k = min(k, v)
+        k = min(_start_exponent(b), v)
         while split == 1:
             exponents = _local_exponents(dense, b, k, rank)
             if isinstance(exponents, int):
@@ -322,6 +325,12 @@ def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
         exponents += [k] * (rank - len(exponents))
         factors = [d * b ** e for d, e in zip(factors, exponents)]
     return factors
+
+
+def _start_exponent(b: int) -> int:
+    """The largest k >= 1 with b ** k < 2 ** 30, or 1 if there is none:
+    1 plus the number of exponents m >= 2 whose root bound b meets."""
+    return 1 + len(_ROOT_BOUNDS) - bisect_left(_ROOT_BOUNDS, b)
 
 
 def _split_base(b: int, g: int) -> list[int]:

@@ -120,11 +120,15 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     tree, pairs, walks = _schreier_walk(p, t)
     n = t.index
     names = [f"{g}x{c}" for c, g in pairs]
-    rep: dict[int, Word] = {1: Word()}
+    # A breadth-first tree path never backtracks, so each representative is
+    # its parent's syllables plus one, reduced by construction.
+    rep = {1: ()}
     for c, parent, syllable in tree:
-        rep[c] = rep[parent] * Word((syllable,))
-    rel_names = [f"{p.relator_name(i)}@{c}"
-                 for i in range(len(p.relators)) for c in range(1, n + 1)]
+        rep[c] = rep[parent] + (syllable,)
+    rel_names = [f"{name}@{c}"
+                 for name in map(p.relator_name, range(len(p.relators)))
+                 for c in range(1, n + 1)]
+    # the public constructor checks at run time that each walk is reduced
     relators = [Word(walk) for walk in walks(lambda k, sign: (names[k], sign))]
     derived = Presentation(
         generators=tuple(names),
@@ -135,7 +139,7 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     return SubgroupPresentation(
         schreier_gens=tuple(pairs),
         presentation=derived,
-        transversal=tuple(rep[c] for c in range(1, n + 1)),
+        transversal=tuple(Word._trusted(rep[c]) for c in range(1, n + 1)),
     )
 
 
@@ -252,10 +256,10 @@ def schreier_rank_bound(m: int, i: int) -> Fraction:
 
 # The largest fold `boundary_quotient` accepts.  Its boundary relator
 # meridian^k is traced from all k cosets, so time and memory grow about
-# quadratically: `knotcover cover-quotient --fold N` took 0.31-0.37 /
-# 0.70-0.87 / 2.5-3.5 s at a peak of 27 / 51 / 146 MiB for N = 500 / 1000 /
+# quadratically: `knotcover cover-quotient --fold N` took 0.35-0.41 /
+# 0.83-0.87 / 2.9 s at a peak of 26 / 51 / 147 MiB for N = 500 / 1000 /
 # 2000 (Python 3.11 on a shared two-vCPU Xeon host, five fresh processes
-# each; N = 2000 with the limit raised).
+# each, three at N = 2000 with the limit raised).
 BOUNDARY_QUOTIENT_MAX_FOLD = 1000
 
 

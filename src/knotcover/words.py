@@ -10,14 +10,26 @@ to and read from a small line-oriented format:
     rel: b^-1 a^-1 b^-1 a b a
     rel: x = y          # stored as the single relator x y^-1
 
-Every Presentation checks its generator names, so printing one and parsing
-the text gives back an equal presentation.
+Validation happens once, at the public constructors.  ``Word(syllables)``
+checks every sign and that no two neighbouring syllables cancel, in one
+pass.  ``Presentation(...)`` checks the generator names, duplicates and the
+symbols of every relator, one pass each, and walks the input item by item
+only to word an error.  As the names are checked, printing a presentation
+and parsing the text gives back an equal one.  A word whose reducedness
+follows from how it was built skips the check: ``reduce`` has just reduced
+it, ``Word.inverse`` reverses a reduced word, and renaming the letters of a
+reduced word injectively (the stage words of ``presentations``) or
+extending a breadth-first tree path by one edge (the transversal of
+``subgroups.reidemeister_schreier``) keeps it reduced.  These build through
+the trusted path ``Word._trusted``, which checks nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -46,7 +58,7 @@ def reduce(raw: Iterable[Syllable]) -> "Word":
             stack.pop()
         else:
             stack.append((sym, sign))
-    return Word(tuple(stack))
+    return Word._trusted(tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -57,12 +69,24 @@ class Word:
 
     def __post_init__(self):
         syl = tuple(self.syllables)
+        # with both signs +1 or -1, the previous syllable cancels this one
+        # exactly when the symbols match and the signs differ
+        last_sym, last_sign = None, 0
         for i, (sym, sign) in enumerate(syl):
             if sign not in (1, -1):
                 raise ValueError(f"syllable sign must be +1 or -1, got {sign}")
-            if i and syl[i - 1][0] == sym and syl[i - 1][1] == -sign:
+            if sign != last_sign and i and sym == last_sym:
                 raise ValueError(f"word not freely reduced at position {i}")
+            last_sym, last_sign = sym, sign
         object.__setattr__(self, "syllables", syl)
+
+    @classmethod
+    def _trusted(cls, syllables: tuple[Syllable, ...]) -> "Word":
+        """A word from a tuple of syllables that is known to be freely
+        reduced with signs +1 and -1; nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "syllables", syllables)
+        return w
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -78,7 +102,8 @@ class Word:
         return reduce(base.syllables * abs(k))
 
     def inverse(self) -> "Word":
-        return Word(tuple((sym, -sign) for sym, sign in reversed(self.syllables)))
+        return Word._trusted(
+            tuple((sym, -sign) for sym, sign in reversed(self.syllables)))
 
     def total_exponent(self) -> int:
         return sum(sign for _, sign in self.syllables)
@@ -120,17 +145,23 @@ class Presentation:
     def __post_init__(self):
         gens = tuple(self.generators)
         rels = tuple(self.relators)
-        for g in gens:
-            check_name(g)
+        if not all(map(_NAME_RE.match, gens)):
+            for g in gens:
+                check_name(g)
         names = set(gens)
         if len(names) != len(gens):
             raise ValueError("duplicate generator names")
-        for i, r in enumerate(rels):
-            extra = r.symbols() - names
-            if extra:
-                raise ValueError(
-                    f"relator {i} uses undeclared generators: {sorted(extra)}"
-                )
+        # streamed, not collected: a set of every syllable used would be as
+        # large as the generators' on a rewritten presentation
+        symbols = map(itemgetter(0),
+                      chain.from_iterable(r.syllables for r in rels))
+        if not names.issuperset(symbols):
+            for i, r in enumerate(rels):
+                extra = r.symbols() - names
+                if extra:
+                    raise ValueError(
+                        f"relator {i} uses undeclared generators: {sorted(extra)}"
+                    )
         if self.relator_names is not None and len(self.relator_names) != len(rels):
             raise ValueError("relator_names length does not match relators")
         object.__setattr__(self, "generators", gens)

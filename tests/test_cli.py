@@ -33,6 +33,7 @@ README = Path(__file__).parent.parent / "README.md"
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
 GOLDEN_RUN_ALL_TEXT = Path(__file__).parent / "data" / "run_all.txt"
 GOLDEN_RUN_ALL_JMAX8 = Path(__file__).parent / "data" / "run_all_jmax8.json"
+GOLDEN_KJSS_J8 = Path(__file__).parent / "data" / "presentation_kjss_j8.json"
 GOOD_ASSIGNMENT = "a = (1,3,5,4,2)\nb = (1,2,3,4,5)\n"
 BAD_ASSIGNMENT = "a = (1,2,3)\nb = (1,2,3,4,5)\n"
 
@@ -66,6 +67,16 @@ def test_presentation_json_counts(capsys):
     assert report["generators"] == 18
     assert report["relators"] == 21
     assert report["schema"] == "knotcover-report/5"
+
+
+def test_presentation_json_matches_golden(capsys):
+    # every stage renaming and strand identification of Kss_8 as text,
+    # through the public checks of the words and the presentation
+    code, out, _ = run_cli(
+        capsys, "presentation", "--kind", "kjss", "--j", "8", "--json"
+    )
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_KJSS_J8.read_bytes()
 
 
 def test_verify_tables_passes_and_notes_small_stages(capsys):

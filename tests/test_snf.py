@@ -505,6 +505,20 @@ def test_two_adic_valuation_past_the_start_doubles_k(torsion_calls, matrix,
     assert torsion_calls == calls
 
 
+def test_start_exponent_matches_the_power_loop():
+    # the local stage starts at the largest k with b^k < 2^30, at least 1
+    def by_loop(b):
+        k = 1
+        while b ** (k + 1) < 1 << 30:
+            k += 1
+        return k
+
+    bases = [*range(2, 5001), 32767, 32768, 2 ** 30 - 1, 2 ** 30,
+             2 ** 30 + 1, 3 ** 19, 3 ** 40, 10 ** 50]
+    for b in bases:
+        assert snf._start_exponent(b) == by_loop(b), b
+
+
 def test_local_stage_with_more_columns_than_rank(torsion_calls):
     # rank 2 on 3 columns, the third row the sum of the first two; the
     # last pivot's minor is 132 = 2^2 * 3 * 11, but the gcd of the 2 x 2

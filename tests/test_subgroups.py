@@ -64,6 +64,25 @@ def test_three_fold_cover_transversal_is_breadth_first():
     assert len(sub.presentation.relators) == 3
 
 
+@pytest.mark.parametrize("cover", [
+    *(pytest.param(j, id=f"kernel-j{j}") for j in range(3, 6)),
+    *(pytest.param(-k, id=f"cyclic-k{k}") for k in (*range(1, 13), 1000)),
+])
+def test_transversal_entries_pass_the_public_check(cover):
+    # each entry is built through the trusted path as its tree parent
+    # plus one syllable: a reduced word that leads coset 1 to its coset
+    if cover > 0:
+        p, t = subgroups.kernel_cover(cover)
+    else:
+        p = trefoil_presentation()
+        t = cyclic_cover_table(p, -cover)
+    sub = reidemeister_schreier(p, t)
+    assert len(sub.transversal) == t.index
+    for c, rep in enumerate(sub.transversal, start=1):
+        assert Word(rep.syllables) == rep
+        assert t.trace(1, rep) == c
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotcover.errors import ParseError
+from knotcover.presentations import kj_presentation, kjss_presentation
 from knotcover.words import (
     Presentation,
     Word,
@@ -80,6 +81,53 @@ def test_word_times_inverse_is_identity(raw):
     w = reduce(raw)
     assert w * w.inverse() == Word()
     assert w.inverse().inverse() == w
+
+
+def raw_inverse(raw):
+    return [(sym, -sign) for sym, sign in reversed(raw)]
+
+
+@given(raw_words, raw_words, st.integers(-4, 4))
+def test_derived_words_pass_the_public_check(raw1, raw2, k):
+    # reduce, inverse, * and ** build their words through the trusted
+    # path: each must be a word the public constructor accepts as it
+    # stands, and the reduction of the raw syllables it stands for
+    w1, w2 = reduce(raw1), reduce(raw2)
+    power = raw1 * k if k >= 0 else raw_inverse(raw1) * -k
+    for w, raw in [(w1, raw1), (w1.inverse(), raw_inverse(raw1)),
+                   (w1 * w2, raw1 + raw2), (w1 ** k, power)]:
+        assert Word(w.syllables) == w
+        assert w == reduce(raw)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_stage_relators_pass_the_public_check(j):
+    # the stage renaming builds through the trusted path
+    for p in (kj_presentation(j), kjss_presentation(j)):
+        for r in p.relators:
+            assert Word(r.syllables) == r
+
+
+@pytest.mark.parametrize("syllables,message", [
+    (((a, 1), (a, -1), (b, 2)), "not freely reduced at position 1"),
+    (((a, 1), (b, 2), (b, -1)), r"sign must be \+1 or -1, got 2"),
+    (((a, -1), (b, 1), (b, 1), (b, -1)), "not freely reduced at position 3"),
+    (((a, True), (a, -1)), "not freely reduced at position 1"),
+    (((a, 1), (a, 1.0), (b, 0)), r"sign must be \+1 or -1, got 0"),
+])
+def test_word_check_reports_the_first_fault(syllables, message):
+    with pytest.raises(ValueError, match=message):
+        Word(syllables)
+
+
+def test_presentation_check_reports_the_first_fault():
+    with pytest.raises(ValueError, match="bad generator name 'B'"):
+        Presentation((a, "B", "C", a), (word("q"),))
+    with pytest.raises(ValueError, match="duplicate"):
+        Presentation((a, a), (word("b"),))
+    with pytest.raises(ValueError,
+                       match=r"relator 1 uses undeclared generators: \['b', 'c'\]"):
+        Presentation((a,), (word("a"), word("c b"), word("d")))
 
 
 @given(raw_words, raw_words)
