@@ -193,7 +193,10 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
     order, then define any still-missing neighbours; coincidences merge via
     union-find keeping the smaller coset number.  The working table has a
     column for each generator and for each inverse, and column x ^ 1 undoes
-    column x.  Deterministic for fixed input.  Raises CapacityError, saying
+    column x.  The invariant stated at ``merge_queue`` carries three steps:
+    a fresh coset is defined with no merge step, the subgroup words are
+    scanned from coset 1, and the final numbering reads entries with no
+    ``find``.  Deterministic for fixed input.  Raises CapacityError, saying
     how far it got, once COSET_CAP cosets have been defined and another is
     needed; a partial table is never returned.  A subgroup generator that
     uses a symbol outside the presentation raises InvalidArgumentError.
@@ -250,8 +253,11 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
     # in reciprocal pairs table[c][x] = d <-> table[d][x ^ 1] = c.  A merge
     # empties the dead coset's row and the reciprocal entries before
     # re-adding its edges at the survivor, so the invariant holds whenever
-    # no merge is pending.  None is pending while a scan reads the table,
-    # so a scan reads table[c][x] with no find; `verify` checks the result.
+    # no merge is pending.  None is pending while a scan reads the table or
+    # once the enumeration ends, so the scans and the final numbering read
+    # entries with no find.  An edge to a fresh coset, whose row is empty,
+    # cannot conflict, and a merge keeps the smaller number, so coset 1
+    # (index 0) survives every merge.  `verify` checks the result.
     merge_queue: list[tuple[int, int]] = []
 
     def set_edge(c: int, x: int, d: int) -> None:
@@ -287,7 +293,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
                     moved.append((x, d))
             parent[b] = a
             for x, d in moved:
-                set_edge(a, x, find(d))
+                set_edge(a, x, d)
 
     def scan_and_fill(start: int, w: list[int]) -> None:
         i, f = 0, start
@@ -298,19 +304,15 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
                 if nxt is None:
                     break
                 f, i = nxt, i + 1
-            if i > j:
-                if f != b:
-                    merge_queue.append((f, b))
-                    process_merges()
-                return
             while j >= i:
                 prev = table[b][w[j] ^ 1]
                 if prev is None:
                     break
                 b, j = prev, j - 1
-            if j < i:
-                merge_queue.append((f, b))
-                process_merges()
+            if j < i:  # the scan closed: its two ends are one coset
+                if f != b:
+                    merge_queue.append((f, b))
+                    process_merges()
                 return
             if i == j:
                 # single gap: closing deduction, may reveal a coincidence
@@ -322,30 +324,27 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
             set_edge(f, w[i], d)
             f, i = d, i + 1
 
-    start = new_coset()
+    new_coset()
     for w in subgroup_words:
-        scan_and_fill(find(start), w)
+        scan_and_fill(0, w)
     c = 0
     while c < len(parent):
+        for r in relators:
+            if find(c) != c:
+                break
+            scan_and_fill(c, r)
         if find(c) == c:
-            for r in relators:
-                if find(c) != c:
-                    break
-                scan_and_fill(c, r)
             # define in column order g0, g0^-1, g1, g1^-1, ...; this order
             # fixes the coset numbering
             for x in range(ncols):
-                if find(c) != c:
-                    break
                 if table[c][x] is None:
                     set_edge(c, x, new_coset())
-                    process_merges()
         c += 1
 
     live = [c for c in range(len(parent)) if find(c) == c]
     number = {c: i + 1 for i, c in enumerate(live)}
     action = tuple(
-        tuple(number[find(table[c][x])] for c in live)
+        tuple(number[table[c][x]] for c in live)
         for x in range(0, ncols, 2)
     )
     result = CosetTable(gens=gens, action=action, index=len(live))

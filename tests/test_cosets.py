@@ -430,6 +430,45 @@ def test_enumeration_agrees_with_kernel_table_index():
         assert by_tc.index == by_cover.index == k
 
 
+A5 = Presentation(
+    generators=("a", "b"),
+    relators=(word("a a"), word("b b b"), word("a b") ** 5),
+)
+A5_IMAGES = GenAssignment.from_names({"a": "(1,2)(3,4)", "b": "(1,3,5)"})
+
+
+def _check_against_closure(words):
+    # independent route: the subgroup's order as a permutation closure of
+    # the words' images, so index * order is the order of A5
+    t = todd_coxeter(A5, words)
+    images = [eval_word(A5_IMAGES, w) for w in words]
+    assert t.index * closure(images).order == 60
+    for w in words:
+        assert t.trace(1, w) == 1
+    return t
+
+
+def test_enumeration_closes_a_cycle_through_an_inverse_edge():
+    # a deduction here finds its target already entered from another coset
+    # through the inverse column; only the coincidence of the two makes the
+    # word fix coset 1
+    w = word("a b^-1 b^-1 a b^-1 a")
+    t = _check_against_closure([w])
+    assert t.index == 30
+    assert closure([eval_word(A5_IMAGES, w)]).order == 2
+
+
+def test_subgroup_index_times_order_is_the_group_order():
+    rng = random.Random(5)
+    for _ in range(400):
+        words = [
+            reduce((rng.choice("ab"), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        _check_against_closure(words)
+
+
 def test_capacity_error_on_infinite_index(monkeypatch):
     # the meridian alone generates an infinite-index subgroup, so the
     # enumeration must hit the cap rather than close
