@@ -164,13 +164,19 @@ def cyclic_cover_table(p: Presentation, k: int) -> CosetTable:
     steps each coset forward by one, mod k.
 
     Valid only when every relator has total exponent zero, i.e. when the
-    generator-to-1 map really defines a homomorphism onto the integers.
+    generator-to-1 map really defines a homomorphism onto the integers, so
+    a presentation with no generators has no cover of fold above 1.
     Folds above COSET_CAP are refused before any row is built.
     """
     if k < 1:
         raise InvalidArgumentError(f"fold count must be positive, got {k}")
     if k > COSET_CAP:
         raise CapacityError(f"fold {k} exceeds the coset cap {COSET_CAP}")
+    if k > 1 and not p.generators:
+        raise TableIntegrityError(
+            "the presentation has no generators, so the cyclic cover is "
+            "not defined"
+        )
     for i, r in enumerate(p.relators):
         e = r.total_exponent()
         if e != 0:

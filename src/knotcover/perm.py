@@ -204,7 +204,8 @@ def parse_cycles(text: str) -> Perm:
         points: list[int] = []
         while True:
             skip_ws()
-            if pos < n and text[pos] == ")":
+            # ")" right after "(" only: a comma must be followed by a point
+            if not points and pos < n and text[pos] == ")":
                 pos += 1
                 break
             start = pos

@@ -63,7 +63,8 @@ rule so results are deterministic:
    prime of g, and each piece is worked again.  The sorted exponent
    lists of the bases zip into d_1 | ... | d_r.
 
-The factors of all stages are merged into one divisibility chain.
+The factors of all stages are merged into one divisibility chain by one
+sweep, as diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) (Newman, 1972, ch. II).
 Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
@@ -392,21 +393,19 @@ def _local_exponents(dense: list[list[int]], b: int, k: int,
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:
-    """Normalize positive factors into a divisibility chain.
+    """Merge positive factors into a divisibility chain in one sweep.
 
-    1 divides everything, so only the factors above 1 are merged and
-    the 1s go in front.
+    Each factor above 1 meets every later one; a pair it does not divide
+    becomes (gcd, lcm).  Invariant: after its turn an entry divides every
+    later one, and they stay its multiples.  The 1s go in front.
     """
-    ones = [d for d in factors if d == 1]
-    chain = sorted(d for d in factors if d > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chain) - 1):
-            a, b = chain[i], chain[i + 1]
+    chain = [d for d in factors if d > 1]
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
             if b % a:
                 g = gcd(a, b)
-                chain[i], chain[i + 1] = g, a * b // g
-                changed = True
-        chain.sort()
-    return ones + chain
+                chain[j] = a // g * b
+                a = g
+        chain[i] = a
+    return [1] * (len(factors) - len(chain)) + chain

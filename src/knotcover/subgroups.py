@@ -3,8 +3,8 @@ coset table, abelian invariants via Smith normal form, the cyclic-cover
 boundary quotient, and the rank growth of staged-kernel homology.
 
 One walk over a coset table rewrites it: ``CosetTable.verify`` traces and
-checks the table and returns the relator paths, and the walk builds the
-spanning tree and maps Schreier columns over those paths, so it raises
+checks the table and returns the relator paths; the walk builds the tree
+and transversal and maps Schreier columns over those paths, so it raises
 exactly what verify raises.
 ``reidemeister_schreier`` turns the walk into words, also for the boundary
 words of ``boundary_quotient``; ``cover_homology`` reads the H1 relation rows
@@ -51,10 +51,11 @@ def _schreier_walk(p: Presentation, t: CosetTable):
     """Rewrite every relator of ``p`` from every coset of ``t``, along the
     paths ``t.verify(p)`` traces and returns.
 
-    Returns ``(tree, pairs, walks)``:
-    - ``tree`` lists each coset other than 1 as (coset, parent, syllable),
-      in breadth-first discovery order from coset 1, forward edges before
-      backward ones, generators in presentation order;
+    Returns ``(reps, pairs, walks)``:
+    - ``reps`` holds each coset's representative as syllables, coset 1's
+      first: its path on the breadth-first tree from coset 1, which takes
+      forward edges before backward ones, generators in presentation
+      order, and never backtracks, so each is reduced;
     - ``pairs`` lists the Schreier generators (coset, generator), the pairs
       off the tree in coset-then-generator order; a pair's position is its
       column;
@@ -71,20 +72,19 @@ def _schreier_walk(p: Presentation, t: CosetTable):
     paths = t.verify(p)
     n, gens, rows = t.index, t.gens, t.rows
 
-    # breadth-first spanning tree from coset 1 (0 here); the pair (c, g)
-    # with g the i-th generator is numbered c * len(gens) + i
+    # breadth-first spanning tree from coset 1 (0 here): a representative
+    # is its parent's plus one syllable; the pair (c, g) with g the i-th
+    # generator is numbered c * len(gens) + i
     m = len(gens)
-    tree: list[tuple[int, int, tuple[str, int]]] = []
+    reps: list[tuple | None] = [()] + [None] * (n - 1)
     on_tree: set[int] = set()
-    seen = {0}
     queue = [0]
     for cur in queue:
         for i, g in enumerate(gens):
             for sign in (1, -1):
                 nxt = rows[g, sign][cur]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    tree.append((nxt + 1, cur + 1, (g, sign)))
+                if reps[nxt] is None:
+                    reps[nxt] = reps[cur] + ((g, sign),)
                     on_tree.add((cur if sign > 0 else nxt) * m + i)
                     queue.append(nxt)
 
@@ -112,19 +112,14 @@ def _schreier_walk(p: Presentation, t: CosetTable):
             for walk in zip(*crossed) if crossed else [()] * n:
                 yield tuple(filter(None, walk))
 
-    return tree, pairs, walks
+    return reps, pairs, walks
 
 
 def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentation:
     """Presentation of the subgroup whose coset action ``t`` describes."""
-    tree, pairs, walks = _schreier_walk(p, t)
+    reps, pairs, walks = _schreier_walk(p, t)
     n = t.index
     names = [f"{g}x{c}" for c, g in pairs]
-    # A breadth-first tree path never backtracks, so each representative is
-    # its parent's syllables plus one, reduced by construction.
-    rep = {1: ()}
-    for c, parent, syllable in tree:
-        rep[c] = rep[parent] + (syllable,)
     rel_names = [f"{name}@{c}"
                  for name in map(p.relator_name, range(len(p.relators)))
                  for c in range(1, n + 1)]
@@ -139,7 +134,7 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     return SubgroupPresentation(
         schreier_gens=tuple(pairs),
         presentation=derived,
-        transversal=tuple(Word._trusted(rep[c]) for c in range(1, n + 1)),
+        transversal=tuple(map(Word._trusted, reps)),
     )
 
 

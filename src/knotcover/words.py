@@ -19,9 +19,9 @@ and parsing the text gives back an equal one.  A word whose reducedness
 follows from how it was built skips the check: ``reduce`` has just reduced
 it, ``Word.inverse`` reverses a reduced word, and renaming the letters of a
 reduced word injectively (the stage words of ``presentations``) or
-extending a breadth-first tree path by one edge (the transversal of
-``subgroups.reidemeister_schreier``) keeps it reduced.  These build through
-the trusted path ``Word._trusted``, which checks nothing.
+extending a breadth-first tree path by one edge (the transversal, which
+``subgroups._schreier_walk`` extends as it walks) keeps it reduced.  These
+build through the trusted path ``Word._trusted``, which checks nothing.
 """
 
 from __future__ import annotations

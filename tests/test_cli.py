@@ -30,6 +30,7 @@ from knotcover.subgroups import BOUNDARY_QUOTIENT_MAX_FOLD, AbelianInvariants
 from knotcover.words import Presentation, Word, print_presentation, word
 
 README = Path(__file__).parent.parent / "README.md"
+DATA = Path(__file__).parent / "data"
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
 GOLDEN_RUN_ALL_TEXT = Path(__file__).parent / "data" / "run_all.txt"
 GOLDEN_RUN_ALL_JMAX8 = Path(__file__).parent / "data" / "run_all_jmax8.json"
@@ -386,6 +387,11 @@ def _must_not_run(*args, **kwargs):
         (["cosets", "--pres", "{trefoil}", "--mode", "kernel",
           "--assign", "{unknown_assigned}"],
          "unknown_assigned.txt:3: unknown generator 'z'"),
+        (["cosets", "--pres", "{no_generators}", "--mode", "cyclic", "--k", "3"],
+         "the presentation has no generators, so the cyclic cover is not "
+         "defined"),
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{trailing_comma}"],
+         "trailing_comma.assign:1: expected point at position 5, got ')'"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0",
@@ -398,7 +404,8 @@ def _must_not_run(*args, **kwargs):
          "subgroup-bad-syllable", "assignment-unclosed-cycle",
          "assignment-bad-name-located", "presentation-error-names-its-file",
          "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired",
-         "assignment-unknown-generator", "kernel-cosets-unknown-generator"],
+         "assignment-unknown-generator", "kernel-cosets-unknown-generator",
+         "cyclic-cover-no-generators", "assignment-trailing-comma"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -433,7 +440,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
              "superscript": str(superscript), "arabic_indic": str(arabic_indic),
              "bad_syllable": str(bad_syllable), "unclosed": str(unclosed),
              "bad_name_line2": str(bad_name_line2), "bad_pres": str(bad_pres),
-             "unknown_assigned": str(unknown_assigned)}
+             "unknown_assigned": str(unknown_assigned),
+             "no_generators": str(DATA / "no_generators.pres"),
+             "trailing_comma": str(DATA / "trailing_comma.assign")}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""

@@ -343,6 +343,14 @@ def test_cyclic_cover_requires_zero_total_exponent():
         cyclic_cover_table(unbalanced, 2)
 
 
+def test_cyclic_cover_of_a_presentation_with_no_generators():
+    # no generator maps onto the integers, so only the one-fold cover exists
+    empty = Presentation(generators=(), relators=())
+    assert cyclic_cover_table(empty, 1).index == 1
+    with pytest.raises(TableIntegrityError, match="no generators"):
+        cyclic_cover_table(empty, 3)
+
+
 def test_cyclic_cover_rejects_nonpositive_fold():
     with pytest.raises(ValueError):
         cyclic_cover_table(trefoil_presentation(), 0)

@@ -55,6 +55,13 @@ def test_parse_errors_name_the_token():
         parse_cycles("(1,2")
     with pytest.raises(ParseError, match="expected point"):
         parse_cycles("(1,,2)")
+    # a comma must be followed by a point
+    with pytest.raises(ParseError,
+                       match=r"expected point at position 5, got '\)'"):
+        parse_cycles("(1,2,)")
+    with pytest.raises(ParseError,
+                       match=r"expected point at position 3, got '\)'"):
+        parse_cycles("(1,)")
     with pytest.raises(ParseError, match="empty"):
         parse_cycles("")
     with pytest.raises(ParseError, match="'x'"):

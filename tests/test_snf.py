@@ -92,6 +92,58 @@ def test_chain_merges_only_factors_above_one():
     assert chain == [1] * 51 + [30, 30]
 
 
+SMOOTH_PRIMES = (2, 3, 5, 7)
+
+
+def per_prime_chain(entries):
+    """Invariant factors of diag(entries), entries products of 2, 3, 5 and
+    7: for each prime, the entries' exponents sorted ascending."""
+    chain = [1] * len(entries)
+    for p in SMOOTH_PRIMES:
+        exponents = []
+        for d in entries:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            exponents.append(e)
+        chain = [c * p ** e for c, e in zip(chain, sorted(exponents))]
+    return chain
+
+
+def smooth_lists(rng):
+    """Seeded lists of products of 2, 3, 5 and 7 with 1s mixed in, then
+    long lists of pairwise coprime entries, whose product the chain
+    gathers into its last entry."""
+    for _ in range(300):
+        yield [prod(rng.choice(SMOOTH_PRIMES)
+                    for _ in range(rng.randint(0, 8)))
+               for _ in range(rng.randint(1, 12))]
+    for _ in range(20):
+        primes = list(SMOOTH_PRIMES)
+        rng.shuffle(primes)
+        cut = sorted(rng.sample(range(1, 4), rng.randint(0, 3)))
+        blocks = [primes[i:j] for i, j in zip([0, *cut], [*cut, 4])]
+        entries = [prod(p ** rng.randint(1, 4) for p in block)
+                   for block in blocks] + [1] * rng.randint(20, 60)
+        rng.shuffle(entries)
+        yield entries
+
+
+def test_merge_matches_the_per_prime_exponents():
+    coprime = 0
+    for entries in smooth_lists(random.Random(33)):
+        expected = per_prime_chain(entries)
+        assert snf._divisibility_chain(entries) == expected
+        diag = [[d if i == j else 0 for j in range(len(entries))]
+                for i, d in enumerate(entries)]
+        assert smith_normal_form(diag) == (expected, len(entries))
+        if len(entries) >= 20:
+            assert expected[-1] == prod(entries)
+            coprime += 1
+    assert coprime == 20
+
+
 def test_zero_matrix():
     assert smith_normal_form([[0, 0], [0, 0]]) == ([], 0)
 

@@ -166,6 +166,27 @@ def test_rewritten_presentations_are_pinned(name, build):
     assert hashlib.sha256(text.encode()).hexdigest() == REWRITE_FINGERPRINTS[name]
 
 
+# sha256 of the transversal, one word per line in coset order
+TRANSVERSAL_FINGERPRINTS = {
+    "kernel j=3":
+        "823417f62b9878923e6fd12e90b7ebd80adc7f44c16fc0c83cd96eb4260c4d1c",
+    "trefoil 12-fold cover":
+        "5003f94329593c87f6514c7450e27404a37e89c8144427a5a45ab4c8827a840b",
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("kernel j=3", lambda: _kernel_rewrite(3)),
+    ("trefoil 12-fold cover", lambda: reidemeister_schreier(
+        trefoil_presentation(),
+        cyclic_cover_table(trefoil_presentation(), 12))),
+])
+def test_transversals_are_pinned(name, build):
+    text = "\n".join(map(str, build().transversal))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == TRANSVERSAL_FINGERPRINTS[name])
+
+
 def test_rewritten_relators_share_the_generator_symbols():
     # one name string per Schreier generator, however often it occurs:
     # relators hold the generator tuple's own strings, not copies
