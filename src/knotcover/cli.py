@@ -79,7 +79,11 @@ SMALL_STAGE_NOTE = (
 # or more on a shared host, so their range is recorded, not one median;
 # for N = 14 / 15 / 16 / 17 they took
 # 2.15-3.22 / 2.24-2.77 / 3.62-5.01 / 2.77-4.68 s
-# (Python 3.11.7, a shared 2-core Xeon host).  Per stage times also come
+# (Python 3.11.7, a shared 2-core Xeon host).  At N = 15 the fresh-process
+# peak RSS was 37.4-37.6 MiB while the elimination copied the relation rows,
+# kept a set of rows per column and ran beside the walk's paths, and is
+# 26.9-27.0 MiB with the rows taken in place, a list per column and the
+# walk freed first (eight runs each, same host).  Per stage times also come
 # from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
 KERNEL_HOMOLOGY_MAX_STAGES = 15

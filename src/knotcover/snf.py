@@ -94,13 +94,20 @@ _ROOT_BOUNDS = (2,) * 11 + (3,) * 4 + (4, 4, 5, 6, 7, 10, 13, 19, 31, 63, 181,
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
     """Invariant factors (divisibility chain, including 1s) and rank.
 
+    Every row must be as long as row 0; ValueError names the first that
+    is not.
+
     >>> smith_normal_form([[2, 0], [0, 3]])
     ([1, 6], 2)
     >>> smith_normal_form([[0, 0], [0, 0]])
     ([], 0)
     """
+    width = len(matrix[0]) if matrix else 0
     work: SparseRows = {}
     for i, row in enumerate(matrix):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has "
+                             f"{width}")
         entries = {j: v for j, v in enumerate(row) if v}
         if entries:
             work[i] = entries
@@ -110,15 +117,22 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
 def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
     """Smith normal form of a sparse integer matrix.
 
-    ``rows`` maps row index to {column index: nonzero value}.  Rows and
-    columns absent from the mapping are zero.  Returns the invariant
-    factors as a divisibility chain (1s included) and the rank.
+    ``rows`` maps row index to {column index: value}.  Rows and columns
+    absent from the mapping are zero.  Returns the invariant factors as a
+    divisibility chain (1s included) and the rank.  ``rows`` is never
+    changed: the stages work on a copy that leaves out zero entries and
+    the rows they leave empty.
     """
-    return _smith({i: dict(r) for i, r in rows.items() if r})
+    work: SparseRows = {}
+    for i, r in rows.items():
+        if entries := {j: v for j, v in r.items() if v}:
+            work[i] = entries
+    return _smith(work)
 
 
 def _smith(work: SparseRows) -> tuple[list[int], int]:
-    """The three stages on ``work``, a fresh mapping they consume."""
+    """The three stages on ``work``, a mapping they consume: its rows are
+    non-empty, its entries nonzero, and no caller reads it afterwards."""
     factors = _divisor_stage(work)
     dense = _densify(work)
     rank_rest, det = _bareiss_rank_det([row[:] for row in dense])
@@ -145,11 +159,17 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     its row and only its column is checked.  A row whose candidate
     column becomes divisible later, with the row unchanged, stays in the
     residual for the dense stages.
+
+    ``cols[j]`` lists the rows with an entry in column j, each once, in no
+    particular order: a row is appended when it gains the column and
+    removed when its entry cancels or it is pivoted.  A column holds a few
+    rows, so a plain list is far smaller than a set, though ``remove`` is
+    linear in the column's length.
     """
-    cols: dict[int, set[int]] = {}
+    cols: dict[int, list[int]] = {}
     for i, r in rows.items():
         for j in r:
-            cols.setdefault(j, set()).add(i)
+            cols.setdefault(j, []).append(i)
 
     heap: list[tuple[int, int, int, int]] = []
     queued: dict[int, tuple[int, int, int, int]] = {}
@@ -189,7 +209,7 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
         # then cleared by column operations that touch no other row,
         # which splits off diag(v).
         del cols[pc], row[pc]
-        col.discard(pr)
+        col.remove(pr)
         requeue = []
         for i in col:
             trow = rows[i]
@@ -200,12 +220,12 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
                 if t is None:
                     # q and s are nonzero, so a new entry is too
                     trow[j] = new = -q * s
-                    cols[j].add(i)
+                    cols[j].append(i)
                 else:
                     new = t - q * s
                     if not new:
                         del trow[j]
-                        cols[j].discard(i)
+                        cols[j].remove(i)
                         continue
                     trow[j] = new
                 if new == 1 or new == -1:
@@ -218,7 +238,7 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
             elif (e := queued.get(i)) is None or e[1] > 1:
                 requeue.append((i, gcd(*trow.values())))
         for j in row:
-            cols[j].discard(pr)
+            cols[j].remove(pr)
         del rows[pr]
         pivots.append(a)
         # Column lengths are final only now that every row is updated and

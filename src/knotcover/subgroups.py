@@ -20,7 +20,7 @@ from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
 from .errors import CapacityError, InvalidArgumentError
 from .homcheck import phi_tables
 from .presentations import kj_presentation, trefoil_presentation
-from .snf import smith_normal_form_sparse
+from .snf import _smith
 from .words import Presentation, Word, word
 
 # Boundary curves of the trefoil complement, as words in the two-generator
@@ -171,7 +171,14 @@ def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
     """Invariants of the abelian group on ``ncols`` generators with one
     relation per relator, a relator given as its (column, sign) syllables:
     Smith normal form of the exponent-sum rows, each row's columns in order
-    of first occurrence."""
+    of first occurrence.
+
+    ``relators`` is read to its end before the elimination starts, so a
+    generator over a walk has let go of the walk by then.  The rows built
+    here, zeros and empty rows already left out, are handed to the
+    elimination itself, which consumes them: they are the one copy of the
+    matrix live during it.
+    """
     rows: dict[int, dict[int, int]] = {}
     for i, r in enumerate(relators):
         entries = dict(r)
@@ -183,7 +190,7 @@ def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
             entries = {j: v for j, v in entries.items() if v}
         if entries:
             rows[i] = entries
-    factors, rank = smith_normal_form_sparse(rows)
+    factors, rank = _smith(rows)
     return AbelianInvariants(
         free_rank=ncols - rank,
         torsion=tuple(d for d in factors if d > 1),
@@ -208,9 +215,16 @@ def cover_homology(p: Presentation, t: CosetTable) -> AbelianInvariants:
     By Fox calculus each syllable g read at coset x adds its sign at the
     Schreier column (x, g), and g^-1 read at x subtracts at (x * g^-1, g),
     so no rewritten word, name or presentation is built.
+
+    The walk is dropped here before its rows are read, and its generator
+    lets go of the paths and Schreier columns once the last row is read,
+    so the elimination runs beside the rows alone.
     """
-    _, pairs, walks = _schreier_walk(p, t)
-    return _invariants(walks(lambda k, sign: (k, sign)), len(pairs))
+    reps, pairs, walks = _schreier_walk(p, t)
+    ncols = len(pairs)
+    relators = walks(lambda k, sign: (k, sign))
+    del reps, pairs, walks
+    return _invariants(relators, ncols)
 
 
 def boundary_quotient(k: int) -> Presentation:

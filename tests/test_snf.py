@@ -1,5 +1,7 @@
 """Tests for exact integer Smith normal form."""
 
+import copy
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, count
@@ -313,6 +315,49 @@ def test_sparse_and_dense_agree():
 
 def test_empty_sparse_input():
     assert smith_normal_form_sparse({}) == ([], 0)
+
+
+def test_sparse_input_with_explicit_zeros():
+    # a stored zero is no entry: the zero matrix has rank 0, and a row
+    # left empty once its zeros go is no row
+    assert smith_normal_form_sparse({0: {0: 0}}) == ([], 0)
+    rows = {0: {0: 0, 1: 3}, 1: {0: 0}}
+    assert smith_normal_form_sparse(rows) == naive_snf([[0, 3], [0, 0]]) \
+        == ([3], 1)
+
+
+def test_sparse_input_with_zeros_sprinkled_in_against_oracle():
+    rng = random.Random(35)
+    zeros = 0
+    for matrix in sparse_fill_matrices()[:60]:
+        rows = {}
+        for i, row in enumerate(matrix):
+            entries = {j: v for j, v in enumerate(row)
+                       if v or rng.random() < 0.2}
+            if entries or rng.random() < 0.5:
+                rows[i] = entries
+            zeros += sum(1 for v in entries.values() if not v)
+        assert smith_normal_form_sparse(rows) == naive_snf(matrix), matrix
+    assert zeros
+
+
+def test_sparse_input_is_left_unchanged():
+    _, kernel = kernel_relation_rows(3)
+    inputs = [{i: dict(r) for i, r in enumerate(kernel)},
+              {0: {0: 0, 1: 3}, 1: {0: 0}, 2: {}},
+              {0: {0: 2, 1: 4}, 1: {0: 3, 1: 1, 2: 5}}]
+    for rows in inputs:
+        before = copy.deepcopy(rows)
+        smith_normal_form_sparse(rows)
+        assert rows == before
+
+
+@pytest.mark.parametrize("matrix, bad", [([[1, 2], [3]], 1),
+                                         ([[1], [2], [3, 4]], 2),
+                                         ([[1, 2], [3], [4, 5, 6]], 1)])
+def test_ragged_dense_input_is_refused(matrix, bad):
+    with pytest.raises(ValueError, match=f"^row {bad} has"):
+        smith_normal_form(matrix)
 
 
 def test_known_torsion_presentation_matrix():
@@ -845,6 +890,57 @@ def test_divisor_stage_heap_traffic_on_kernel_matrices(monkeypatch, j, pushes,
     pushed, popped = heap_traffic(monkeypatch)
     assert len(snf._divisor_stage(sparse)) == pivots
     assert len(pushed) == len(popped) == pushes
+
+
+def stage1_pivots(monkeypatch, rows):
+    """Run the divisor stage on ``rows``; return its pivots as (row,
+    column, value), value signed, in the order they are taken.
+
+    A popped entry is the pivot exactly when its row is gone by the next
+    pop: a stale or dropped entry changes no row, and a pivot deletes
+    only its own row and rows it left empty."""
+    popped, pivots = [], []
+    real_pop = snf.heappop
+
+    def settle():
+        if popped:
+            pr, pc, v = popped.pop()
+            if v is not None and pr not in rows:
+                pivots.append((pr, pc, v))
+
+    def pop(heap):
+        entry = real_pop(heap)
+        settle()
+        pr, pc = entry[2], entry[3]
+        popped.append((pr, pc, rows[pr].get(pc) if pr in rows else None))
+        return entry
+
+    monkeypatch.setattr(snf, "heappop", pop)
+    values = snf._divisor_stage(rows)
+    settle()
+    assert [abs(v) for _, _, v in pivots] == values
+    return pivots
+
+
+# sha256 of repr(stage1_pivots(...)) on the kernel matrices: the column
+# index and the queue's bookkeeping may change, but not one pivot
+KERNEL_PIVOTS_SHA256 = {
+    3: "c494016118077d5993037d90c69829b1af7bc571cf6f0abde9877c8feadfcb73",
+    4: "edae427e917c39c210514ac678638272a13124b33264e65f4ad6a48b387e839a",
+    5: "c0bf2028d38e21a4baf21fdc9c222f16b5452f2fc4aba6f1cf733f660e512e86",
+}
+
+
+@pytest.mark.parametrize("j, count", [(3, 1511), (4, 2030), (5, 2536)])
+def test_divisor_stage_pivot_sequence_on_kernel_matrices(monkeypatch, j,
+                                                         count):
+    _, rows = kernel_relation_rows(j)
+    sparse = {i: {c: v for c, v in r.items() if v}
+              for i, r in enumerate(rows) if any(r.values())}
+    pivots = stage1_pivots(monkeypatch, sparse)
+    assert len(pivots) == count
+    digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
+    assert digest == KERNEL_PIVOTS_SHA256[j]
 
 
 @pytest.mark.parametrize("j", [3, 4, 5])

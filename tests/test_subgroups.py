@@ -2,6 +2,9 @@
 the frozen longitude, the rank bound, and kernel homology."""
 
 import hashlib
+import inspect
+import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -229,16 +232,16 @@ COVERS = ([("kernel", j) for j in range(1, 7)]
 
 
 def _snf_rows(monkeypatch, compute):
-    """The rows ``compute`` hands to the sparse Smith normal form, as lists
-    of (row, [(column, value), ...]) in dict order."""
+    """The rows ``compute`` hands to the Smith normal form's stages, as
+    lists of (row, [(column, value), ...]) in dict order."""
     seen = []
-    real = subgroups.smith_normal_form_sparse
+    real = subgroups._smith
 
     def spy(rows):
         seen.append([(i, list(r.items())) for i, r in rows.items()])
         return real(rows)
 
-    monkeypatch.setattr(subgroups, "smith_normal_form_sparse", spy)
+    monkeypatch.setattr(subgroups, "_smith", spy)
     compute()
     assert len(seen) == 1
     return seen[0]
@@ -282,6 +285,71 @@ def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
     snf._divisor_stage(sparse)
     dense = snf._densify(sparse)
     assert (len(dense), len(dense[0])) == shape
+
+
+def test_invariants_hands_the_rows_it_built_to_the_elimination(monkeypatch):
+    # no second copy of the matrix: the stages get the very dict that
+    # _invariants filled, and consume it
+    handed = []
+    real = subgroups._smith
+
+    def spy(rows):
+        caller = inspect.currentframe().f_back
+        handed.append((caller.f_code.co_name, caller.f_locals["rows"] is rows))
+        return real(rows)
+
+    monkeypatch.setattr(subgroups, "_smith", spy)
+    cover_homology(*_cover("kernel", 3))
+    abelianize(trefoil_presentation())
+    assert handed == [("_invariants", True)] * 2
+
+
+def test_walk_paths_are_freed_before_the_elimination(monkeypatch):
+    # cover_homology drops the walk, and the walk's generator lets go of
+    # the relator paths CosetTable.verify traced once its last row is read
+    class Paths(list):
+        pass
+
+    refs, alive = [], []
+    real_verify, real_smith = CosetTable.verify, subgroups._smith
+
+    def verify(self, p):
+        paths = Paths(real_verify(self, p))
+        refs.append(weakref.ref(paths))
+        return paths
+
+    def smith(rows):
+        alive.append([ref() is not None for ref in refs])
+        return real_smith(rows)
+
+    p, t = _cover("kernel", 3)
+    monkeypatch.setattr(CosetTable, "verify", verify)
+    monkeypatch.setattr(subgroups, "_smith", smith)
+    cover_homology(p, t)
+    assert alive == [[False]]
+
+
+@pytest.mark.parametrize("j", [5, 8])
+def test_cover_homology_peak_is_within_three_times_its_rows(j):
+    # the elimination runs on the relation rows themselves, beside a list
+    # of rows per column and with the walk freed: the traced peak is about
+    # twice the rows' size.  A set per column takes it past three times,
+    # as does a second copy of the rows with the walk kept alive
+    p, t = _cover("kernel", j)
+    _, relation_rows = kernel_relation_rows(j)
+    tracemalloc.start()
+    try:
+        rows = {i: {c: v for c, v in r.items() if v}
+                for i, r in enumerate(relation_rows) if any(r.values())}
+        size = tracemalloc.get_traced_memory()[0]
+        del rows
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cover_homology(p, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * size, (peak, size)
 
 
 def _bad_tables():
