@@ -16,6 +16,7 @@ trailing fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, ParseError
@@ -273,9 +274,14 @@ def closure(gens: Iterable[Perm]) -> PermGroup:
     tuples padded to the largest generator degree, and records each
     generator's action on positions as it goes.  Raises CapacityError past
     CLOSURE_CAP elements.
+
+    Each expanded element becomes one ``itemgetter`` of its images, and
+    its product with a generator is one call of it on the generator's row.  ``itemgetter`` of a single index returns a scalar, not a tuple,
+    so images are padded to at least two points; ``Perm._trusted`` trims
+    the padding off again.
     """
     distinct = tuple(dict.fromkeys(gens))
-    n = max((g.degree for g in distinct), default=0)
+    n = max((2, *(g.degree for g in distinct)))
     # The leading 0 shifts each row so that point x indexes its own image.
     lookups = [(0,) + g.images + _POINTS[g.degree:n] for g in distinct]
     rows: list[list[int]] = [[] for _ in distinct]
@@ -284,9 +290,9 @@ def closure(gens: Iterable[Perm]) -> PermGroup:
     position = {identity: 1}
     expanded = 0
     while expanded < len(elements):
-        current = elements[expanded]
+        times = itemgetter(*elements[expanded])
         for lookup, row in zip(lookups, rows):
-            nxt = tuple(map(lookup.__getitem__, current))
+            nxt = times(lookup)
             pos = position.get(nxt)
             if pos is None:
                 if len(elements) >= CLOSURE_CAP:

@@ -132,9 +132,13 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
 
 def _smith(work: SparseRows) -> tuple[list[int], int]:
     """The three stages on ``work``, a mapping they consume: its rows are
-    non-empty, its entries nonzero, and no caller reads it afterwards."""
+    non-empty, its entries nonzero, and no caller reads it afterwards.
+    Stage 1's residual is cleared from it as soon as ``_densify`` has
+    read it, so Bareiss and the local stage run beside the dense copy
+    alone and ``work`` is left empty."""
     factors = _divisor_stage(work)
     dense = _densify(work)
+    work.clear()
     rank_rest, det = _bareiss_rank_det([row[:] for row in dense])
     if rank_rest:
         factors.extend(_local_factors(dense, rank_rest, det))

@@ -40,11 +40,21 @@ class SubgroupPresentation:
     splits the name back into g and c.  Spanning-tree pairs are dropped,
     leaving index * gens - index + 1 generators; every base relator is
     rewritten once per coset.
+
+    The pairs are not stored: ``schreier_gens`` reads them off the
+    generator names each time it is asked.
     """
 
-    schreier_gens: tuple[tuple[int, str], ...]
     presentation: Presentation
     transversal: tuple[Word, ...]
+
+    @property
+    def schreier_gens(self) -> tuple[tuple[int, str], ...]:
+        """The pairs (coset, generator) of the Schreier generators, in the
+        order of ``presentation.generators``: each name split at its last
+        "x"."""
+        return tuple((int(c), g) for g, _, c in
+                     (name.rpartition("x") for name in self.presentation.generators))
 
 
 def _schreier_walk(p: Presentation, t: CosetTable):
@@ -132,7 +142,6 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
         relator_names=tuple(rel_names),
     )
     return SubgroupPresentation(
-        schreier_gens=tuple(pairs),
         presentation=derived,
         transversal=tuple(map(Word._trusted, reps)),
     )

@@ -61,9 +61,12 @@ def reduce(raw: Iterable[Syllable]) -> "Word":
     return Word._trusted(tuple(stack))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """A freely reduced word.  Construct unreduced sequences via reduce()."""
+    """A freely reduced word.  Construct unreduced sequences via reduce().
+
+    Slotted: a word is its syllable tuple and no instance dict, as a
+    rewritten presentation holds one word per relator and coset."""
 
     syllables: tuple[Syllable, ...] = ()
 

@@ -242,6 +242,18 @@ def test_closure_with_repeated_generators():
         assert group.elements == closure_over_every_generator(gens)
 
 
+@pytest.mark.parametrize("gens", [[], [Perm(())], [Perm((1,))]],
+                         ids=["none", "identity", "degree-1"])
+def test_closure_of_degree_below_two_is_trivial(gens):
+    # products run through itemgetter on images padded to two points,
+    # since itemgetter of one index gives a scalar; the padding is trimmed
+    group = closure(gens)
+    assert group.elements == (Perm.identity(),)
+    assert group.elements[0].images == ()
+    assert all(row == (1,) for row in group.action.values())
+    assert list(group.action) == list(dict.fromkeys(gens))
+
+
 def test_closure_cap(monkeypatch):
     a, b = parse_cycles("(1,2,3,4,5)"), parse_cycles("(1,2,3)")
     # the 60th element is found while expanding the first element whose

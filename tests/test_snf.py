@@ -352,6 +352,19 @@ def test_sparse_input_is_left_unchanged():
         assert rows == before
 
 
+def test_smith_consumes_the_mapping_it_is_given():
+    # stage 1's residual is cleared once it is densified, so it is not
+    # kept alive beside the dense stages; both inputs leave a residual
+    _, kernel = kernel_relation_rows(5)
+    inputs = [{i: {j: v for j, v in r.items() if v}
+               for i, r in enumerate(kernel) if any(r.values())},
+              {0: {0: 2, 1: 3}, 1: {0: 4, 1: 5}}]
+    for rows in inputs:
+        expected = smith_normal_form_sparse(rows)
+        assert snf._smith(rows) == expected
+        assert rows == {}
+
+
 @pytest.mark.parametrize("matrix, bad", [([[1, 2], [3]], 1),
                                          ([[1], [2], [3, 4]], 2),
                                          ([[1, 2], [3], [4, 5, 6]], 1)])

@@ -29,10 +29,18 @@ from knotcover.subgroups import (
     boundary_quotient,
     cover_homology,
     kernel_homology,
+    _schreier_walk,
     reidemeister_schreier,
     schreier_rank_bound,
 )
-from knotcover.words import Presentation, Word, print_presentation, reduce, word
+from knotcover.words import (
+    Presentation,
+    Word,
+    parse_presentation,
+    print_presentation,
+    reduce,
+    word,
+)
 
 from test_snf import kernel_relation_rows, naive_snf
 
@@ -102,6 +110,31 @@ def test_schreier_count_identities(build):
     assert len(sub.presentation.generators) == n * g - n + 1
     assert len(sub.presentation.relators) == n * r
     assert len(sub.transversal) == n
+
+
+@pytest.mark.parametrize("cover", [
+    pytest.param(3, id="kernel-j3"),
+    *(pytest.param(-k, id=f"cyclic-k{k}") for k in range(1, 13)),
+    # base names that hold an "x": the name splits at its last one
+    pytest.param(0, id="x-in-base-names"),
+])
+def test_schreier_pairs_read_back_off_the_names(cover):
+    if cover > 0:
+        p, t = subgroups.kernel_cover(cover)
+    elif cover < 0:
+        p = trefoil_presentation()
+        t = cyclic_cover_table(p, -cover)
+    else:
+        p = parse_presentation("gens: x xx1\nrel: x xx1 x^-1 xx1^-1\n")
+        t = cyclic_cover_table(p, 3)
+    sub = reidemeister_schreier(p, t)
+    assert sub.schreier_gens == tuple(_schreier_walk(p, t)[1])
+    if cover == 0:
+        # the tree holds (1, x) and (3, x): coset 3 is x^-1 from coset 1
+        assert sub.presentation.generators == (
+            "xx1x1", "xx2", "xx1x2", "xx1x3")
+        assert sub.schreier_gens == (
+            (1, "xx1"), (2, "x"), (2, "xx1"), (3, "xx1"))
 
 
 def test_rewrite_of_a_subgroup_element():
@@ -350,6 +383,25 @@ def test_cover_homology_peak_is_within_three_times_its_rows(j):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * size, (peak, size)
+
+
+def test_rewrite_memory_per_relator_syllable():
+    # a rewritten word is its syllable tuple in a slotted Word, and the
+    # Schreier pairs are read off the names rather than stored: 81-85
+    # traced bytes per relator syllable on Python 3.10-3.13, against
+    # 92-115 with an instance dict per word and the pairs kept
+    p, t = subgroups.kernel_cover(8)
+    reidemeister_schreier(p, t)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sub = reidemeister_schreier(p, t)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    syllables = sum(map(len, sub.presentation.relators))
+    assert syllables == 21_608
+    assert held <= 88 * syllables, (held, held / syllables)
 
 
 def _bad_tables():

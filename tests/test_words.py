@@ -23,6 +23,13 @@ syllables = st.tuples(
 raw_words = st.lists(syllables, max_size=12)
 
 
+def test_word_has_no_instance_dict():
+    # slotted: a rewritten presentation holds one word per relator and coset
+    w = word("a")
+    assert not hasattr(w, "__dict__")
+    assert w.syllables == (("a", 1),)
+
+
 @pytest.mark.parametrize("bad", ["A", "1a", "a_b", "ab-"])
 def test_word_text_rejects_bad_generator_names(bad):
     with pytest.raises(ParseError, match=f"bad generator name '{bad}'"):
