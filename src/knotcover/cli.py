@@ -77,8 +77,8 @@ SMALL_STAGE_NOTE = (
 # stage adds 660 rows and 540 columns to the relation matrix, and the Smith
 # normal form grows faster than that.  The runs of one N spread by a second
 # or more on a shared host, so their range is recorded, not one median;
-# for N = 14 / 15 / 16 / 17 they took
-# 2.15-3.22 / 2.24-2.77 / 3.62-5.01 / 2.77-4.68 s
+# for N = 14 / 15 / 16 / 17 / 18 they took
+# 1.86-2.42 / 1.65-2.35 / 2.71-4.31 / 2.06-2.90 / 3.17-4.40 s
 # (Python 3.11.7, a shared 2-core Xeon host).  At N = 15 the fresh-process
 # peak RSS was 37.4-37.6 MiB while the elimination copied the relation rows,
 # kept a set of rows per column and ran beside the walk's paths, and is

@@ -207,7 +207,8 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
     needed; a partial table is never returned.  A subgroup generator that
     uses a symbol outside the presentation raises InvalidArgumentError.
     """
-    # read once: the words are encoded here and traced again at the end
+    # read three times: checked here, encoded one at a time as each is
+    # scanned from coset 1, and traced again at the end
     subgroup_gens = tuple(subgroup_gens)
     gens = tuple(p.generators)
     gen_index = {g: i for i, g in enumerate(gens)}
@@ -219,7 +220,6 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
         return [2 * gen_index[sym] + (sign < 0) for sym, sign in w]
 
     relators = [columns(r) for r in p.relators]
-    subgroup_words = []
     for w in subgroup_gens:
         for sym, _ in w:
             if sym not in gen_index:
@@ -227,7 +227,6 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
                     f"subgroup generator {w} uses {sym}, "
                     "which is not a generator of the presentation"
                 )
-        subgroup_words.append(columns(w))
 
     table: list[list[int | None]] = []
     parent: list[int] = []
@@ -331,8 +330,8 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
             f, i = d, i + 1
 
     new_coset()
-    for w in subgroup_words:
-        scan_and_fill(0, w)
+    for w in subgroup_gens:
+        scan_and_fill(0, columns(w))
     c = 0
     while c < len(parent):
         for r in relators:

@@ -49,15 +49,20 @@ Syllable = tuple[str, int]
 
 
 def reduce(raw: Iterable[Syllable]) -> "Word":
-    """Freely reduce a raw syllable sequence into a Word."""
+    """Freely reduce a raw syllable sequence into a Word.
+
+    A syllable that is kept and is a tuple is kept as the very object
+    given, so a product or power of words shares its factors' syllables;
+    any other pair, such as a list, becomes a tuple."""
     stack: list[Syllable] = []
-    for sym, sign in raw:
+    for syl in raw:
+        sym, sign = syl
         if sign not in (1, -1):
             raise ValueError(f"syllable sign must be +1 or -1, got {sign}")
         if stack and stack[-1][0] == sym and stack[-1][1] == -sign:
             stack.pop()
         else:
-            stack.append((sym, sign))
+            stack.append(syl if type(syl) is tuple else (sym, sign))
     return Word._trusted(tuple(stack))
 
 

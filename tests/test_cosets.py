@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -512,6 +513,40 @@ def _kernel_schreier_words(j):
         for c, g in sub.schreier_gens
     ]
     return p, words
+
+
+def test_todd_coxeter_holds_no_encoded_copy_of_the_subgroup_words():
+    # each word is encoded into columns as it is scanned from coset 1, so
+    # the enumeration holds one encoded word at a time: 18.9 traced bytes
+    # per syllable on Python 3.10-3.13 over the 4261 words (18520
+    # syllables) of the j = 8 kernel, against 44.8 with every word
+    # encoded up front
+    p, words = _kernel_schreier_words(8)
+    syllables = sum(map(len, words))
+    assert (len(words), syllables) == (4261, 18520)
+    todd_coxeter(p, words)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        todd_coxeter(p, words)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * syllables, peak / syllables
+
+
+def test_every_subgroup_word_is_checked_before_a_coset_is_defined(
+        monkeypatch):
+    # with no room for even coset 1, an unknown symbol in the last word
+    # is still the error: the symbols are checked before any coset
+    monkeypatch.setattr(cosets, "COSET_CAP", 0)
+    words = [word("a a"), word("a b"), word("a c^-1")]
+    with pytest.raises(InvalidArgumentError,
+                       match="uses c, which is not a generator of the "
+                             "presentation"):
+        todd_coxeter(trefoil_presentation(), words)
+    with pytest.raises(CapacityError):
+        todd_coxeter(trefoil_presentation(), words[:2])
 
 
 def _enumeration_cases():

@@ -649,25 +649,31 @@ def test_torsion_stage_skipped_when_the_minor_gcd_is_one(torsion_calls):
     assert torsion_calls == []
 
 
+def dense_residual(matrix):
+    """The dense residual the divisor stage leaves of ``matrix``."""
+    rows = {i: {j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(matrix)}
+    rows = {i: r for i, r in rows.items() if r}
+    snf._divisor_stage(rows)
+    return snf._densify(rows)
+
+
+# each reaches a column that Bareiss skips: column 1 is zero below the
+# rank but not above it; column 0 is zero; a wide matrix of rank 2 skips
+# columns 1 and 2 and ends at column 3
+BAREISS_HAND_CASES = [
+    [[1, 2, 3], [2, 4, 7]],
+    [[0, 2, 4], [0, 4, 2]],
+    [[2, 4, 0, 6, 8, 2], [1, 2, 0, 3, 4, 1], [0, 0, 0, 4, 6, 2],
+     [3, 6, 0, 13, 18, 5]],
+]
+
+
 def test_bareiss_bound_is_a_multiple_of_the_factor_product():
     # D is a gcd of r x r minors, so the product d_1 ... d_r of the
     # residual's invariant factors (the gcd of all of them) divides it
-    residuals = []
-    for matrix in STRESS:
-        rows = {i: {j: v for j, v in enumerate(row) if v}
-                for i, row in enumerate(matrix)}
-        rows = {i: r for i, r in rows.items() if r}
-        snf._divisor_stage(rows)
-        residuals.append(snf._densify(rows))
-    # each reaches a column that Bareiss skips: column 1 is zero below
-    # the rank but not above it; column 0 is zero; a wide matrix of rank
-    # 2 skips columns 1 and 2 and ends at column 3
-    residuals += [
-        [[1, 2, 3], [2, 4, 7]],
-        [[0, 2, 4], [0, 4, 2]],
-        [[2, 4, 0, 6, 8, 2], [1, 2, 0, 3, 4, 1], [0, 0, 0, 4, 6, 2],
-         [3, 6, 0, 13, 18, 5]],
-    ]
+    residuals = [dense_residual(matrix) for matrix in STRESS]
+    residuals += BAREISS_HAND_CASES
     checked = 0
     for residual in residuals:
         rank, bound = snf._bareiss_rank_det([row[:] for row in residual])
@@ -677,6 +683,101 @@ def test_bareiss_bound_is_a_multiple_of_the_factor_product():
             assert bound > 0 and bound % prod(factors) == 0, residual
             checked += 1
     assert checked > 1000
+
+
+def full_update_bareiss(m):
+    """Rank r and a multiple D of d_1 ... d_r, in place.
+
+    Fraction-free elimination, one column at a time: every intermediate
+    entry is a minor of the input, so sizes stay polynomially bounded,
+    and any nonzero pivot keeps the divisions exact.  In column c the
+    pivot is the first row at or below the rank with a nonzero entry
+    there, swapped up to the rank; a column with no such row is
+    skipped, and no later step writes to it.  D is the gcd of the r x r
+    minors in the last pivot row, from the last pivot column on, and in
+    the multipliers below it in that column: a multiple of d_1 ... d_r
+    (the gcd of all r x r minors) that divides the last pivot, the
+    determinant of a nonsingular r x r minor.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    prev = 1
+    rank = last = 0
+    for c in range(ncols):
+        p = next((i for i in range(rank, nrows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        piv = m[rank][c]
+        tail = m[rank][c + 1:]
+        # The division by the previous pivot is exact by Sylvester's
+        # identity, but only if every row is updated, zeros included.
+        for mi in m[rank + 1:]:
+            f = mi[c]
+            mi[c + 1:] = [(piv * x - f * y) // prev
+                          for x, y in zip(mi[c + 1:], tail)]
+        prev = piv
+        last = c
+        rank += 1
+    if not rank:
+        return 0, 0
+    return rank, gcd(*m[rank - 1][last:],
+                     *(m[i][last] for i in range(rank, nrows)))
+
+
+def zero_multiplier_matrices():
+    """Seeded block-diagonal matrices of 2 to 16 rows and banded ones of
+    4 to 14 rows and columns, a third with their rows shuffled: 81% of
+    the row updates have a zero multiplier, so Bareiss leaves rows
+    unscaled for several steps in a row."""
+    rng = random.Random(3107)
+    out = []
+    for _ in range(300):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        n = sum(sizes)
+        m = [[0] * n for _ in range(n)]
+        at = 0
+        for size in sizes:
+            for i in range(at, at + size):
+                for j in range(at, at + size):
+                    m[i][j] = rng.randint(-7, 7)
+            at += size
+        out.append(m)
+    for _ in range(300):
+        nr, nc = rng.randint(4, 14), rng.randint(4, 14)
+        width = rng.randint(0, 2)
+        out.append([[rng.randint(-9, 9) if abs(i - j) <= width else 0
+                     for j in range(nc)] for i in range(nr)])
+    for m in out[::3]:
+        rng.shuffle(m)
+    return out
+
+
+def assert_bareiss_matches_the_full_update(matrices):
+    for matrix in matrices:
+        assert (snf._bareiss_rank_det([row[:] for row in matrix])
+                == full_update_bareiss([row[:] for row in matrix])), matrix
+
+
+def test_bareiss_matches_the_full_update_on_small_matrices():
+    # the rows a step leaves unscaled divide by the pivot they were last
+    # updated against, which must give the full update's rank and D
+    families = [STRESS, [dense_residual(m) for m in STRESS],
+                BAREISS_HAND_CASES, zero_multiplier_matrices()]
+    families.append([dense_residual(m) for m in families[-1]])
+    for matrices in families:
+        assert_bareiss_matches_the_full_update(matrices)
+
+
+@pytest.mark.parametrize("j", range(3, 9))
+def test_bareiss_matches_the_full_update_on_kernel_residuals(j):
+    # 28-34% of the row updates have a zero multiplier at j = 3..5, and
+    # 70% at j = 8
+    _, rows = kernel_relation_rows(j)
+    sparse = {i: {c: v for c, v in r.items() if v}
+              for i, r in enumerate(rows) if any(r.values())}
+    snf._divisor_stage(sparse)
+    assert_bareiss_matches_the_full_update([snf._densify(sparse)])
 
 
 def unimodular_mix(rng, m):

@@ -63,6 +63,31 @@ def test_reduce_cancels():
     assert reduce([(a, 1), (b, 1), (b, -1), (a, 1)]) == reduce([(a, 1), (a, 1)])
 
 
+def test_reduce_keeps_the_tuple_syllables_it_is_given():
+    raw = [(a, 1), (b, -1), (b, 1), (c, 1), (a, -1)]
+    kept = reduce(raw).syllables
+    assert kept == ((a, 1), (c, 1), (a, -1))
+    assert all(x is y for x, y in zip(kept, (raw[0], raw[3], raw[4])))
+
+
+def test_reduce_makes_tuples_of_other_pairs():
+    w = reduce([["a", 1], ["b", -1]])
+    assert w.syllables == (("a", 1), ("b", -1))
+    assert w == word("a b^-1") and hash(w) == hash(word("a b^-1"))
+
+
+def test_products_and_powers_share_their_factors_syllables():
+    # u v cancels c against c^-1; every syllable left is u's or v's own
+    u, v = word("a b c"), word("c^-1 a b")
+    product = (u * v).syllables
+    assert product == word("a b a b").syllables
+    assert all(x is y for x, y in zip(product,
+                                      u.syllables[:2] + v.syllables[1:]))
+    cubed = (u ** 3).syllables
+    assert cubed == (word("a b c") ** 3).syllables and len(cubed) == 9
+    assert all(x is y for x, y in zip(cubed, u.syllables * 3))
+
+
 def test_word_constructor_requires_reduced():
     with pytest.raises(ValueError, match="reduced"):
         Word(((a, 1), (a, -1)))
