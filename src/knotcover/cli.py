@@ -80,11 +80,8 @@ SMALL_STAGE_NOTE = (
 # for N = 14 / 15 / 16 / 17 / 18 they took
 # 1.86-2.42 / 1.65-2.35 / 2.71-4.31 / 2.06-2.90 / 3.17-4.40 s
 # (Python 3.11.7, a shared 2-core Xeon host).  At N = 15 the fresh-process
-# peak RSS was 37.4-37.6 MiB while the elimination copied the relation rows,
-# kept a set of rows per column and ran beside the walk's paths, and is
-# 26.9-27.0 MiB with the rows taken in place, a list per column and the
-# walk freed first (eight runs each, same host).  Per stage times also come
-# from the benchmark (`bench/README.md`):
+# peak RSS is 26.9-27.0 MiB (eight runs, same host).  Per stage times also
+# come from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
 KERNEL_HOMOLOGY_MAX_STAGES = 15
 

@@ -12,8 +12,7 @@ kernel table and every relator check of an assignment trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import (
@@ -40,12 +39,18 @@ class CosetTable:
     """Right action of each generator on the cosets 1..index.
 
     ``action[gi][c - 1]`` is the image of coset ``c`` under generator number
-    ``gi``; every row must be a permutation of 1..index.
+    ``gi``; every row must be a permutation of 1..index.  The check builds
+    ``rows``, the action row of each generator (sign 1) and of its inverse
+    (-1), from 0: ``rows[g, sign][c - 1]`` is coset c's image, less 1.
+    Each distinct row is checked and indexed once, and equal actions share
+    rows (a staged kernel has up to four gens per action).
     """
 
     gens: tuple[str, ...]
     action: tuple[tuple[int, ...], ...]
     index: int
+    rows: dict[tuple[str, int], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.action) != len(self.gens):
@@ -53,26 +58,19 @@ class CosetTable:
         if self.index < 1:
             raise TableIntegrityError(
                 f"index must be positive, got {self.index}")
-        for row in dict.fromkeys(self.action):  # each distinct row once
-            if sorted(row) != list(range(1, self.index + 1)):
-                g = self.gens[self.action.index(row)]
-                raise TableIntegrityError(
-                    f"action of {g} is not a permutation of 1..{self.index}"
-                )
-
-    @cached_property
-    def rows(self) -> dict[tuple[str, int], tuple[int, ...]]:
-        """Action row of each generator (sign 1) and of its inverse (-1),
-        from 0: ``rows[g, sign][c - 1]`` is coset c's image, less 1.  Equal
-        actions share rows (a staged kernel has up to four gens per action)."""
+        cosets = list(range(1, self.index + 1))
         rows = {}
         made = {}
         for g, row in zip(self.gens, self.action):
             if row not in made:
+                if sorted(row) != cosets:
+                    raise TableIntegrityError(
+                        f"action of {g} is not a permutation of 1..{self.index}"
+                    )
                 made[row] = (tuple([d - 1 for d in row]),
                              tuple([d - 1 for d in inverse_row(row)]))
             rows[g, 1], rows[g, -1] = made[row]
-        return rows
+        object.__setattr__(self, "rows", rows)
 
     def step(self, coset: int, sym: str, sign: int = 1) -> int:
         return self.trace(coset, ((sym, sign),))

@@ -84,16 +84,10 @@ matrix Smith normal forms", 2001).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heappop, heappush
 from math import gcd
 
 SparseRows = dict[int, dict[int, int]]
-
-# The largest b with b ** m < 2 ** 30, for m = 29, 28, ..., 2 in turn, so
-# b ** m < 2 ** 30 exactly when b is at most the entry for m; ascending.
-_ROOT_BOUNDS = (2,) * 11 + (3,) * 4 + (4, 4, 5, 6, 7, 10, 13, 19, 31, 63, 181,
-                                      1023, 32767)
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
@@ -378,9 +372,11 @@ def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
 
 
 def _start_exponent(b: int) -> int:
-    """The largest k >= 1 with b ** k < 2 ** 30, or 1 if there is none:
-    1 plus the number of exponents m >= 2 whose root bound b meets."""
-    return 1 + len(_ROOT_BOUNDS) - bisect_left(_ROOT_BOUNDS, b)
+    """The largest k >= 1 with b ** k < 2 ** 30, or 1 if there is none."""
+    k, power = 1, b * b
+    while power < 1 << 30:
+        k, power = k + 1, power * b
+    return k
 
 
 def _split_base(b: int, g: int) -> list[int]:

@@ -133,11 +133,15 @@ def word(text: str) -> Word:
     return reduce(_parse_syllable(tok) for tok in text.split())
 
 
-def _parse_syllable(token: str) -> Syllable:
+def _parse_syllable(token: str, line: int | None = None,
+                    col: int | None = None) -> Syllable:
+    """The syllable ``token`` spells; raise ParseError, at ``line`` and
+    ``col`` when given, if it spells none."""
     name, caret, exp = token.partition("^")
     if caret and exp != "-1":
-        raise ParseError(f"bad syllable {token!r}: only ^-1 is allowed")
-    return (check_name(name), -1 if caret else 1)
+        raise ParseError(f"bad syllable {token!r}: only ^-1 is allowed",
+                         line, col)
+    return (check_name(name, line, col), -1 if caret else 1)
 
 
 @dataclass(frozen=True)
@@ -222,10 +226,7 @@ def parse_presentation(text: str) -> Presentation:
             )
 
     def to_syllable(tok: str, lineno: int, col: int) -> Syllable:
-        try:
-            sym, sign = _parse_syllable(tok)
-        except ParseError as e:
-            raise ParseError(str(e), lineno, col) from None
+        sym, sign = _parse_syllable(tok, lineno, col)
         if sym not in seen:
             raise ParseError(f"unknown generator {sym!r}", lineno, col)
         return (sym, sign)

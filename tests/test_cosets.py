@@ -62,6 +62,35 @@ def test_action_rows_must_be_permutations():
         )
 
 
+def test_a_bad_row_is_named_by_its_first_generator():
+    # b's row is not a permutation and c repeats it; the check meets the
+    # row once, at b
+    with pytest.raises(TableIntegrityError,
+                       match=r"action of b is not a permutation of 1\.\.2"):
+        CosetTable(gens=("a", "b", "c"), action=((2, 1), (1, 1), (1, 1)),
+                   index=2)
+
+
+def test_equal_rows_share_their_index_entries():
+    # equal rows that are distinct tuples still share one entry per sign
+    row = (2, 3, 1)
+    other = tuple(list(row))
+    assert other is not row
+    t = CosetTable(gens=("a", "b"), action=(row, other), index=3)
+    assert t.rows["a", 1] is t.rows["b", 1]
+    assert t.rows["a", -1] is t.rows["b", -1]
+    assert t.rows["a", 1] == (1, 2, 0) and t.rows["a", -1] == (2, 0, 1)
+
+
+def test_tables_compare_by_their_inputs_only():
+    def build():
+        return CosetTable(gens=("a", "b"), action=((2, 1), (1, 2)), index=2)
+
+    s, t = build(), build()
+    assert s == t and hash(s) == hash(t)
+    assert "rows" not in repr(s)
+
+
 def test_one_row_per_generator():
     with pytest.raises(TableIntegrityError):
         CosetTable(gens=("a", "b"), action=((1,),), index=1)

@@ -267,6 +267,18 @@ def test_parse_presentation_errors_carry_line_and_col():
         parse_presentation("gens: a\nrel: a = a = a\n")
 
 
+def test_relator_syllable_errors_carry_their_position():
+    # the syllable is parsed with its position, so both of its own errors
+    # name the column where the token starts
+    with pytest.raises(ParseError, match="bad syllable 'a\\^2'") as e:
+        parse_presentation("gens: a\nrel: a a^2\n")
+    assert (e.value.line, e.value.col) == (2, 8)
+
+    with pytest.raises(ParseError, match="bad generator name 'B'") as e:
+        parse_presentation("gens: a\nrel: a B\n")
+    assert (e.value.line, e.value.col) == (2, 8)
+
+
 def test_print_parse_round_trip():
     p = Presentation(
         (a, b), (word("b^-1 a^-1 b^-1 a b a"), word("a a b")), label="x"
