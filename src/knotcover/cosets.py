@@ -19,6 +19,7 @@ from .errors import (
     CapacityError,
     InvalidArgumentError,
     InvalidHomomorphismError,
+    MissingAssignmentError,
     TableIntegrityError,
 )
 from .perm import Perm, closure, inverse_row, orbit_count
@@ -133,12 +134,15 @@ def image_table(p: Presentation, assignment
     ``p``, and its elements in closure() order: coset c is ``elements[c - 1]``
     and generator g sends the coset of x to that of x * image(g), so a word
     traced from coset 1, the identity, ends at the coset of its value."""
-    # A missing image is reported for the first generator met while reading
-    # the relators in order, as evaluating them one by one would.
-    for r in p.relators:
-        for sym, _ in r:
-            assignment.value(sym)
-    images = assignment.values_in_order(p.generators)
+    try:
+        images = assignment.values_in_order(p.generators)
+    except MissingAssignmentError:
+        # A missing image is reported for the first generator met while
+        # reading the relators in order, as evaluating them one by one would.
+        for r in p.relators:
+            for sym, _ in r:
+                assignment.value(sym)
+        raise
     group = closure(images)
     action = tuple(group.action[img] for img in images)
     return CosetTable(tuple(p.generators), action, group.order), group.elements

@@ -197,7 +197,6 @@ def parse_cycles(text: str) -> Perm:
     skip_ws()
     if pos == n:
         raise ParseError("empty cycle expression")
-    saw_cycle = False
     while pos < n:
         if text[pos] != "(":
             raise ParseError(f"expected '(' at position {pos}, got {text[pos]!r}")
@@ -235,10 +234,7 @@ def parse_cycles(text: str) -> Perm:
                 raise ParseError(f"expected ',' or ')' at position {pos}, got {tok!r}")
         for i, point in enumerate(points):
             mapping[point] = points[(i + 1) % len(points)]
-        saw_cycle = True
         skip_ws()
-    if not saw_cycle:
-        raise ParseError("empty cycle expression")
     degree = max(mapping, default=0)
     return Perm(tuple(mapping.get(x, x) for x in range(1, degree + 1)))
 

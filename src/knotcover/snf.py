@@ -7,9 +7,10 @@ the rank.  All arithmetic is exact; no floating point is involved.
 The computation runs in three stages, each with a totally ordered pivot
 rule so results are deterministic:
 
-1. Sparse elimination at divisor pivots: entries v whose absolute value
-   equals the gcd of their row and the gcd of their column, chosen by
-   least (Markowitz fill cost, |v|, row, column), whatever their value.
+1. Sparse elimination at divisor pivots, zeros and empty rows dropped
+   first: entries v whose absolute value equals the gcd of their row
+   and the gcd of their column, chosen by least (Markowitz fill cost,
+   |v|, row, column), whatever their value.
    Each row offers one candidate, its cheapest entry equal to its gcd
    (a unit when the gcd is 1), as in Markowitz searches that look at a
    few rows at a time (Duff, Erisman and Reid, "Direct Methods for
@@ -94,7 +95,7 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
     """Invariant factors (divisibility chain, including 1s) and rank.
 
     Every row must be as long as row 0; ValueError names the first that
-    is not.
+    is not; each goes to the stages as its nonzero entries.
 
     >>> smith_normal_form([[2, 0], [0, 3]])
     ([1, 6], 2)
@@ -107,9 +108,7 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} entries, row 0 has "
                              f"{width}")
-        entries = {j: v for j, v in enumerate(row) if v}
-        if entries:
-            work[i] = entries
+        work[i] = {j: v for j, v in enumerate(row) if v}
     return _smith(work)
 
 
@@ -119,26 +118,20 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
     ``rows`` maps row index to {column index: value}.  Rows and columns
     absent from the mapping are zero.  Returns the invariant factors as a
     divisibility chain (1s included) and the rank.  ``rows`` is never
-    changed: the stages work on a copy that leaves out zero entries and
-    the rows they leave empty.
+    changed: the stages work on a copy of each row.
     """
-    work: SparseRows = {}
-    for i, r in rows.items():
-        if entries := {j: v for j, v in r.items() if v}:
-            work[i] = entries
-    return _smith(work)
+    return _smith({i: dict(r) for i, r in rows.items()})
 
 
 def _smith(work: SparseRows) -> tuple[list[int], int]:
-    """The three stages on ``work``, a mapping they consume: its rows are
-    non-empty, its entries nonzero, and no caller reads it afterwards.
-    Stage 1's residual is cleared from it as soon as ``_densify`` has
-    read it, so Bareiss and the local stage run beside the dense copy
-    alone and ``work`` is left empty."""
+    """The three stages on ``work``, a mapping they consume and no caller
+    reads afterwards; stage 1 drops its zeros and empty rows.  Its residual
+    is cleared from ``work`` once ``_densify`` has read it, so Bareiss and
+    the local stage run beside the dense rows alone."""
     factors = _divisor_stage(work)
     dense = _densify(work)
     work.clear()
-    rank_rest, det = _bareiss_rank_det([row[:] for row in dense])
+    rank_rest, det = _bareiss_rank_det(dense)
     if rank_rest:
         factors.extend(_local_factors(dense, rank_rest, det))
     return _divisibility_chain(factors), len(factors)
@@ -167,12 +160,17 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     particular order: a row is appended when it gains the column and
     removed when its entry cancels or it is pivoted.  A column holds a few
     rows, so a plain list is far smaller than a set, though ``remove`` is
-    linear in the column's length.
+    linear in the column's length.  The pass that builds it drops zeros,
+    and then the rows left empty.
     """
     cols: dict[int, list[int]] = {}
     for i, r in rows.items():
+        if 0 in r.values():
+            rows[i] = r = {j: v for j, v in r.items() if v}
         for j in r:
             cols.setdefault(j, []).append(i)
+    for i in [i for i, r in rows.items() if not r]:
+        del rows[i]
 
     heap: list[tuple[int, int, int, int]] = []
     queued: dict[int, tuple[int, int, int, int]] = {}
@@ -272,7 +270,7 @@ def _densify(rows: SparseRows) -> list[list[int]]:
 
 
 def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
-    """Rank r and a multiple D of d_1 ... d_r; overwrites the rows of m.
+    """Rank r and a multiple D of d_1 ... d_r; m's rows are copied.
 
     Fraction-free elimination, one column at a time: every intermediate
     entry is a minor of the input, so sizes stay polynomially bounded,
@@ -301,7 +299,7 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    work = [[1, row] for row in m]
+    work = [[1, row[:]] for row in m]
     prev = 1
     rank = last = 0
     mults: list[int] = []

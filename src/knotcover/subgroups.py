@@ -184,9 +184,9 @@ def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
 
     ``relators`` is read to its end before the elimination starts, so a
     generator over a walk has let go of the walk by then.  The rows built
-    here, zeros and empty rows already left out, are handed to the
-    elimination itself, which consumes them: they are the one copy of the
-    matrix live during it.
+    here, one per relator with its sums as summed, zeros kept, are handed
+    to the elimination itself, which drops the zeros and empty rows and
+    consumes the rest: they are the one copy of the matrix live during it.
     """
     rows: dict[int, dict[int, int]] = {}
     for i, r in enumerate(relators):
@@ -196,9 +196,7 @@ def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
             entries = {}
             for j, sign in r:
                 entries[j] = entries.get(j, 0) + sign
-            entries = {j: v for j, v in entries.items() if v}
-        if entries:
-            rows[i] = entries
+        rows[i] = entries
     factors, rank = _smith(rows)
     return AbelianInvariants(
         free_rank=ncols - rank,

@@ -392,6 +392,8 @@ def _must_not_run(*args, **kwargs):
          "defined"),
         (["check-hom", "--pres", "{trefoil}", "--assign", "{trailing_comma}"],
          "trailing_comma.assign:1: expected point at position 5, got ')'"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "cyclic"],
+         "--mode cyclic requires --k K"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0",
@@ -405,7 +407,8 @@ def _must_not_run(*args, **kwargs):
          "assignment-bad-name-located", "presentation-error-names-its-file",
          "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired",
          "assignment-unknown-generator", "kernel-cosets-unknown-generator",
-         "cyclic-cover-no-generators", "assignment-trailing-comma"],
+         "cyclic-cover-no-generators", "assignment-trailing-comma",
+         "cyclic-without-k"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):

@@ -19,6 +19,7 @@ from knotcover.errors import (
     CapacityError,
     InvalidArgumentError,
     InvalidHomomorphismError,
+    MissingAssignmentError,
     TableIntegrityError,
 )
 from knotcover.homcheck import GenAssignment, eval_word, phi_tables
@@ -188,6 +189,31 @@ def test_image_table_traces_each_word_to_its_value():
     for text in ("a", "b^-1", "a b", "a b a^-1 b^-1", "b b b a^-1 b", "a a a a a"):
         w = word(text)
         assert elements[t.trace(1, w) - 1] == eval_word(assignment, w)
+
+
+def test_image_table_asks_each_generator_for_its_image_once(monkeypatch):
+    # the relators are read for a missing image only once one is missing
+    asked = []
+    real = GenAssignment.value
+
+    def spy(self, sym):
+        asked.append(sym)
+        return real(self, sym)
+
+    monkeypatch.setattr(GenAssignment, "value", spy)
+    for p, assignment in ((trefoil_presentation(), pinned_trefoil()),
+                          (kjss_presentation(2), phi_tables(2))):
+        asked.clear()
+        image_table(p, assignment)
+        assert asked == list(p.generators)
+
+
+def test_missing_image_of_a_generator_in_no_relator_is_named():
+    # no relator reads 'a', so it is named as the generators order it
+    p = Presentation(generators=("a", "b", "c"), relators=(word("c b"),))
+    assignment = GenAssignment.from_names({"b": "(1,2)", "c": "(1,2)"})
+    with pytest.raises(MissingAssignmentError, match="'a'"):
+        image_table(p, assignment)
 
 
 def test_kernel_names_every_violated_relator_in_relator_order():

@@ -5,7 +5,12 @@ from itertools import permutations, product
 import pytest
 
 from knotcover.cosets import kernel_coset_table
-from knotcover.errors import CapacityError, MissingAssignmentError, ParseError
+from knotcover.errors import (
+    CapacityError,
+    InvalidArgumentError,
+    MissingAssignmentError,
+    ParseError,
+)
 from knotcover.homcheck import (
     A5_ORDER,
     A5_STANDARD_GENERATORS,
@@ -109,6 +114,12 @@ def test_eval_word_composes_left_to_right():
 
 
 # -- staged tables ------------------------------------------------------------
+
+def test_staged_tables_refuse_a_stage_count_below_one():
+    with pytest.raises(InvalidArgumentError,
+                       match="stage count must be positive, got 0"):
+        phi_tables(0)
+
 
 @pytest.mark.parametrize("j", range(1, 7))
 def test_staged_tables_satisfy_all_relators(j):

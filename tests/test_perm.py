@@ -66,6 +66,9 @@ def test_parse_errors_name_the_token():
         parse_cycles("")
     with pytest.raises(ParseError, match="'x'"):
         parse_cycles("(x)")
+    with pytest.raises(ParseError,
+                       match=r"expected '\(' at position 5, got 'x'"):
+        parse_cycles("(1,2)x")
     for text, tok in (("(²,1)", "'²'"), ("(١,2)", "'١'")):
         with pytest.raises(ParseError,
                            match=f"expected point at position 1, got {tok}"):

@@ -326,6 +326,16 @@ def test_sparse_input_with_explicit_zeros():
         == ([3], 1)
 
 
+def test_smith_drops_zeros_and_empty_rows_itself():
+    # stage 1 drops a stored zero and a row left empty, so the rows reach
+    # the stages as their callers built them, unfiltered
+    cases = [({0: {}}, [[]]), ({0: {0: 0}}, [[0]]),
+             ({0: {0: 0, 1: 3}, 1: {}, 2: {1: 0}, 3: {0: 2, 1: 0}},
+              [[0, 3], [0, 0], [0, 0], [2, 0]])]
+    for rows, matrix in cases:
+        assert snf._smith(rows) == naive_snf(matrix), matrix
+
+
 def test_sparse_input_with_zeros_sprinkled_in_against_oracle():
     rng = random.Random(35)
     zeros = 0
@@ -780,6 +790,22 @@ def test_bareiss_matches_the_full_update_on_kernel_residuals(j):
     assert_bareiss_matches_the_full_update([snf._densify(sparse)])
 
 
+def test_bareiss_leaves_its_input_as_it_is():
+    # the elimination overwrites copies of the rows, so the dense
+    # residual is still whole for the local stage
+    _, rows = kernel_relation_rows(3)
+    sparse = {i: {c: v for c, v in r.items() if v}
+              for i, r in enumerate(rows) if any(r.values())}
+    snf._divisor_stage(sparse)
+    matrices = copy.deepcopy(BAREISS_HAND_CASES)
+    matrices += zero_multiplier_matrices()[::10] + [snf._densify(sparse)]
+    for m in matrices:
+        given, before = list(m), copy.deepcopy(m)
+        snf._bareiss_rank_det(m)
+        assert m == before
+        assert all(row is old for row, old in zip(m, given))
+
+
 def unimodular_mix(rng, m):
     """m after a few seeded elementary row and column operations with
     multipliers in -2..2, which change neither its invariant factors nor
@@ -1055,6 +1081,47 @@ def test_divisor_stage_pivot_sequence_on_kernel_matrices(monkeypatch, j,
     assert len(pivots) == count
     digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
     assert digest == KERNEL_PIVOTS_SHA256[j]
+
+
+def with_zeros_and_empty_rows(rows, seed):
+    """``rows``, a list of column -> value mappings, as a mapping from
+    row index, with a zero put at a seeded place in about every fourth
+    row and an empty row, numbered past the others, after about every
+    tenth.  Zero columns lie among the others and past them."""
+    rng = random.Random(seed)
+    ncols = 1 + max(c for r in rows for c in r)
+    extra = count(len(rows))
+    dirty = {}
+    for i, r in enumerate(rows):
+        entries = list(r.items())
+        if rng.random() < 0.25 and (c := rng.randrange(ncols + 3)) not in r:
+            entries.insert(rng.randrange(len(entries) + 1), (c, 0))
+        dirty[i] = dict(entries)
+        if rng.random() < 0.1:
+            dirty[next(extra)] = {}
+    return dirty
+
+
+def test_kernel_rows_with_zeros_and_empty_rows_give_the_same_elimination(
+        monkeypatch):
+    # stage 1 drops the zeros and the empty rows as it indexes the
+    # columns, so it pivots and leaves its residual as on the cleaned
+    # rows, and _smith needs no caller to clean them.  The cleaned rows'
+    # factors are pinned by the rank mod p certificate above; naive_snf
+    # takes minutes on this 1920 x 1561 matrix
+    _, rows = kernel_relation_rows(3)
+    clean = {i: {c: v for c, v in r.items() if v}
+             for i, r in enumerate(rows) if any(r.values())}
+    dirty = with_zeros_and_empty_rows(rows, 39)
+    # 120 zeros come from summing, 486 more and 197 empty rows are put in
+    zeros = sum(1 for r in dirty.values() for v in r.values() if not v)
+    assert (zeros, len(dirty) - len(clean)) == (606, 197)
+    expected = smith_normal_form_sparse(clean)
+    assert snf._smith({i: dict(r) for i, r in dirty.items()}) == expected
+    pivots = stage1_pivots(monkeypatch, clean)
+    monkeypatch.undo()
+    assert stage1_pivots(monkeypatch, dirty) == pivots
+    assert list(dirty.items()) == list(clean.items())
 
 
 @pytest.mark.parametrize("j", [3, 4, 5])
