@@ -7,9 +7,9 @@ exit code is 0 iff the command's checks all pass.
 ``run-all`` spreads its sections, and the kernel section's stage counts,
 over the CPUs the process may use (``_run_tasks``), and puts the report
 together in registry order, so its output is byte-identical whatever that
-count is; ``taskset -c 0 knotcover run-all`` runs it in one process.  The
-benchmark's ``peak_rss_mib`` counts the parent process only, whose share of
-the tasks varies from run to run: the figure moves about 0.2 MiB with layout.
+count is; ``taskset -c 0 knotcover run-all`` runs it in one process.
+README's "Kernel homology and timing" says what the benchmark's
+``peak_rss_mib`` counts of it.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Iterable[Word] = ()) -> CosetTa
     # scanned from coset 1, and traced again at the end
     subgroup_gens = tuple(subgroup_gens)
     gens = tuple(p.generators)
-    gen_index = {g: i for i, g in enumerate(gens)}
+    gen_index = p.generator_index()
     ncols = 2 * len(gens)
 
     # Column 2i is generator i and column 2i + 1 its inverse, so column

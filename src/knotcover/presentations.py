@@ -86,12 +86,12 @@ def kj_presentation(j: int) -> Presentation:
                 for r in _LINK_RELATORS]
     names = [f"R_{{{l},{k}}}" for l in stages
              for k in range(1, len(_LINK_RELATORS) + 1)]
-    for l in range(2, j + 1):
-        (alpha, beta), _ = stage_boundary_words(l - 1)
-        _, (gamma, delta) = stage_boundary_words(l)
+    tori = [stage_boundary_words(l) for l in stages]
+    for l, ((alpha, beta), _), (_, (gamma, delta)) in zip(stages[1:], tori,
+                                                          tori[1:]):
         relators += [alpha * delta.inverse(), beta * gamma.inverse()]
         names += [f"S_{{{l},1}}", f"S_{{{l},2}}"]
-    (alpha, _), _ = stage_boundary_words(j)
+    (alpha, _), _ = tori[-1]
     relators.append(alpha)
     names.append(f"h_{j}")
     return Presentation(

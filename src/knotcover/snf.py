@@ -125,12 +125,11 @@ def smith_normal_form_sparse(rows: SparseRows) -> tuple[list[int], int]:
 
 def _smith(work: SparseRows) -> tuple[list[int], int]:
     """The three stages on ``work``, a mapping they consume and no caller
-    reads afterwards; stage 1 drops its zeros and empty rows.  Its residual
-    is cleared from ``work`` once ``_densify`` has read it, so Bareiss and
-    the local stage run beside the dense rows alone."""
+    reads afterwards; stage 1 drops its zeros and empty rows.  ``_densify``
+    frees its residual, taking each row out of ``work`` as it packs it, so
+    Bareiss and the local stage run beside the dense rows alone."""
     factors = _divisor_stage(work)
     dense = _densify(work)
-    work.clear()
     rank_rest, det = _bareiss_rank_det(dense)
     if rank_rest:
         factors.extend(_local_factors(dense, rank_rest, det))
@@ -252,16 +251,18 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
 def _densify(rows: SparseRows) -> list[list[int]]:
     """Pack the residual into a dense matrix over its live columns.
 
-    Rows equal up to sign span the same lattice, so only the first of
-    each class is kept, with its first nonzero entry made positive; the
-    rank and the invariant factors are unchanged.
+    Each row is taken out of ``rows`` as it is packed, which frees the
+    sparse residual row by row.  Rows equal up to sign span the same
+    lattice, so only the first of each class is kept, with its first
+    nonzero entry made positive; the rank and the invariant factors are
+    unchanged.
     """
     live = sorted({j for r in rows.values() for j in r})
     colmap = {j: k for k, j in enumerate(live)}
     distinct: dict[tuple[int, ...], None] = {}
     for i in sorted(rows):
         row = [0] * len(live)
-        for j, v in rows[i].items():
+        for j, v in rows.pop(i).items():
             row[colmap[j]] = v
         if next(v for v in row if v) < 0:
             row = [-v for v in row]

@@ -10,6 +10,9 @@ to and read from a small line-oriented format:
     rel: b^-1 a^-1 b^-1 a b a
     rel: x = y          # stored as the single relator x y^-1
 
+A relator may use only generators declared above it.  The text is read
+line by line, so its first error is the one reported.
+
 Validation happens once, at the public constructors.  ``Word(syllables)``
 checks every sign and that no two neighbouring syllables cancel, in one
 pass.  ``Presentation(...)`` checks the generator names, duplicates and the
@@ -189,64 +192,57 @@ class Presentation:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse the line format described in the module docstring.
+    """Parse the line format described in the module docstring, one line
+    at a time: the first error in the text is the one raised.
 
     A bare ``rel:`` line yields an empty relator, which imposes nothing.
     """
     generators: list[str] = []
     seen: set[str] = set()
     relators: list[Word] = []
-    pending: list[tuple[int, list[tuple[str, int, int]]]] = []
+
+    def to_word(toks: list[tuple[str, int]], lineno: int) -> Word:
+        syllables = []
+        for tok, col in toks:
+            sym, sign = _parse_syllable(tok, lineno, col)
+            if sym not in seen:
+                raise ParseError(f"unknown generator {sym!r}", lineno, col)
+            syllables.append((sym, sign))
+        return reduce(syllables)
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
-        if not line.strip():
-            continue
         stripped = line.strip()
-        if stripped.startswith("gens:"):
-            body_at = line.index("gens:") + len("gens:")
-            for m in re.finditer(r"\S+", line[body_at:]):
-                tok, col = m.group(), body_at + m.start() + 1
+        if not stripped:
+            continue
+        indent = len(line) - len(line.lstrip())
+        key = next((k for k in ("gens:", "rel:") if stripped.startswith(k)), None)
+        if key is None:
+            raise ParseError(
+                f"expected 'gens:' or 'rel:', got {stripped.split()[0]!r}",
+                lineno, indent + 1)
+        body_at = indent + len(key)
+        toks = [(m.group(), body_at + m.start() + 1)
+                for m in re.finditer(r"\S+", line[body_at:])]
+        if key == "gens:":
+            for tok, col in toks:
                 check_name(tok, lineno, col)
                 if tok in seen:
                     raise ParseError(f"duplicate generator {tok!r}", lineno, col)
                 seen.add(tok)
                 generators.append(tok)
-        elif stripped.startswith("rel:"):
-            body_at = line.index("rel:") + len("rel:")
-            toks = [
-                (m.group(), lineno, body_at + m.start() + 1)
-                for m in re.finditer(r"\S+", line[body_at:])
-            ]
-            pending.append((lineno, toks))
-        else:
-            col = len(line) - len(line.lstrip()) + 1
-            raise ParseError(
-                f"expected 'gens:' or 'rel:', got {stripped.split()[0]!r}", lineno, col
-            )
-
-    def to_syllable(tok: str, lineno: int, col: int) -> Syllable:
-        sym, sign = _parse_syllable(tok, lineno, col)
-        if sym not in seen:
-            raise ParseError(f"unknown generator {sym!r}", lineno, col)
-        return (sym, sign)
-
-    for lineno, toks in pending:
-        eq_positions = [i for i, (tok, _, _) in enumerate(toks) if tok == "="]
-        if not eq_positions:
-            relators.append(reduce(to_syllable(*t) for t in toks))
-        elif len(eq_positions) == 1:
-            split = eq_positions[0]
-            lhs, rhs = toks[:split], toks[split + 1:]
-            if not lhs or not rhs:
-                _, _, col = toks[split]
-                raise ParseError("'=' needs a word on both sides", lineno, col)
-            left = reduce(to_syllable(*t) for t in lhs)
-            right = reduce(to_syllable(*t) for t in rhs)
-            relators.append(left * right.inverse())
-        else:
-            _, _, col = toks[eq_positions[1]]
-            raise ParseError("more than one '=' in relator", lineno, col)
+            continue
+        eqs = [i for i, (tok, _) in enumerate(toks) if tok == "="]
+        if len(eqs) > 1:
+            raise ParseError("more than one '=' in relator", lineno,
+                             toks[eqs[1]][1])
+        # lhs = rhs is stored as lhs rhs^-1; with no '=', rhs is empty
+        split = eqs[0] if eqs else len(toks)
+        if eqs and not 0 < split < len(toks) - 1:
+            raise ParseError("'=' needs a word on both sides", lineno,
+                             toks[split][1])
+        relators.append(to_word(toks[:split], lineno)
+                        * to_word(toks[split + 1:], lineno).inverse())
 
     return Presentation(tuple(generators), tuple(relators))
 

@@ -80,6 +80,33 @@ def test_presentation_json_matches_golden(capsys):
     assert out.encode("utf-8") == GOLDEN_KJSS_J8.read_bytes()
 
 
+REPORT_GOLDENS = [
+    # H1 past the stage counts that the other tests pin (8)
+    ("kernel-homology --j 11", "kernel_homology_j11.json"),
+    # meridian^1000 from each of the 1000 cosets of the largest quotient
+    ("cover-quotient --fold 1000", "cover_quotient_fold1000.json"),
+    ("cosets --pres {data}/trefoil_mod_a5.pres --mode subgroup",
+     "cosets_trefoil_mod_a5.json"),
+    ("cosets --pres {data}/trefoil.pres --mode kernel "
+     "--assign {data}/trefoil_a5.assign", "cosets_trefoil_kernel_a5.json"),
+    ("cosets --pres {data}/trefoil.pres --mode cyclic --k 12",
+     "cosets_trefoil_cyclic_k12.json"),
+    ("search-hom --pres {data}/trefoil.pres --limit 1000",
+     "search_hom_trefoil.json"),
+    # an all-zero row and zeros beside b and 2c reach the elimination
+    ("abelianize --pres {data}/zero_sums.pres", "abelianize_zero_sums.json"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", REPORT_GOLDENS,
+                         ids=[g.removesuffix(".json") for _, g in REPORT_GOLDENS])
+def test_report_matches_golden(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *(a.format(data=DATA) for a in argv.split()),
+                           "--json")
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
 def test_verify_tables_passes_and_notes_small_stages(capsys):
     code, out, _ = run_cli(capsys, "verify-tables", "--j", "1")
     assert code == 0
@@ -622,6 +649,23 @@ def test_run_all_forks_no_child_while_a_second_thread_runs(monkeypatch):
         stop.set()
         thread.join(10)
     assert not thread.is_alive()
+
+
+def test_a_failed_fork_runs_every_task_here(monkeypatch):
+    # out of processes: the child's pipe is closed and its tasks run here
+    _set_cpus(monkeypatch, 2)
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert cli.run_all() == json.loads(GOLDEN_RUN_ALL.read_text())
+    assert forks == [1]
+    _assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knotcover import presentations
 from knotcover.homcheck import phi_tables
 from knotcover.perm import cycle_string
 from knotcover.presentations import (
@@ -111,6 +112,20 @@ def test_sewing_relators_are_built_from_the_stage_boundary_words(j):
         assert names[f"S_{{{l},1}}"] == alpha * delta.inverse()
         assert names[f"S_{{{l},2}}"] == beta * gamma.inverse()
     assert names[f"h_{j}"] == stage_boundary_words(j)[0][0]
+
+
+@pytest.mark.parametrize("j", range(1, 6))
+def test_each_stage_boundary_is_built_once(monkeypatch, j):
+    calls = []
+
+    def spy(l):
+        calls.append(l)
+        return real(l)
+
+    real = presentations.stage_boundary_words
+    monkeypatch.setattr(presentations, "stage_boundary_words", spy)
+    kj_presentation(j)
+    assert calls == list(range(1, j + 1))
 
 
 def test_identification_relators_by_name():

@@ -174,6 +174,14 @@ def test_residual_keeps_one_row_per_sign_class():
     assert smith_normal_form(matrix) == ([2, 10], 2)
 
 
+def test_densify_takes_out_each_row_it_packs():
+    matrix = [[6, 4], [4, 6], [-6, -4], [0, 3]]
+    rows = {i: dict(enumerate(row)) for i, row in enumerate(matrix)}
+    spare = {i: dict(r) for i, r in rows.items()}
+    assert snf._densify(rows) == snf._densify(spare) == [[6, 4], [4, 6], [0, 3]]
+    assert rows == {} == spare
+
+
 def test_divisor_stage_splits_off_each_pivot():
     rows = {0: {0: 6}, 1: {1: 10}, 2: {2: 15}}
     assert snf._divisor_stage(rows) == [6, 10, 15]
@@ -561,8 +569,10 @@ def test_repeated_rows_change_nothing(monkeypatch):
     dropped = []
 
     def densify(rows):
+        # counted before packing, which empties ``rows``
+        count = len(rows)
         dense = real_densify(rows)
-        dropped.append(len(rows) - len(dense))
+        dropped.append(count - len(dense))
         return dense
 
     real_densify = snf._densify

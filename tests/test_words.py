@@ -279,6 +279,24 @@ def test_relator_syllable_errors_carry_their_position():
     assert (e.value.line, e.value.col) == (2, 8)
 
 
+def test_the_first_error_in_the_text_is_raised():
+    # each line is parsed as it is read: the bad syllable on line 2 is met
+    # before the bad name on line 3
+    with pytest.raises(ParseError, match="bad generator name 'B'") as e:
+        parse_presentation("gens: a\nrel: a B\ngens: 1x\n")
+    assert (e.value.line, e.value.col) == (2, 8)
+
+
+def test_a_relator_uses_only_generators_declared_above_it():
+    with pytest.raises(ParseError, match="unknown generator 'a'") as e:
+        parse_presentation("rel: a\ngens: a\n")
+    assert (e.value.line, e.value.col) == (1, 6)
+
+    p = parse_presentation("gens: a\nrel: a a\ngens: b\nrel: a b\n")
+    assert p.generators == ("a", "b")
+    assert p.relators == (word("a a"), word("a b"))
+
+
 def test_print_parse_round_trip():
     p = Presentation(
         (a, b), (word("b^-1 a^-1 b^-1 a b a"), word("a a b")), label="x"
