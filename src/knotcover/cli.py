@@ -49,7 +49,7 @@ from .subgroups import (
     kernel_cover,
     schreier_rank_bound,
 )
-from .words import Presentation, Word, parse_presentation, print_presentation, word
+from .words import Presentation, Word, parse_presentation, parse_word, print_presentation
 
 SCHEMA = "knotcover-report/5"
 
@@ -141,14 +141,8 @@ def load_assignment_file(path: str,
 def load_words_file(path: str, generators: Sequence[str]) -> list[Word]:
     """Parse one word per non-empty line, syllables separated by spaces,
     each syllable over one of ``generators``."""
-    words = []
-    for where, line in _file_lines(path):
-        w = _parse_at(where, word, line)
-        for sym, _ in w:
-            if sym not in generators:
-                raise KnotcoverError(f"{where}: unknown generator {sym!r}")
-        words.append(w)
-    return words
+    parse = partial(parse_word, generators=generators)
+    return [_parse_at(where, parse, line) for where, line in _file_lines(path)]
 
 
 def _envelope(command: str, report: dict) -> dict:

@@ -106,9 +106,6 @@ class Perm:
     def __str__(self) -> str:
         return cycle_string(self)
 
-    def __repr__(self) -> str:
-        return f"Perm[{cycle_string(self)}]"
-
 
 def inverse_row(row: tuple[int, ...]) -> tuple[int, ...]:
     """The tuple that undoes ``row``, a permutation of 1..len(row) given by

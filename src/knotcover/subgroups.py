@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
 from .errors import CapacityError, InvalidArgumentError
@@ -84,10 +84,11 @@ def _schreier_walk(p: Presentation, t: CosetTable):
 
     # breadth-first spanning tree from coset 1 (0 here): a representative
     # is its parent's plus one syllable; the pair (c, g) with g the i-th
-    # generator is numbered c * len(gens) + i
+    # generator is numbered c * len(gens) + i, and its column is None on
+    # the tree
     m = len(gens)
     reps: list[tuple | None] = [()] + [None] * (n - 1)
-    on_tree: set[int] = set()
+    column: list[int | None] = [0] * (n * m)
     queue = [0]
     for cur in queue:
         for i, g in enumerate(gens):
@@ -95,13 +96,12 @@ def _schreier_walk(p: Presentation, t: CosetTable):
                 nxt = rows[g, sign][cur]
                 if reps[nxt] is None:
                     reps[nxt] = reps[cur] + ((g, sign),)
-                    on_tree.add((cur if sign > 0 else nxt) * m + i)
+                    column[(cur if sign > 0 else nxt) * m + i] = None
                     queue.append(nxt)
 
     pairs = []
-    column: list[int | None] = [None] * (n * m)
-    for x in range(n * m):
-        if x not in on_tree:
+    for x, k in enumerate(column):
+        if k is not None:
             column[x] = len(pairs)
             pairs.append((x // m + 1, gens[x % m]))
 
@@ -175,12 +175,13 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
+def _invariants(relators: Iterable[Iterable[tuple[int, int]]],
                 ncols: int) -> AbelianInvariants:
     """Invariants of the abelian group on ``ncols`` generators with one
     relation per relator, a relator given as its (column, sign) syllables:
-    Smith normal form of the exponent-sum rows, each row's columns in order
-    of first occurrence.
+    Smith normal form of the exponent-sum rows.  One loop adds each
+    syllable's sign into its column, so a row's columns are in order of
+    first occurrence, whether or not a column repeats.
 
     ``relators`` is read to its end before the elimination starts, so a
     generator over a walk has let go of the walk by then.  The rows built
@@ -190,13 +191,9 @@ def _invariants(relators: Iterable[Sequence[tuple[int, int]]],
     """
     rows: dict[int, dict[int, int]] = {}
     for i, r in enumerate(relators):
-        entries = dict(r)
-        if len(entries) < len(r):
-            # a column repeats: sum its signs
-            entries = {}
-            for j, sign in r:
-                entries[j] = entries.get(j, 0) + sign
-        rows[i] = entries
+        rows[i] = entries = {}
+        for j, sign in r:
+            entries[j] = entries.get(j, 0) + sign
     factors, rank = _smith(rows)
     return AbelianInvariants(
         free_rank=ncols - rank,

@@ -11,7 +11,10 @@ to and read from a small line-oriented format:
     rel: x = y          # stored as the single relator x y^-1
 
 A relator may use only generators declared above it.  The text is read
-line by line, so its first error is the one reported.
+line by line, so its first error is the one reported.  ``parse_word``
+reads one word over given generators by the same rule, as a subgroup-word
+file line is read: each syllable is checked to name a generator before
+free reduction, so ``a c c^-1`` is refused over ``a`` at its first ``c``.
 
 Validation happens once, at the public constructors.  ``Word(syllables)``
 checks every sign and that no two neighbouring syllables cancel, in one
@@ -33,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -127,13 +130,17 @@ class Word:
             sym if sign > 0 else f"{sym}^-1" for sym, sign in self.syllables
         )
 
-    def __repr__(self) -> str:
-        return f"Word[{self}]" if self.syllables else "Word[]"
-
 
 def word(text: str) -> Word:
     """Parse a whitespace-separated syllable string, e.g. ``"b^-1 a"``."""
     return reduce(_parse_syllable(tok) for tok in text.split())
+
+
+def parse_word(text: str, generators: Container[str]) -> Word:
+    """Parse a syllable string as ``word`` does, each syllable naming one
+    of ``generators``: every token is checked before free reduction, so
+    ``"a c c^-1"`` over ``a`` raises ParseError at ``c``."""
+    return reduce(_syllables(((tok, None) for tok in text.split()), generators))
 
 
 def _parse_syllable(token: str, line: int | None = None,
@@ -145,6 +152,19 @@ def _parse_syllable(token: str, line: int | None = None,
         raise ParseError(f"bad syllable {token!r}: only ^-1 is allowed",
                          line, col)
     return (check_name(name, line, col), -1 if caret else 1)
+
+
+def _syllables(tokens: Iterable[tuple[str, int | None]],
+               generators: Container[str],
+               line: int | None = None) -> Iterator[Syllable]:
+    """The syllable each ``(token, col)`` spells, in order; raise
+    ParseError, at ``line`` and the token's column when given, at the first
+    token that spells no syllable or names none of ``generators``."""
+    for tok, col in tokens:
+        sym, sign = _parse_syllable(tok, line, col)
+        if sym not in generators:
+            raise ParseError(f"unknown generator {sym!r}", line, col)
+        yield sym, sign
 
 
 @dataclass(frozen=True)
@@ -201,15 +221,6 @@ def parse_presentation(text: str) -> Presentation:
     seen: set[str] = set()
     relators: list[Word] = []
 
-    def to_word(toks: list[tuple[str, int]], lineno: int) -> Word:
-        syllables = []
-        for tok, col in toks:
-            sym, sign = _parse_syllable(tok, lineno, col)
-            if sym not in seen:
-                raise ParseError(f"unknown generator {sym!r}", lineno, col)
-            syllables.append((sym, sign))
-        return reduce(syllables)
-
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
         stripped = line.strip()
@@ -241,8 +252,8 @@ def parse_presentation(text: str) -> Presentation:
         if eqs and not 0 < split < len(toks) - 1:
             raise ParseError("'=' needs a word on both sides", lineno,
                              toks[split][1])
-        relators.append(to_word(toks[:split], lineno)
-                        * to_word(toks[split + 1:], lineno).inverse())
+        relators.append(reduce(_syllables(toks[:split], seen, lineno))
+                        * reduce(_syllables(toks[split + 1:], seen, lineno)).inverse())
 
     return Presentation(tuple(generators), tuple(relators))
 

@@ -95,6 +95,11 @@ REPORT_GOLDENS = [
      "search_hom_trefoil.json"),
     # an all-zero row and zeros beside b and 2c reach the elimination
     ("abelianize --pres {data}/zero_sums.pres", "abelianize_zero_sums.json"),
+    # the first stage count that meets all five sewing configurations
+    ("verify-tables --j 6", "verify_tables_j6.json"),
+    ("check-hom --pres {data}/trefoil.pres --assign {data}/trefoil_a5.assign",
+     "check_hom_trefoil_a5.json"),
+    ("reproduce-sternfeld-error", "reproduce_sternfeld_error.json"),
 ]
 
 
@@ -421,6 +426,13 @@ def _must_not_run(*args, **kwargs):
          "trailing_comma.assign:1: expected point at position 5, got ')'"),
         (["cosets", "--pres", "{trefoil}", "--mode", "cyclic"],
          "--mode cyclic requires --k K"),
+        # a subgroup word is checked token by token, before free reduction
+        (["cosets", "--pres", "{trefoil_mod_a5}", "--mode", "subgroup",
+          "--subgroup", "{cancelling_unknown}"],
+         "cancelling_unknown.words:1: unknown generator 'c'"),
+        (["cosets", "--pres", "{trefoil_mod_a5}", "--mode", "subgroup",
+          "--subgroup", "{unknown_then_bad}"],
+         "unknown_then_bad.words:1: unknown generator 'c'"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0",
@@ -435,7 +447,8 @@ def _must_not_run(*args, **kwargs):
          "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired",
          "assignment-unknown-generator", "kernel-cosets-unknown-generator",
          "cyclic-cover-no-generators", "assignment-trailing-comma",
-         "cyclic-without-k"],
+         "cyclic-without-k", "subgroup-cancelling-unknown-generator",
+         "subgroup-first-bad-token"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -462,6 +475,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
     bad_name_line2.write_text("a = (1,3,5,4,2)\nB = (1,2)\n")
     bad_pres = tmp_path / "bad.pres"
     bad_pres.write_text("gens: a b\nrel: a x\n")
+    unknown_then_bad = tmp_path / "unknown_then_bad.words"
+    unknown_then_bad.write_text("c b^2\n")
     unknown_assigned = tmp_path / "unknown_assigned.txt"
     unknown_assigned.write_text("a = (1,3,5,4,2)\nb = (1,2,3,4,5)\nz = (1,2)\n")
     paths = {"missing": str(tmp_path / "missing.pres"), "trefoil": trefoil_file,
@@ -472,7 +487,10 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
              "bad_name_line2": str(bad_name_line2), "bad_pres": str(bad_pres),
              "unknown_assigned": str(unknown_assigned),
              "no_generators": str(DATA / "no_generators.pres"),
-             "trailing_comma": str(DATA / "trailing_comma.assign")}
+             "trailing_comma": str(DATA / "trailing_comma.assign"),
+             "trefoil_mod_a5": str(DATA / "trefoil_mod_a5.pres"),
+             "cancelling_unknown": str(DATA / "cancelling_unknown.words"),
+             "unknown_then_bad": str(unknown_then_bad)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""

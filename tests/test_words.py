@@ -10,6 +10,7 @@ from knotcover.words import (
     Presentation,
     Word,
     parse_presentation,
+    parse_word,
     print_presentation,
     reduce,
     word,
@@ -295,6 +296,25 @@ def test_a_relator_uses_only_generators_declared_above_it():
     p = parse_presentation("gens: a\nrel: a a\ngens: b\nrel: a b\n")
     assert p.generators == ("a", "b")
     assert p.relators == (word("a a"), word("a b"))
+
+
+def test_a_word_over_generators_is_checked_before_reduction():
+    # each token is checked as in a relator, so the cancelling pair c c^-1
+    # does not hide c, and the first bad token is the one reported
+    with pytest.raises(ParseError) as e:
+        parse_word("a c c^-1", {"a"})
+    assert str(e.value) == "unknown generator 'c'"
+    assert (e.value.line, e.value.col) == (None, None)
+    with pytest.raises(ParseError, match="unknown generator 'c'"):
+        parse_word("c b^2", {"a", "b"})
+    with pytest.raises(ParseError, match="bad syllable 'b\\^2'"):
+        parse_word("a b^2 c", {"a", "b"})
+
+
+@given(raw_words)
+def test_parse_word_over_declared_generators_equals_word(raw):
+    text = " ".join(sym if sign > 0 else f"{sym}^-1" for sym, sign in raw)
+    assert parse_word(text, {a, b, c}) == word(text)
 
 
 def test_print_parse_round_trip():
