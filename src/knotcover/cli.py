@@ -25,7 +25,7 @@ from math import ceil, prod
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table, todd_coxeter
-from .errors import CapacityError, InvalidArgumentError, KnotcoverError, ParseError
+from .errors import CapacityError, KnotcoverError, ParseError
 from .homcheck import (
     GenAssignment,
     check_relators,
@@ -35,6 +35,7 @@ from .homcheck import (
 )
 from .perm import Perm, orbit_count
 from .presentations import (
+    check_stage_count,
     kj_presentation,
     kjss_presentation,
     stage_boundary_words,
@@ -162,8 +163,7 @@ def _check_tables_at(j: int) -> tuple:
     with the plain ones, so the plain violations are read off one check and
     every violation is among the identified ones."""
     report = check_relators(kjss_presentation(j), phi_tables(j))
-    kj = kj_presentation(j)
-    plain_names = {kj.relator_name(i) for i in range(len(kj.relators))}
+    plain_names = set(kj_presentation(j).relator_names)
     plain = [v for v in report.violations if v.name in plain_names]
     expected_order = EXPECTED_IMAGE_ORDERS.get(j, 60)
     entry = {
@@ -181,8 +181,7 @@ def _check_tables_at(j: int) -> tuple:
 
 
 def cmd_presentation(args) -> tuple[dict, list[str], int]:
-    if args.j < 1:
-        raise InvalidArgumentError(f"stage count must be positive, got {args.j}")
+    check_stage_count(args.j)
     if args.kind == "trefoil":
         p = trefoil_presentation()
     elif args.kind == "kj":
@@ -266,7 +265,14 @@ def cmd_reproduce_sternfeld_error(args) -> tuple[dict, list[str], int]:
     return entry, lines, 0 if entry["mismatch"] else 1
 
 
+# The option each `cosets` mode reads beside --pres; the others are refused.
+_COSETS_MODE_OPTIONS = {"kernel": "assign", "cyclic": "k", "subgroup": "subgroup"}
+
+
 def cmd_cosets(args) -> tuple[dict, list[str], int]:
+    for mode, option in _COSETS_MODE_OPTIONS.items():
+        if mode != args.mode and getattr(args, option) is not None:
+            raise KnotcoverError(f"--mode {args.mode} does not read --{option}")
     p = load_presentation_file(args.pres)
     if args.mode == "kernel":
         if not args.assign:
@@ -662,6 +668,7 @@ def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     """Run every registry section; return the report and its text lines."""
     if jmax < 1:
         raise KnotcoverError(f"jmax must be at least 1, got {jmax}")
+    check_stage_count(jmax)
     if kernel_jmax < 3:
         raise KnotcoverError(
             f"kernel_jmax must be at least 3, got {kernel_jmax}: kernel "

@@ -20,7 +20,7 @@ from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import (
     Perm, closure, compose, inverse_row, is_even, orbit_count, parse_cycles,
 )
-from .presentations import LINK_LETTERS, sternfeld_fragment
+from .presentations import LINK_LETTERS, check_stage_count, sternfeld_fragment
 from .words import Presentation, Word, check_name
 
 A5_ORDER = 60
@@ -41,14 +41,12 @@ class GenAssignment:
         object.__setattr__(self, "mapping", dict(self.mapping))
 
     @classmethod
-    def from_names(cls, named: Mapping[str, Perm | str], label: str = ""
+    def from_names(cls, named: Mapping[str, str], label: str = ""
                    ) -> "GenAssignment":
-        mapping = {}
-        for name, value in named.items():
-            if isinstance(value, str):
-                value = parse_cycles(value) if value.strip() else Perm.identity()
-            mapping[check_name(name)] = value
-        return cls(mapping, label)
+        """Each name's cycle text read by ``parse_cycles``: ``()`` is the
+        identity, and blank text raises ParseError like other bad text."""
+        return cls({check_name(name): parse_cycles(text)
+                    for name, text in named.items()}, label)
 
     def value(self, sym: str) -> Perm:
         try:
@@ -150,8 +148,7 @@ def phi_tables(j: int) -> GenAssignment:
     so the same assignment serves both the identified presentation and the
     plain link presentation.
     """
-    if j < 1:
-        raise InvalidArgumentError(f"stage count must be positive, got {j}")
+    check_stage_count(j)
     mapping: dict[str, Perm] = {}
     for l in range(1, j + 1):
         table = _PERMS_TOP if l == j else _PERMS_CYCLE[(j - l - 1) % 4]

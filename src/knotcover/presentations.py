@@ -4,7 +4,7 @@ historical table fragment used by the error reproduction."""
 
 from __future__ import annotations
 
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 from .perm import Perm, parse_cycles
 from .words import Presentation, Syllable, Word, word
 
@@ -74,13 +74,38 @@ def trefoil_presentation() -> Presentation:
     )
 
 
+# The cap on every stage count: of the staged presentations and tables, so
+# of `presentation`, `verify-tables`, `run-all --jmax` and `kernel-homology
+# --force`.  `run-all --jmax N` is the slowest of these: its tables and
+# boundary sections work at every stage count up to N, so its time grows
+# about quadratically.  The cap is a round N at which it finishes within
+# 4 s in a fresh process on one CPU, the rule of the kernel-homology limit.
+# Fresh-process runs (Python 3.11.7, a shared 2-core Xeon host) took
+#     run-all --jmax 100                    1.45-1.81 s (three runs)
+#     taskset -c 0 run-all --jmax 100       2.21-2.48 s (three runs)
+#     taskset -c 0 run-all --jmax 150       5.09 s (one run)
+#     verify-tables --j 100                 0.12-0.13 s
+#     presentation --kind kjss --j 100      0.12-0.15 s
+# and `verify-tables --j 1000` 0.29-0.35 s; a count such as 10**22 ran
+# until it was killed.
+STAGE_CAP = 100
+
+
+def check_stage_count(j: int) -> None:
+    """Refuse a stage count j below 1 or above STAGE_CAP."""
+    if j < 1:
+        raise InvalidArgumentError(f"stage count must be positive, got {j}")
+    if j > STAGE_CAP:
+        raise CapacityError(
+            f"stage count {j} exceeds the stage cap {STAGE_CAP}")
+
+
 def kj_presentation(j: int) -> Presentation:
     """Group of the j-stage link complement: stages 1..j glued by the sewing
     relators S_{l,1}: alpha_{l-1} = delta_l and S_{l,2}: beta_{l-1} =
     gamma_l over the curves of ``stage_boundary_words``, with the top
     meridian killed by alpha_j = h_j = 1."""
-    if j < 1:
-        raise InvalidArgumentError(f"stage count must be positive, got {j}")
+    check_stage_count(j)
     stages = range(1, j + 1)
     relators = [_at_stage(r, stage) for stage in map(_stage_syllables, stages)
                 for r in _LINK_RELATORS]

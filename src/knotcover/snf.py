@@ -353,7 +353,7 @@ def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
         split = gcd(b, c)
         k = min(_start_exponent(b), v)
         while split == 1:
-            exponents = _local_exponents(dense, b, k, rank)
+            exponents = _local_exponents(dense, b, k)
             if isinstance(exponents, int):
                 split = exponents
             # rank pivots certify every b-part; at k = v the missing
@@ -387,14 +387,15 @@ def _split_base(b: int, g: int) -> list[int]:
     return [g, rest] if rest > 1 else [g]
 
 
-def _local_exponents(dense: list[list[int]], b: int, k: int,
-                     limit: int) -> list[int] | int:
+def _local_exponents(dense: list[list[int]], b: int,
+                     k: int) -> list[int] | int:
     """Exponents below k of the invariant factors of the rows modulo b^k.
 
     Every entry coprime to b is a unit modulo b^k and clears its column
     in one row operation per row.  When every entry is divisible by b,
     dividing by b lowers k by one and raises the exponent of later
-    pivots by one.  The result is sorted and stops at ``limit`` pivots.
+    pivots by one.  The result is sorted.  The rows run out by the
+    rank-th pivot, as only that many invariant factors are nonzero.
     The first entry (row-major) not divisible by b is the pivot; if it
     shares a factor g with b, the elimination stops and returns g.
     """
@@ -402,7 +403,7 @@ def _local_exponents(dense: list[list[int]], b: int, k: int,
     rows = [row for row in ([x % q for x in r] for r in dense) if any(row)]
     exponents: list[int] = []
     shift = 0
-    while rows and len(exponents) < limit:
+    while rows:
         for i, row in enumerate(rows):
             pc = next((j for j, x in enumerate(row) if x % b), None)
             if pc is not None:

@@ -130,8 +130,7 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     reps, pairs, walks = _schreier_walk(p, t)
     n = t.index
     names = [f"{g}x{c}" for c, g in pairs]
-    rel_names = [f"{name}@{c}"
-                 for name in map(p.relator_name, range(len(p.relators)))
+    rel_names = [f"{name}@{c}" for name in p.relator_names
                  for c in range(1, n + 1)]
     # the public constructor checks at run time that each walk is reduced
     relators = [Word(walk) for walk in walks(lambda k, sign: (names[k], sign))]

@@ -170,12 +170,13 @@ def _syllables(tokens: Iterable[tuple[str, int | None]],
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation.  Equality compares generators and relators
-    only; the label and the diagnostic relator names are metadata."""
+    only; the label and the diagnostic relator names are metadata.  Without
+    ``relator_names``, relator i is named ``relator[i]``."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     label: str = field(default="", compare=False)
-    relator_names: tuple[str, ...] | None = field(default=None, compare=False)
+    relator_names: tuple[str, ...] = field(default=None, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -197,15 +198,16 @@ class Presentation:
                     raise ValueError(
                         f"relator {i} uses undeclared generators: {sorted(extra)}"
                     )
-        if self.relator_names is not None and len(self.relator_names) != len(rels):
+        if self.relator_names is None:
+            object.__setattr__(self, "relator_names",
+                               tuple(f"relator[{i}]" for i in range(len(rels))))
+        elif len(self.relator_names) != len(rels):
             raise ValueError("relator_names length does not match relators")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
 
     def relator_name(self, i: int) -> str:
-        if self.relator_names is not None:
-            return self.relator_names[i]
-        return f"relator[{i}]"
+        return self.relator_names[i]
 
     def generator_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.generators)}

@@ -22,6 +22,7 @@ from knotcover.errors import CapacityError
 from knotcover.homcheck import GenAssignment, SternfeldRepro, check_relators
 from knotcover.perm import Perm, parse_cycles
 from knotcover.presentations import (
+    STAGE_CAP,
     kj_presentation,
     kjss_presentation,
     trefoil_presentation,
@@ -433,6 +434,26 @@ def _must_not_run(*args, **kwargs):
         (["cosets", "--pres", "{trefoil_mod_a5}", "--mode", "subgroup",
           "--subgroup", "{unknown_then_bad}"],
          "unknown_then_bad.words:1: unknown generator 'c'"),
+        # only "()" spells the identity; a blank image is refused
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{blank_image}"],
+         "blank_image.assign:1: empty cycle expression"),
+        # each cosets mode refuses the options only the other modes read
+        (["cosets", "--pres", "{trefoil}", "--mode", "cyclic", "--k", "3",
+          "--assign", "{trefoil_a5}"], "--mode cyclic does not read --assign"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "subgroup", "--k", "3"],
+         "--mode subgroup does not read --k"),
+        (["cosets", "--pres", "{trefoil}", "--mode", "kernel",
+          "--assign", "{trefoil_a5}", "--subgroup", "{unknown_gen}"],
+         "--mode kernel does not read --subgroup"),
+        # every stage count has the one cap
+        (["presentation", "--kind", "kj", "--j", str(STAGE_CAP + 1)],
+         f"stage count {STAGE_CAP + 1} exceeds the stage cap {STAGE_CAP}"),
+        (["verify-tables", "--j", str(STAGE_CAP + 1)],
+         f"stage count {STAGE_CAP + 1} exceeds the stage cap {STAGE_CAP}"),
+        (["run-all", "--jmax", str(STAGE_CAP + 1)],
+         f"stage count {STAGE_CAP + 1} exceeds the stage cap {STAGE_CAP}"),
+        (["kernel-homology", "--j", str(STAGE_CAP + 1), "--force"],
+         f"stage count {STAGE_CAP + 1} exceeds the stage cap {STAGE_CAP}"),
     ],
     ids=["kernel-j0", "tables-j0", "fold0", "index0", "missing-file",
          "bad-generator-name", "not-utf8-file", "presentation-j0",
@@ -448,7 +469,11 @@ def _must_not_run(*args, **kwargs):
          "assignment-unknown-generator", "kernel-cosets-unknown-generator",
          "cyclic-cover-no-generators", "assignment-trailing-comma",
          "cyclic-without-k", "subgroup-cancelling-unknown-generator",
-         "subgroup-first-bad-token"],
+         "subgroup-first-bad-token", "assignment-blank-image",
+         "cyclic-refuses-assign", "subgroup-refuses-k",
+         "kernel-refuses-subgroup", "presentation-above-stage-cap",
+         "tables-above-stage-cap", "jmax-above-stage-cap",
+         "forced-kernel-above-stage-cap"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                trefoil_file, argv, message):
@@ -490,6 +515,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
              "trailing_comma": str(DATA / "trailing_comma.assign"),
              "trefoil_mod_a5": str(DATA / "trefoil_mod_a5.pres"),
              "cancelling_unknown": str(DATA / "cancelling_unknown.words"),
+             "blank_image": str(DATA / "blank_image.assign"),
+             "trefoil_a5": str(DATA / "trefoil_a5.assign"),
              "unknown_then_bad": str(unknown_then_bad)}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2

@@ -83,9 +83,16 @@ def as_tuple(perm: Perm):
 # -- GenAssignment ------------------------------------------------------------
 
 def test_from_names_parses_cycles_and_identity():
-    a = GenAssignment.from_names({"a": "(1,2,3)", "b": ""})
+    a = GenAssignment.from_names({"a": "(1,2,3)", "b": "()"})
     assert a.value("a") == parse_cycles("(1,2,3)")
     assert a.value("b") == Perm.identity()
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_from_names_refuses_blank_text(text):
+    # parse_cycles is the one reader of cycle text: "()" is the identity
+    with pytest.raises(ParseError, match="^empty cycle expression$"):
+        GenAssignment.from_names({"a": text})
 
 
 def test_from_names_rejects_bad_generator_names():

@@ -301,6 +301,12 @@ def test_closure_lagrange_on_symmetric_group(gens):
     assert math.factorial(max(degree, 1)) % order == 0
 
 
+@pytest.mark.parametrize("point", [0, -1])
+def test_points_are_1_based(point):
+    with pytest.raises(ValueError, match=f"^points are 1-based, got {point}$"):
+        parse_cycles("(1,2)")(point)
+
+
 @given(perms)
 def test_call_beyond_degree_is_fixed(p):
     assert p(p.degree + 1) == p.degree + 1

@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotcover import presentations
+from knotcover.errors import CapacityError
 from knotcover.homcheck import phi_tables
 from knotcover.perm import cycle_string
 from knotcover.presentations import (
+    STAGE_CAP,
     kj_presentation,
     kjss_presentation,
     stage_boundary_words,
@@ -148,6 +150,17 @@ def test_stage_count_must_be_positive(j):
         kj_presentation(j)
     with pytest.raises(ValueError):
         kjss_presentation(j)
+
+
+def test_stage_counts_stop_at_the_stage_cap():
+    # one rule for the presentations and the staged tables alike
+    assert 24 < STAGE_CAP
+    assert len(kj_presentation(STAGE_CAP).generators) == 9 * STAGE_CAP
+    for build in (kj_presentation, kjss_presentation, phi_tables):
+        with pytest.raises(CapacityError, match=(
+                f"^stage count {STAGE_CAP + 1} exceeds the stage cap "
+                f"{STAGE_CAP}$")):
+            build(STAGE_CAP + 1)
 
 
 @pytest.mark.parametrize(

@@ -536,9 +536,9 @@ def torsion_calls(monkeypatch):
         assert got == naive_snf(dense)[0], dense
         return got
 
-    def local_exponents(dense, b, k, limit):
+    def local_exponents(dense, b, k):
         calls.append(("local", b, k))
-        return real_exponents(dense, b, k, limit)
+        return real_exponents(dense, b, k)
 
     def split_base(b, g):
         calls.append(("split", b, g))

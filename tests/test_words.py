@@ -64,6 +64,11 @@ def test_reduce_cancels():
     assert reduce([(a, 1), (b, 1), (b, -1), (a, 1)]) == reduce([(a, 1), (a, 1)])
 
 
+def test_reduce_refuses_a_sign_other_than_one():
+    with pytest.raises(ValueError, match=r"^syllable sign must be \+1 or -1, got 2$"):
+        reduce([("a", 2)])
+
+
 def test_reduce_keeps_the_tuple_syllables_it_is_given():
     raw = [(a, 1), (b, -1), (b, 1), (c, 1), (a, -1)]
     kept = reduce(raw).syllables
@@ -328,6 +333,12 @@ def test_print_parse_round_trip():
 def test_print_parse_round_trip_random(raws):
     p = Presentation((a, b, c), tuple(reduce(r) for r in raws))
     assert parse_presentation(print_presentation(p)) == p
+
+
+def test_unnamed_relators_are_named_by_position():
+    p = parse_presentation("gens: a\nrel: a a\n")
+    assert p.relator_names == ("relator[0]",)
+    assert p.relator_name(0) == "relator[0]"
 
 
 def test_label_and_names_are_metadata():
