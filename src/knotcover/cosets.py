@@ -6,8 +6,9 @@ applies its syllables left to right, matching the word-evaluation convention.
 ``CosetTable.verify`` traces every relator of a presentation from every
 coset, checks the table against it, and returns the paths it traced, which
 the Reidemeister-Schreier walk reads.
-``image_table`` builds an assignment's image group as a table, which the
-kernel table and every relator check of an assignment trace.
+``image_table`` builds an assignment's image group as a table and traces
+each relator from coset 1 once, for the kernel table and for every relator
+check of an assignment.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     MissingAssignmentError,
     TableIntegrityError,
 )
-from .perm import Perm, closure, inverse_row, orbit_count
+from .perm import PermGroup, closure, inverse_row, orbit_count
 from .words import Presentation, Syllable, Word
 
 # The most cosets `todd_coxeter` defines, and the largest fold
@@ -112,7 +113,7 @@ class CosetTable:
             if at != cosets:
                 c = next(c for c in cosets if at[c] != c)
                 raise TableIntegrityError(
-                    f"relator {p.relator_name(i)} moves coset {c + 1}"
+                    f"relator {p.relator_names[i]} moves coset {c + 1}"
                 )
             paths.append(path)
         orbits = orbit_count(self.action, self.index)
@@ -129,9 +130,10 @@ class CosetTable:
 
 
 def image_table(p: Presentation, assignment
-                ) -> tuple[CosetTable, tuple[Perm, ...]]:
+                ) -> tuple[CosetTable, PermGroup, list[tuple[int, int]]]:
     """The image group of ``assignment`` as a table on the generators of
-    ``p``, and its elements in closure() order: coset c is ``elements[c - 1]``
+    ``p``, the group from closure(), and ``(i, c)`` for each relator i, in
+    order, that ends at coset c != 1.  Coset c is ``group.elements[c - 1]``
     and generator g sends the coset of x to that of x * image(g), so a word
     traced from coset 1, the identity, ends at the coset of its value."""
     try:
@@ -145,19 +147,21 @@ def image_table(p: Presentation, assignment
         raise
     group = closure(images)
     action = tuple(group.action[img] for img in images)
-    return CosetTable(tuple(p.generators), action, group.order), group.elements
+    table = CosetTable(tuple(p.generators), action, group.order)
+    missed = [(i, c) for i, r in enumerate(p.relators)
+              if (c := table.trace(1, r)) != 1]
+    return table, group, missed
 
 
 def kernel_coset_table(p: Presentation, assignment) -> CosetTable:
     """Coset table of the kernel of the homomorphism given by ``assignment``:
     its image table, once every relator fixes coset 1.  Otherwise raises
     InvalidHomomorphismError naming every violated relator."""
-    table, _ = image_table(p, assignment)
-    violated = [p.relator_name(i) for i, r in enumerate(p.relators)
-                if table.trace(1, r) != 1]
-    if violated:
+    table, _, missed = image_table(p, assignment)
+    if missed:
         raise InvalidHomomorphismError(
-            f"assignment violates relators: {', '.join(violated)}")
+            "assignment violates relators: "
+            + ", ".join(p.relator_names[i] for i, _ in missed))
     return table
 
 
@@ -183,7 +187,7 @@ def cyclic_cover_table(p: Presentation, k: int) -> CosetTable:
         e = r.total_exponent()
         if e != 0:
             raise TableIntegrityError(
-                f"relator {p.relator_name(i)} has total exponent {e}, "
+                f"relator {p.relator_names[i]} has total exponent {e}, "
                 "so the cyclic cover is not defined"
             )
     row = tuple(c % k + 1 for c in range(1, k + 1))

@@ -4,9 +4,9 @@ The staged image tables send every stage-l generator of a link presentation
 to a fixed element of A5.  The top stage gets its own table; below it the
 tables repeat with period four in the distance j - l.
 
-Every relator check here traces an image table from ``cosets``; ``eval_word``
-multiplies permutations instead, for the historical fragment and as the
-tests' independent reference.
+Every relator check here reads ``cosets.image_table``'s one trace of each
+relator; ``eval_word`` multiplies permutations instead, for the historical
+fragment and as the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -88,20 +88,18 @@ class CheckReport:
 def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
     """Evaluate every relator; collect the ones that miss the identity.
 
-    Each relator is traced from coset 1, the identity, through the image
-    table; a violation's value is the element at the coset it ends on.
+    Each relator is traced once from coset 1, the identity, through the
+    image table; a violation's value is the element at the coset it ends
+    on.  The distinct images are the keys of the group's action.
     """
-    table, elements = image_table(p, assignment)
-    violations = []
-    for i, r in enumerate(p.relators):
-        c = table.trace(1, r)
-        if c != 1:
-            violations.append(
-                RelatorViolation(p.relator_name(i), r, elements[c - 1]))
-    images = dict.fromkeys(assignment.values_in_order(p.generators))  # distinct
+    table, group, missed = image_table(p, assignment)
+    violations = tuple(
+        RelatorViolation(p.relator_names[i], p.relators[i],
+                         group.elements[c - 1])
+        for i, c in missed)
     onto_a5 = table.index == A5_ORDER and all(
-        img.degree <= 5 and is_even(img) for img in images)
-    return CheckReport(tuple(violations), table.index, onto_a5)
+        img.degree <= 5 and is_even(img) for img in group.action)
+    return CheckReport(violations, table.index, onto_a5)
 
 
 # Stage image tables.  The top stage uses _TABLE_TOP; a stage at distance

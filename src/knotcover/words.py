@@ -122,9 +122,6 @@ class Word:
     def total_exponent(self) -> int:
         return sum(sign for _, sign in self.syllables)
 
-    def symbols(self) -> set[str]:
-        return {sym for sym, _ in self.syllables}
-
     def __str__(self) -> str:
         return " ".join(
             sym if sign > 0 else f"{sym}^-1" for sym, sign in self.syllables
@@ -170,8 +167,9 @@ def _syllables(tokens: Iterable[tuple[str, int | None]],
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation.  Equality compares generators and relators
-    only; the label and the diagnostic relator names are metadata.  Without
-    ``relator_names``, relator i is named ``relator[i]``."""
+    only; the label and the diagnostic relator names are metadata.
+    ``relator_names[i]`` is the name of relator i on every instance, and
+    ``relator[i]`` when no names are given."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -193,7 +191,7 @@ class Presentation:
                       chain.from_iterable(r.syllables for r in rels))
         if not names.issuperset(symbols):
             for i, r in enumerate(rels):
-                extra = r.symbols() - names
+                extra = {sym for sym, _ in r} - names
                 if extra:
                     raise ValueError(
                         f"relator {i} uses undeclared generators: {sorted(extra)}"
@@ -205,9 +203,6 @@ class Presentation:
             raise ValueError("relator_names length does not match relators")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
-
-    def relator_name(self, i: int) -> str:
-        return self.relator_names[i]
 
     def generator_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.generators)}

@@ -113,6 +113,17 @@ def test_report_matches_golden(capsys, argv, golden):
     assert out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
+def test_failing_check_matches_golden(capsys):
+    # an assignment onto S5 that breaks both relators of the trefoil
+    # modulo a^5: each violation with its value, then the image order
+    code, out, _ = run_cli(
+        capsys, "check-hom", "--pres", str(DATA / "trefoil_mod_a5.pres"),
+        "--assign", str(DATA / "trefoil_mod_a5_s5.assign"))
+    assert code == 1
+    assert out.encode("utf-8") == (
+        DATA / "check_hom_trefoil_mod_a5_s5.txt").read_bytes()
+
+
 def test_verify_tables_passes_and_notes_small_stages(capsys):
     code, out, _ = run_cli(capsys, "verify-tables", "--j", "1")
     assert code == 0
@@ -996,7 +1007,7 @@ def test_each_tables_violation_is_listed_and_counted_once(monkeypatch, capsys):
 
 
 def test_tables_check_reads_unnamed_relators(monkeypatch):
-    # relator_name(i) names an unnamed relator by its position, and Kss_j's
+    # relator_names[i] names an unnamed relator by its position, and Kss_j's
     # relators start with K_j's, so the positions agree
     def unnamed(build):
         return lambda j: Presentation(build(j).generators, build(j).relators)

@@ -22,7 +22,12 @@ from knotcover.errors import (
     MissingAssignmentError,
     TableIntegrityError,
 )
-from knotcover.homcheck import GenAssignment, eval_word, phi_tables
+from knotcover.homcheck import (
+    GenAssignment,
+    check_relators,
+    eval_word,
+    phi_tables,
+)
 from knotcover.perm import Perm, closure, orbit_count, parse_cycles
 from knotcover.presentations import (
     kj_presentation,
@@ -183,7 +188,8 @@ def test_image_table_traces_each_word_to_its_value():
     # ends at the coset of the word's value, as multiplying gives it
     p = trefoil_presentation()
     assignment = pinned_trefoil()
-    t, elements = image_table(p, assignment)
+    t, group, _ = image_table(p, assignment)
+    elements = group.elements
     assert t.index == len(elements) == 60
     assert elements[0] == Perm.identity()
     for text in ("a", "b^-1", "a b", "a b a^-1 b^-1", "b b b a^-1 b", "a a a a a"):
@@ -192,7 +198,8 @@ def test_image_table_traces_each_word_to_its_value():
 
 
 def test_image_table_asks_each_generator_for_its_image_once(monkeypatch):
-    # the relators are read for a missing image only once one is missing
+    # the relators are read for a missing image only once one is missing,
+    # and check_relators reads the images from the image table's group
     asked = []
     real = GenAssignment.value
 
@@ -203,9 +210,10 @@ def test_image_table_asks_each_generator_for_its_image_once(monkeypatch):
     monkeypatch.setattr(GenAssignment, "value", spy)
     for p, assignment in ((trefoil_presentation(), pinned_trefoil()),
                           (kjss_presentation(2), phi_tables(2))):
-        asked.clear()
-        image_table(p, assignment)
-        assert asked == list(p.generators)
+        for check in (image_table, check_relators):
+            asked.clear()
+            check(p, assignment)
+            assert asked == list(p.generators)
 
 
 def test_missing_image_of_a_generator_in_no_relator_is_named():
@@ -222,12 +230,18 @@ def test_kernel_names_every_violated_relator_in_relator_order():
                                 "a1": parse_cycles("(1,2,4)"),
                                 "e2": parse_cycles("(1,2)")})
     # oracle: evaluate each relator by multiplying permutations
-    violated = [p.relator_name(i) for i, r in enumerate(p.relators)
+    violated = [p.relator_names[i] for i, r in enumerate(p.relators)
                 if eval_word(assignment, r) != Perm.identity()]
     assert len(violated) > 2
     with pytest.raises(InvalidHomomorphismError) as e:
         kernel_coset_table(p, assignment)
     assert str(e.value) == f"assignment violates relators: {', '.join(violated)}"
+    # each missed relator ends at the coset of its value
+    _, group, missed = image_table(p, assignment)
+    coset = {x: c for c, x in enumerate(group.elements, start=1)}
+    assert missed == [(i, coset[eval_word(assignment, r)])
+                      for i, r in enumerate(p.relators)
+                      if eval_word(assignment, r) != Perm.identity()]
 
 
 def test_kernel_coset_order_is_closure_discovery_order():
@@ -327,7 +341,7 @@ def _verify_oracle(t, p):
                 path[k][c - 1] = d - 1
                 d = rows[sym][d - 1] if sign > 0 else rows[sym].index(d) + 1
             if d != c:
-                return f"relator {p.relator_name(i)} moves coset {c}", None
+                return f"relator {p.relator_names[i]} moves coset {c}", None
         paths.append(path)
     orbits = _orbit_count_oracle(t.action, t.index)
     if orbits != 1:
@@ -461,6 +475,17 @@ def test_subgroup_generators_fix_the_origin_coset():
     t = todd_coxeter(trefoil_presentation(), gens)
     for w in gens:
         assert t.trace(1, w) == 1
+
+
+def test_a_subgroup_generator_that_moves_coset_1_is_refused(monkeypatch):
+    # negative control for the closing check: the enumeration and verify
+    # read the table's rows, so only that check calls the patched trace
+    real_trace = CosetTable.trace
+    monkeypatch.setattr(CosetTable, "trace", lambda self, coset, w:
+                        real_trace(self, coset, w) % self.index + 1)
+    with pytest.raises(TableIntegrityError,
+                       match="subgroup generator does not fix coset 1"):
+        todd_coxeter(trefoil_presentation(), [word("a a"), word("a b")])
 
 
 def test_subgroup_generators_may_be_an_iterator(monkeypatch):

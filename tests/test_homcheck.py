@@ -183,7 +183,7 @@ def test_corrupted_assignment_names_the_broken_relators():
 def assert_violations_match_eval_word(p, assignment):
     # second route: evaluate every relator by composing permutations
     report = check_relators(p, assignment)
-    want = [(p.relator_name(i), eval_word(assignment, r))
+    want = [(p.relator_names[i], eval_word(assignment, r))
             for i, r in enumerate(p.relators)
             if eval_word(assignment, r) != Perm.identity()]
     assert [(v.name, v.value) for v in report.violations] == want

@@ -338,12 +338,12 @@ def test_print_parse_round_trip_random(raws):
 def test_unnamed_relators_are_named_by_position():
     p = parse_presentation("gens: a\nrel: a a\n")
     assert p.relator_names == ("relator[0]",)
-    assert p.relator_name(0) == "relator[0]"
+    assert p.relator_names[0] == "relator[0]"
 
 
 def test_label_and_names_are_metadata():
     p1 = Presentation((a,), (word("a"),), label="x", relator_names=("first",))
     p2 = Presentation((a,), (word("a"),), label="y")
     assert p1 == p2
-    assert p1.relator_name(0) == "first"
-    assert p2.relator_name(0) == "relator[0]"
+    assert p1.relator_names[0] == "first"
+    assert p2.relator_names[0] == "relator[0]"
