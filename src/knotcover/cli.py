@@ -27,6 +27,8 @@ from typing import Callable, Hashable, Iterator, Sequence
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table, todd_coxeter
 from .errors import CapacityError, KnotcoverError, ParseError
 from .homcheck import (
+    A5_ORDER,
+    TREFOIL_A5,
     GenAssignment,
     check_relators,
     phi_tables,
@@ -86,11 +88,6 @@ SMALL_STAGE_NOTE = (
 # come from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
 KERNEL_HOMOLOGY_MAX_STAGES = 15
-
-# The pinned surjection of the trefoil group onto A5.
-TREFOIL_A5 = GenAssignment.from_names(
-    {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5")
-
 
 def _load_text(path: str) -> str:
     try:
@@ -165,7 +162,7 @@ def _check_tables_at(j: int) -> tuple:
     report = check_relators(kjss_presentation(j), phi_tables(j))
     plain_names = set(kj_presentation(j).relator_names)
     plain = [v for v in report.violations if v.name in plain_names]
-    expected_order = EXPECTED_IMAGE_ORDERS.get(j, 60)
+    expected_order = EXPECTED_IMAGE_ORDERS.get(j, A5_ORDER)
     entry = {
         "j": j,
         "violations_identified": [v.name for v in report.violations],
@@ -342,8 +339,8 @@ def _check_kernel_stages(j: int, further: str) -> None:
     if j > KERNEL_HOMOLOGY_MAX_STAGES:
         raise CapacityError(
             f"stage count {j} exceeds the limit {KERNEL_HOMOLOGY_MAX_STAGES}; "
-            f"the relation matrix would be about {60 * (11 * j - 1)} x "
-            f"{60 * 9 * j - 59}. {further}"
+            f"the relation matrix would be about {A5_ORDER * (11 * j - 1)} x "
+            f"{A5_ORDER * (9 * j - 1) + 1}. {further}"
         )
 
 
@@ -431,7 +428,8 @@ def _surjection_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]
         "search_found_pinned": rediscovered,
         "search_total": len(found),
     }
-    ok = pinned_report.ok and pinned_report.image_order == 60 and rediscovered
+    ok = (pinned_report.ok and pinned_report.image_order == A5_ORDER
+          and rediscovered)
     line = (
         f"trefoil onto A5: image order {entry['image_order']}, "
         f"search found pinned assignment: {rediscovered} "

@@ -87,7 +87,12 @@ class CosetTable:
         return coset + 1
 
     def word_action(self, w: Word) -> tuple[int, ...]:
-        return tuple(self.trace(c, w) for c in range(1, self.index + 1))
+        """The coset each of 1..index reaches along ``w``: each syllable is
+        mapped over every coset at once, as ``verify`` traces relators."""
+        at = range(self.index)
+        for syl in w:
+            at = list(map(self.rows[syl].__getitem__, at))
+        return tuple([c + 1 for c in at])
 
     def verify(self, p: Presentation) -> list[list[list[int]]]:
         """Trace each relator of ``p`` from every coset at once, one syllable

@@ -1,8 +1,11 @@
 """Checking generator-image assignments against presentations.
 
-The staged image tables send every stage-l generator of a link presentation
-to a fixed element of A5.  The top stage gets its own table; below it the
-tables repeat with period four in the distance j - l.
+Every permutation table of the package lives here, each read from cycle
+text by ``GenAssignment.from_names``: the staged tables, the historical
+fragment and the pinned trefoil map.  The staged image tables send every
+stage-l generator of a link presentation to a fixed element of A5.  The top
+stage gets its own table; below it the tables repeat with period four in
+the distance j - l.
 
 Every relator check here reads ``cosets.image_table``'s one trace of each
 relator; ``eval_word`` multiplies permutations instead, for the historical
@@ -20,8 +23,8 @@ from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import (
     Perm, closure, compose, inverse_row, is_even, orbit_count, parse_cycles,
 )
-from .presentations import LINK_LETTERS, check_stage_count, sternfeld_fragment
-from .words import Presentation, Word, check_name
+from .presentations import LINK_LETTERS, check_stage_count
+from .words import Presentation, Word, check_name, word
 
 A5_ORDER = 60
 
@@ -104,12 +107,12 @@ def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
 
 # Stage image tables.  The top stage uses _TABLE_TOP; a stage at distance
 # d >= 1 below the top uses _TABLE_CYCLE[(d - 1) % 4].
-_TABLE_TOP = {
+_TABLE_TOP = GenAssignment.from_names({
     "a": "(1,2)(3,4)", "b": "(1,2)(3,4)", "c": "(1,2)(3,4)", "d": "(1,2)(3,4)",
     "e": "(1,2)(3,4)", "f": "(1,2)(3,4)", "g": "(1,2)(3,4)", "h": "()", "i": "()",
-}
+})
 
-_TABLE_CYCLE = (
+_TABLE_CYCLE = tuple(map(GenAssignment.from_names, (
     {
         "a": "(1,2,3)", "b": "(1,2,3)", "c": "(1,2,3)", "d": "(1,2,3)",
         "e": "(2,4,3)", "f": "(1,3,4)", "g": "(1,4,2)",
@@ -130,13 +133,20 @@ _TABLE_CYCLE = (
         "e": "(1,2)(4,5)", "f": "(1,2)(3,4)", "g": "(1,2)(3,5)",
         "h": "(3,4,5)", "i": "(3,5,4)",
     },
-)
+)))
 
-_PERMS_TOP = {name: parse_cycles(text) for name, text in _TABLE_TOP.items()}
-_PERMS_CYCLE = tuple(
-    {name: parse_cycles(text) for name, text in table.items()}
-    for table in _TABLE_CYCLE
-)
+# The six generator images quoted from the historical thesis table, and the
+# sewing word whose image that table gets wrong: the word evaluates to the
+# image of r instead of the image of a.
+_FRAGMENT = GenAssignment.from_names({
+    "o": "(1,4)(2,5)", "h": "(1,4)(3,5)", "f": "(2,3)(4,5)",
+    "q": "(1,2)(4,5)", "a": "(1,2)(3,4)", "r": "(1,2)(3,5)",
+}, label="sternfeld-fragment")
+_FRAGMENT_WORD = word("o^-1 h f^-1 q")
+
+# The pinned surjection of the trefoil group onto A5.
+TREFOIL_A5 = GenAssignment.from_names(
+    {"a": "(1,3,5,4,2)", "b": "(1,2,3,4,5)"}, label="trefoil-a5")
 
 
 def phi_tables(j: int) -> GenAssignment:
@@ -149,9 +159,9 @@ def phi_tables(j: int) -> GenAssignment:
     check_stage_count(j)
     mapping: dict[str, Perm] = {}
     for l in range(1, j + 1):
-        table = _PERMS_TOP if l == j else _PERMS_CYCLE[(j - l - 1) % 4]
+        table = _TABLE_TOP if l == j else _TABLE_CYCLE[(j - l - 1) % 4]
         for letter in LINK_LETTERS:
-            mapping[f"{letter}{l}"] = table[letter]
+            mapping[f"{letter}{l}"] = table.mapping[letter]
     return GenAssignment(mapping, label=f"phi-{j}")
 
 
@@ -169,11 +179,9 @@ class SternfeldRepro:
 
 
 def sternfeld_error_repro() -> SternfeldRepro:
-    images, w = sternfeld_fragment()
-    assignment = GenAssignment(images, label="sternfeld-fragment")
     return SternfeldRepro(
-        got=eval_word(assignment, w),
-        expected=assignment.value("a"),
+        got=eval_word(_FRAGMENT, _FRAGMENT_WORD),
+        expected=_FRAGMENT.value("a"),
     )
 
 

@@ -1,11 +1,10 @@
-"""Built-in presentations: the trefoil group, the staged link groups K_j,
-their quotients Kss_j with the four parallel strands identified, and the
-historical table fragment used by the error reproduction."""
+"""Built-in presentations: the trefoil group, the staged link groups K_j and
+their quotients Kss_j with the four parallel strands identified.  This
+module builds words only; every permutation table lives in ``homcheck``."""
 
 from __future__ import annotations
 
 from .errors import CapacityError, InvalidArgumentError
-from .perm import Perm, parse_cycles
 from .words import Presentation, Syllable, Word, word
 
 LINK_LETTERS = "abcdefghi"
@@ -81,9 +80,9 @@ def trefoil_presentation() -> Presentation:
 # about quadratically.  The cap is a round N at which it finishes within
 # 4 s in a fresh process on one CPU, the rule of the kernel-homology limit.
 # Fresh-process runs (Python 3.11.7, a shared 2-core Xeon host) took
-#     run-all --jmax 100                    1.45-1.81 s (three runs)
-#     taskset -c 0 run-all --jmax 100       2.21-2.48 s (three runs)
-#     taskset -c 0 run-all --jmax 150       5.09 s (one run)
+#     run-all --jmax 100                    1.00-1.78 s (three runs)
+#     taskset -c 0 run-all --jmax 100       1.82-2.05 s (three runs)
+#     taskset -c 0 run-all --jmax 150       3.65-3.83 s (two runs, cap raised)
 #     verify-tables --j 100                 0.12-0.13 s
 #     presentation --kind kjss --j 100      0.12-0.15 s
 # and `verify-tables --j 1000` 0.29-0.35 s; a count such as 10**22 ran
@@ -143,20 +142,4 @@ def kjss_presentation(j: int) -> Presentation:
         label=f"kjss-{j}",
         relator_names=tuple(names),
     )
-
-
-def sternfeld_fragment() -> tuple[dict[str, Perm], Word]:
-    """The six generator images quoted from the historical thesis table,
-    plus the sewing word o^-1 h f^-1 q whose image that table gets wrong:
-    the word evaluates to the image of r instead of the image of a."""
-    cycles = {
-        "o": "(1,4)(2,5)",
-        "h": "(1,4)(3,5)",
-        "f": "(2,3)(4,5)",
-        "q": "(1,2)(4,5)",
-        "a": "(1,2)(3,4)",
-        "r": "(1,2)(3,5)",
-    }
-    images = {name: parse_cycles(text) for name, text in cycles.items()}
-    return images, word("o^-1 h f^-1 q")
 

@@ -380,6 +380,24 @@ def test_table_checks_match_a_per_coset_oracle():
     assert outcomes == {None, "table", "relator", "coset"}
 
 
+def test_word_action_matches_a_per_coset_trace():
+    # word_action maps each syllable over all cosets at once; trace follows
+    # one coset at a time through the same rows
+    rng = random.Random(44)
+    lengths = set()
+    for t, words in _orbit_cases():
+        syllables = [(g, sign) for g in t.gens for sign in (1, -1)]
+        seeded = [reduce([rng.choice(syllables)
+                          for _ in range(rng.randint(0, 8))])
+                  for _ in range(3)]
+        for w in words + seeded:
+            for v in (w, w.inverse()):
+                lengths.add(len(v))
+                assert t.word_action(v) == tuple(
+                    t.trace(c, v) for c in range(1, t.index + 1))
+    assert set(range(9)) <= lengths
+
+
 def test_single_generator_orbit_is_not_transitive_on_kernel():
     t = kernel_coset_table(trefoil_presentation(), pinned_trefoil())
     # image of a is a 5-cycle, so its orbits have size 5: 12 of them, not 1

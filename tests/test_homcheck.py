@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from knotcover import homcheck
 from knotcover.cosets import kernel_coset_table
 from knotcover.errors import (
     CapacityError,
@@ -228,6 +229,22 @@ def test_missing_image_names_the_first_generator_met_in_the_relators():
 
 
 # -- historical fragment ------------------------------------------------------
+
+def test_historical_fragment_data():
+    images, w = homcheck._FRAGMENT, homcheck._FRAGMENT_WORD
+    assert str(w) == "o^-1 h f^-1 q"
+    got = {g: str(v) for g, v in images.mapping.items()}
+    assert got == {
+        "o": "(1,4)(2,5)",
+        "h": "(1,4)(3,5)",
+        "f": "(2,3)(4,5)",
+        "q": "(1,2)(4,5)",
+        "a": "(1,2)(3,4)",
+        "r": "(1,2)(3,5)",
+    }
+    # the sewing word evaluates to the quoted image of r, not that of a
+    assert eval_word(images, w) == images.value("r")
+
 
 def test_fragment_evaluation_reproduces_the_mismatch():
     repro = sternfeld_error_repro()

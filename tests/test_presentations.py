@@ -15,7 +15,6 @@ from knotcover.presentations import (
     kj_presentation,
     kjss_presentation,
     stage_boundary_words,
-    sternfeld_fragment,
     trefoil_presentation,
 )
 from knotcover.words import parse_presentation, print_presentation, word
@@ -237,16 +236,3 @@ def test_staged_family_is_pinned():
     }
     assert digests == FAMILY_FINGERPRINTS
 
-
-def test_historical_fragment_data():
-    images, w = sternfeld_fragment()
-    assert str(w) == "o^-1 h f^-1 q"
-    got = {g: str(v) for g, v in images.items()}
-    assert got == {
-        "o": "(1,4)(2,5)",
-        "h": "(1,4)(3,5)",
-        "f": "(2,3)(4,5)",
-        "q": "(1,2)(4,5)",
-        "a": "(1,2)(3,4)",
-        "r": "(1,2)(3,5)",
-    }
