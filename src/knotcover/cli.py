@@ -35,12 +35,13 @@ from .homcheck import (
     search_surjections,
     sternfeld_error_repro,
 )
-from .perm import Perm, orbit_count
+from .perm import Perm, orbit_count, parse_cycles
 from .presentations import (
     check_stage_count,
     kj_presentation,
     kjss_presentation,
     stage_boundary_words,
+    staged_presentations,
     trefoil_presentation,
 )
 from .subgroups import (
@@ -52,7 +53,14 @@ from .subgroups import (
     kernel_cover,
     schreier_rank_bound,
 )
-from .words import Presentation, Word, parse_presentation, parse_word, print_presentation
+from .words import (
+    Presentation,
+    Word,
+    check_name,
+    parse_presentation,
+    parse_word,
+    print_presentation,
+)
 
 SCHEMA = "knotcover-report/5"
 
@@ -127,12 +135,12 @@ def load_assignment_file(path: str,
         name, eq, cycles = (part.strip() for part in line.partition("="))
         if not eq:
             raise KnotcoverError(f"{where}: expected 'name = cycles'")
-        if name in mapping:
-            raise KnotcoverError(f"{where}: generator {name!r} assigned twice")
-        mapping.update(_parse_at(where, GenAssignment.from_names,
-                                 {name: cycles}).mapping)
+        _parse_at(where, check_name, name)
         if name not in generators:
             raise KnotcoverError(f"{where}: unknown generator {name!r}")
+        if name in mapping:
+            raise KnotcoverError(f"{where}: generator {name!r} assigned twice")
+        mapping[name] = _parse_at(where, parse_cycles, cycles)
     return GenAssignment(mapping, label=path)
 
 
@@ -159,8 +167,9 @@ def _check_tables_at(j: int) -> tuple:
     link presentations for one stage count.  The identified relators start
     with the plain ones, so the plain violations are read off one check and
     every violation is among the identified ones."""
-    report = check_relators(kjss_presentation(j), phi_tables(j))
-    plain_names = set(kj_presentation(j).relator_names)
+    kj, kjss = staged_presentations(j)
+    report = check_relators(kjss, phi_tables(j))
+    plain_names = set(kj.relator_names)
     plain = [v for v in report.violations if v.name in plain_names]
     expected_order = EXPECTED_IMAGE_ORDERS.get(j, A5_ORDER)
     entry = {
@@ -512,11 +521,12 @@ def _boundary_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     a5, a5_commute = _torus_orbits(kernel_coset_table(trefoil, TREFOIL_A5), torus)
     ok = ok and a5_commute and a5 == TREFOIL_A5_BOUNDARY_COMPONENTS
     staged = []
+    stage_tori = [stage_boundary_words(l) for l in range(1, inputs["jmax"] + 1)]
     for j in range(3, inputs["jmax"] + 1):
         _, t = kernel_cover(j)
         # (orbits, commute) of both tori of each stage, from the top down
-        tori = [[_torus_orbits(t, pair) for pair in stage_boundary_words(j - d)]
-                for d in range(j)]
+        tori = [[_torus_orbits(t, pair) for pair in stage]
+                for stage in reversed(stage_tori[:j])]
         components = [[n for n, _ in stage] for stage in tori]
         commute = all(c for stage in tori for _, c in stage)
         staged.append({"j": j, "components": components, "commute": commute})

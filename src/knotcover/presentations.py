@@ -1,11 +1,14 @@
 """Built-in presentations: the trefoil group, the staged link groups K_j and
-their quotients Kss_j with the four parallel strands identified.  This
-module builds words only; every permutation table lives in ``homcheck``."""
+their quotients Kss_j with the four parallel strands identified.  One stage
+is parsed once, over the plain letters, and stage l is its renaming by the
+suffix l; ``staged_presentations`` gives K_j and Kss_j from one build of
+K_j.  This module builds words only; every permutation table lives in
+``homcheck``."""
 
 from __future__ import annotations
 
 from .errors import CapacityError, InvalidArgumentError
-from .words import Presentation, Syllable, Word, word
+from .words import Presentation, Word, word
 
 LINK_LETTERS = "abcdefghi"
 
@@ -38,16 +41,10 @@ _STRAND_RELATORS = tuple(word(lhs) * word(rhs).inverse()
                          for lhs, rhs in _STRAND_PAIRS)
 
 
-def _stage_syllables(l: int) -> dict[Syllable, Syllable]:
-    """Each syllable over the plain letters, renamed to stage ``l``."""
-    return {(s, sign): (f"{s}{l}", sign)
-            for s in LINK_LETTERS for sign in (1, -1)}
-
-
-def _at_stage(w: Word, stage: dict[Syllable, Syllable]) -> Word:
-    """Rename a word over the plain letters by a ``_stage_syllables`` table.
-    The renaming is injective, so the renamed word is still reduced."""
-    return Word._trusted(tuple(map(stage.__getitem__, w.syllables)))
+def _at_stage(w: Word, l: int) -> Word:
+    """Rename a word over the plain letters to stage ``l`` by suffixing each
+    letter.  The renaming is injective, so the renamed word is still reduced."""
+    return Word._trusted(tuple((f"{s}{l}", sign) for s, sign in w.syllables))
 
 
 def stage_boundary_words(l: int) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
@@ -58,8 +55,7 @@ def stage_boundary_words(l: int) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
     >>> [[str(w) for w in torus] for torus in stage_boundary_words(2)]
     [['h2', 'f2^-1 g2'], ['a2', 'c2 a2 b2 g2^-1 h2^-1 e2^-1 h2']]
     """
-    stage = _stage_syllables(l)
-    return tuple(tuple(_at_stage(w, stage) for w in torus)
+    return tuple(tuple(_at_stage(w, l) for w in torus)
                  for torus in _BOUNDARY_TORI)
 
 
@@ -80,13 +76,13 @@ def trefoil_presentation() -> Presentation:
 # about quadratically.  The cap is a round N at which it finishes within
 # 4 s in a fresh process on one CPU, the rule of the kernel-homology limit.
 # Fresh-process runs (Python 3.11.7, a shared 2-core Xeon host) took
-#     run-all --jmax 100                    1.00-1.78 s (three runs)
-#     taskset -c 0 run-all --jmax 100       1.82-2.05 s (three runs)
-#     taskset -c 0 run-all --jmax 150       3.65-3.83 s (two runs, cap raised)
-#     verify-tables --j 100                 0.12-0.13 s
-#     presentation --kind kjss --j 100      0.12-0.15 s
-# and `verify-tables --j 1000` 0.29-0.35 s; a count such as 10**22 ran
-# until it was killed.
+#     run-all --jmax 100                    1.02-1.22 s (eight runs)
+#     taskset -c 0 run-all --jmax 100       1.51-1.86 s (eight runs)
+#     taskset -c 0 run-all --jmax 150       3.00-3.49 s (three runs, cap raised)
+#     verify-tables --j 100                 0.11 s (four runs)
+#     presentation --kind kjss --j 100      0.10-0.11 s (four runs)
+# and, before the cap existed, `verify-tables --j 1000` 0.29-0.35 s; a count
+# such as 10**22 ran until it was killed.
 STAGE_CAP = 100
 
 
@@ -106,8 +102,7 @@ def kj_presentation(j: int) -> Presentation:
     meridian killed by alpha_j = h_j = 1."""
     check_stage_count(j)
     stages = range(1, j + 1)
-    relators = [_at_stage(r, stage) for stage in map(_stage_syllables, stages)
-                for r in _LINK_RELATORS]
+    relators = [_at_stage(r, l) for l in stages for r in _LINK_RELATORS]
     names = [f"R_{{{l},{k}}}" for l in stages
              for k in range(1, len(_LINK_RELATORS) + 1)]
     tori = [stage_boundary_words(l) for l in stages]
@@ -126,20 +121,23 @@ def kj_presentation(j: int) -> Presentation:
     )
 
 
-def kjss_presentation(j: int) -> Presentation:
-    """kj_presentation(j) plus, per stage, the identifications a=b, b=c, c=d
-    that collapse the four parallel strands."""
+def staged_presentations(j: int) -> tuple[Presentation, Presentation]:
+    """``(kj_presentation(j), kjss_presentation(j))`` from one build of K_j:
+    Kss_j is K_j plus, per stage, the identifications a=b, b=c, c=d that
+    collapse the four parallel strands."""
     base = kj_presentation(j)
-    relators = list(base.relators)
-    names = list(base.relator_names)
-    for l in range(1, j + 1):
-        stage = _stage_syllables(l)
-        relators += [_at_stage(r, stage) for r in _STRAND_RELATORS]
-        names += [f"{lhs}{l}={rhs}{l}" for lhs, rhs in _STRAND_PAIRS]
-    return Presentation(
+    stages = range(1, j + 1)
+    return base, Presentation(
         generators=base.generators,
-        relators=tuple(relators),
+        relators=base.relators + tuple(_at_stage(r, l) for l in stages
+                                       for r in _STRAND_RELATORS),
         label=f"kjss-{j}",
-        relator_names=tuple(names),
+        relator_names=base.relator_names + tuple(
+            f"{lhs}{l}={rhs}{l}" for l in stages for lhs, rhs in _STRAND_PAIRS),
     )
 
+
+def kjss_presentation(j: int) -> Presentation:
+    """kj_presentation(j) with the four parallel strands collapsed; see
+    ``staged_presentations``."""
+    return staged_presentations(j)[1]

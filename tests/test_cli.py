@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, text and JSON output."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from knotcover import cli
+from knotcover import cli, presentations
 from knotcover.cli import KERNEL_HOMOLOGY_MAX_STAGES, main
 from knotcover.cosets import COSET_CAP, CosetTable
 from knotcover.errors import CapacityError
@@ -25,6 +26,7 @@ from knotcover.presentations import (
     STAGE_CAP,
     kj_presentation,
     kjss_presentation,
+    staged_presentations,
     trefoil_presentation,
 )
 from knotcover.subgroups import BOUNDARY_QUOTIENT_MAX_FOLD, AbelianInvariants
@@ -35,6 +37,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_RUN_ALL = Path(__file__).parent / "data" / "run_all.json"
 GOLDEN_RUN_ALL_TEXT = Path(__file__).parent / "data" / "run_all.txt"
 GOLDEN_RUN_ALL_JMAX8 = Path(__file__).parent / "data" / "run_all_jmax8.json"
+GOLDEN_RUN_ALL_JMAX100 = Path(__file__).parent / "data" / "run_all_jmax100.sha256"
 GOLDEN_KJSS_J8 = Path(__file__).parent / "data" / "presentation_kjss_j8.json"
 GOOD_ASSIGNMENT = "a = (1,3,5,4,2)\nb = (1,2,3,4,5)\n"
 BAD_ASSIGNMENT = "a = (1,2,3)\nb = (1,2,3,4,5)\n"
@@ -428,6 +431,9 @@ def _must_not_run(*args, **kwargs):
         (["run-all", "--cap", "5000"], "unrecognized arguments: --cap 5000"),
         (["check-hom", "--pres", "{trefoil}", "--assign", "{unknown_assigned}"],
          "unknown_assigned.txt:3: unknown generator 'z'"),
+        # the name is checked before its cycle text is parsed
+        (["check-hom", "--pres", "{trefoil}", "--assign", "{unknown_unclosed}"],
+         "unknown_unclosed.assign:1: unknown generator 'z'"),
         (["cosets", "--pres", "{trefoil}", "--mode", "kernel",
           "--assign", "{unknown_assigned}"],
          "unknown_assigned.txt:3: unknown generator 'z'"),
@@ -477,7 +483,8 @@ def _must_not_run(*args, **kwargs):
          "subgroup-bad-syllable", "assignment-unclosed-cycle",
          "assignment-bad-name-located", "presentation-error-names-its-file",
          "fold-above-limit", "cyclic-fold-above-cap", "cap-option-retired",
-         "assignment-unknown-generator", "kernel-cosets-unknown-generator",
+         "assignment-unknown-generator", "assignment-name-before-cycles",
+         "kernel-cosets-unknown-generator",
          "cyclic-cover-no-generators", "assignment-trailing-comma",
          "cyclic-without-k", "subgroup-cancelling-unknown-generator",
          "subgroup-first-bad-token", "assignment-blank-image",
@@ -524,6 +531,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
              "unknown_assigned": str(unknown_assigned),
              "no_generators": str(DATA / "no_generators.pres"),
              "trailing_comma": str(DATA / "trailing_comma.assign"),
+             "unknown_unclosed": str(DATA / "unknown_unclosed.assign"),
              "trefoil_mod_a5": str(DATA / "trefoil_mod_a5.pres"),
              "cancelling_unknown": str(DATA / "cancelling_unknown.words"),
              "blank_image": str(DATA / "blank_image.assign"),
@@ -576,6 +584,15 @@ def test_run_all_text_matches_golden(capsys, cpus):
     code, out, _ = run_cli(capsys, "run-all")
     assert code == 0
     assert out.encode("utf-8") == GOLDEN_RUN_ALL_TEXT.read_bytes()
+
+
+def test_run_all_at_the_stage_cap_matches_its_digest(capsys):
+    # the tables and every staged boundary torus at each stage count up to
+    # STAGE_CAP; the report is pinned by its sha256, as `sha256sum` prints it
+    code, out, _ = run_cli(capsys, "run-all", "--jmax", str(STAGE_CAP), "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_RUN_ALL_JMAX100.read_text().split()[0]
 
 
 def test_library_defaults_equal_the_cli_defaults(cpus):
@@ -864,7 +881,7 @@ def _kill_first_generator(kj_presentation):
     def corrupted(j):
         p = kj_presentation(j)
         extra = Word(((p.generators[0], 1),))
-        # unnamed: the full run passes it to the tables section as well
+        # unnamed: relator[i] names each relator by its position
         return Presentation(p.generators, p.relators + (extra,))
     return corrupted
 
@@ -1009,21 +1026,51 @@ def test_each_tables_violation_is_listed_and_counted_once(monkeypatch, capsys):
 def test_tables_check_reads_unnamed_relators(monkeypatch):
     # relator_names[i] names an unnamed relator by its position, and Kss_j's
     # relators start with K_j's, so the positions agree
-    def unnamed(build):
-        return lambda j: Presentation(build(j).generators, build(j).relators)
+    def unnamed(j):
+        return tuple(Presentation(p.generators, p.relators)
+                     for p in staged_presentations(j))
 
-    monkeypatch.setattr(cli, "kj_presentation", unnamed(kj_presentation))
-    monkeypatch.setattr(cli, "kjss_presentation", unnamed(kjss_presentation))
+    monkeypatch.setattr(cli, "staged_presentations", unnamed)
     entry = cli._check_tables_at(3)[0]
     assert entry["ok"] and entry["violations_plain"] == []
     corrupted = _corrupt_e(cli.phi_tables)
     monkeypatch.setattr(cli, "phi_tables", corrupted)
     entry = cli._check_tables_at(3)[0]
-    plain = check_relators(cli.kj_presentation(3), corrupted(3)).violations
+    plain = check_relators(unnamed(3)[0], corrupted(3)).violations
     assert plain
     assert entry["violations_plain"] == [v.name for v in plain]
     assert entry["violations_plain"][0].startswith("relator[")
     assert not entry["ok"]
+
+
+def test_tables_check_builds_the_plain_presentation_once(monkeypatch):
+    # one K_j per check, by either name it is imported under; Kss_j is
+    # built from it
+    calls = []
+
+    def spy(j):
+        calls.append(j)
+        return real(j)
+
+    real = presentations.kj_presentation
+    monkeypatch.setattr(presentations, "kj_presentation", spy)
+    monkeypatch.setattr(cli, "kj_presentation", spy)
+    cli._check_tables_at(3)
+    assert calls == [3]
+
+
+def test_boundary_section_builds_each_stage_tori_once(monkeypatch):
+    calls = []
+
+    def spy(l):
+        calls.append(l)
+        return real(l)
+
+    real = cli.stage_boundary_words
+    monkeypatch.setattr(cli, "stage_boundary_words", spy)
+    _, verdicts, _ = cli._boundary_section({"jmax": 5})
+    assert verdicts == {cli.CLAIM_BOUNDARY_COMPONENTS: True}
+    assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
 def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):

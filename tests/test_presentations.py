@@ -190,6 +190,8 @@ FAMILY_FINGERPRINTS = {
         "306b8dd1afb534031278883dd9c3045ed31481b030e9d72ff07fcdb69a402267",
     ("kj", 24):
         "9ae3f1b94a1ddf4e0853d5a70ebed9cc25e74ea44706017a67047aa2e733fec9",
+    ("kj", 100):
+        "4e6a7a419feca636221aa54c2bc98207b53dba276757a2c1f71219f98705c81e",
     ("kjss", 1):
         "3e920c8ff36e0bc8b52d3c9a311ddecddf0db8b6a2a0fa1addd0e1bf92225cbb",
     ("kjss", 2):
@@ -198,6 +200,8 @@ FAMILY_FINGERPRINTS = {
         "7db2e7deb7aabcd9027b2c658b08b4c165f90c32e42b971af652474aa3d467f3",
     ("kjss", 24):
         "a97867a530c438b2ce32f4ba159ec9f7a40f2099ea7d7c66819a8184f72fe318",
+    ("kjss", 100):
+        "417c71e9f5e9a62aef1a56c75dacec73a275596d6b8510eaf2d9f859fabf4870",
     ("phi", 1):
         "e7c4cc8ed68aa844510951bbbeb0c302940713ef4e518a3be3f88a9b20cb737f",
     ("phi", 2):
