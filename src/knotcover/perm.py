@@ -11,10 +11,15 @@ inverses of existing permutations are permutations of no larger degree by
 construction; ``compose``, ``Perm.inverse`` and ``closure`` build them by
 tuple indexing through the trusted path ``Perm._trusted``, which only trims
 trailing fixed points.
+
+Cycle text such as ``(1,2)(3,4)`` is read as tokens: each is a point (a run
+of ASCII digits) or one other character, and blanks may stand between any
+two tokens.  ``str`` prints a permutation in the same notation.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +35,9 @@ CLOSURE_CAP = 10_000
 # The points 1..DEGREE_CAP; ``_POINTS[m:n]`` pads an image tuple of length m
 # to length n with fixed points.
 _POINTS = tuple(range(1, DEGREE_CAP + 1))
+
+# One token of cycle text after any blanks: a point or one other character.
+_CYCLE_TOKEN = re.compile(r"\s*([0-9]+|\S)")
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,13 @@ class Perm:
         return out
 
     def __str__(self) -> str:
-        return cycle_string(self)
+        """Canonical cycle notation; the identity prints as ``()``.
+
+        >>> str(parse_cycles("(3,4)(1,2)"))
+        '(1,2)(3,4)'
+        """
+        return "".join("(" + ",".join(map(str, c)) + ")"
+                       for c in self.cycles()) or "()"
 
 
 def inverse_row(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -164,74 +178,52 @@ def is_even(p: Perm) -> bool:
     return sum(len(c) - 1 for c in p.cycles()) % 2 == 0
 
 
-def cycle_string(p: Perm) -> str:
-    """Canonical cycle notation; the identity prints as ``()``.
-
-    >>> cycle_string(parse_cycles("(3,4)(1,2)"))
-    '(1,2)(3,4)'
-    """
-    cycles = p.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cycles)
-
-
 def parse_cycles(text: str) -> Perm:
     """Parse a product of disjoint cycles, e.g. ``(1,2)(3,4)`` or ``()``.
 
     >>> parse_cycles("(1,2)(3,4)")(1)
     2
     """
-    mapping: dict[int, int] = {}
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    skip_ws()
-    if pos == n:
+    found = [(m.start(1), m[1]) for m in _CYCLE_TOKEN.finditer(text)]
+    if not found:
         raise ParseError("empty cycle expression")
-    while pos < n:
-        if text[pos] != "(":
-            raise ParseError(f"expected '(' at position {pos}, got {text[pos]!r}")
-        pos += 1
+    # the empty token closes the list at the end of the text
+    tokens = iter(found + [(len(text), "")])
+
+    def unexpected(what: str, pos: int, tok: str) -> ParseError:
+        # a token is quoted by its first character
+        return ParseError(f"expected {what} at position {pos}, "
+                          f"got {tok[:1] or 'end of input'!r}")
+
+    mapping: dict[int, int] = {}
+    pos, tok = next(tokens)
+    while tok:
+        if tok != "(":
+            raise unexpected("'('", pos, tok)
+        pos, tok = next(tokens)
         points: list[int] = []
-        while True:
-            skip_ws()
-            # ")" right after "(" only: a comma must be followed by a point
-            if not points and pos < n and text[pos] == ")":
-                pos += 1
-                break
-            start = pos
+        # ")" right after "(" only: a comma must be followed by a point
+        while tok != ")" or points:
             # ASCII digits only: str.isdigit() also accepts '²' and '١'
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            if pos == start:
-                tok = text[pos] if pos < n else "end of input"
-                raise ParseError(f"expected point at position {start}, got {tok!r}")
-            point = int(text[start:pos])
+            if not (tok.isascii() and tok.isdigit()):
+                raise unexpected("point", pos, tok)
+            point = int(tok)
             if point < 1 or point > DEGREE_CAP:
                 raise ParseError(
-                    f"point {point} outside 1..{DEGREE_CAP} at position {start}"
+                    f"point {point} outside 1..{DEGREE_CAP} at position {pos}"
                 )
             if point in mapping or point in points:
-                raise ParseError(f"repeated point {point} at position {start}")
+                raise ParseError(f"repeated point {point} at position {pos}")
             points.append(point)
-            skip_ws()
-            if pos < n and text[pos] == ",":
-                pos += 1
-            elif pos < n and text[pos] == ")":
-                pos += 1
+            pos, tok = next(tokens)
+            if tok == ")":
                 break
-            else:
-                tok = text[pos] if pos < n else "end of input"
-                raise ParseError(f"expected ',' or ')' at position {pos}, got {tok!r}")
+            if tok != ",":
+                raise unexpected("',' or ')'", pos, tok)
+            pos, tok = next(tokens)
         for i, point in enumerate(points):
             mapping[point] = points[(i + 1) % len(points)]
-        skip_ws()
+        pos, tok = next(tokens)
     degree = max(mapping, default=0)
     return Perm(tuple(mapping.get(x, x) for x in range(1, degree + 1)))
 

@@ -89,12 +89,18 @@ REPORT_GOLDENS = [
     ("kernel-homology --j 11", "kernel_homology_j11.json"),
     # meridian^1000 from each of the 1000 cosets of the largest quotient
     ("cover-quotient --fold 1000", "cover_quotient_fold1000.json"),
+    # the largest enumeration any claim or workload runs: the trefoil
+    # modulo a^5 by the trivial subgroup, index 600
     ("cosets --pres {data}/trefoil_mod_a5.pres --mode subgroup",
      "cosets_trefoil_mod_a5.json"),
+    # the two other table builders: the image table of the trefoil group's
+    # map onto A5, and its 12-fold cyclic cover
     ("cosets --pres {data}/trefoil.pres --mode kernel "
      "--assign {data}/trefoil_a5.assign", "cosets_trefoil_kernel_a5.json"),
     ("cosets --pres {data}/trefoil.pres --mode cyclic --k 12",
      "cosets_trefoil_cyclic_k12.json"),
+    # every surjection onto A5 in the discovery order of A5's closure, so a
+    # closure that finds its elements in another order shows here
     ("search-hom --pres {data}/trefoil.pres --limit 1000",
      "search_hom_trefoil.json"),
     # an all-zero row and zeros beside b and 2c reach the elimination

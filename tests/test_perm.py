@@ -10,7 +10,6 @@ from knotcover.perm import (
     Perm,
     closure,
     compose,
-    cycle_string,
     is_even,
     parse_cycles,
 )
@@ -26,19 +25,24 @@ def slow_compose(p: Perm, q: Perm) -> Perm:
     return Perm(tuple(images))
 
 
-perms = st.integers(min_value=0, max_value=8).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1))).map(lambda t: Perm(tuple(t)))
-)
+def perms_up_to(degree):
+    return st.integers(min_value=0, max_value=degree).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(
+            lambda t: Perm(tuple(t)))
+    )
+
+
+perms = perms_up_to(8)
 
 
 def test_parse_and_print_round_trip():
     for text in ["()", "(1,2)", "(1,2)(3,4)", "(1,2,3,4,5)", "(2,4,3)", "(1,5)(3,4)"]:
-        assert cycle_string(parse_cycles(text)) == text
+        assert str(parse_cycles(text)) == text
 
 
 def test_parse_normalizes_cycle_order():
-    assert cycle_string(parse_cycles("(3,4)(1,2)")) == "(1,2)(3,4)"
-    assert cycle_string(parse_cycles("(2,3,1)")) == "(1,2,3)"
+    assert str(parse_cycles("(3,4)(1,2)")) == "(1,2)(3,4)"
+    assert str(parse_cycles("(2,3,1)")) == "(1,2,3)"
 
 
 def test_parse_whitespace_and_singletons():
@@ -73,6 +77,55 @@ def test_parse_errors_name_the_token():
         with pytest.raises(ParseError,
                            match=f"expected point at position 1, got {tok}"):
             parse_cycles(text)
+
+
+# Cycle text with its images, or with the exact message it is refused with.
+# Blanks may stand between any two tokens; a token standing where "(", ","
+# or ")" is due is quoted by its first character.
+CYCLE_TEXT_CASES = [
+    ("(1,2)\t(3,4)", (2, 1, 4, 3)),
+    ("(1\n,2)", (2, 1)),
+    ("\t(1,\n2)\n", (2, 1)),
+    ("(1,2)  (  )", (2, 1)),
+    (" ", "empty cycle expression"),
+    ("\t\n", "empty cycle expression"),
+    ("(1 23)", "expected ',' or ')' at position 3, got '2'"),
+    ("(12 3)", "expected ',' or ')' at position 4, got '3'"),
+    ("(1,2)12", "expected '(' at position 5, got '1'"),
+    ("(", "expected point at position 1, got 'end of input'"),
+    ("(1", "expected ',' or ')' at position 2, got 'end of input'"),
+    ("(1,", "expected point at position 3, got 'end of input'"),
+    ("( 1 ,", "expected point at position 5, got 'end of input'"),
+    ("(1,2)(", "expected point at position 6, got 'end of input'"),
+    ("((1)", "expected point at position 1, got '('"),
+    ("(1,2))", "expected '(' at position 5, got ')'"),
+    ("(1,2) x", "expected '(' at position 6, got 'x'"),
+    ("(0)", "point 0 outside 1..12 at position 1"),
+    ("(13)", "point 13 outside 1..12 at position 1"),
+    ("(100)", "point 100 outside 1..12 at position 1"),
+    ("(1,23", "point 23 outside 1..12 at position 3"),
+    ("(1,2)(3,1)", "repeated point 1 at position 8"),
+    ("(5,12)(1,10,11)", (10, 2, 3, 4, 12, 6, 7, 8, 9, 11, 1, 5)),
+    ("( )", ()),
+    ("()()", ()),
+]
+
+
+@pytest.mark.parametrize("text, expected", CYCLE_TEXT_CASES)
+def test_parse_cycles_pinned_cases(text, expected):
+    if isinstance(expected, tuple):
+        assert parse_cycles(text).images == expected
+    else:
+        with pytest.raises(ParseError) as caught:
+            parse_cycles(text)
+        assert str(caught.value) == expected
+
+
+@given(perms_up_to(perm.DEGREE_CAP))
+@example(parse_cycles("(1,12)(10,11)"))
+def test_print_parse_round_trip(p):
+    # degrees past 9 print and read back two-digit points
+    assert parse_cycles(str(p)) == p
 
 
 def test_trailing_fixed_points_trimmed():
@@ -270,9 +323,7 @@ def test_closure_cap(monkeypatch):
         f"degree 5; 59 elements found, {expanded} expanded)")
 
 
-small_perms = st.integers(min_value=0, max_value=5).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1))).map(lambda t: Perm(tuple(t)))
-)
+small_perms = perms_up_to(5)
 
 
 @given(st.lists(small_perms, max_size=3))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from knotcover import presentations
 from knotcover.errors import CapacityError
 from knotcover.homcheck import phi_tables
-from knotcover.perm import cycle_string
 from knotcover.presentations import (
     STAGE_CAP,
     kj_presentation,
@@ -226,9 +225,7 @@ FAMILY_FINGERPRINTS = {
 def _family_text(kind, j):
     if kind == "phi":
         gens = kj_presentation(j).generators
-        return "\n".join(
-            cycle_string(v) for v in phi_tables(j).values_in_order(gens)
-        )
+        return "\n".join(map(str, phi_tables(j).values_in_order(gens)))
     p = {"kj": kj_presentation, "kjss": kjss_presentation}[kind](j)
     return print_presentation(p) + "\n".join(p.relator_names)
 
