@@ -84,18 +84,23 @@ SMALL_STAGE_NOTE = (
 )
 
 # The stage limit of `kernel-homology` and `run-all --kernel-jmax`: the
-# largest N such that `knotcover kernel-homology --j M --force` finished
-# within 4 s in each of five fresh-process runs for every M up to N.  Each
-# stage adds 660 rows and 540 columns to the relation matrix, and the Smith
-# normal form grows faster than that.  The runs of one N spread by a second
-# or more on a shared host, so their range is recorded, not one median;
-# for N = 14 / 15 / 16 / 17 / 18 they took
-# 1.86-2.42 / 1.65-2.35 / 2.71-4.31 / 2.06-2.90 / 3.17-4.40 s
-# (Python 3.11.7, a shared 2-core Xeon host).  At N = 15 the fresh-process
-# peak RSS is 26.9-27.0 MiB (eight runs, same host).  Per stage times also
-# come from the benchmark (`bench/README.md`):
+# largest N, of those timed (up to 18), such that `knotcover
+# kernel-homology --j M --force` finished within 4 s in each of five
+# fresh-process runs for every M up to N.  Each stage adds 660 rows and 540
+# columns to the relation matrix, and the Smith normal form grows faster
+# than that.  The runs of one N spread by a second or more on a shared
+# host, so their range is recorded, not one median; for
+# N = 14 / 15 / 16 / 17 / 18 they took
+# 1.26-1.35 / 1.05-1.77 / 1.82-1.97 / 1.50-2.09 / 2.52-2.94 s
+# (Python 3.11.7, a shared 2-core Xeon host).  Runs alternated with the
+# code before the local stage split D against the Bareiss pivots, which
+# took 1.28-1.51 / 1.20-1.80 / 1.95-2.81 / 1.60-2.15 / 2.67-3.94 s; an
+# earlier five runs at N = 16, of code with the same elimination, took
+# 2.71-4.31 s there, so the host's speed moves by up to a third.  At N = 15 the
+# fresh-process peak RSS is 26.9-27.0 MiB (eight runs, same host).  Per
+# stage times also come from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
-KERNEL_HOMOLOGY_MAX_STAGES = 15
+KERNEL_HOMOLOGY_MAX_STAGES = 18
 
 def _load_text(path: str) -> str:
     try:

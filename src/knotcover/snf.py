@@ -28,9 +28,12 @@ rule so results are deterministic:
    than unit pivots alone, and taking the cheapest first (Markowitz,
    "The elimination form of the inverse and its application to linear
    programming", 1957) keeps the fill low: a unit of cost in the
-   thousands waits behind a 2 of cost 2.  Stages 2 and 3 run on its
-   distinct rows: of rows equal up to sign only the first is kept,
-   which leaves the row lattice unchanged.  How many remain on the
+   thousands waits behind a 2 of cost 2.  The queue is a heap whose
+   replaced entries are skipped when popped; once they outnumber the
+   live ones two to one it is rebuilt from the live entries alone,
+   which pop in the same order.  Stages 2 and 3 run on its distinct
+   rows: of rows equal up to sign only the first is kept, which leaves
+   the row lattice unchanged.  How many remain on the
    kernel matrices is pinned by the dense residual shape tests in
    tests/test_snf.py and tests/test_subgroups.py.
 2. Fraction-free (Bareiss) elimination of the small dense residual,
@@ -45,29 +48,38 @@ rule so results are deterministic:
    update divides by that pivot, which the same identity keeps exact.
    On the kernel matrices that skips 28-34% of the row updates at
    stage counts 3 to 5 and 70-85% from stage count 8 on.  This yields
-   the rank r plus D, the gcd of the r x r minors in the last pivot row
-   and multipliers, a multiple of d_1 ... d_r.  It divides the
-   determinant of the last pivot's minor and is often far smaller.
+   the r pivots, the leading k x k minors of the residual with its rows
+   and columns in pivot order, each a multiple of d_1 ... d_k, plus D,
+   the gcd of the r x r minors in the last pivot row and multipliers, a
+   multiple of d_1 ... d_r.  It divides the last pivot and is often far
+   smaller.
 3. Local elimination of the residual, one base at a time, skipped
    when D = 1.  The product of the invariant factors divides D, so
    every factor does too; as in modulo-determinant methods (Domich,
    Kannan and Trotter, "Hermite normal form computation using modulo
    determinant arithmetic", 1987), any such multiple will do.  The
-   bases start as D alone; splits keep them pairwise coprime.  Each
-   b-part is found modulo b^k: entries coprime to b are units, so the
-   first entry (row-major) not divisible by b is a pivot and clears its
-   column in one row operation per row; when no such entry is left
-   everything is divided by b and later pivots count one power of b
-   more.  The rows of the residual plus b^k Z^cols have invariant
-   factors gcd(d_i, b^k) and copies of b^k, so r pivots certify that
-   every b-part is below b^k and a power of b.  With fewer, k (started
-   at the largest power below 2^30) doubles, capped at v where
-   D = b^v c with gcd(b, c) = 1: there the missing b-parts can only be
-   b^v.  A base is split, following the dynamic evaluation of Della
-   Dora, Dicrescenzo and Duval (EUROCAL '85), when gcd(b, c) > 1 or a
-   pivot shares a factor g with b: b becomes g and b stripped of every
-   prime of g, and each piece is worked again.  The sorted exponent
-   lists of the bases zip into d_1 | ... | d_r.
+   bases start as D refined against each Bareiss pivot in turn into
+   pairwise coprime pieces (coprime-base refinement; Bernstein,
+   "Factoring into coprimes in essentially linear time", 2005), as the
+   pivots are multiples of d_1 ... d_k that the elimination already
+   holds.  Each b-part is found modulo b^k: entries coprime to b are
+   units, so the first entry (row-major) not divisible by b is a pivot
+   and clears its column in one row operation per row; when no such
+   entry is left everything is divided by b and later pivots count one
+   power of b more.  The rows of the residual plus b^k Z^cols have
+   invariant factors gcd(d_i, b^k) and copies of b^k, so r pivots
+   certify that every b-part is below b^k and a power of b.  With
+   fewer, k doubles, capped at v where D = b^v c with gcd(b, c) = 1:
+   there the missing b-parts can only be b^v.  k starts at the largest
+   value with b^(2k) below 2^bits_per_digit (2^30 on 64-bit builds):
+   residuals are below b^k, so each product in a row update and each
+   result fits one CPython digit, on which int arithmetic takes its
+   fast path.  A base the pivots leave composite is split, following
+   the dynamic evaluation of Della Dora, Dicrescenzo and Duval
+   (EUROCAL '85), when gcd(b, c) > 1 or a pivot of the pass shares a
+   factor g with b: b becomes g and b stripped of every prime of g, and
+   each piece is worked again.  The sorted exponent lists of the bases
+   zip into d_1 | ... | d_r.
 
 The factors of all stages are merged into one divisibility chain by one
 sweep, as diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) (Newman, 1972, ch. II).
@@ -75,20 +87,27 @@ Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
 elimination.  On the kernel matrices D has the last pivot's bits, 114
-or more (stage count 5 on), and splitting takes it down to bases that
-are powers of 2, 3 and 5 (stage counts 3 to 11), each worked modulo
-powers below 2^30, plus at stage count 8 the prime 17, which divides D
-but no factor and takes one pass modulo 17; this follows the local
-approach of Dumas, Saunders and Villard ("On efficient sparse integer
-matrix Smith normal forms", 2001).
+or more (stage count 5 on), and the Bareiss pivots split it into powers
+of 2, 3 and 5 (stage counts 3 to 16).  Each base is then settled by
+one pass, modulo 2^14, 3^9 and 5^6 at stage count 5, except that at
+stage counts 6, 7, 9, 10, 13 and 15 the pivots leave one power (4, 9
+or 125) composite, and a short pass splits it, stopping at the first
+pivot that shares a factor with it.  The primes 17 at stage count 8
+and 23 at 14 and 16 divide D but no factor and take one full pass
+each.  This follows the local approach of Dumas, Saunders and Villard
+("On efficient sparse integer matrix Smith normal forms", 2001).
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import sys
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 SparseRows = dict[int, dict[int, int]]
+
+# The least int that takes two CPython digits (2^30 on 64-bit builds)
+_ONE_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
@@ -130,9 +149,9 @@ def _smith(work: SparseRows) -> tuple[list[int], int]:
     Bareiss and the local stage run beside the dense rows alone."""
     factors = _divisor_stage(work)
     dense = _densify(work)
-    rank_rest, det = _bareiss_rank_det(dense)
-    if rank_rest:
-        factors.extend(_local_factors(dense, rank_rest, det))
+    pivots, det = _bareiss_rank_det(dense)
+    if pivots:
+        factors.extend(_local_factors(dense, pivots, det))
     return _divisibility_chain(factors), len(factors)
 
 
@@ -154,6 +173,13 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
     its row and only its column is checked.  A row whose candidate
     column becomes divisible later, with the row unchanged, stays in the
     residual for the dense stages.
+
+    A replaced entry stays in the heap until it is popped and skipped.
+    When the heap holds more than twice the live entries, it is rebuilt
+    in place (``queue`` pushes onto the same list) from ``queued`` alone.
+    Live entries belong to distinct rows, so no two are equal and the
+    same one pops next; the loop then tests the heap again, as the
+    rebuilt one is empty when nothing is queued.
 
     ``cols[j]`` lists the rows with an entry in column j, each once, in no
     particular order: a row is appended when it gains the column and
@@ -191,6 +217,10 @@ def _divisor_stage(rows: SparseRows) -> list[int]:
         queue(i, r, gcd(*r.values()))
     pivots: list[int] = []
     while heap:
+        if len(heap) > 2 * len(queued):
+            heap[:] = queued.values()
+            heapify(heap)
+            continue
         entry = heappop(heap)
         cost, a, pr, pc = entry
         if queued.get(pr) is not entry:
@@ -270,8 +300,8 @@ def _densify(rows: SparseRows) -> list[list[int]]:
     return [list(row) for row in distinct]
 
 
-def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
-    """Rank r and a multiple D of d_1 ... d_r; m's rows are copied.
+def _bareiss_rank_det(m: list[list[int]]) -> tuple[list[int], int]:
+    """The r pivots and a multiple D of d_1 ... d_r; m's rows are copied.
 
     Fraction-free elimination, one column at a time: every intermediate
     entry is a minor of the input, so sizes stay polynomially bounded,
@@ -292,11 +322,13 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
     is exact, and the row is current again with scale piv.  The pivot
     row is brought current first, as x * prev // scale.
 
-    D is the gcd of the r x r minors in the last pivot row, from the last
-    pivot column on, and in the last step's multipliers below it, taken
-    current as f * prev // scale before that step: a multiple of
-    d_1 ... d_r (the gcd of all r x r minors) that divides the last
-    pivot, the determinant of a nonsingular r x r minor.
+    The k-th pivot is the leading k x k minor of m with its rows and
+    columns in pivot order, so d_1 ... d_k (the gcd of all k x k minors)
+    divides it.  D is the gcd of the r x r minors in the last pivot row,
+    from the last pivot column on, and in the last step's multipliers
+    below it, taken current as f * prev // scale before that step: a
+    multiple of d_1 ... d_r that divides the last pivot, the determinant
+    of a nonsingular r x r minor.  A matrix of rank 0 gives ([], 0).
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -304,6 +336,7 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
     prev = 1
     rank = last = 0
     mults: list[int] = []
+    pivots: list[int] = []
     for c in range(ncols):
         p = next((i for i in range(rank, nrows) if work[i][1][c]), None)
         if p is None:
@@ -323,26 +356,40 @@ def _bareiss_rank_det(m: list[list[int]]) -> tuple[int, int]:
                 mults.append(f * prev // scale)
                 entry[0] = piv
         prev = piv
+        pivots.append(piv)
         last = c
         rank += 1
     if not rank:
-        return 0, 0
-    return rank, gcd(*work[rank - 1][1][last:], *mults)
+        return [], 0
+    return pivots, gcd(*work[rank - 1][1][last:], *mults)
 
 
-def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
+def _local_factors(dense: list[list[int]], pivots: list[int],
+                   det: int) -> list[int]:
     """Invariant factors of the dense residual from its b-parts.
 
-    ``det`` is D, the gcd of the rank x rank minors in the last pivot
-    row and multipliers, a multiple of d_1 ... d_rank; the product of
-    the invariant factors divides D, and D = 1 leaves nothing to do.
-    The bases b start as D alone and stay pairwise coprime.  A base is
-    worked only when D = b^v c with gcd(b, c) = 1, so no b-part exceeds
-    b^v; a factor of b found in D (gcd(b, c) > 1) or by a pivot splits
-    it, and the pieces are worked first.  Exponent lists are sorted, so
-    zipping them gives d_1 | ... | d_rank.
+    ``pivots`` and ``det`` are what ``_bareiss_rank_det`` gives for
+    ``dense``: the rank = len(pivots) pivots and D, a multiple of
+    d_1 ... d_rank.  The product of the invariant factors divides D, and
+    D = 1 leaves nothing to do.  The bases b start as D split against
+    each pivot p in turn, at g = gcd(b, p) when 1 < g < b, and stay
+    pairwise coprime.  A pivot is a multiple of d_1 ... d_k, so its
+    gcds with D tend to separate D's primes; on the kernel matrices
+    they leave at most one prime power, 4, 9 or 125, for a pass to
+    split.  A base is worked only when D = b^v c with
+    gcd(b, c) = 1, so no b-part exceeds b^v; a factor of b found in D
+    (gcd(b, c) > 1) or by a pivot of a pass splits it, and the pieces
+    are worked first.  Exponent lists are sorted, so zipping them gives
+    d_1 | ... | d_rank.
     """
+    rank = len(pivots)
     bases = [det] if det > 1 else []
+    for p in pivots:
+        refined = []
+        for b in bases:
+            g = gcd(b, p)
+            refined += _split_base(b, g) if 1 < g < b else [b]
+        bases = refined
     factors = [1] * rank
     while bases:
         b = bases.pop(0)
@@ -371,10 +418,20 @@ def _local_factors(dense: list[list[int]], rank: int, det: int) -> list[int]:
 
 
 def _start_exponent(b: int) -> int:
-    """The largest k >= 1 with b ** k < 2 ** 30, or 1 if there is none."""
-    k, power = 1, b * b
-    while power < 1 << 30:
-        k, power = k + 1, power * b
+    """The largest k >= 1 with b ** (2 * k) below 2 ** bits_per_digit, or 1
+    if there is none.
+
+    ``_local_exponents`` keeps every entry below b^k, so each product
+    f * y in a row update is below b^(2k) and, like the entries, is a
+    one-digit int: CPython multiplies, subtracts and reduces those on its
+    fast path, and a 200-entry row update takes about a quarter less time
+    per entry than at two digits (Python 3.11).  A pass that needs a
+    larger k still doubles k from here.
+    """
+    k, square = 1, b * b
+    power = square * square
+    while power < _ONE_DIGIT:
+        k, power = k + 1, power * square
     return k
 
 

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import sys
 from collections import Counter
 from itertools import combinations, count
 from math import gcd, prod
@@ -524,33 +525,41 @@ def test_sparse_stress_with_fill_against_oracle():
 
 # -- the torsion stage: local modulo b^k, with bases split on demand ---------
 
-@pytest.fixture
-def torsion_calls(monkeypatch):
-    """Record the torsion stage's work and check each of its results
-    against the oracle on the residual it was given: ("local", b, k) per
-    elimination modulo b^k, ("split", b, g) per split of b at g."""
-    calls = []
-
-    def local_factors(dense, *args):
-        got = real_factors(dense, *args)
-        assert got == naive_snf(dense)[0], dense
-        return got
+def record_torsion_stage(monkeypatch):
+    """Lists that fill with the torsion stage's work, ("local", b, k) per
+    elimination modulo b^k and ("split", b, g) per split of b at g, and
+    with what each elimination returned."""
+    calls, results = [], []
 
     def local_exponents(dense, b, k):
         calls.append(("local", b, k))
-        return real_exponents(dense, b, k)
+        results.append(real_exponents(dense, b, k))
+        return results[-1]
 
     def split_base(b, g):
         calls.append(("split", b, g))
         return real_split(b, g)
 
-    real_factors = snf._local_factors
     real_exponents = snf._local_exponents
     real_split = snf._split_base
-    monkeypatch.setattr(snf, "_local_factors", local_factors)
     monkeypatch.setattr(snf, "_local_exponents", local_exponents)
     monkeypatch.setattr(snf, "_split_base", split_base)
-    return calls
+    return calls, results
+
+
+@pytest.fixture
+def torsion_calls(monkeypatch):
+    """The torsion stage's work as ``record_torsion_stage`` lists it, with
+    each of its results checked against the oracle on the residual it
+    was given."""
+    def local_factors(dense, *args):
+        got = real_factors(dense, *args)
+        assert got == naive_snf(dense)[0], dense
+        return got
+
+    real_factors = snf._local_factors
+    monkeypatch.setattr(snf, "_local_factors", local_factors)
+    return record_torsion_stage(monkeypatch)[0]
 
 
 def test_random_stress_against_oracle(torsion_calls):
@@ -598,15 +607,17 @@ def test_large_prime_in_the_determinant_is_a_base(torsion_calls):
 
 
 @pytest.mark.parametrize("matrix, factors, calls", [
-    # D = 83327 = 103 * 809; the pivot 103 splits it
+    # D = 83327 = 103 * 809; the first Bareiss pivot 309 = 3 * 103 splits
+    # it before any pass
     ([[309, 103], [103, 304]], [1, 83327],
-     [("local", 83327, 1), ("split", 83327, 103),
-      ("local", 103, 1), ("local", 809, 1)]),
-    # D = 2 * 101^3 splits at the pivot 10201 into 10201 and 2; D is not
-    # 10201^v times a coprime part, so gcd(b, c) = 101 splits 10201
+     [("split", 83327, 103), ("local", 103, 1), ("local", 809, 1)]),
+    # D = 2 * 101^3 splits at the first Bareiss pivot -10201 into 10201
+    # and 2; D is not 10201^v times a coprime part, so gcd(b, c) = 101
+    # splits 10201.  k starts at 2, as 101^6 is past one 30-bit digit,
+    # and doubles to the cap v = 3
     ([[-10201, 0], [-3, 202]], [1, 2060602],
-     [("local", 2 * 101**3, 1), ("split", 2 * 101**3, 10201),
-      ("split", 10201, 101), ("local", 101, 3), ("local", 2, 1)]),
+     [("split", 2 * 101**3, 10201), ("split", 10201, 101),
+      ("local", 101, 2), ("local", 101, 3), ("local", 2, 1)]),
 ], ids=["pivot", "determinant"])
 def test_split_bases_match_the_oracle(torsion_calls, matrix, factors, calls):
     assert smith_normal_form(matrix) == naive_snf(matrix) == (factors, 2)
@@ -614,20 +625,21 @@ def test_split_bases_match_the_oracle(torsion_calls, matrix, factors, calls):
 
 
 @pytest.mark.parametrize("matrix, factors, calls", [
-    # 2^30 * M with det M = 1: D = 2^60 splits at the pivot 2^31, then
-    # at gcd(b, c) down to 4; nothing survives modulo 4^14, modulo 4^28
-    # a pivot shares the factor 2 with 4, and nothing survives modulo
-    # 2^29, so k doubles to 58, where both pivots appear
+    # 2^30 * M with det M = 1: D = 2^60 splits at the Bareiss pivot 2^31,
+    # then at gcd(b, c) down to 4; with 30-bit digits k starts at 7 for 4
+    # and 14 for 2.  Nothing survives modulo 4^7 or 4^14, modulo 4^28 a
+    # pivot shares the factor 2 with 4, and nothing survives modulo 2^14
+    # or 2^28, so k doubles to 56, where both pivots appear
     ([[2**31, 3 * 2**30], [3 * 2**30, 5 * 2**30]], [2**30, 2**30],
-     [("local", 2**60, 1), ("split", 2**60, 2**31), ("split", 2**31, 2**29),
-      ("split", 2**29, 4), ("local", 4, 14), ("local", 4, 28),
-      ("split", 4, 2), ("local", 2, 29), ("local", 2, 58)]),
-    # D = 3 * 2^41 splits at the pivot 6, and 6 at gcd(b, c) = 2; base 2
-    # has one pivot modulo 2^29 and modulo 2^41 = 2^v_2(D), not 2^58,
-    # where the missing one can only be 2^41
+     [("split", 2**60, 2**31), ("split", 2**31, 2**29), ("split", 2**29, 4),
+      ("local", 4, 7), ("local", 4, 14), ("local", 4, 28), ("split", 4, 2),
+      ("local", 2, 14), ("local", 2, 28), ("local", 2, 56)]),
+    # D = 3 * 2^41 splits at the Bareiss pivot 6, and 6 at gcd(b, c) = 2;
+    # base 2 has one pivot modulo 2^14, 2^28 and 2^41 = 2^v_2(D), not
+    # 2^56, where the missing one can only be 2^41
     ([[6, 6], [7, 2**40 + 7]], [1, 3 * 2**41],
-     [("local", 3 * 2**41, 1), ("split", 3 * 2**41, 6), ("split", 6, 2),
-      ("local", 2, 29), ("local", 2, 41), ("local", 3, 1)]),
+     [("split", 3 * 2**41, 6), ("split", 6, 2), ("local", 2, 14),
+      ("local", 2, 28), ("local", 2, 41), ("local", 3, 1)]),
 ], ids=["doubled", "capped"])
 def test_two_adic_valuation_past_the_start_doubles_k(torsion_calls, matrix,
                                                       factors, calls):
@@ -636,10 +648,11 @@ def test_two_adic_valuation_past_the_start_doubles_k(torsion_calls, matrix,
 
 
 def test_start_exponent_matches_the_power_loop():
-    # the local stage starts at the largest k with b^k < 2^30, at least 1
+    # the local stage starts at the largest k with b^(2k) below one
+    # CPython digit, at least 1
     def by_loop(b):
         k = 1
-        while b ** (k + 1) < 1 << 30:
+        while b ** (2 * k + 2) < 1 << sys.int_info.bits_per_digit:
             k += 1
         return k
 
@@ -651,13 +664,13 @@ def test_start_exponent_matches_the_power_loop():
 
 def test_local_stage_with_more_columns_than_rank(torsion_calls):
     # rank 2 on 3 columns, the third row the sum of the first two; the
-    # last pivot's minor is 132 = 2^2 * 3 * 11, but the gcd of the 2 x 2
-    # minors in its row and multipliers is D = 4 = d_1 d_2.  A pass
-    # modulo 4 meets the pivot 2, which splits 4 at 2, and 2 is settled
-    # at its valuation
+    # last pivot's minor is -140 = -2^2 * 5 * 7, but the gcd of the 2 x 2
+    # minors in its row and multipliers is D = 4 = d_1 d_2.  The first
+    # Bareiss pivot 6 splits 4 at 2 before any pass, and 2 is settled at
+    # its valuation
     matrix = [[6, 10, 0], [14, 0, 22], [20, 10, 22]]
     assert smith_normal_form(matrix) == naive_snf(matrix) == ([2, 2], 2)
-    assert torsion_calls == [("local", 4, 1), ("split", 4, 2), ("local", 2, 2)]
+    assert torsion_calls == [("split", 4, 2), ("local", 2, 2)]
 
 
 def test_torsion_stage_skipped_when_the_minor_gcd_is_one(torsion_calls):
@@ -696,17 +709,20 @@ def test_bareiss_bound_is_a_multiple_of_the_factor_product():
     residuals += BAREISS_HAND_CASES
     checked = 0
     for residual in residuals:
-        rank, bound = snf._bareiss_rank_det([row[:] for row in residual])
+        pivots, bound = snf._bareiss_rank_det([row[:] for row in residual])
         factors, oracle_rank = naive_snf(residual)
-        assert rank == oracle_rank, residual
-        if rank:
+        assert len(pivots) == oracle_rank, residual
+        # the k-th pivot is a k x k minor, so d_1 ... d_k divides it
+        assert all(p % prod(factors[:k + 1]) == 0
+                   for k, p in enumerate(pivots)), residual
+        if pivots:
             assert bound > 0 and bound % prod(factors) == 0, residual
             checked += 1
     assert checked > 1000
 
 
 def full_update_bareiss(m):
-    """Rank r and a multiple D of d_1 ... d_r, in place.
+    """The r pivots and a multiple D of d_1 ... d_r, in place.
 
     Fraction-free elimination, one column at a time: every intermediate
     entry is a minor of the input, so sizes stay polynomially bounded,
@@ -723,12 +739,14 @@ def full_update_bareiss(m):
     ncols = len(m[0]) if m else 0
     prev = 1
     rank = last = 0
+    pivots = []
     for c in range(ncols):
         p = next((i for i in range(rank, nrows) if m[i][c]), None)
         if p is None:
             continue
         m[rank], m[p] = m[p], m[rank]
         piv = m[rank][c]
+        pivots.append(piv)
         tail = m[rank][c + 1:]
         # The division by the previous pivot is exact by Sylvester's
         # identity, but only if every row is updated, zeros included.
@@ -740,9 +758,9 @@ def full_update_bareiss(m):
         last = c
         rank += 1
     if not rank:
-        return 0, 0
-    return rank, gcd(*m[rank - 1][last:],
-                     *(m[i][last] for i in range(rank, nrows)))
+        return [], 0
+    return pivots, gcd(*m[rank - 1][last:],
+                       *(m[i][last] for i in range(rank, nrows)))
 
 
 def zero_multiplier_matrices():
@@ -781,7 +799,7 @@ def assert_bareiss_matches_the_full_update(matrices):
 
 def test_bareiss_matches_the_full_update_on_small_matrices():
     # the rows a step leaves unscaled divide by the pivot they were last
-    # updated against, which must give the full update's rank and D
+    # updated against, which must give the full update's pivots and D
     families = [STRESS, [dense_residual(m) for m in STRESS],
                 BAREISS_HAND_CASES, zero_multiplier_matrices()]
     families.append([dense_residual(m) for m in families[-1]])
@@ -853,9 +871,9 @@ def seeded_determinant_primes(family, rng):
 
 @pytest.mark.parametrize("family", ["2^a", "pq", "p^2 q^3"])
 def test_split_path_matches_the_oracle(monkeypatch, family):
-    # the local stage starts from the one base D, so splitting finds
-    # every base; each split must give pairwise coprime pieces strictly
-    # between 1 and the base it splits
+    # the local stage starts from D split against the Bareiss pivots,
+    # and splitting finds every base; each split must give pairwise
+    # coprime pieces strictly between 1 and the base it splits
     splits = []
 
     def split_base(b, g):
@@ -876,10 +894,11 @@ def test_split_path_matches_the_oracle(monkeypatch, family):
         matrix = unimodular_mix(rng, [[diag[i] if i == j else 0
                                        for j in range(n)] for i in range(n)])
         det = prod(primes)
-        assert snf._bareiss_rank_det([row[:] for row in matrix]) == (n, det)
+        pivots, got = snf._bareiss_rank_det([row[:] for row in matrix])
+        assert (len(pivots), got) == (n, det)
         expected = naive_snf(matrix)
         assert smith_normal_form(matrix) == expected, matrix
-        assert snf._local_factors(matrix, n, det) == expected[0], matrix
+        assert snf._local_factors(matrix, pivots, det) == expected[0], matrix
     assert splits
 
 
@@ -1027,6 +1046,28 @@ def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
     assert (len(dense), len(dense[0])) == shape
 
 
+@pytest.mark.parametrize("j, primes", [(3, {2, 3}), (4, {2, 3, 5}),
+                                      (5, {2, 3, 5}), (8, {2, 3, 5, 17})])
+def test_kernel_residual_bases_take_one_pass_each(monkeypatch, j, primes):
+    # the Bareiss pivots split D into its bases before any pass, so each
+    # base is worked once and no pass stops at a pivot sharing a factor
+    # with its base; 17 divides D at j = 8 but no invariant factor.  The
+    # factors are pinned by the rank mod p certificate above: naive_snf
+    # takes minutes on the 43 x 51 residual at j = 5
+    calls, results = record_torsion_stage(monkeypatch)
+    _, rows = kernel_relation_rows(j)
+    smith_normal_form_sparse(dict(enumerate(rows)))
+    bases = [b for kind, b, _ in calls if kind == "local"]
+    assert len(bases) == len(set(bases))
+    assert not any(isinstance(got, int) for got in results)
+    assert {q for b in bases for q in primes_dividing(b)} == primes
+
+
+# entries popped: replaced ones are dropped when the heap is rebuilt, so
+# the divisor stage pops fewer than it pushes
+KERNEL_HEAP_POPS = {3: 3551, 4: 5497, 5: 7309}
+
+
 @pytest.mark.parametrize("j, pushes, pivots", [(3, 6188, 1511),
                                                (4, 9762, 2030),
                                                (5, 13333, 2536)])
@@ -1039,7 +1080,7 @@ def test_divisor_stage_heap_traffic_on_kernel_matrices(monkeypatch, j, pushes,
               for i, r in enumerate(rows) if any(r.values())}
     pushed, popped = heap_traffic(monkeypatch)
     assert len(snf._divisor_stage(sparse)) == pivots
-    assert len(pushed) == len(popped) == pushes
+    assert (len(pushed), len(popped)) == (pushes, KERNEL_HEAP_POPS[j])
 
 
 def stage1_pivots(monkeypatch, rows):
