@@ -84,23 +84,30 @@ SMALL_STAGE_NOTE = (
 )
 
 # The stage limit of `kernel-homology` and `run-all --kernel-jmax`: the
-# largest N, of those timed (up to 18), such that `knotcover
+# largest N, of those timed (up to 28), such that `knotcover
 # kernel-homology --j M --force` finished within 4 s in each of five
 # fresh-process runs for every M up to N.  Each stage adds 660 rows and 540
 # columns to the relation matrix, and the Smith normal form grows faster
 # than that.  The runs of one N spread by a second or more on a shared
-# host, so their range is recorded, not one median; for
-# N = 14 / 15 / 16 / 17 / 18 they took
-# 1.26-1.35 / 1.05-1.77 / 1.82-1.97 / 1.50-2.09 / 2.52-2.94 s
-# (Python 3.11.7, a shared 2-core Xeon host).  Runs alternated with the
-# code before the local stage split D against the Bareiss pivots, which
-# took 1.28-1.51 / 1.20-1.80 / 1.95-2.81 / 1.60-2.15 / 2.67-3.94 s; an
-# earlier five runs at N = 16, of code with the same elimination, took
-# 2.71-4.31 s there, so the host's speed moves by up to a third.  At N = 15 the
-# fresh-process peak RSS is 26.9-27.0 MiB (eight runs, same host).  Per
-# stage times also come from the benchmark (`bench/README.md`):
+# host, so their range is recorded, not one median; for N = 16 to 28 they
+# took
+#     N = 16 / 17 / 18 / 19 / 20 / 21 / 22:
+#         1.11-1.78 / 1.20-1.38 / 1.33-1.71 / 1.37-2.14 / 1.76-2.12 /
+#         1.48-2.14 / 1.97-2.07 s
+#     N = 23 / 24 / 25 / 26 / 27 / 28:
+#         1.71-2.73 / 2.43-2.89 / 2.52-2.78 / 3.02-4.50 / 2.19-2.88 /
+#         3.59-4.40 s
+# (Python 3.11.7, a shared 2-core Xeon host), so N = 26 misses the rule
+# once.  Runs alternated with the code before the local stage packed its
+# rows, which took 1.89-2.23 / 1.64-2.26 / 2.34-2.54 / 1.96-2.37 /
+# 2.94-3.46 / 2.65-2.99 / 3.45-3.89 s and 2.80-3.45 / 4.40-5.24 /
+# 4.26-4.94 / 5.55-6.78 / 3.98-4.90 / 6.54-7.71 s: it stops at 23 by
+# the rule.  On other days the same host has run a third slower.  The
+# fresh-process peak RSS is 26.9-27.0 MiB at N = 15 (eight runs) and
+# 37.2-37.3 MiB at N = 25 (two runs, same host).  Per stage times also
+# come from the benchmark (`bench/README.md`):
 #     python3 bench/run.py --workload kernel-sweep --seconds 20 --trace 1
-KERNEL_HOMOLOGY_MAX_STAGES = 18
+KERNEL_HOMOLOGY_MAX_STAGES = 25
 
 def _load_text(path: str) -> str:
     try:

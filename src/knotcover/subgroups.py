@@ -4,23 +4,27 @@ boundary quotient, and the rank growth of staged-kernel homology.
 
 One walk over a coset table rewrites it: ``CosetTable.verify`` traces and
 checks the table and returns the relator paths; the walk builds the tree
-and transversal and maps Schreier columns over those paths, so it raises
-exactly what verify raises.
-``reidemeister_schreier`` turns the walk into words, also for the boundary
-words of ``boundary_quotient``; ``cover_homology`` reads the H1 relation rows
-straight off it, with no rewritten word or presentation in between."""
+and transversal and a table of the Schreier column each syllable crosses
+at each coset, so it raises exactly what verify raises.
+``reidemeister_schreier`` reads words off those tables, also for the
+boundary words of ``boundary_quotient``.  ``cover_homology`` reads the H1
+relation rows off them, relator by relator: it fills the rows of all
+cosets at once, one syllable at a time, summing each syllable's sign at
+the column it crosses from each coset.  No rewritten word, walk or
+presentation is built, and the rows come out as ``abelianize`` builds
+them from the rewritten presentation, in the same order with their
+columns in the same order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from .cosets import CosetTable, cyclic_cover_table, kernel_coset_table
 from .errors import CapacityError, InvalidArgumentError
 from .homcheck import phi_tables
 from .presentations import kj_presentation, trefoil_presentation
-from .snf import _smith
+from .snf import SparseRows, _smith
 from .words import Presentation, Word, word
 
 # Boundary curves of the trefoil complement, as words in the two-generator
@@ -58,10 +62,11 @@ class SubgroupPresentation:
 
 
 def _schreier_walk(p: Presentation, t: CosetTable):
-    """Rewrite every relator of ``p`` from every coset of ``t``, along the
-    paths ``t.verify(p)`` traces and returns.
+    """The Schreier tree of ``t`` and the tables that rewrite every
+    relator of ``p`` from every coset, along the paths ``t.verify(p)``
+    traces and returns.
 
-    Returns ``(reps, pairs, walks)``:
+    Returns ``(reps, pairs, paths, crossing)``:
     - ``reps`` holds each coset's representative as syllables, coset 1's
       first: its path on the breadth-first tree from coset 1, which takes
       forward edges before backward ones, generators in presentation
@@ -69,15 +74,19 @@ def _schreier_walk(p: Presentation, t: CosetTable):
     - ``pairs`` lists the Schreier generators (coset, generator), the pairs
       off the tree in coset-then-generator order; a pair's position is its
       column;
-    - ``walks(syllable)`` yields, for relator i read from coset c, in that
-      order, the tuple of ``syllable(column, sign)`` for each syllable off
-      the tree.  ``syllable`` must return a non-empty tuple; it is called
-      once per column and sign, and every occurrence shares the result.
+    - ``paths`` holds, for each relator, the cosets (from 0) at which each
+      of its syllables is read, one list per syllable with one entry per
+      starting coset;
+    - ``crossing[g, sign][x]`` is the column the syllable (g, sign) crosses
+      when read at coset x, or None on the tree: g read at x crosses the
+      pair (x, g); g^-1 read at x crosses (x * g^-1, g) backwards.
 
-    The table is checked first, so a bad one raises what
-    ``CosetTable.verify`` raises before any tree is built.  Each walk is
-    freely reduced: a cancelling pair would enclose a closed, reduced walk
-    on the tree, and there is none.
+    So relator i read from coset c crosses, in order, the columns
+    ``crossing[syl][at[c]]`` for each syllable ``syl`` of it and ``at`` of
+    its path, each with the syllable's sign.  The table is checked first,
+    so a bad one raises what ``CosetTable.verify`` raises before any tree
+    is built.  Each such walk is freely reduced: a cancelling pair would
+    enclose a closed, reduced walk on the tree, and there is none.
     """
     paths = t.verify(p)
     n, gens, rows = t.index, t.gens, t.rows
@@ -105,35 +114,31 @@ def _schreier_walk(p: Presentation, t: CosetTable):
             column[x] = len(pairs)
             pairs.append((x // m + 1, gens[x % m]))
 
-    def walks(syllable: Callable[[int, int], tuple]) -> Iterator[tuple]:
-        # What each syllable contributes at each coset, None on the tree:
-        # g read at c crosses the pair (c, g); g^-1 read at c crosses
-        # (c * g^-1, g) backwards.
-        crossing = {}
-        for i, g in enumerate(gens):
-            for sign in (1, -1):
-                ids = [column[c * m + i]
-                       for c in (range(n) if sign > 0 else rows[g, -1])]
-                crossing[g, sign] = [None if k is None else syllable(k, sign)
-                                     for k in ids]
-        for path, r in zip(paths, p.relators):
-            crossed = [map(crossing[syl].__getitem__, at)
-                       for syl, at in zip(r, path)]
-            for walk in zip(*crossed) if crossed else [()] * n:
-                yield tuple(filter(None, walk))
-
-    return reps, pairs, walks
+    crossing = {}
+    for i, g in enumerate(gens):
+        crossing[g, 1] = column[i::m]
+        crossing[g, -1] = [column[c * m + i] for c in rows[g, -1]]
+    return reps, pairs, paths, crossing
 
 
 def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentation:
     """Presentation of the subgroup whose coset action ``t`` describes."""
-    reps, pairs, walks = _schreier_walk(p, t)
+    reps, pairs, paths, crossing = _schreier_walk(p, t)
     n = t.index
     names = [f"{g}x{c}" for c, g in pairs]
     rel_names = [f"{name}@{c}" for name in p.relator_names
                  for c in range(1, n + 1)]
+    # each column crosses at one coset per sign, so each syllable is made
+    # once and every occurrence shares it
+    syllables = {syl: [None if k is None else (names[k], syl[1]) for k in ks]
+                 for syl, ks in crossing.items()}
     # the public constructor checks at run time that each walk is reduced
-    relators = [Word(walk) for walk in walks(lambda k, sign: (names[k], sign))]
+    relators = []
+    for path, r in zip(paths, p.relators):
+        crossed = [map(syllables[syl].__getitem__, at)
+                   for syl, at in zip(r, path)]
+        for walk in zip(*crossed) if crossed else [()] * n:
+            relators.append(Word(tuple(filter(None, walk))))
     derived = Presentation(
         generators=tuple(names),
         relators=tuple(relators),
@@ -174,25 +179,15 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _invariants(relators: Iterable[Iterable[tuple[int, int]]],
-                ncols: int) -> AbelianInvariants:
+def _invariants(rows: SparseRows, ncols: int) -> AbelianInvariants:
     """Invariants of the abelian group on ``ncols`` generators with one
-    relation per relator, a relator given as its (column, sign) syllables:
-    Smith normal form of the exponent-sum rows.  One loop adds each
-    syllable's sign into its column, so a row's columns are in order of
-    first occurrence, whether or not a column repeats.
+    relation per row: Smith normal form of ``rows``, each a relator's
+    exponent sums by column, zeros kept.
 
-    ``relators`` is read to its end before the elimination starts, so a
-    generator over a walk has let go of the walk by then.  The rows built
-    here, one per relator with its sums as summed, zeros kept, are handed
-    to the elimination itself, which drops the zeros and empty rows and
-    consumes the rest: they are the one copy of the matrix live during it.
+    The rows are handed to the elimination itself, which drops the zeros
+    and empty rows and consumes the rest: they are the one copy of the
+    matrix live during it.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for i, r in enumerate(relators):
-        rows[i] = entries = {}
-        for j, sign in r:
-            entries[j] = entries.get(j, 0) + sign
     factors, rank = _smith(rows)
     return AbelianInvariants(
         free_rank=ncols - rank,
@@ -202,12 +197,17 @@ def _invariants(relators: Iterable[Iterable[tuple[int, int]]],
 
 def abelianize(p: Presentation) -> AbelianInvariants:
     """Invariants of the presented group made abelian: Smith normal form of
-    the relator exponent-sum matrix."""
+    the relator exponent-sum matrix.  One loop adds each syllable's sign
+    into its column, so a row's columns are in order of first occurrence,
+    whether or not a column repeats."""
     index = p.generator_index()
-    return _invariants(
-        ([(index[sym], sign) for sym, sign in r] for r in p.relators),
-        len(p.generators),
-    )
+    rows: SparseRows = {}
+    for i, r in enumerate(p.relators):
+        rows[i] = entries = {}
+        for sym, sign in r:
+            j = index[sym]
+            entries[j] = entries.get(j, 0) + sign
+    return _invariants(rows, len(p.generators))
 
 
 def cover_homology(p: Presentation, t: CosetTable) -> AbelianInvariants:
@@ -217,17 +217,36 @@ def cover_homology(p: Presentation, t: CosetTable) -> AbelianInvariants:
 
     By Fox calculus each syllable g read at coset x adds its sign at the
     Schreier column (x, g), and g^-1 read at x subtracts at (x * g^-1, g),
-    so no rewritten word, name or presentation is built.
-
-    The walk is dropped here before its rows are read, and its generator
-    lets go of the paths and Schreier columns once the last row is read,
-    so the elimination runs beside the rows alone.
+    so no rewritten word, name or presentation is built.  The paths and
+    Schreier columns are let go of once the rows are built, so the
+    elimination runs beside the rows alone.
     """
-    reps, pairs, walks = _schreier_walk(p, t)
-    ncols = len(pairs)
-    relators = walks(lambda k, sign: (k, sign))
-    del reps, pairs, walks
-    return _invariants(relators, ncols)
+    rows, ncols = _cover_rows(p, t)
+    return _invariants(rows, ncols)
+
+
+def _cover_rows(p: Presentation, t: CosetTable) -> tuple[SparseRows, int]:
+    """The exponent-sum rows ``abelianize`` builds for the rewritten
+    presentation of ``t``'s subgroup, and its generator count.
+
+    Relator by relator, one row per coset is filled syllable by syllable:
+    a syllable's column at each coset is looked up in the walk's
+    ``crossing`` table along its path and summed in place, so a row's
+    columns are in order of first occurrence, zeros kept, as in
+    ``abelianize``, with no rewritten walk in between.
+    """
+    _, pairs, paths, crossing = _schreier_walk(p, t)
+    n = t.index
+    rows: SparseRows = {}
+    for path, r in zip(paths, p.relators):
+        block = [{} for _ in range(n)]
+        for syl, at in zip(r, path):
+            sign = syl[1]
+            for entries, k in zip(block, map(crossing[syl].__getitem__, at)):
+                if k is not None:
+                    entries[k] = entries.get(k, 0) + sign
+        rows.update(enumerate(block, len(rows)))
+    return rows, len(pairs)
 
 
 def boundary_quotient(k: int) -> Presentation:

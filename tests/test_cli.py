@@ -296,7 +296,7 @@ def _record_kernel_entries(monkeypatch) -> list:
 
 
 def test_kernel_homology_guard_is_an_error_exit(capsys, monkeypatch):
-    assert KERNEL_HOMOLOGY_MAX_STAGES == 18
+    assert KERNEL_HOMOLOGY_MAX_STAGES == 25
     seen = _record_kernel_entries(monkeypatch)
     past_cap = str(KERNEL_HOMOLOGY_MAX_STAGES + 1)
     code, out, err = run_cli(capsys, "kernel-homology", "--j", past_cap)

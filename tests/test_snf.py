@@ -17,7 +17,8 @@ from knotcover.cosets import kernel_coset_table
 from knotcover.homcheck import phi_tables
 from knotcover.presentations import kj_presentation
 from knotcover.snf import smith_normal_form, smith_normal_form_sparse
-from knotcover.subgroups import abelianize, reidemeister_schreier
+from knotcover.subgroups import (abelianize, kernel_homology,
+                                 reidemeister_schreier)
 
 
 def naive_snf(matrix):
@@ -1061,6 +1062,111 @@ def test_kernel_residual_bases_take_one_pass_each(monkeypatch, j, primes):
     assert len(bases) == len(set(bases))
     assert not any(isinstance(got, int) for got in results)
     assert {q for b in bases for q in primes_dividing(b)} == primes
+
+
+def both_row_forms(dense, b, k):
+    """The packed pass and the list pass on one residual modulo b^k; the
+    list pass is the reference."""
+    q = b ** k
+    return (snf._packed_exponents(dense, b, q),
+            snf._listed_exponents(dense, b, q))
+
+
+@pytest.mark.parametrize("j", [3, 4, 5, 6, 7, 8])
+def test_packed_passes_match_the_list_passes_on_kernel_residuals(
+        monkeypatch, j):
+    # every pass the kernel's torsion stage makes, splits included (4 at
+    # j = 6, 9 at j = 7), on packed rows, the form these widths get
+    passes = []
+    real = snf._local_exponents
+
+    def local_exponents(dense, b, k):
+        passes.append((dense, b, k))
+        return real(dense, b, k)
+
+    monkeypatch.setattr(snf, "_local_exponents", local_exponents)
+    kernel_homology(j)
+    assert passes
+    for dense, b, k in passes:
+        assert len(dense) * b ** (2 * k) <= 1 << 64
+        assert len(dense[0]) >= snf._PACKED_MIN_WIDTH
+        packed, listed = both_row_forms(dense, b, k)
+        assert packed == listed, (j, b, k)
+
+
+def edge_residual(b, k, rows, cols, seed):
+    """A seeded residual whose rows are random vectors times b^e, e = 0
+    for most rows and 1 or k - 1 for the rest, so that a square one
+    takes a pivot in about every row, sets rows aside and divides by b."""
+    rng = random.Random(seed)
+    q = b ** k
+    residual = []
+    for _ in range(rows):
+        scale = b ** rng.choice([0, 0, 0, 0, 1, k - 1])
+        residual.append([rng.randrange(-q, q) * scale for _ in range(cols)])
+    return residual
+
+
+@pytest.mark.parametrize("b, k, size", [
+    # q^2 just below one 30-bit digit, the start of every such base:
+    # the last rows take about 300 updates before a reduction
+    (2, 14, 300), (3, 9, 300), (5, 6, 300), (181, 2, 300),
+    # k doubled past its start, with rows * q^2 near 2^64, and a prime
+    # base with q^2 past one digit
+    (2, 28, 250), (181, 4, 12), (65537, 1, 60),
+    # composite bases: the pass stops at a pivot sharing a factor
+    (6, 5, 40), (10, 4, 40),
+])
+def test_packed_pass_matches_the_list_pass_at_the_field_edge(b, k, size):
+    dense = edge_residual(b, k, size, size, seed=b * 1000 + k)
+    assert size * b ** (2 * k) <= 1 << 64
+    packed, listed = both_row_forms(dense, b, k)
+    assert packed == listed
+    if b in (6, 10):
+        assert isinstance(listed, int) and 1 < listed < b
+    else:
+        # modulo b, a row times b is zero, so no pass divides by b
+        assert isinstance(listed, list) and len(listed) > size // 2
+        assert listed[-1] > 0 or k == 1
+
+
+def test_local_pass_takes_packed_rows_when_wide_and_within_the_fields(
+        monkeypatch):
+    taken = []
+
+    def spy(form):
+        real = getattr(snf, form)
+
+        def run(*args):
+            taken.append(form)
+            return real(*args)
+
+        monkeypatch.setattr(snf, form, run)
+
+    spy("_packed_exponents")
+    spy("_listed_exponents")
+    wide = snf._PACKED_MIN_WIDTH
+    for width, b, k, rows in [(wide - 1, 3, 9, 4), (wide, 3, 9, 4),
+                              (wide, 2, 30, 16), (wide, 2, 30, 17)]:
+        taken.clear()
+        snf._local_exponents(edge_residual(b, k, rows, width, seed=1), b, k)
+        # 16 rows of 2^60 fill the fields exactly; one more would not fit
+        packs = width >= wide and rows * b ** (2 * k) <= 1 << 64
+        assert taken == ["_packed_exponents" if packs
+                         else "_listed_exponents"], (width, b, k, rows)
+
+
+def test_packed_rows_hold_each_field_in_its_own_64_bits():
+    # array("Q") lays fields out in the machine's byte order, which the
+    # int conversions must name too: field j is bits 64j to 64j + 63
+    fields = [0, 1, 2 ** 63, 2 ** 64 - 1]
+    row = snf._pack(fields)
+    assert row == sum(x << 64 * j for j, x in enumerate(fields))
+    assert snf._unpack(row, len(fields)).tolist() == fields
+    assert snf._unpack(row, 6).tolist() == fields + [0, 0]
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(OverflowError):
+            snf._pack([0, bad])
 
 
 # entries popped: replaced ones are dropped when the heap is rebuilt, so

@@ -322,19 +322,23 @@ def test_dense_residual_shape_from_the_direct_rows(monkeypatch, j, shape):
 
 def test_invariants_hands_the_rows_it_built_to_the_elimination(monkeypatch):
     # no second copy of the matrix: the stages get the very dict that
-    # _invariants filled, and consume it
+    # abelianize filled, or that cover_homology had from _cover_rows, and
+    # consume it; _invariants only passes it on
     handed = []
     real = subgroups._smith
 
     def spy(rows):
         caller = inspect.currentframe().f_back
-        handed.append((caller.f_code.co_name, caller.f_locals["rows"] is rows))
+        builder = caller.f_back
+        handed.append((caller.f_code.co_name, builder.f_code.co_name,
+                       builder.f_locals["rows"] is rows))
         return real(rows)
 
     monkeypatch.setattr(subgroups, "_smith", spy)
     cover_homology(*_cover("kernel", 3))
     abelianize(trefoil_presentation())
-    assert handed == [("_invariants", True)] * 2
+    assert handed == [("_invariants", "cover_homology", True),
+                      ("_invariants", "abelianize", True)]
 
 
 def test_walk_paths_are_freed_before_the_elimination(monkeypatch):
