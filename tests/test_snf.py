@@ -1125,7 +1125,7 @@ def test_packed_pass_matches_the_list_pass_at_the_field_edge(b, k, size):
     if b in (6, 10):
         assert isinstance(listed, int) and 1 < listed < b
     else:
-        # modulo b, a row times b is zero, so no pass divides by b
+        # at k = 1 a row times b is zero modulo q, so no pass divides by b
         assert isinstance(listed, list) and len(listed) > size // 2
         assert listed[-1] > 0 or k == 1
 
