@@ -571,14 +571,14 @@ def _knot_h1_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     return {"knot_group_h1": knot_h1}, {CLAIM_KNOT_H1: ok}, [line]
 
 
-def _kernel_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
-    return _kernel_growth(
-        [_kernel_entry(j)[0] for j in range(1, inputs["kernel_jmax"] + 1)])
-
-
-def _kernel_growth(kernel: list[dict]) -> tuple[dict, dict[str, bool], list[str]]:
-    """The kernel section's results from its entries, one per stage count
-    from 1 up."""
+def _kernel_section(inputs: dict, entry: Callable[[int], dict] | None = None
+                    ) -> tuple[dict, dict[str, bool], list[str]]:
+    """Kernel homology at each stage count from 1 to the kernel jmax, and
+    whether it grows.  ``entry`` gives a stage count's entry; by default
+    ``_kernel_entry`` computes it here, and `_run_sections` passes the
+    results of its per-stage tasks."""
+    entry = entry or (lambda j: _kernel_entry(j)[0])
+    kernel = [entry(j) for j in range(1, inputs["kernel_jmax"] + 1)]
     counts = [k["min_generators"] for k in kernel]
     # each bound divides by its own kernel's index, so growing counts alone
     # do not make the bounds grow
@@ -697,9 +697,10 @@ def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
                          "--j N --force` for a larger stage count.")
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax}
     # the kernel section is most of the time, so each of its stage counts
-    # is a task of its own, the largest pulled first
-    stages = range(1, kernel_jmax + 1)
-    tasks: dict = {j: partial(_kernel_entry, j) for j in reversed(stages)}
+    # is a task of its own, the largest pulled first; the section is then
+    # called with their results
+    tasks: dict = {j: partial(_kernel_entry, j)
+                   for j in range(kernel_jmax, 0, -1)}
     tasks.update((section, partial(section, inputs)) for _, section in SECTIONS
                  if section is not _kernel_section)
     outcomes = _run_tasks(tasks)
@@ -717,7 +718,7 @@ def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     # sections one after another would meet first
     for claims, section in SECTIONS:
         fragment, verdicts, section_lines = (
-            _kernel_growth([result(j)[0] for j in stages])
+            section(inputs, lambda j: result(j)[0])
             if section is _kernel_section else result(section))
         section_failed = [claim for claim in claims if not verdicts[claim]]
         results.update(fragment)

@@ -53,46 +53,48 @@ rule so results are deterministic:
    the gcd of the r x r minors in the last pivot row and multipliers, a
    multiple of d_1 ... d_r.  It divides the last pivot and is often far
    smaller.
-3. Local elimination of the residual, one base at a time, skipped
-   when D = 1.  The product of the invariant factors divides D, so
-   every factor does too; as in modulo-determinant methods (Domich,
-   Kannan and Trotter, "Hermite normal form computation using modulo
-   determinant arithmetic", 1987), any such multiple will do.  The
-   bases start as D refined against each Bareiss pivot in turn into
-   pairwise coprime pieces (coprime-base refinement; Bernstein,
-   "Factoring into coprimes in essentially linear time", 2005), as the
-   pivots are multiples of d_1 ... d_k that the elimination already
-   holds.  Each b-part is found modulo b^k: entries coprime to b are
-   units, so the first entry (row-major) not divisible by b is a pivot
-   and clears its column in one row operation per row; when no such
-   entry is left everything is divided by b and later pivots count one
-   power of b more.  The rows of the residual plus b^k Z^cols have
-   invariant factors gcd(d_i, b^k) and copies of b^k, so r pivots
-   certify that every b-part is below b^k and a power of b.  With
-   fewer, k doubles, capped at v where D = b^v c with gcd(b, c) = 1:
-   there the missing b-parts can only be b^v.  k starts at the largest
-   value with q^2 = b^(2k) below 2^bits_per_digit (2^30 on 64-bit
-   builds).  A residual at least 12 columns wide, with its row count
-   times q^2 at most 2^64, keeps each row as one int of 64-bit fields,
-   an entry per field (SIMD within a register; Fisher and Dietz,
-   "Compiling for SIMD within a register", LCPC 1998), so a row update
-   R + (q - f) P is one multiply-add on the whole row.  Fields stay
-   non-negative and are reduced lazily: an update adds less than q^2 to
-   each, and a row takes at most one update per other row before the
-   next reduction, so every field stays below rows * q^2.  Only the
-   pivot search unpacks a row.  A row it finds with no entry coprime to
-   b is set aside from the search until the next division by b, which
-   reduces every field: an update by a multiplier divisible by b cannot
-   give it one.  Narrower residuals, where packing costs more than it
-   saves, and larger q keep each row as a list of residues below q,
-   where with the starting k each product in a row update fits one
-   CPython digit, on which int arithmetic takes its fast path.  Both
-   forms pivot alike.  A base the pivots leave composite is split,
-   following the dynamic evaluation of Della Dora, Dicrescenzo and
-   Duval (EUROCAL '85), when gcd(b, c) > 1 or a pivot of the pass
-   shares a factor g with b: b becomes g and b stripped of every prime
-   of g, and each piece is worked again.  The sorted exponent lists of
-   the bases zip into d_1 | ... | d_r.
+3. Local elimination of the residual, one base at a time, skipped when
+   D = 1.  The product of the invariant factors divides D, so every
+   factor does too; as in modulo-determinant methods (Domich, Kannan and
+   Trotter, "Hermite normal form computation using modulo determinant
+   arithmetic", 1987), any such multiple will do.  The bases start as D
+   alone, and one test splits them, following the dynamic evaluation of
+   Della Dora, Dicrescenzo and Duval (EUROCAL '85): with D = b^v c and c
+   not divisible by b, a base b is split at the first g = gcd(b, x) with
+   1 < g < b, where x runs over c, then the Bareiss pivots, then the
+   pivots of b's passes.  b becomes g and b stripped of every prime of
+   g, and each piece is tested and worked again, so the bases stay
+   pairwise coprime (as in coprime-base refinement; Bernstein,
+   "Factoring into coprimes in essentially linear time", 2005).  The
+   Bareiss pivots are multiples of d_1 ... d_k that the elimination
+   already holds, so they tend to separate D's primes before any pass.
+   Each b-part is found modulo b^k: entries coprime to b are units, so
+   the first entry (row-major) not divisible by b is a pivot and clears
+   its column in one row operation per row; when no such entry is left
+   everything is divided by b and later pivots count one power of b
+   more.  The rows of the residual plus b^k Z^cols have invariant
+   factors gcd(d_i, b^k) and copies of b^k, so r pivots certify that
+   every b-part is below b^k and a power of b.  With fewer, k doubles,
+   capped at v, where gcd(b, c) = 1 once b is tested: there the missing
+   b-parts can only be b^v.  k starts at the largest value with
+   q^2 = b^(2k) below 2^bits_per_digit (2^30 on 64-bit builds).  A
+   residual at least 12 columns wide, with its row count times q^2 at
+   most 2^64, keeps each row as one int of 64-bit fields, an entry per
+   field (SIMD within a register; Fisher and Dietz, "Compiling for SIMD
+   within a register", LCPC 1998), so a row update R + (q - f) P is one
+   multiply-add on the whole row.  Fields stay non-negative and are
+   reduced lazily: an update adds less than q^2 to each, and a row takes
+   at most one update per other row before the next reduction, so every
+   field stays below rows * q^2.  Only the pivot search unpacks a row.
+   A row it finds with no entry coprime to b is set aside from the
+   search until the next division by b, which reduces every field: an
+   update by a multiplier divisible by b cannot give it one.  Narrower
+   residuals, where packing costs more than it saves, and larger q keep
+   each row as a list of residues below q, where with the starting k
+   each product in a row update fits one CPython digit, on which int
+   arithmetic takes its fast path.  Both forms pivot alike.  A pass
+   stops at its first pivot that shares a factor with b, which splits b.
+   The sorted exponent lists of the bases zip into d_1 | ... | d_r.
 
 The factors of all stages are merged into one divisibility chain by one
 sweep, as diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) (Newman, 1972, ch. II).
@@ -100,15 +102,16 @@ Stage 1 handles the bulk of the large, very sparse relator matrices
 produced by subgroup rewriting; stages 2 and 3 keep the dense core
 exact without the exponential entry blow-up of plain Euclidean
 elimination.  On the kernel matrices D has the last pivot's bits, 114
-or more (stage count 5 on), and the Bareiss pivots split it into powers
-of 2, 3 and 5 (stage counts 3 to 16).  Each base is then settled by
-one pass, modulo 2^14, 3^9 and 5^6 at stage count 5, except that at
-stage counts 6, 7, 9, 10, 13 and 15 the pivots leave one power (4, 9
-or 125) composite, and a short pass splits it, stopping at the first
-pivot that shares a factor with it.  The primes 17 at stage count 8
-and 23 at 14 and 16 divide D but no factor and take one full pass
-each.  This follows the local approach of Dumas, Saunders and Villard
-("On efficient sparse integer matrix Smith normal forms", 2001).
+or more (stage count 5 on), and the split test, against the Bareiss
+pivots and the cofactors c, breaks it into powers of 2, 3 and 5 (stage
+counts 3 to 16).  Each base is then settled by one pass, modulo 2^14,
+3^9 and 5^6 at stage count 5, except that at stage counts 6, 7, 9, 10,
+13 and 15 the test leaves one power (4, 9 or 125) composite, and a
+short pass splits it, stopping at the first pivot that shares a factor
+with it.  The primes 17 at stage count 8 and 23 at 14 and 16 divide D
+but no factor and take one full pass each.  This follows the local
+approach of Dumas, Saunders and Villard ("On efficient sparse integer
+matrix Smith normal forms", 2001).
 """
 
 from __future__ import annotations
@@ -180,9 +183,7 @@ def _smith(work: SparseRows) -> tuple[list[int], int]:
     Bareiss and the local stage run beside the dense rows alone."""
     factors = _divisor_stage(work)
     dense = _densify(work)
-    pivots, det = _bareiss_rank_det(dense)
-    if pivots:
-        factors.extend(_local_factors(dense, pivots, det))
+    factors += _local_factors(dense, *_bareiss_rank_det(dense))
     return _divisibility_chain(factors), len(factors)
 
 
@@ -402,25 +403,19 @@ def _local_factors(dense: list[list[int]], pivots: list[int],
     ``pivots`` and ``det`` are what ``_bareiss_rank_det`` gives for
     ``dense``: the rank = len(pivots) pivots and D, a multiple of
     d_1 ... d_rank.  The product of the invariant factors divides D, and
-    D = 1 leaves nothing to do.  The bases b start as D split against
-    each pivot p in turn, at g = gcd(b, p) when 1 < g < b, and stay
-    pairwise coprime.  A pivot is a multiple of d_1 ... d_k, so its
-    gcds with D tend to separate D's primes; on the kernel matrices
-    they leave at most one prime power, 4, 9 or 125, for a pass to
-    split.  A base is worked only when D = b^v c with
-    gcd(b, c) = 1, so no b-part exceeds b^v; a factor of b found in D
-    (gcd(b, c) > 1) or by a pivot of a pass splits it, and the pieces
-    are worked first.  Exponent lists are sorted, so zipping them gives
-    d_1 | ... | d_rank.
+    D = 1 (or rank 0, where D = 0) leaves nothing to do.  The worklist
+    starts as [D].  One test splits a base b, with D = b^v c and c not
+    divisible by b: at the first g = gcd(b, x) with 1 < g < b, where x
+    is c, then each of ``pivots``, then each pivot of b's passes.  The
+    pieces go to the front of the worklist and stay pairwise coprime.
+    A pivot is a multiple of d_1 ... d_k, so its gcds with b tend to
+    separate D's primes; on the kernel matrices they leave at most one
+    prime power, 4, 9 or 125, for a pass to split.  A base that passes
+    the test has gcd(b, c) = 1, so no b-part exceeds b^v.  Exponent
+    lists are sorted, so zipping them gives d_1 | ... | d_rank.
     """
     rank = len(pivots)
     bases = [det] if det > 1 else []
-    for p in pivots:
-        refined = []
-        for b in bases:
-            g = gcd(b, p)
-            refined += _split_base(b, g) if 1 < g < b else [b]
-        bases = refined
     factors = [1] * rank
     while bases:
         b = bases.pop(0)
@@ -428,7 +423,7 @@ def _local_factors(dense: list[list[int]], pivots: list[int],
         while c % b == 0:
             c //= b
             v += 1
-        split = gcd(b, c)
+        split = next((g for x in (c, *pivots) if 1 < (g := gcd(b, x)) < b), 1)
         k = min(_start_exponent(b), v)
         while split == 1:
             exponents = _local_exponents(dense, b, k)

@@ -360,7 +360,7 @@ def test_run_all_small_passes(capsys):
 def test_run_all_rejects_nonpositive_jmax(capsys):
     code, _, err = run_cli(capsys, "run-all", "--jmax", "0")
     assert code == 2
-    assert "jmax" in err
+    assert err == "error: jmax must be at least 1, got 0\n"
 
 
 def test_run_all_kernel_stages_do_not_depend_on_jmax(capsys):
@@ -609,9 +609,9 @@ def test_library_defaults_equal_the_cli_defaults(cpus):
 
 
 def test_the_kernel_section_equals_the_kernel_part_of_run_all(cpus):
-    # run-all computes the stage counts as tasks of their own and never
-    # calls the section that SECTIONS registers, which computes them one
-    # after another
+    # called alone, the section computes the stage counts one after
+    # another; run-all computes them as tasks of their own and hands the
+    # section their results
     fragment, verdicts, lines = cli._kernel_section({"jmax": 3, "kernel_jmax": 4})
     report, report_lines = cli._run_sections(jmax=3, kernel_jmax=4)
     assert fragment == {key: report["results"][key] for key in fragment}
@@ -619,6 +619,33 @@ def test_the_kernel_section_equals_the_kernel_part_of_run_all(cpus):
         cli.CLAIM_KERNEL_GROWTH: cli.CLAIM_KERNEL_GROWTH not in report["failed"]}
     assert lines == [line for line in report_lines
                      if line.startswith("kernel homology ")]
+
+
+def test_run_all_calls_the_registered_kernel_section_once(monkeypatch, cpus):
+    # the section reads each stage count's entry from run-all's tasks:
+    # reading them computes nothing in this process
+    computed, calls = [], []
+
+    def kernel_entry(j):
+        computed.append(j)
+        return real_entry(j)
+
+    def section(inputs, entry):
+        before = len(computed)
+        calls.append((inputs, [entry(j) for j in (1, 2, 3)]))
+        assert len(computed) == before
+        return real_section(inputs, entry)
+
+    real_entry, real_section = cli._kernel_entry, cli._kernel_section
+    monkeypatch.setattr(cli, "_kernel_entry", kernel_entry)
+    monkeypatch.setattr(cli, "_kernel_section", section)
+    monkeypatch.setattr(cli, "SECTIONS", tuple(
+        (claims, section if s is real_section else s)
+        for claims, s in cli.SECTIONS))
+    report, _ = cli._run_sections(**SMALL_INPUTS)
+    assert [inputs for inputs, _ in calls] == [SMALL_INPUTS]
+    assert calls[0][1] == report["results"]["kernel_homology"] == [
+        real_entry(j)[0] for j in (1, 2, 3)]
 
 
 def _assert_no_child_left():

@@ -573,6 +573,36 @@ def test_random_stress_against_oracle(torsion_calls):
     assert any(b > 100 for kind, b, _ in torsion_calls if kind == "local")
 
 
+def test_no_pass_runs_on_a_base_the_split_test_would_split(monkeypatch):
+    # one test decides every split before a pass: no base b a pass runs
+    # on has 1 < gcd(b, x) < b for x the cofactor c of D = b^v c or a
+    # Bareiss pivot.  On STRESS the factors are the oracle's too
+    passes, stages = [], []
+
+    def local_factors(dense, pivots, det):
+        stages.append((pivots, det))
+        return real_factors(dense, pivots, det)
+
+    def local_exponents(dense, b, k):
+        passes.append((b, *stages[-1]))
+        return real_exponents(dense, b, k)
+
+    real_factors, real_exponents = snf._local_factors, snf._local_exponents
+    monkeypatch.setattr(snf, "_local_factors", local_factors)
+    monkeypatch.setattr(snf, "_local_exponents", local_exponents)
+    for matrix in STRESS:
+        assert smith_normal_form(matrix) == naive_snf(matrix), matrix
+    stress_passes = len(passes)
+    for j in range(3, 9):
+        kernel_homology(j)
+    assert 0 < stress_passes < len(passes)
+    for b, pivots, det in passes:
+        c = det
+        while c % b == 0:
+            c //= b
+        assert not any(1 < gcd(b, x) < b for x in (c, *pivots)), (b, det)
+
+
 def test_repeated_rows_change_nothing(monkeypatch):
     # +-copies of existing rows add nothing to the row lattice; most of
     # them reach the residual, where the dense stages see one copy
@@ -872,8 +902,8 @@ def seeded_determinant_primes(family, rng):
 
 @pytest.mark.parametrize("family", ["2^a", "pq", "p^2 q^3"])
 def test_split_path_matches_the_oracle(monkeypatch, family):
-    # the local stage starts from D split against the Bareiss pivots,
-    # and splitting finds every base; each split must give pairwise
+    # the local stage starts from D, and the split test finds every
+    # base; each split must give pairwise
     # coprime pieces strictly between 1 and the base it splits
     splits = []
 
@@ -1050,9 +1080,10 @@ def test_dense_residual_of_kernel_matrices_has_distinct_rows(j, shape):
 @pytest.mark.parametrize("j, primes", [(3, {2, 3}), (4, {2, 3, 5}),
                                       (5, {2, 3, 5}), (8, {2, 3, 5, 17})])
 def test_kernel_residual_bases_take_one_pass_each(monkeypatch, j, primes):
-    # the Bareiss pivots split D into its bases before any pass, so each
-    # base is worked once and no pass stops at a pivot sharing a factor
-    # with its base; 17 divides D at j = 8 but no invariant factor.  The
+    # the split test against D's cofactors and the Bareiss pivots finds
+    # the bases before any pass, so each base is worked once and no pass
+    # stops at a pivot sharing a factor with its base; 17 divides D at
+    # j = 8 but no invariant factor.  The
     # factors are pinned by the rank mod p certificate above: naive_snf
     # takes minutes on the 43 x 51 residual at j = 5
     calls, results = record_torsion_stage(monkeypatch)
