@@ -4,10 +4,12 @@ Every subcommand prints a deterministic report, as text or as versioned JSON
 with ``--json``; identical invocations produce byte-identical output.  The
 exit code is 0 iff the command's checks all pass.
 
-``run-all`` spreads its sections, and the kernel section's stage counts,
-over the CPUs the process may use (``_run_tasks``), and puts the report
-together in registry order, so its output is byte-identical whatever that
-count is; ``taskset -c 0 knotcover run-all`` runs it in one process.
+``run-all`` runs the tasks that each registry entry names (one for most
+sections, one per stage count for the kernel section) on the CPUs the
+process may use (``_run_tasks``), hands each section the results of its
+own tasks, and puts the report together in registry order, so its output
+is byte-identical whatever that count is; ``taskset -c 0 knotcover
+run-all`` runs it in one process.
 README's "Kernel homology and timing" says what the benchmark's
 ``peak_rss_mib`` counts of it.
 """
@@ -404,10 +406,11 @@ def cmd_rank_bound(args) -> tuple[dict, list[str], int]:
     return report, [f"rank >= {bound} (so at least {ceil(bound)})"], 0
 
 
-# Run-all sections.  Each takes the run inputs and returns its results
-# fragment, its verdicts and its text lines.  The verdicts map each claim id
-# SECTIONS registers for the section to whether the claim holds; only
-# `_run_sections` turns them into `failed`, `FAIL <claim id>` lines and status.
+# Run-all sections.  Each takes the run inputs (the kernel section also
+# its tasks' results) and returns its results fragment, its verdicts and
+# its text lines.  The verdicts map each claim id SECTIONS registers for
+# the section to whether the claim holds; only `_run_sections` turns them
+# into `failed`, `FAIL <claim id>` lines and status.
 
 def _tables_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     tables = [_check_tables_at(j)[0] for j in range(1, inputs["jmax"] + 1)]
@@ -571,14 +574,16 @@ def _knot_h1_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]:
     return {"knot_group_h1": knot_h1}, {CLAIM_KNOT_H1: ok}, [line]
 
 
-def _kernel_section(inputs: dict, entry: Callable[[int], dict] | None = None
+def _kernel_tasks(inputs: dict) -> dict[int, Callable]:
+    """One ``_kernel_entry`` task per stage count, the largest first."""
+    return {j: partial(_kernel_entry, j) for j in range(inputs["kernel_jmax"], 0, -1)}
+
+
+def _kernel_section(inputs: dict, results: dict[int, tuple]
                     ) -> tuple[dict, dict[str, bool], list[str]]:
     """Kernel homology at each stage count from 1 to the kernel jmax, and
-    whether it grows.  ``entry`` gives a stage count's entry; by default
-    ``_kernel_entry`` computes it here, and `_run_sections` passes the
-    results of its per-stage tasks."""
-    entry = entry or (lambda j: _kernel_entry(j)[0])
-    kernel = [entry(j) for j in range(1, inputs["kernel_jmax"] + 1)]
+    whether it grows, from the results of ``_kernel_tasks``."""
+    kernel = [results[j][0] for j in range(1, inputs["kernel_jmax"] + 1)]
     counts = [k["min_generators"] for k in kernel]
     # each bound divides by its own kernel's index, so growing counts alone
     # do not make the bounds grow
@@ -595,16 +600,25 @@ def _kernel_section(inputs: dict, entry: Callable[[int], dict] | None = None
             {CLAIM_KERNEL_GROWTH: strict}, lines)
 
 
-# The claim registry: each section with the claim ids it gives verdicts on.
-SECTIONS: tuple[tuple[tuple[str, ...], Callable], ...] = (
-    ((CLAIM_TABLES, CLAIM_SMALL_STAGE_ORDERS), _tables_section),
-    ((CLAIM_FRAGMENT_MISMATCH,), _fragment_section),
-    ((CLAIM_TREFOIL_SURJECTION,), _surjection_section),
-    ((CLAIM_COVER_H1,), _cover_section),
-    ((CLAIM_BOUNDARY_QUOTIENT,), _quotient_section),
-    ((CLAIM_BOUNDARY_COMPONENTS,), _boundary_section),
-    ((CLAIM_KNOT_H1,), _knot_h1_section),
-    ((CLAIM_KERNEL_GROWTH,), _kernel_section),
+def _one_task(section: Callable) -> tuple[Callable, Callable]:
+    """The tasks and the section call of a section that runs as one task,
+    the section itself; the section call returns that task's result."""
+    return lambda inputs: {0: partial(section, inputs)}, lambda _, results: results[0]
+
+
+# The claim registry.  Each entry holds the claim ids its section gives
+# verdicts on, its tasks as a function of the inputs (a dict of keyed
+# calls), and its section call, which takes the inputs and the dict of
+# those tasks' results and runs no task itself.
+SECTIONS: tuple[tuple[tuple[str, ...], Callable, Callable], ...] = (
+    ((CLAIM_TABLES, CLAIM_SMALL_STAGE_ORDERS), *_one_task(_tables_section)),
+    ((CLAIM_FRAGMENT_MISMATCH,), *_one_task(_fragment_section)),
+    ((CLAIM_TREFOIL_SURJECTION,), *_one_task(_surjection_section)),
+    ((CLAIM_COVER_H1,), *_one_task(_cover_section)),
+    ((CLAIM_BOUNDARY_QUOTIENT,), *_one_task(_quotient_section)),
+    ((CLAIM_BOUNDARY_COMPONENTS,), *_one_task(_boundary_section)),
+    ((CLAIM_KNOT_H1,), *_one_task(_knot_h1_section)),
+    ((CLAIM_KERNEL_GROWTH,), _kernel_tasks, _kernel_section),
 )
 
 
@@ -696,14 +710,12 @@ def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     _check_kernel_stages(kernel_jmax, "Run `knotcover kernel-homology "
                          "--j N --force` for a larger stage count.")
     inputs = {"jmax": jmax, "kernel_jmax": kernel_jmax}
-    # the kernel section is most of the time, so each of its stage counts
-    # is a task of its own, the largest pulled first; the section is then
-    # called with their results
-    tasks: dict = {j: partial(_kernel_entry, j)
-                   for j in range(kernel_jmax, 0, -1)}
-    tasks.update((section, partial(section, inputs)) for _, section in SECTIONS
-                 if section is not _kernel_section)
-    outcomes = _run_tasks(tasks)
+    named = [tasks(inputs) for _, tasks, _ in SECTIONS]
+    # the entries that name the most tasks are pulled first, each in its
+    # own order: the kernel section, most of the time, names one task per
+    # stage count, the largest first
+    outcomes = _run_tasks({(n, key): named[n][key] for n in sorted(
+        range(len(named)), key=lambda n: -len(named[n])) for key in named[n]})
 
     def result(key):
         ok, value = outcomes[key]
@@ -714,12 +726,12 @@ def _run_sections(jmax: int, kernel_jmax: int) -> tuple[dict, list[str]]:
     results: dict = {}
     failed: list[str] = []
     lines: list[str] = []
-    # in registry order, so the error raised is the one a run of the
-    # sections one after another would meet first
-    for claims, section in SECTIONS:
-        fragment, verdicts, section_lines = (
-            section(inputs, lambda j: result(j)[0])
-            if section is _kernel_section else result(section))
+    # in registry order, each entry's results in the order of its tasks, so
+    # the error raised is the one a run of the entries one after another
+    # would meet first
+    for n, (claims, _, section) in enumerate(SECTIONS):
+        fragment, verdicts, section_lines = section(
+            inputs, {key: result((n, key)) for key in named[n]})
         section_failed = [claim for claim in claims if not verdicts[claim]]
         results.update(fragment)
         failed += section_failed

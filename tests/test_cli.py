@@ -608,11 +608,22 @@ def test_library_defaults_equal_the_cli_defaults(cpus):
     assert cli.run_all(jmax=8) == json.loads(GOLDEN_RUN_ALL_JMAX8.read_text())
 
 
+def _registry_entry(claim: str) -> tuple:
+    """The registry entry whose section gives a verdict on ``claim``."""
+    return next(entry for entry in cli.SECTIONS if claim in entry[0])
+
+
+def _run_entry(entry: tuple, inputs: dict) -> tuple:
+    """A registry entry's section, its tasks run one after another here."""
+    _, tasks, section = entry
+    return section(inputs, {key: task() for key, task in tasks(inputs).items()})
+
+
 def test_the_kernel_section_equals_the_kernel_part_of_run_all(cpus):
-    # called alone, the section computes the stage counts one after
-    # another; run-all computes them as tasks of their own and hands the
-    # section their results
-    fragment, verdicts, lines = cli._kernel_section({"jmax": 3, "kernel_jmax": 4})
+    # run one after another here, the entry's tasks give the section what
+    # run-all's tasks give it
+    fragment, verdicts, lines = _run_entry(
+        _registry_entry(cli.CLAIM_KERNEL_GROWTH), {"jmax": 3, "kernel_jmax": 4})
     report, report_lines = cli._run_sections(jmax=3, kernel_jmax=4)
     assert fragment == {key: report["results"][key] for key in fragment}
     assert verdicts == {
@@ -622,30 +633,98 @@ def test_the_kernel_section_equals_the_kernel_part_of_run_all(cpus):
 
 
 def test_run_all_calls_the_registered_kernel_section_once(monkeypatch, cpus):
-    # the section reads each stage count's entry from run-all's tasks:
-    # reading them computes nothing in this process
+    # the registry alone says how the section runs: the substitute entry
+    # is the only patch.  The section reads each stage count's entry from
+    # run-all's tasks, and calling it computes nothing in this process
     computed, calls = [], []
 
-    def kernel_entry(j):
-        computed.append(j)
-        return real_entry(j)
+    def counted(task):
+        computed.append(task)
+        return task()
 
-    def section(inputs, entry):
-        before = len(computed)
-        calls.append((inputs, [entry(j) for j in (1, 2, 3)]))
-        assert len(computed) == before
-        return real_section(inputs, entry)
+    def tasks(inputs):
+        return {j: partial(counted, task)
+                for j, task in real_tasks(inputs).items()}
 
-    real_entry, real_section = cli._kernel_entry, cli._kernel_section
-    monkeypatch.setattr(cli, "_kernel_entry", kernel_entry)
-    monkeypatch.setattr(cli, "_kernel_section", section)
+    def section(inputs, results):
+        calls.append((inputs, results, len(computed)))
+        return real_section(inputs, results)
+
+    kernel = _registry_entry(cli.CLAIM_KERNEL_GROWTH)
+    claims, real_tasks, real_section = kernel
     monkeypatch.setattr(cli, "SECTIONS", tuple(
-        (claims, section if s is real_section else s)
-        for claims, s in cli.SECTIONS))
+        (claims, tasks, section) if entry is kernel else entry
+        for entry in cli.SECTIONS))
     report, _ = cli._run_sections(**SMALL_INPUTS)
-    assert [inputs for inputs, _ in calls] == [SMALL_INPUTS]
-    assert calls[0][1] == report["results"]["kernel_homology"] == [
-        real_entry(j)[0] for j in (1, 2, 3)]
+    [(inputs, results, before)] = calls
+    assert inputs == SMALL_INPUTS and sorted(results) == [1, 2, 3]
+    # each stage count is computed at most once here, none once the
+    # section is called
+    assert before == len(computed) <= 3
+    assert [results[j][0] for j in (1, 2, 3)] == report["results"][
+        "kernel_homology"] == [cli._kernel_entry(j)[0] for j in (1, 2, 3)]
+
+
+def _spy_run_tasks(monkeypatch) -> list:
+    """Wrap ``cli._run_tasks``; return a list of (tasks, outcomes), one per
+    call."""
+    seen = []
+
+    def spy(tasks):
+        seen.append((tasks, real(tasks)))
+        return seen[-1][1]
+
+    real = cli._run_tasks
+    monkeypatch.setattr(cli, "_run_tasks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_run_all_pulls_the_kernel_stage_counts_first_largest_first(monkeypatch, n):
+    # the largest stage count takes about as long as every other task
+    # together, so run-all's run time rests on its being pulled first
+    _set_cpus(monkeypatch, n)
+    seen = _spy_run_tasks(monkeypatch)
+    report, _ = cli._run_sections(jmax=1, kernel_jmax=4)
+    assert report["status"] == "pass"
+    kernel = cli.SECTIONS.index(_registry_entry(cli.CLAIM_KERNEL_GROWTH))
+    one_task = [m for m in range(len(cli.SECTIONS)) if m != kernel]
+    [(tasks, _)] = seen
+    assert list(tasks) == [(kernel, j) for j in (4, 3, 2, 1)] + [
+        (m, 0) for m in one_task]
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_an_entry_gets_the_results_of_exactly_the_tasks_it_names(monkeypatch, n):
+    # a substitute registry of one entry whose section names two tasks
+    _set_cpus(monkeypatch, n)
+    computed, calls = [], []
+
+    def task(key):
+        computed.append(key)
+        return key, os.getpid()
+
+    def tasks(inputs):
+        return {key: partial(task, key) for key in ("first", "second")}
+
+    def section(inputs, results):
+        calls.append((inputs, results, len(computed)))
+        return {"two_tasks": sorted(results)}, {"two-tasks": True}, ["two tasks"]
+
+    monkeypatch.setattr(cli, "SECTIONS", ((("two-tasks",), tasks, section),))
+    seen = _spy_run_tasks(monkeypatch)
+    report, lines = cli._run_sections(**SMALL_INPUTS)
+    [(_, outcomes)] = seen
+    [(inputs, results, before)] = calls
+    assert inputs == SMALL_INPUTS
+    assert sorted(results) == ["first", "second"]
+    assert all(results[key][0] == key for key in results)
+    # the very objects `_run_tasks` returned, and no task run again
+    assert sorted(map(id, results.values())) == sorted(
+        id(value) for ok, value in outcomes.values() if ok)
+    assert len(outcomes) == 2 and len(computed) == before
+    assert report["results"] == {"two_tasks": ["first", "second"]}
+    assert (report["failed"], lines) == ([], ["two tasks", "status: pass"])
 
 
 def _assert_no_child_left():
@@ -822,7 +901,7 @@ def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv):
 
 # -- the claim registry ------------------------------------------------------
 
-REGISTRY_IDS = [claim for claims, _ in cli.SECTIONS for claim in claims]
+REGISTRY_IDS = [claim for claims, _, _ in cli.SECTIONS for claim in claims]
 
 
 def test_readme_claim_table_matches_the_registry():
@@ -958,11 +1037,12 @@ SMALL_INPUTS = {"jmax": 3, "kernel_jmax": 3}
 
 
 def test_each_section_gives_a_verdict_for_exactly_its_claims():
-    for claims, section in cli.SECTIONS:
-        _, verdicts, _ = section(SMALL_INPUTS)
-        assert sorted(verdicts) == sorted(claims), section.__name__
+    for entry in cli.SECTIONS:
+        claims = entry[0]
+        _, verdicts, _ = _run_entry(entry, SMALL_INPUTS)
+        assert sorted(verdicts) == sorted(claims), claims
         # the uncorrupted inputs: every claim holds
-        assert all(v is True for v in verdicts.values()), section.__name__
+        assert all(v is True for v in verdicts.values()), claims
 
 
 def _swap_stage_pairing(real):
@@ -975,8 +1055,9 @@ def _swap_stage_pairing(real):
 
 def _assert_corruption_fails(monkeypatch, claim, name, corrupt):
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
-    claims, section = next(s for s in cli.SECTIONS if claim in s[0])
-    _, verdicts, _ = section(SMALL_INPUTS)
+    entry = _registry_entry(claim)
+    claims = entry[0]
+    _, verdicts, _ = _run_entry(entry, SMALL_INPUTS)
     assert verdicts[claim] is False
     # the runner, not the section, names the failure
     report, lines = cli._run_sections(**SMALL_INPUTS)
@@ -1112,7 +1193,8 @@ def test_kernel_growth_fails_when_only_the_bounds_stop_growing(monkeypatch):
     real = cli.schreier_rank_bound
     monkeypatch.setattr(cli, "schreier_rank_bound",
                         lambda m, i: real(m, 1 if m == 102 else i))
-    fragment, verdicts, _ = cli._kernel_section({"jmax": 1, "kernel_jmax": 4})
+    fragment, verdicts, _ = _run_entry(
+        _registry_entry(cli.CLAIM_KERNEL_GROWTH), {"jmax": 1, "kernel_jmax": 4})
     assert [k["rank_bound"] for k in fragment["kernel_homology"]][2:] == [
         "102", "67/20"]
     assert verdicts == {cli.CLAIM_KERNEL_GROWTH: False}
