@@ -632,7 +632,7 @@ def _call(task: Callable) -> tuple[bool, object]:
 def _run_tasks(tasks: dict[Hashable, Callable]) -> dict[Hashable, tuple[bool, object]]:
     """Call each of (at most 256) tasks once, on the CPUs this process may
     use; return each key's outcome, ``(True, result)`` or ``(False,
-    exception)``.
+    exception)``.  More tasks raise ValueError before anything runs.
 
     This process and min(CPUs, tasks) - 1 forked children pull the tasks,
     in the dict's order, from one pipe of task indices.  Each child sends
@@ -647,6 +647,9 @@ def _run_tasks(tasks: dict[Hashable, Callable]) -> dict[Hashable, tuple[bool, ob
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     forks = hasattr(os, "fork") and threading.active_count() == 1
     keys = list(tasks)
+    if len(keys) > 256:
+        # the pipe carries each task index as one byte
+        raise ValueError(f"at most 256 tasks, got {len(keys)}")
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(keys))))
     os.close(fill)

@@ -77,23 +77,22 @@ rule so results are deterministic:
    every b-part is below b^k and a power of b.  With fewer, k doubles,
    capped at v, where gcd(b, c) = 1 once b is tested: there the missing
    b-parts can only be b^v.  k starts at the largest value with
-   q^2 = b^(2k) below 2^bits_per_digit (2^30 on 64-bit builds).  A
-   residual at least 12 columns wide, with its row count times q^2 at
-   most 2^64, keeps each row as one int of 64-bit fields, an entry per
-   field (SIMD within a register; Fisher and Dietz, "Compiling for SIMD
+   q^2 = b^(2k) below 2^bits_per_digit (2^30 on 64-bit builds).  Each
+   row is kept as one int of fixed-width fields, an entry per field
+   (SIMD within a register; Fisher and Dietz, "Compiling for SIMD
    within a register", LCPC 1998), so a row update R + (q - f) P is one
    multiply-add on the whole row.  Fields stay non-negative and are
    reduced lazily: an update adds less than q^2 to each, and a row takes
    at most one update per other row before the next reduction, so every
-   field stays below rows * q^2.  Only the pivot search unpacks a row.
-   A row it finds with no entry coprime to b is set aside from the
-   search until the next division by b, which reduces every field: an
-   update by a multiplier divisible by b cannot give it one.  Narrower
-   residuals, where packing costs more than it saves, and larger q keep
-   each row as a list of residues below q, where with the starting k
-   each product in a row update fits one CPython digit, on which int
-   arithmetic takes its fast path.  Both forms pivot alike.  A pass
-   stops at its first pivot that shares a factor with b, which splits b.
+   field stays below rows * q^2.  The pass sets its field width from
+   that bound: 8 bytes, packed through an array of 64-bit items, when
+   rows * q^2 is at most 2^64, as on every kernel pass up to stage
+   count 25, and otherwise the bytes rows * q^2 - 1 needs, packed one
+   field at a time.  Only the pivot search unpacks a row.  A row it
+   finds with no entry coprime to b is set aside from the search until
+   the next division by b, which reduces every field: an update by a
+   multiplier divisible by b cannot give it one.  A pass stops at its
+   first pivot that shares a factor with b, which splits b.
    The sorted exponent lists of the bases zip into d_1 | ... | d_r.
 
 The factors of all stages are merged into one divisibility chain by one
@@ -125,23 +124,6 @@ SparseRows = dict[int, dict[int, int]]
 
 # The least int that takes two CPython digits (2^30 on 64-bit builds)
 _ONE_DIGIT = 1 << sys.int_info.bits_per_digit
-
-# Packed rows: one unsigned 64-bit array item ("Q") per entry.  An array
-# and a memoryview cast lay their items out in the machine's byte order,
-# so the int conversions name that order, sys.byteorder, too.
-_FIELD_BYTES = array("Q").itemsize
-_FIELD_BITS = 8 * _FIELD_BYTES
-_FIELD_END = 1 << _FIELD_BITS
-_FIELD_MASK = _FIELD_END - 1
-# The narrowest residual whose local passes run on packed rows; packing
-# and unpacking cost more than they save on narrower rows.  On the 2179
-# one-digit passes that 3300 random matrices of 2 to 24 rows and columns
-# make, packed passes took 1.4-1.9 times as long as list passes at widths
-# 1 to 7, 1.0-1.3 times at 8 to 11 and 0.8-1.1 times at 12 to 22, and all
-# of them 64.8 ms as lists, 70.1 ms packed and 57.1 ms split at width 12
-# (min of 9 runs, one core, Python 3.11).  Kernel residuals are 16 or more
-# wide from stage count 3 on.
-_PACKED_MIN_WIDTH = 12
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
@@ -447,12 +429,14 @@ def _start_exponent(b: int) -> int:
     """The largest k >= 1 with b ** (2 * k) below 2 ** bits_per_digit, or 1
     if there is none.
 
-    ``_local_exponents`` keeps every entry below b^k, so each product
-    f * y in a row update is below b^(2k) and, like the entries, is a
-    one-digit int: CPython multiplies, subtracts and reduces those on its
-    fast path, and a 200-entry row update takes about a quarter less time
-    per entry than at two digits (Python 3.11).  A pass that needs a
-    larger k still doubles k from here.
+    A row update in ``_local_exponents`` multiplies the packed pivot row
+    by f < b^k, which this keeps a one-digit int, a case CPython
+    multiplies in one sweep over the row: on 200 8-byte fields an
+    update took 1.6 us with f below 2^30 and 2.4 us with f of 31 bits
+    (Python 3.11, Xeon, min of 7).  That needs only b^k below one digit;
+    whether a start at that looser bound saves time is unmeasured.  The
+    square bound also keeps 8-byte fields for up to 2^34 rows.  A pass
+    that needs a larger k still doubles k from here.
     """
     k, square = 1, b * b
     power = square * square
@@ -474,101 +458,50 @@ def _local_exponents(dense: list[list[int]], b: int,
                      k: int) -> list[int] | int:
     """Exponents below k of the invariant factors of the rows modulo b^k.
 
-    Every entry coprime to b is a unit modulo b^k and clears its column
-    in one row operation per row.  When every entry is divisible by b,
-    dividing by b lowers k by one and raises the exponent of later
+    Every entry coprime to b is a unit modulo q = b^k and clears its
+    column in one row operation per row.  When every entry is divisible
+    by b, dividing by b lowers k by one and raises the exponent of later
     pivots by one.  The result is sorted.  The rows run out by the
     rank-th pivot, as only that many invariant factors are nonzero.
     The first entry (row-major) not divisible by b is the pivot; if it
     shares a factor g with b, the elimination stops and returns g.
 
-    Both row forms make the same pivots in the same order.  Packed rows
-    take a residual at least ``_PACKED_MIN_WIDTH`` wide whose fields stay
-    within 64 bits: each of its rows takes at most one update per other
-    row, each adding less than q^2, so rows * q^2 bounds every field.
-    """
-    q = b ** k
-    if (len(dense[0]) >= _PACKED_MIN_WIDTH
-            and len(dense) * q * q <= _FIELD_END):
-        return _packed_exponents(dense, b, q)
-    return _listed_exponents(dense, b, q)
-
-
-def _listed_exponents(dense: list[list[int]], b: int,
-                      q: int) -> list[int] | int:
-    """``_local_exponents`` modulo q = b^k on rows kept as lists of
-    residues below q, the pivot columns dropped as they are cleared."""
-    rows = [row for row in ([x % q for x in r] for r in dense) if any(row)]
-    exponents: list[int] = []
-    shift = 0
-    while rows:
-        for i, row in enumerate(rows):
-            pc = next((j for j, x in enumerate(row) if x % b), None)
-            if pc is not None:
-                break
-        else:
-            q //= b
-            shift += 1
-            rows = [row for row in ([x // b for x in r] for r in rows)
-                    if any(row)]
-            continue
-        # Once the pivot column is cleared it is zero in every other row,
-        # so it is dropped; the rest of the pivot row would be cleared by
-        # column operations that touch no other row.
-        prow = rows.pop(i)
-        pivot = prow.pop(pc)
-        g = gcd(pivot, b)
-        if g > 1:
-            return g
-        inv = pow(pivot, -1, q)
-        prow = [x * inv % q for x in prow]
-        cleared = []
-        for row in rows:
-            f = row.pop(pc)
-            if f:
-                row = [(x - f * y) % q for x, y in zip(row, prow)]
-                if not any(row):
-                    continue
-            cleared.append(row)
-        rows = cleared
-        exponents.append(shift)
-    return exponents
-
-
-def _packed_exponents(dense: list[list[int]], b: int,
-                      q: int) -> list[int] | int:
-    """``_local_exponents`` modulo q = b^k on packed rows: each row is one
-    int whose 64-bit fields hold its entries, so a row update is one
-    multiply-add on the whole row (SIMD within a register; Fisher and
-    Dietz, LCPC 1998).
-
-    Fields are kept non-negative and reduced lazily.  The pivot row is
-    reduced and scaled so that its pivot field is 1, and a row with f in
-    the pivot column gains (-f mod q) times it: its pivot field becomes
-    a multiple of q, and every field grows by less than q^2.  Cleared
-    columns stay in place as multiples of q, so no entry there is ever a
-    pivot.  Only the pivot search unpacks a row, and only the division
-    by b reduces every field.
+    Each row is one int whose fields hold its entries, so a row update
+    is one multiply-add on the whole row (SIMD within a register; Fisher
+    and Dietz, LCPC 1998).  Fields are kept non-negative and reduced
+    lazily.  The pivot row is reduced and scaled so that its pivot field
+    is 1, and a row with f in the pivot column gains (-f mod q) times it:
+    its pivot field becomes a multiple of q, and every field grows by
+    less than q^2.  A row takes at most one update per other row before
+    the next reduction, so every field stays below rows * q^2, and a
+    field is 8 bytes when that bound is at most 2^64 and as many bytes
+    as it needs otherwise.  Cleared columns stay in place as multiples
+    of q, so no entry there is ever a pivot.  Only the pivot search
+    unpacks a row, and only the division by b reduces every field.
 
     A row with no entry coprime to b keeps none when it is updated, as
     its multiplier is then divisible by b too.  So the rows before the
     last pivot's place, which the search found with none, are not
     searched again until the next division by b.
     """
+    q = b ** k
+    size = max(8, ((len(dense) * q * q - 1).bit_length() + 7) // 8)
+    mask = (1 << 8 * size) - 1
     width = len(dense[0])
-    rows = [row for row in (_pack([x % q for x in r]) for r in dense) if row]
+    rows = [row for row in (_pack([x % q for x in r], size) for r in dense)
+            if row]
     exponents: list[int] = []
     shift = start = 0
     while rows:
         for i in range(start, len(rows)):
-            fields = _unpack(rows[i], width)
+            fields = _unpack(rows[i], width, size)
             pc = next((j for j, x in enumerate(fields) if x % b), None)
             if pc is not None:
                 break
         else:
-            rows = [row for row in (_pack([x % q // b
-                                           for x in _unpack(r, width)])
-                                    for r in rows) if row]
+            divided = (_pack([x % q // b for x in _unpack(r, width, size)],
+                             size) for r in rows)
+            rows = [row for row in divided if row]
             q //= b
             shift += 1
             start = 0
@@ -580,25 +513,39 @@ def _packed_exponents(dense: list[list[int]], b: int,
         if g > 1:
             return g
         inv = pow(pivot, -1, q)
-        prow = _pack([x * inv % q for x in fields])
-        at = _FIELD_BITS * pc
+        prow = _pack([x * inv % q for x in fields], size)
+        at = 8 * size * pc
         for n, row in enumerate(rows):
-            if f := -(row >> at & _FIELD_MASK) % q:
+            if f := -(row >> at & mask) % q:
                 rows[n] = row + f * prow
         exponents.append(shift)
     return exponents
 
 
-def _pack(fields: list[int]) -> int:
-    """The int whose field j, bits 64j to 64j + 63, holds ``fields[j]``;
-    OverflowError unless every field is in [0, 2^64)."""
-    return int.from_bytes(array("Q", fields).tobytes(), sys.byteorder)
+def _pack(fields: list[int], size: int) -> int:
+    """The int whose field j, bits 8 size j to 8 size (j + 1) - 1, holds
+    ``fields[j]``; OverflowError unless every field is in [0, 2^(8 size)).
+
+    Fields of 8 bytes go through one array of unsigned 64-bit items
+    ("Q"), wider ones through ``int.to_bytes`` each.  An array lays its
+    items out in the machine's byte order, so every conversion names
+    that order, sys.byteorder, too."""
+    if size == 8:
+        data = array("Q", fields).tobytes()
+    else:
+        data = b"".join([x.to_bytes(size, sys.byteorder) for x in fields])
+    return int.from_bytes(data, sys.byteorder)
 
 
-def _unpack(row: int, width: int) -> memoryview:
-    """The first ``width`` fields of a packed row, read in place."""
-    return memoryview(row.to_bytes(width * _FIELD_BYTES,
-                                   sys.byteorder)).cast("Q")
+def _unpack(row: int, width: int, size: int) -> memoryview | list[int]:
+    """The first ``width`` fields of a packed row of ``size``-byte fields:
+    read in place when they are 8 bytes, by ``int.from_bytes`` each when
+    wider."""
+    data = row.to_bytes(width * size, sys.byteorder)
+    if size == 8:
+        return memoryview(data).cast("Q")
+    return [int.from_bytes(data[i:i + size], sys.byteorder)
+            for i in range(0, len(data), size)]
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:

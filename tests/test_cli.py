@@ -797,6 +797,21 @@ def test_an_interrupt_kills_and_reaps_the_children(monkeypatch, gates):
     _assert_no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="lists open file descriptors from /proc")
+def test_more_than_256_tasks_are_refused_before_a_pipe_opens(monkeypatch):
+    # the task pipe carries each index as one byte, so a 257th task is
+    # refused before the pipe opens: no task runs and no fd is left open
+    _set_cpus(monkeypatch, 2)
+    ran = []
+    open_fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(ValueError, match="^at most 256 tasks, got 257$"):
+        cli._run_tasks({i: partial(ran.append, i) for i in range(257)})
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+    assert ran == []
+    _assert_no_child_left()
+
+
 def test_run_all_raises_the_error_met_first_in_registry_order(monkeypatch, cpus):
     # the surjection section comes before the kernel section, whose largest
     # stage count is pulled first

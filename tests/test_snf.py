@@ -1095,19 +1095,59 @@ def test_kernel_residual_bases_take_one_pass_each(monkeypatch, j, primes):
     assert {q for b in bases for q in primes_dividing(b)} == primes
 
 
+def listed_exponents(dense, b, q):
+    """The local pass modulo q = b^k on rows kept as lists of residues
+    below q, the pivot columns dropped as they are cleared: the reference
+    for ``snf._local_exponents``, which keeps each row packed in one int.
+    It pivots alike: the first entry (row-major) not divisible by b, a
+    return of gcd(pivot, b) when that is above 1, and a division by b
+    when no entry is left coprime to b."""
+    rows = [row for row in ([x % q for x in r] for r in dense) if any(row)]
+    exponents = []
+    shift = 0
+    while rows:
+        for i, row in enumerate(rows):
+            pc = next((j for j, x in enumerate(row) if x % b), None)
+            if pc is not None:
+                break
+        else:
+            q //= b
+            shift += 1
+            rows = [row for row in ([x // b for x in r] for r in rows)
+                    if any(row)]
+            continue
+        prow = rows.pop(i)
+        pivot = prow.pop(pc)
+        g = gcd(pivot, b)
+        if g > 1:
+            return g
+        inv = pow(pivot, -1, q)
+        prow = [x * inv % q for x in prow]
+        cleared = []
+        for row in rows:
+            f = row.pop(pc)
+            if f:
+                row = [(x - f * y) % q for x, y in zip(row, prow)]
+                if not any(row):
+                    continue
+            cleared.append(row)
+        rows = cleared
+        exponents.append(shift)
+    return exponents
+
+
 def both_row_forms(dense, b, k):
     """The packed pass and the list pass on one residual modulo b^k; the
     list pass is the reference."""
-    q = b ** k
-    return (snf._packed_exponents(dense, b, q),
-            snf._listed_exponents(dense, b, q))
+    return (snf._local_exponents(dense, b, k),
+            listed_exponents(dense, b, b ** k))
 
 
 @pytest.mark.parametrize("j", [3, 4, 5, 6, 7, 8])
 def test_packed_passes_match_the_list_passes_on_kernel_residuals(
         monkeypatch, j):
     # every pass the kernel's torsion stage makes, splits included (4 at
-    # j = 6, 9 at j = 7), on packed rows, the form these widths get
+    # j = 6, 9 at j = 7); each fits 8-byte fields, the fast packing path
     passes = []
     real = snf._local_exponents
 
@@ -1118,9 +1158,9 @@ def test_packed_passes_match_the_list_passes_on_kernel_residuals(
     monkeypatch.setattr(snf, "_local_exponents", local_exponents)
     kernel_homology(j)
     assert passes
+    monkeypatch.setattr(snf, "_local_exponents", real)
     for dense, b, k in passes:
         assert len(dense) * b ** (2 * k) <= 1 << 64
-        assert len(dense[0]) >= snf._PACKED_MIN_WIDTH
         packed, listed = both_row_forms(dense, b, k)
         assert packed == listed, (j, b, k)
 
@@ -1147,10 +1187,12 @@ def edge_residual(b, k, rows, cols, seed):
     (2, 28, 250), (181, 4, 12), (65537, 1, 60),
     # composite bases: the pass stops at a pivot sharing a factor
     (6, 5, 40), (10, 4, 40),
+    # fields wider than 8 bytes: 17 rows of 2^60, just past 2^64; q = 2^40;
+    # a prime base above 2^32; and a composite that splits
+    (2, 30, 17), (2, 40, 60), (4294967311, 1, 40), (6, 30, 40),
 ])
 def test_packed_pass_matches_the_list_pass_at_the_field_edge(b, k, size):
     dense = edge_residual(b, k, size, size, seed=b * 1000 + k)
-    assert size * b ** (2 * k) <= 1 << 64
     packed, listed = both_row_forms(dense, b, k)
     assert packed == listed
     if b in (6, 10):
@@ -1161,43 +1203,37 @@ def test_packed_pass_matches_the_list_pass_at_the_field_edge(b, k, size):
         assert listed[-1] > 0 or k == 1
 
 
-def test_local_pass_takes_packed_rows_when_wide_and_within_the_fields(
-        monkeypatch):
-    taken = []
+def test_field_width_follows_rows_times_q_squared(monkeypatch):
+    # 16 rows of 2^60 fill 8-byte fields exactly; one more row needs 65
+    # bits, so every row packs into 9-byte fields
+    sizes = []
+    real = snf._pack
 
-    def spy(form):
-        real = getattr(snf, form)
+    def pack(fields, size):
+        sizes.append(size)
+        return real(fields, size)
 
-        def run(*args):
-            taken.append(form)
-            return real(*args)
-
-        monkeypatch.setattr(snf, form, run)
-
-    spy("_packed_exponents")
-    spy("_listed_exponents")
-    wide = snf._PACKED_MIN_WIDTH
-    for width, b, k, rows in [(wide - 1, 3, 9, 4), (wide, 3, 9, 4),
-                              (wide, 2, 30, 16), (wide, 2, 30, 17)]:
-        taken.clear()
-        snf._local_exponents(edge_residual(b, k, rows, width, seed=1), b, k)
-        # 16 rows of 2^60 fill the fields exactly; one more would not fit
-        packs = width >= wide and rows * b ** (2 * k) <= 1 << 64
-        assert taken == ["_packed_exponents" if packs
-                         else "_listed_exponents"], (width, b, k, rows)
+    monkeypatch.setattr(snf, "_pack", pack)
+    for rows, size in [(16, 8), (17, 9)]:
+        sizes.clear()
+        dense = edge_residual(2, 30, rows, 12, seed=1)
+        snf._local_exponents(dense, 2, 30)
+        assert sizes and set(sizes) == {size}, rows
 
 
 def test_packed_rows_hold_each_field_in_its_own_64_bits():
     # array("Q") lays fields out in the machine's byte order, which the
-    # int conversions must name too: field j is bits 64j to 64j + 63
-    fields = [0, 1, 2 ** 63, 2 ** 64 - 1]
-    row = snf._pack(fields)
-    assert row == sum(x << 64 * j for j, x in enumerate(fields))
-    assert snf._unpack(row, len(fields)).tolist() == fields
-    assert snf._unpack(row, 6).tolist() == fields + [0, 0]
-    for bad in (-1, 2 ** 64):
-        with pytest.raises(OverflowError):
-            snf._pack([0, bad])
+    # int conversions must name too: field j is bits 64j to 64j + 63, and
+    # in a wider field of s bytes, bits 8sj to 8s(j + 1) - 1
+    for size, fields in [(8, [0, 1, 2 ** 63, 2 ** 64 - 1]),
+                         (9, [0, 1, 2 ** 64, 2 ** 72 - 1])]:
+        row = snf._pack(fields, size)
+        assert row == sum(x << 8 * size * j for j, x in enumerate(fields))
+        assert list(snf._unpack(row, len(fields), size)) == fields
+        assert list(snf._unpack(row, 6, size)) == fields + [0, 0]
+        for bad in (-1, 2 ** (8 * size)):
+            with pytest.raises(OverflowError):
+                snf._pack([0, bad], size)
 
 
 # entries popped: replaced ones are dropped when the heap is rebuilt, so
