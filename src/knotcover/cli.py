@@ -100,11 +100,7 @@ SMALL_STAGE_NOTE = (
 #         1.71-2.73 / 2.43-2.89 / 2.52-2.78 / 3.02-4.50 / 2.19-2.88 /
 #         3.59-4.40 s
 # (Python 3.11.7, a shared 2-core Xeon host), so N = 26 misses the rule
-# once.  Runs alternated with the code before the local stage packed its
-# rows, which took 1.89-2.23 / 1.64-2.26 / 2.34-2.54 / 1.96-2.37 /
-# 2.94-3.46 / 2.65-2.99 / 3.45-3.89 s and 2.80-3.45 / 4.40-5.24 /
-# 4.26-4.94 / 5.55-6.78 / 3.98-4.90 / 6.54-7.71 s: it stops at 23 by
-# the rule.  On other days the same host has run a third slower.  The
+# once.  On other days the same host has run a third slower.  The
 # fresh-process peak RSS is 26.9-27.0 MiB at N = 15 (eight runs) and
 # 37.2-37.3 MiB at N = 25 (two runs, same host).  Per stage times also
 # come from the benchmark (`bench/README.md`):
@@ -452,8 +448,7 @@ def _surjection_section(inputs: dict) -> tuple[dict, dict[str, bool], list[str]]
         "search_found_pinned": rediscovered,
         "search_total": len(found),
     }
-    ok = (pinned_report.ok and pinned_report.image_order == A5_ORDER
-          and rediscovered)
+    ok = pinned_report.ok and pinned_report.surjective_onto_a5 and rediscovered
     line = (
         f"trefoil onto A5: image order {entry['image_order']}, "
         f"search found pinned assignment: {rediscovered} "

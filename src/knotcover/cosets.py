@@ -43,9 +43,10 @@ class CosetTable:
     ``action[gi][c - 1]`` is the image of coset ``c`` under generator number
     ``gi``; every row must be a permutation of 1..index.  The check builds
     ``rows``, the action row of each generator (sign 1) and of its inverse
-    (-1), from 0: ``rows[g, sign][c - 1]`` is coset c's image, less 1.
-    Each distinct row is checked and indexed once, and equal actions share
-    rows (a staged kernel has up to four gens per action).
+    (-1) with a leading 0, as ``closure`` pads its lookups:
+    ``rows[g, sign][c]`` is coset c's image.  Each distinct row is checked
+    and indexed once, and equal actions share rows (a staged kernel has up
+    to four gens per action).
     """
 
     gens: tuple[str, ...]
@@ -69,8 +70,7 @@ class CosetTable:
                     raise TableIntegrityError(
                         f"action of {g} is not a permutation of 1..{self.index}"
                     )
-                made[row] = (tuple([d - 1 for d in row]),
-                             tuple([d - 1 for d in inverse_row(row)]))
+                made[row] = ((0,) + row, (0,) + inverse_row(row))
             rows[g, 1], rows[g, -1] = made[row]
         object.__setattr__(self, "rows", rows)
 
@@ -81,33 +81,32 @@ class CosetTable:
         if not 1 <= coset <= self.index:
             raise InvalidArgumentError(
                 f"coset {coset} outside 1..{self.index}")
-        coset -= 1
         for syl in w:
             coset = self.rows[syl][coset]
-        return coset + 1
+        return coset
 
     def word_action(self, w: Word) -> tuple[int, ...]:
         """The coset each of 1..index reaches along ``w``: each syllable is
         mapped over every coset at once, as ``verify`` traces relators."""
-        at = range(self.index)
+        at = range(1, self.index + 1)
         for syl in w:
             at = list(map(self.rows[syl].__getitem__, at))
-        return tuple([c + 1 for c in at])
+        return tuple(at)
 
     def verify(self, p: Presentation) -> list[list[list[int]]]:
         """Trace each relator of ``p`` from every coset at once, one syllable
         at a time, then check that this table really is the coset action of
         a subgroup of the presented group; return the paths traced.
 
-        A relator's path lists the cosets, numbered from 0, reached from
-        cosets 1..index before each syllable.  Raises TableIntegrityError if
-        the generators differ, else at the first relator that moves a coset,
-        else if the action is intransitive.
+        A relator's path lists the cosets reached from cosets 1..index
+        before each syllable.  Raises TableIntegrityError if the generators
+        differ, else at the first relator that moves a coset, else if the
+        action is intransitive.
         """
         if tuple(p.generators) != self.gens:
             raise TableIntegrityError("table generators do not match presentation")
         rows = self.rows
-        cosets = list(range(self.index))
+        cosets = list(range(1, self.index + 1))
         paths = []
         for i, r in enumerate(p.relators):
             at = cosets
@@ -116,9 +115,9 @@ class CosetTable:
                 path.append(at)
                 at = list(map(rows[syl].__getitem__, at))
             if at != cosets:
-                c = next(c for c in cosets if at[c] != c)
+                c = next(c for c, d in zip(cosets, at) if d != c)
                 raise TableIntegrityError(
-                    f"relator {p.relator_names[i]} moves coset {c + 1}"
+                    f"relator {p.relator_names[i]} moves coset {c}"
                 )
             paths.append(path)
         orbits = orbit_count(self.action, self.index)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 from .cosets import image_table
 from .errors import CapacityError, InvalidArgumentError, MissingAssignmentError
 from .perm import (
-    Perm, closure, compose, inverse_row, is_even, orbit_count, parse_cycles,
+    Perm, closure, compose, inverse_row, orbit_count, parse_cycles,
 )
 from .presentations import LINK_LETTERS, check_stage_count
 from .words import Presentation, Word, check_name, word
@@ -100,8 +100,10 @@ def check_relators(p: Presentation, assignment: GenAssignment) -> CheckReport:
         RelatorViolation(p.relator_names[i], p.relators[i],
                          group.elements[c - 1])
         for i, c in missed)
+    # an image of order 60 on the points 1..5 is A5: a subgroup of index 2
+    # in S5 is normal, and A5 is the only proper nontrivial normal one
     onto_a5 = table.index == A5_ORDER and all(
-        img.degree <= 5 and is_even(img) for img in group.action)
+        img.degree <= 5 for img in group.action)
     return CheckReport(violations, table.index, onto_a5)
 
 

@@ -173,11 +173,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return Perm._trusted(tuple(map(lookup.__getitem__, a)))
 
 
-def is_even(p: Perm) -> bool:
-    """True iff ``p`` is a product of an even number of transpositions."""
-    return sum(len(c) - 1 for c in p.cycles()) % 2 == 0
-
-
 def parse_cycles(text: str) -> Perm:
     """Parse a product of disjoint cycles, e.g. ``(1,2)(3,4)`` or ``()``.
 

@@ -67,15 +67,15 @@ def _schreier_walk(p: Presentation, t: CosetTable):
     traces and returns.
 
     Returns ``(reps, pairs, paths, crossing)``:
-    - ``reps`` holds each coset's representative as syllables, coset 1's
-      first: its path on the breadth-first tree from coset 1, which takes
-      forward edges before backward ones, generators in presentation
-      order, and never backtracks, so each is reduced;
+    - ``reps[c]`` is coset c's representative as syllables, after a
+      padding item 0: its path on the breadth-first tree from coset 1,
+      which takes forward edges before backward ones, generators in
+      presentation order, and never backtracks, so each is reduced;
     - ``pairs`` lists the Schreier generators (coset, generator), the pairs
       off the tree in coset-then-generator order; a pair's position is its
       column;
-    - ``paths`` holds, for each relator, the cosets (from 0) at which each
-      of its syllables is read, one list per syllable with one entry per
+    - ``paths`` holds, for each relator, the cosets at which each of its
+      syllables is read, one list per syllable with one entry per
       starting coset;
     - ``crossing[g, sign][x]`` is the column the syllable (g, sign) crosses
       when read at coset x, or None on the tree: g read at x crosses the
@@ -91,14 +91,14 @@ def _schreier_walk(p: Presentation, t: CosetTable):
     paths = t.verify(p)
     n, gens, rows = t.index, t.gens, t.rows
 
-    # breadth-first spanning tree from coset 1 (0 here): a representative
-    # is its parent's plus one syllable; the pair (c, g) with g the i-th
-    # generator is numbered c * len(gens) + i, and its column is None on
-    # the tree
+    # breadth-first spanning tree from coset 1: a representative is its
+    # parent's plus one syllable; the pair (c, g) with g the i-th generator
+    # is numbered c * len(gens) + i, and its column is None on the tree or
+    # in the padding that coset 0 stands for
     m = len(gens)
-    reps: list[tuple | None] = [()] + [None] * (n - 1)
-    column: list[int | None] = [0] * (n * m)
-    queue = [0]
+    reps: list[tuple | None] = [None, ()] + [None] * (n - 1)
+    column: list[int | None] = [None] * m + [0] * (n * m)
+    queue = [1]
     for cur in queue:
         for i, g in enumerate(gens):
             for sign in (1, -1):
@@ -112,7 +112,7 @@ def _schreier_walk(p: Presentation, t: CosetTable):
     for x, k in enumerate(column):
         if k is not None:
             column[x] = len(pairs)
-            pairs.append((x // m + 1, gens[x % m]))
+            pairs.append((x // m, gens[x % m]))
 
     crossing = {}
     for i, g in enumerate(gens):
@@ -147,7 +147,7 @@ def reidemeister_schreier(p: Presentation, t: CosetTable) -> SubgroupPresentatio
     )
     return SubgroupPresentation(
         presentation=derived,
-        transversal=tuple(map(Word._trusted, reps)),
+        transversal=tuple(map(Word._trusted, reps[1:])),
     )
 
 

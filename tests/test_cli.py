@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, text and JSON output."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -1227,6 +1228,18 @@ def test_run_all_text_names_a_failed_claim(capsys, monkeypatch, claim):
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL {claim}"]
     assert lines[-1] == "status: fail"
+
+
+def test_trefoil_claim_reads_the_onto_a5_flag(monkeypatch):
+    # a report of order 60 that is not onto A5 fails the claim: the section
+    # reads check_relators' verdict, not the image order
+    real = cli.check_relators
+    monkeypatch.setattr(cli, "check_relators", lambda p, a: dataclasses.replace(
+        real(p, a), surjective_onto_a5=False))
+    fragment, verdicts, _ = _run_entry(
+        _registry_entry(cli.CLAIM_TREFOIL_SURJECTION), SMALL_INPUTS)
+    assert fragment["trefoil_surjection"]["image_order"] == 60
+    assert verdicts == {cli.CLAIM_TREFOIL_SURJECTION: False}
 
 
 def test_run_all_exits_1_when_a_claim_fails(capsys, monkeypatch):

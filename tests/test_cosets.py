@@ -85,7 +85,7 @@ def test_equal_rows_share_their_index_entries():
     t = CosetTable(gens=("a", "b"), action=(row, other), index=3)
     assert t.rows["a", 1] is t.rows["b", 1]
     assert t.rows["a", -1] is t.rows["b", -1]
-    assert t.rows["a", 1] == (1, 2, 0) and t.rows["a", -1] == (2, 0, 1)
+    assert t.rows["a", 1] == (0, 2, 3, 1) and t.rows["a", -1] == (0, 3, 1, 2)
 
 
 def test_tables_compare_by_their_inputs_only():
@@ -327,7 +327,7 @@ def test_forward_orbit_walk_matches_an_inverse_row_oracle():
 def _verify_oracle(t, p):
     """The message verify must raise and None, or None and the paths it
     must return: each relator traced from each coset in turn on the raw
-    action rows, recording the coset, from 0, before each syllable; then
+    action rows, recording the coset before each syllable; then
     the orbit oracle."""
     if tuple(p.generators) != t.gens:
         return "table generators do not match presentation", None
@@ -338,7 +338,7 @@ def _verify_oracle(t, p):
         for c in range(1, t.index + 1):
             d = c
             for k, (sym, sign) in enumerate(r):
-                path[k][c - 1] = d - 1
+                path[k][c - 1] = d
                 d = rows[sym][d - 1] if sign > 0 else rows[sym].index(d) + 1
             if d != c:
                 return f"relator {p.relator_names[i]} moves coset {c}", None

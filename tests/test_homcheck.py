@@ -277,6 +277,31 @@ def test_pinned_trefoil_assignment_passes():
     assert report.surjective_onto_a5
 
 
+def test_a_cyclic_image_of_order_sixty_is_not_onto_a5():
+    # a = b of order lcm(3, 4, 5) = 60: the relator holds and the image has
+    # A5's order, but it is cyclic, on 12 points
+    g = "(1,2,3)(4,5,6,7)(8,9,10,11,12)"
+    report = check_relators(trefoil_presentation(),
+                            GenAssignment.from_names({"a": g, "b": g}))
+    assert report.ok and report.image_order == A5_ORDER
+    assert not report.surjective_onto_a5
+
+
+def test_every_order_sixty_closure_on_five_points_is_even():
+    # the premise of the onto-A5 rule, which reads no parity: (1,2,3,4,5)
+    # with each element of S5 generates a group of order 5, 10, 20, 60 or
+    # 120, and each of order 60 is A5
+    five_cycle = parse_cycles("(1,2,3,4,5)")
+    orders = set()
+    for images in permutations(range(1, 6)):
+        group = closure([five_cycle, Perm(images)])
+        orders.add(group.order)
+        if group.order == A5_ORDER:
+            assert all(is_even_tuple(g.images + tuple(range(g.degree + 1, 6)))
+                       for g in group.elements)
+    assert orders == {5, 10, 20, A5_ORDER, 120}
+
+
 def test_search_count_matches_brute_force():
     p = trefoil_presentation()
     found = search_surjections(p, limit=1000)

@@ -14,7 +14,9 @@ from knotcover.cosets import cyclic_cover_table, kernel_coset_table, todd_coxete
 from knotcover import snf, subgroups
 from knotcover.cosets import CosetTable
 from knotcover.errors import CapacityError, TableIntegrityError
-from knotcover.homcheck import eval_word, phi_tables, search_surjections
+from knotcover.homcheck import (
+    TREFOIL_A5, eval_word, phi_tables, search_surjections,
+)
 from knotcover.perm import Perm
 from knotcover.presentations import (
     kj_presentation,
@@ -291,6 +293,53 @@ def test_cover_homology_equals_the_rewritten_presentation_made_abelian(
     rewritten = _snf_rows(monkeypatch, lambda: abelianize(derived))
     assert direct == rewritten
     assert cover_homology(p, t) == abelianize(derived)
+
+
+def _fox_homology(p, t):
+    """H1 of the subgroup ``t`` describes by Fox's rule (Crowell & Fox,
+    Introduction to Knot Theory, ch. VII), with no spanning tree: each
+    relator is traced from each coset on ``t.action`` alone; g read at
+    coset x adds its sign at column (x, g), and g^-1 read at x adds its
+    sign at (x * g^-1, g).  Over all index * gens columns the cokernel is
+    H1 + Z^(index - 1)."""
+    n = t.index
+    gen = {g: i for i, g in enumerate(t.gens)}
+    forward = dict(zip(t.gens, t.action))
+    backward = {g: {d: c for c, d in enumerate(row, 1)}
+                for g, row in forward.items()}
+    rows = {}
+    for r in p.relators:
+        for x in range(1, n + 1):
+            entries = rows[len(rows)] = {}
+            for g, sign in r:
+                if sign < 0:
+                    x = backward[g][x]
+                k = (x, gen[g])
+                entries[k] = entries.get(k, 0) + sign
+                if sign > 0:
+                    x = forward[g][x - 1]
+    columns = {k: i for i, k in enumerate(sorted({k for r in rows.values()
+                                                  for k in r}))}
+    factors, rank = snf.smith_normal_form_sparse(
+        {i: {columns[k]: v for k, v in r.items()} for i, r in rows.items()})
+    return AbelianInvariants(n * len(t.gens) - rank - (n - 1),
+                             tuple(d for d in factors if d > 1))
+
+
+FOX_COVERS = ([("kernel", j) for j in range(1, 6)]
+              + [("cyclic", k) for k in range(1, 13)] + [("trefoil-a5", 60)])
+
+
+@pytest.mark.parametrize("kind, n", FOX_COVERS)
+def test_cover_homology_equals_fox_rows_on_the_action_alone(kind, n):
+    # a second route that shares no walk, tree or path with cover_homology
+    if kind == "trefoil-a5":
+        p = trefoil_presentation()
+        t = kernel_coset_table(p, TREFOIL_A5)
+        assert t.index == n
+    else:
+        p, t = _cover(kind, n)
+    assert cover_homology(p, t) == _fox_homology(p, t)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
